@@ -35,9 +35,6 @@ def main():
     stacked = concat_channels([m, same])
     print("concat channels:", stacked.channels)
 
-    # maps round-trip through JSON for fixtures
-    print("JSON round-trip equal:", np.array_equal(FeatureMap.loads(m.dumps()).data, m.data))
-
 
 if __name__ == "__main__":
     main()

@@ -63,6 +63,12 @@ class ExperimentConfig:
             raise ValueError("at least one of use_primary/use_auxiliary must be enabled")
         if not (0.0 < self.threshold < 1.0):
             raise ValueError("threshold must lie in (0, 1)")
+        if self.n_train_scenes < 1:
+            raise ValueError("n_train_scenes must be >= 1")
+        if self.use_primary and self.use_simplefp and self.encoder.primary_resolution < 4:
+            raise ValueError(
+                "encoder.primary_resolution must be >= 4 with use_simplefp: the stride-2 branch needs a 4x4 map"
+            )
         if self.fp_channels < 1 or self.d_llm < 1:
             raise ValueError("model dimensions must be positive")
         if self.d_total % 8 != 0:

@@ -25,14 +25,7 @@ from .baseline import regression_baseline_eval, train_baseline
 from .config import ExperimentConfig
 from .metrics import EvalReport, box_recall, coco_map, counting_accuracy
 from .retrieval import Detection, decode_detections, detect_then_count, score_matrix
-from .simworld import (
-    ProposalSimConfig,
-    Scene,
-    TrainingSample,
-    generate_scene,
-    simulate_opn,
-    vocabulary,
-)
+from .simworld import ProposalSimConfig, Scene, generate_scene, simulate_opn, vocabulary
 from .training import (
     GROUP_NEW_VOCAB,
     ModelParams,
@@ -86,22 +79,19 @@ def make_eval_scenes(
     return out
 
 
+def _scene_scores(params: ModelParams, ev: EvalScene, config: ExperimentConfig) -> np.ndarray:
+    """(proposals x categories) scores of every region against every category."""
+    tokens = region_token_matrix(params, prepare_sample(ev, config), config)
+    return score_matrix(tokens, params.groups[GROUP_NEW_VOCAB]["queries"])
+
+
 def detections_for_scene(
     params: ModelParams, ev: EvalScene, config: ExperimentConfig
 ) -> list[Detection]:
     """Full retrieval decode: region tokens, scores against every category,
     thresholded detections."""
-    sample = TrainingSample(
-        scene=ev.scene,
-        proposals=tuple(ev.proposals),
-        queries=tuple(vocabulary(config.n_categories)),
-        targets=np.zeros((len(ev.proposals), config.n_categories)),
-    )
-    static = prepare_sample(sample, config)
-    tokens = region_token_matrix(params, static, config)
-    queries = model_queries(params, config)
-    scores = score_matrix(tokens, params.groups[GROUP_NEW_VOCAB]["queries"])
-    return decode_detections(scores, ev.proposals, queries, config.threshold)
+    scores = _scene_scores(params, ev, config)
+    return decode_detections(scores, ev.proposals, model_queries(params, config), config.threshold)
 
 
 def evaluate_retrieval(
@@ -259,15 +249,7 @@ def counting_stats(
     predicted = []
     true = []
     for ev in eval_scenes:
-        sample = TrainingSample(
-            scene=ev.scene,
-            proposals=tuple(ev.proposals),
-            queries=tuple(vocabulary(config.n_categories)),
-            targets=np.zeros((len(ev.proposals), config.n_categories)),
-        )
-        static = prepare_sample(sample, config)
-        tokens = region_token_matrix(params, static, config)
-        scores = score_matrix(tokens, params.groups[GROUP_NEW_VOCAB]["queries"])
+        scores = _scene_scores(params, ev, config)
         for q, query in enumerate(queries):
             true_count = len(ev.scene.boxes_of(query.name))
             if true_count == 0:

@@ -13,27 +13,25 @@ Conventions fixed here, once:
   ``src = (dst + 0.5) * (in / out) - 0.5`` and clamps samples to the edge;
 * ``conv2d`` is cross-correlation (no kernel flip), zero padding only;
 * ``deconv2d`` scatters with integer stride; with the kernel's channel
-  axes swapped it is the exact adjoint of ``conv2d`` (see
-  :func:`conv2d_input_grad`).
+  axes swapped it is the exact adjoint of ``conv2d``.
 
 All arrays are float64 and all operations are pure functions.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "FeatureMap",
+    "NonFiniteError",
     "Kernel",
     "bilinear_resize",
     "resize_matrix",
     "conv2d",
     "conv2d_backward",
-    "conv2d_input_grad",
     "deconv2d",
     "deconv2d_backward",
     "concat_channels",
@@ -53,6 +51,10 @@ def _as_grid(data: np.ndarray | list, channels: int, height: int, width: int) ->
     return np.ascontiguousarray(arr)
 
 
+class NonFiniteError(ValueError):
+    """A feature map or connector was built from values that are not all finite."""
+
+
 @dataclass
 class FeatureMap:
     """A dense C x H x W grid of finite real values, row-major in (c, y, x)."""
@@ -67,7 +69,9 @@ class FeatureMap:
             raise ValueError("FeatureMap dimensions must be positive")
         self.data = _as_grid(self.data, self.channels, self.height, self.width)
         if not np.all(np.isfinite(self.data)):
-            raise ValueError("FeatureMap contains non-finite values")
+            raise NonFiniteError(
+                f"{self.channels}x{self.height}x{self.width} FeatureMap contains non-finite values"
+            )
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "FeatureMap":
@@ -83,25 +87,6 @@ class FeatureMap:
     @property
     def shape(self) -> tuple[int, int, int]:
         return (self.channels, self.height, self.width)
-
-    def to_json(self) -> dict:
-        return {
-            "channels": self.channels,
-            "height": self.height,
-            "width": self.width,
-            "data": self.data.ravel().tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FeatureMap":
-        return cls(obj["channels"], obj["height"], obj["width"], obj["data"])
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
-
-    @classmethod
-    def loads(cls, s: str) -> "FeatureMap":
-        return cls.from_json(json.loads(s))
 
 
 @dataclass
@@ -269,15 +254,6 @@ def conv2d_backward(
     else:
         d_in = d_padded
     return d_w, d_b, np.ascontiguousarray(d_in)
-
-
-def conv2d_input_grad(
-    grad: np.ndarray, kernel: Kernel, in_shape: tuple[int, int, int], stride: int = 1, padding: int = 0
-) -> np.ndarray:
-    """Input gradient of conv2d alone (adjoint of its linear part)."""
-    dummy = FeatureMap(in_shape[0], in_shape[1], in_shape[2], np.zeros(in_shape))
-    _, _, d_in = conv2d_backward(dummy, kernel, grad, stride, padding)
-    return d_in
 
 
 # ------------------------------------------------- transposed convolution

@@ -50,14 +50,12 @@ class EvalReport:
     ap_per_iou: dict[float, float]
     ap_mean: float
     recall: float
-    counting_accuracy: float = 0.0
     per_category: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         values = list(self.ap_per_iou.values()) + [
             self.ap_mean,
             self.recall,
-            self.counting_accuracy,
             *self.per_category.values(),
         ]
         if any(not (0.0 <= v <= 1.0) for v in values):
@@ -72,17 +70,16 @@ class EvalReport:
             "ap_per_iou": {f"{t:.2f}": v for t, v in self.ap_per_iou.items()},
             "ap_mean": self.ap_mean,
             "recall": self.recall,
-            "counting_accuracy": self.counting_accuracy,
             "per_category": dict(self.per_category),
         }
 
     @staticmethod
     def tsv_header() -> str:
-        cols = ["ap_mean", "recall", "counting_accuracy"] + [f"ap@{t:.2f}" for t in COCO_IOU_THRESHOLDS]
+        cols = ["ap_mean", "recall"] + [f"ap@{t:.2f}" for t in COCO_IOU_THRESHOLDS]
         return "\t".join(cols)
 
     def tsv_line(self) -> str:
-        cols = [self.ap_mean, self.recall, self.counting_accuracy] + [
+        cols = [self.ap_mean, self.recall] + [
             self.ap_per_iou.get(t, 0.0) for t in COCO_IOU_THRESHOLDS
         ]
         return "\t".join(f"{v:.6f}" for v in cols)

@@ -13,18 +13,29 @@ Two constructions feed region pooling:
 
 Branches are plain linear maps (no normalization or nonlinearity);
 parameters initialize from a seeded uniform so runs are reproducible.
+:func:`simple_fp_backward` and :func:`aux_fuse_backward` are their
+adjoints, so the branch wiring and the fuse rule are stated only here.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridops import FeatureMap, Kernel, bilinear_resize, concat_channels, conv2d, deconv2d
+from .gridops import (
+    FeatureMap,
+    Kernel,
+    bilinear_resize,
+    bilinear_resize_grad,
+    concat_channels,
+    conv2d,
+    conv2d_backward,
+    deconv2d,
+    deconv2d_backward,
+)
 
-__all__ = ["PyramidConfig", "SimpleFPParams", "simple_fp", "aux_fuse"]
+__all__ = ["PyramidConfig", "SimpleFPParams", "simple_fp", "simple_fp_backward", "aux_fuse", "aux_fuse_backward"]
 
 #: Spatial scale of each pyramid level relative to the input map.
 PYRAMID_STRIDES = (2, 1, "1/2", "1/4")
@@ -77,32 +88,6 @@ class SimpleFPParams:
             }
         )
 
-    def to_json(self) -> dict:
-        out = {}
-        for name, k in self.kernels.items():
-            out[name] = {
-                "out_channels": k.out_channels,
-                "in_channels": k.in_channels,
-                "k_h": k.k_h,
-                "k_w": k.k_w,
-                "weights": k.weights.ravel().tolist(),
-                "bias": k.bias.tolist(),
-            }
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SimpleFPParams":
-        kernels = {}
-        for name, spec in obj.items():
-            kernels[name] = Kernel(
-                spec["out_channels"], spec["in_channels"], spec["k_h"], spec["k_w"],
-                np.asarray(spec["weights"]), np.asarray(spec["bias"]),
-            )
-        return cls(kernels)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
-
 
 def simple_fp(last_map: FeatureMap, cfg: PyramidConfig, params: SimpleFPParams) -> list[FeatureMap]:
     """Build the 4-level pyramid {H/2 x W/2, H x W, 2H x 2W, 4H x 4W}."""
@@ -114,6 +99,32 @@ def simple_fp(last_map: FeatureMap, cfg: PyramidConfig, params: SimpleFPParams) 
     up2 = deconv2d(last_map, k["up2"], stride=2)
     up4 = deconv2d(deconv2d(last_map, k["up4_a"], stride=2), k["up4_b"], stride=2)
     return [down, same, up2, up4]
+
+
+def simple_fp_backward(
+    last_map: FeatureMap, params: SimpleFPParams, level_grads: list[np.ndarray]
+) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """Adjoint of :func:`simple_fp` for upstream gradients on its four levels.
+
+    Returns ({branch: (d_weights, d_bias)}, d_input).  The up4 branch's
+    intermediate map is recomputed here rather than kept from the forward.
+    """
+    k = params.kernels
+    d_down, d_same, d_up2, d_up4 = level_grads
+    mid = deconv2d(last_map, k["up4_a"], stride=2)
+    d_w, d_b, d_mid = deconv2d_backward(mid, k["up4_b"], d_up4, stride=2)
+    grads = {"up4_b": (d_w, d_b)}
+    branches = (
+        ("down", conv2d_backward(last_map, k["down"], d_down, stride=2, padding=1)),
+        ("same", conv2d_backward(last_map, k["same"], d_same)),
+        ("up2", deconv2d_backward(last_map, k["up2"], d_up2, stride=2)),
+        ("up4_a", deconv2d_backward(last_map, k["up4_a"], d_mid, stride=2)),
+    )
+    d_input = np.zeros_like(last_map.data)
+    for branch, (d_w, d_b, d_in) in branches:
+        grads[branch] = (d_w, d_b)
+        d_input += d_in
+    return grads, d_input
 
 
 def aux_fuse(maps: list[FeatureMap]) -> FeatureMap:
@@ -128,3 +139,15 @@ def aux_fuse(maps: list[FeatureMap]) -> FeatureMap:
     (th, tw) = target_shapes.pop()
     resized = [m if (m.height, m.width) == (th, tw) else bilinear_resize(m, th, tw) for m in maps]
     return concat_channels(resized)
+
+
+def aux_fuse_backward(maps: list[FeatureMap], d_fused: np.ndarray) -> list[np.ndarray]:
+    """Adjoint of :func:`aux_fuse`: split a (C, H, W) gradient on the fused map
+    into one gradient per input map."""
+    out = []
+    c0 = 0
+    for m in maps:
+        d = d_fused[c0 : c0 + m.channels]
+        c0 += m.channels
+        out.append(d if (m.height, m.width) == d.shape[1:] else bilinear_resize_grad(d, m.height, m.width))
+    return out

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridops import FeatureMap
+from .gridops import FeatureMap, NonFiniteError
 from .roialign import Box, RoiConfig, roi_align_pooled
 
 __all__ = [
@@ -126,7 +126,6 @@ class Connector:
     w2: np.ndarray
     b2: np.ndarray
     activation: str = "tanh"
-    trainable: bool = True
 
     def __post_init__(self):
         if self.activation not in ("tanh", "identity"):
@@ -137,7 +136,7 @@ class Connector:
             raise ValueError("layer widths are inconsistent")
         for arr in (self.w1, self.b1, self.w2, self.b2):
             if not np.all(np.isfinite(arr)):
-                raise ValueError("connector parameters must be finite")
+                raise NonFiniteError("connector parameters must be finite")
 
     @property
     def in_dim(self) -> int:
@@ -166,20 +165,6 @@ class Connector:
             b2=rng.uniform(-s2, s2, size=out_dim),
             activation=activation,
         )
-
-    def to_json(self) -> dict:
-        return {
-            name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-            for name, arr in (("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2))
-        } | {"activation": self.activation}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Connector":
-        def arr(name):
-            spec = obj[name]
-            return np.asarray(spec["data"]).reshape(spec["shape"])
-
-        return cls(arr("w1"), arr("b1"), arr("w2"), arr("b2"), obj.get("activation", "tanh"))
 
 
 def connector_forward(conn: Connector, f_hybrid: np.ndarray) -> np.ndarray:

@@ -100,6 +100,12 @@ class EncoderConfig:
     noise_sigma: float = 0.01
     distractor_intensity: float = 0.3
 
+    def __post_init__(self):
+        if self.primary_resolution < 1:
+            raise ValueError("primary_resolution must be >= 1")
+        if self.aux_base_resolution < 8:
+            raise ValueError("aux_base_resolution must be >= 8: the coarsest auxiliary level is 1/8 of it")
+
     @staticmethod
     def primary_channels(n_categories: int) -> int:
         # signatures + background + two ramps, padded to a multiple of 8

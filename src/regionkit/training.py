@@ -27,24 +27,13 @@ given the config seed.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .gridops import (
-    FeatureMap,
-    Kernel,
-    bilinear_resize,
-    bilinear_resize_grad,
-    concat_channels,
-    conv2d,
-    conv2d_backward,
-    deconv2d,
-    deconv2d_backward,
-)
-from .pyramid import PyramidConfig, SimpleFPParams
+from .gridops import FeatureMap, Kernel, NonFiniteError, conv2d, conv2d_backward
+from .pyramid import PyramidConfig, SimpleFPParams, aux_fuse, aux_fuse_backward, simple_fp, simple_fp_backward
 from .regionenc import Connector, connector_backward, connector_forward, positional_embedding_matrix
 from .retrieval import CategoryQuery
 from .roialign import Box, pooled_apply, pooled_weights
@@ -81,10 +70,12 @@ _FP_BRANCHES = ("down", "same", "up2", "up4_a", "up4_b")
 
 
 class TrainingDivergence(RuntimeError):
-    """Raised when the loss stops being finite."""
+    """Raised when the loss, or a feature map or connector on the way to it,
+    stops being finite.  ``loss`` is None when no loss was computed."""
 
-    def __init__(self, stage: int, step: int, loss: float):
-        super().__init__(f"non-finite loss {loss!r} at stage {stage} step {step}")
+    def __init__(self, stage: int, step: int, loss: float | None = None, cause: str | None = None):
+        what = f"non-finite loss {loss!r}" if cause is None else cause
+        super().__init__(f"{what} at stage {stage} step {step}")
         self.stage = stage
         self.step = step
         self.loss = loss
@@ -121,21 +112,33 @@ class ModelParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelParams":
-        return cls(
-            {
-                g: {k: np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"]) for k, spec in arrs.items()}
-                for g, arrs in obj.items()
-            }
-        )
+        """Inverse of :meth:`to_json`; malformed input raises ValueError
+        naming the group and array."""
+        if not isinstance(obj, dict):
+            raise ValueError("a parameter bundle must be an object of groups")
+        groups = {}
+        for g, arrs in obj.items():
+            if not isinstance(arrs, dict):
+                raise ValueError(f"parameter group {g!r} must be an object of arrays")
+            groups[g] = {k: _array_from_json(spec, f"{g}/{k}") for k, spec in arrs.items()}
+        return cls(groups)
 
-    def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json(), f)
 
-    @classmethod
-    def load(cls, path) -> "ModelParams":
-        with open(path) as f:
-            return cls.from_json(json.load(f))
+def _array_from_json(spec, name: str) -> np.ndarray:
+    if not isinstance(spec, dict) or "shape" not in spec or "data" not in spec:
+        raise ValueError(f"array {name} must be an object with 'shape' and 'data'")
+    shape = spec["shape"]
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise ValueError(f"array {name}: shape must be a list of non-negative integers")
+    try:
+        data = np.asarray(spec["data"], dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"array {name}: data must be a flat list of numbers") from None
+    if data.ndim != 1 or not np.all(np.isfinite(data)):
+        raise ValueError(f"array {name}: data must be a flat list of finite numbers")
+    if data.size != int(np.prod(shape)):
+        raise ValueError(f"array {name}: {data.size} values do not fill shape {shape}")
+    return data.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -222,6 +225,10 @@ def _kernel(groups: dict, group: str, name: str) -> Kernel:
     return Kernel(w.shape[0], w.shape[1], w.shape[2], w.shape[3], w, b)
 
 
+def _fp_params(groups: dict) -> SimpleFPParams:
+    return SimpleFPParams({b: _kernel(groups, GROUP_SIMPLEFP, b) for b in _FP_BRANCHES})
+
+
 def _connector(groups: dict) -> Connector:
     c = groups[GROUP_CONNECTOR]
     return Connector(c["w1"], c["b1"], c["w2"], c["b2"])
@@ -251,50 +258,49 @@ class SampleStatic:
     scene_id: int
 
 
-def _pool_sizes(config: ExperimentConfig) -> list[tuple[int, int]]:
-    sizes = []
-    if config.use_primary:
-        pr = config.encoder.primary_resolution
-        if config.use_simplefp:
-            sizes += [(pr // 2, pr // 2), (pr, pr), (2 * pr, 2 * pr), (4 * pr, 4 * pr)]
-        else:
-            sizes.append((pr, pr))
-    if config.use_auxiliary:
-        ar = config.encoder.aux_base_resolution
-        sizes.append((ar, ar))
-    return sizes
+def prepare_sample(sample, config: ExperimentConfig) -> SampleStatic:
+    """Render and embed one scene with its proposals.
 
-
-def prepare_sample(sample: TrainingSample, config: ExperimentConfig) -> SampleStatic:
+    ``sample`` is a :class:`TrainingSample`, or any scene-with-proposals
+    (``.scene``, ``.proposals``) such as an eval scene, which has no
+    queries or targets.  Pooling weights fill in on first use, per size of
+    the maps the forward produces.
+    """
     last_map, aux_maps = toy_encode(sample.scene, config.encoder)
     boxes = list(sample.proposals)
-    pool_w = {}
-    for h, w in _pool_sizes(config):
-        if (h, w) not in pool_w:
-            pool_w[(h, w)] = pooled_weights(h, w, boxes, config.roi)
-    epos = positional_embedding_matrix(boxes, config.d_total)
-    names = vocabulary(config.n_categories)
-    index = {n: i for i, n in enumerate(names)}
-    query_idx = np.array([index[q] for q in sample.queries], dtype=int)
+    if isinstance(sample, TrainingSample):
+        index = {n: i for i, n in enumerate(vocabulary(config.n_categories))}
+        query_idx = np.array([index[q] for q in sample.queries], dtype=int)
+        targets = np.asarray(sample.targets, dtype=np.float64)
+    else:
+        query_idx = np.zeros(0, dtype=int)
+        targets = np.zeros((len(boxes), 0))
     return SampleStatic(
         boxes=boxes,
         last_map=last_map,
         aux_maps=aux_maps,
-        pool_w=pool_w,
-        epos=epos,
+        pool_w={},
+        epos=positional_embedding_matrix(boxes, config.d_total),
         query_idx=query_idx,
-        targets=np.asarray(sample.targets, dtype=np.float64),
+        targets=targets,
         scene_id=sample.scene.image_id,
     )
+
+
+def _pool_weights(s: SampleStatic, fmap: FeatureMap, config: ExperimentConfig) -> np.ndarray:
+    key = (fmap.height, fmap.width)
+    if key not in s.pool_w:
+        s.pool_w[key] = pooled_weights(fmap.height, fmap.width, s.boxes, config.roi)
+    return s.pool_w[key]
 
 
 # ------------------------------------------------------------- forward
 
 @dataclass
 class _ForwardCache:
+    fp: SimpleFPParams | None = None
     mixed_pri: FeatureMap | None = None
-    levels: list[FeatureMap] | None = None
-    up4_mid: FeatureMap | None = None
+    levels: list[FeatureMap] = field(default_factory=list)
     mixed_aux: list[FeatureMap] | None = None
     fused: FeatureMap | None = None
     features: np.ndarray | None = None
@@ -304,39 +310,22 @@ class _ForwardCache:
 def _forward(params: ModelParams, s: SampleStatic, config: ExperimentConfig) -> _ForwardCache:
     g = params.groups
     cache = _ForwardCache()
-    parts = []
+    pooled_maps = []
     if config.use_primary:
-        mixed = conv2d(s.last_map, _kernel(g, GROUP_PRIMARY, "mix"))
-        cache.mixed_pri = mixed
+        cache.mixed_pri = conv2d(s.last_map, _kernel(g, GROUP_PRIMARY, "mix"))
         if config.use_simplefp:
-            k = {b: _kernel(g, GROUP_SIMPLEFP, b) for b in _FP_BRANCHES}
-            down = conv2d(mixed, k["down"], stride=2, padding=1)
-            same = conv2d(mixed, k["same"])
-            up2 = deconv2d(mixed, k["up2"], stride=2)
-            mid = deconv2d(mixed, k["up4_a"], stride=2)
-            up4 = deconv2d(mid, k["up4_b"], stride=2)
-            cache.levels = [down, same, up2, up4]
-            cache.up4_mid = mid
+            cache.fp = _fp_params(g)
+            cache.levels = simple_fp(cache.mixed_pri, PyramidConfig(config.fp_channels), cache.fp)
         else:
-            cache.levels = [mixed]
-        for level in cache.levels:
-            w = s.pool_w[(level.height, level.width)]
-            parts.append(pooled_apply(w, level.data))
+            cache.levels = [cache.mixed_pri]
+        pooled_maps += cache.levels
     if config.use_auxiliary:
-        mixed_aux = [
-            conv2d(m, _kernel(g, GROUP_AUX, f"mix{i}")) for i, m in enumerate(s.aux_maps)
-        ]
-        cache.mixed_aux = mixed_aux
-        target = (mixed_aux[0].height, mixed_aux[0].width)
-        resized = [
-            m if (m.height, m.width) == target else bilinear_resize(m, *target) for m in mixed_aux
-        ]
-        fused = concat_channels(resized)
-        cache.fused = fused
-        parts.append(pooled_apply(s.pool_w[target], fused.data))
-    feats = np.concatenate(parts, axis=1) + s.epos
-    cache.features = feats
-    cache.tokens = connector_forward(_connector(g), feats)
+        cache.mixed_aux = [conv2d(m, _kernel(g, GROUP_AUX, f"mix{i}")) for i, m in enumerate(s.aux_maps)]
+        cache.fused = aux_fuse(cache.mixed_aux)
+        pooled_maps.append(cache.fused)
+    parts = [pooled_apply(_pool_weights(s, m, config), m.data) for m in pooled_maps]
+    cache.features = np.concatenate(parts, axis=1) + s.epos
+    cache.tokens = connector_forward(_connector(g), cache.features)
     return cache
 
 
@@ -391,67 +380,29 @@ def loss_and_grads(
     if GROUP_CONNECTOR in want:
         grads[GROUP_CONNECTOR] = conn_grads
 
-    # split the feature gradient back into its pooled blocks
-    col = 0
-    d_blocks = []
-    if config.use_primary:
-        for level in cache.levels:
-            d_blocks.append(("pri", level, d_feats[:, col : col + level.channels]))
-            col += level.channels
-    if config.use_auxiliary:
-        d_blocks.append(("aux", cache.fused, d_feats[:, col : col + cache.fused.channels]))
-        col += cache.fused.channels
+    def d_map(fmap: FeatureMap, col: int) -> np.ndarray:
+        """Adjoint of pooling ``fmap`` into feature columns col:col+C."""
+        d_pool = d_feats[:, col : col + fmap.channels]
+        return (d_pool.T @ s.pool_w[(fmap.height, fmap.width)]).reshape(fmap.shape)
 
+    cols = np.cumsum([0] + [level.channels for level in cache.levels])
     d_mixed_pri = None
-    for kind_index, (kind, fmap, d_pool) in enumerate(d_blocks):
-        if kind == "pri" and not (want & {GROUP_SIMPLEFP, GROUP_PRIMARY}):
-            continue
-        if kind == "aux" and GROUP_AUX not in want:
-            continue
-        w = s.pool_w[(fmap.height, fmap.width)]
-        d_map = (d_pool.T @ w).reshape(fmap.channels, fmap.height, fmap.width)
-        if kind == "aux":
-            aux_grads = {}
-            c0 = 0
-            target = (cache.fused.height, cache.fused.width)
-            for i, mixed in enumerate(cache.mixed_aux):
-                d_res = d_map[c0 : c0 + mixed.channels]
-                c0 += mixed.channels
-                if (mixed.height, mixed.width) == target:
-                    d_mixed = d_res
-                else:
-                    d_mixed = bilinear_resize_grad(d_res, mixed.height, mixed.width)
-                d_w, d_b, _ = conv2d_backward(s.aux_maps[i], _kernel(g, GROUP_AUX, f"mix{i}"), d_mixed)
-                aux_grads[f"mix{i}_w"] = d_w
-                aux_grads[f"mix{i}_b"] = d_b
-            grads[GROUP_AUX] = aux_grads
+    if cache.levels and want & {GROUP_SIMPLEFP, GROUP_PRIMARY}:
+        d_levels = [d_map(level, col) for level, col in zip(cache.levels, cols)]
+        if config.use_simplefp:
+            branch_grads, d_mixed_pri = simple_fp_backward(cache.mixed_pri, cache.fp, d_levels)
+            fp_grads = grads[GROUP_SIMPLEFP] = {}
+            for branch, (d_w, d_b) in branch_grads.items():
+                fp_grads[f"{branch}_w"], fp_grads[f"{branch}_b"] = d_w, d_b
         else:
-            if d_mixed_pri is None:
-                d_mixed_pri = np.zeros_like(cache.mixed_pri.data)
-            if config.use_simplefp:
-                # primary blocks precede the aux block, so kind_index is the
-                # pyramid level: down, same, up2, up4
-                level_idx = kind_index
-                fp_grads = grads.setdefault(GROUP_SIMPLEFP, {})
-                if level_idx == 0:
-                    d_w, d_b, d_in = conv2d_backward(
-                        cache.mixed_pri, _kernel(g, GROUP_SIMPLEFP, "down"), d_map, stride=2, padding=1
-                    )
-                    fp_grads["down_w"], fp_grads["down_b"] = d_w, d_b
-                elif level_idx == 1:
-                    d_w, d_b, d_in = conv2d_backward(cache.mixed_pri, _kernel(g, GROUP_SIMPLEFP, "same"), d_map)
-                    fp_grads["same_w"], fp_grads["same_b"] = d_w, d_b
-                elif level_idx == 2:
-                    d_w, d_b, d_in = deconv2d_backward(cache.mixed_pri, _kernel(g, GROUP_SIMPLEFP, "up2"), d_map, stride=2)
-                    fp_grads["up2_w"], fp_grads["up2_b"] = d_w, d_b
-                else:
-                    d_wb, d_bb, d_mid = deconv2d_backward(cache.up4_mid, _kernel(g, GROUP_SIMPLEFP, "up4_b"), d_map, stride=2)
-                    d_wa, d_ba, d_in = deconv2d_backward(cache.mixed_pri, _kernel(g, GROUP_SIMPLEFP, "up4_a"), d_mid, stride=2)
-                    fp_grads["up4_b_w"], fp_grads["up4_b_b"] = d_wb, d_bb
-                    fp_grads["up4_a_w"], fp_grads["up4_a_b"] = d_wa, d_ba
-                d_mixed_pri += d_in
-            else:
-                d_mixed_pri += d_map
+            d_mixed_pri = d_levels[0]
+    if cache.fused is not None and GROUP_AUX in want:
+        d_mixed_aux = aux_fuse_backward(cache.mixed_aux, d_map(cache.fused, cols[-1]))
+        aux_grads = {}
+        for i, d_mixed in enumerate(d_mixed_aux):
+            d_w, d_b, _ = conv2d_backward(s.aux_maps[i], _kernel(g, GROUP_AUX, f"mix{i}"), d_mixed)
+            aux_grads[f"mix{i}_w"], aux_grads[f"mix{i}_b"] = d_w, d_b
+        grads[GROUP_AUX] = aux_grads
 
     if GROUP_PRIMARY in want and d_mixed_pri is not None:
         d_w, d_b, _ = conv2d_backward(s.last_map, _kernel(g, GROUP_PRIMARY, "mix"), d_mixed_pri)
@@ -497,6 +448,8 @@ def train(
             proposal_config=config.proposals,
         )
     statics = [prepare_sample(sample, config) for sample in dataset]
+    if not statics:
+        raise ValueError("train needs at least one training sample")
     params = init_model_params(config, np.random.default_rng(param_ss))
     schedule = FreezeSchedule.from_config(config)
     log = TrainingLog()
@@ -510,10 +463,8 @@ def train(
             step_counter += 1
             try:
                 loss, grads = loss_and_grads(params, s, config, trainable)
-            except ValueError as exc:
-                if "non-finite" in str(exc):
-                    raise TrainingDivergence(stage, step_counter, float("nan")) from exc
-                raise
+            except NonFiniteError as exc:
+                raise TrainingDivergence(stage, step_counter, cause=str(exc)) from exc
             if not np.isfinite(loss):
                 raise TrainingDivergence(stage, step_counter, loss)
             for grp, arrs in grads.items():

@@ -101,14 +101,6 @@ def test_feature_map_rejects_non_finite():
         FeatureMap(1, 2, 2, data)
 
 
-def test_feature_map_json_round_trip():
-    rng = np.random.default_rng(0)
-    m = random_map(rng, 3, 4, 5)
-    back = FeatureMap.loads(m.dumps())
-    assert back.shape == m.shape
-    np.testing.assert_array_equal(back.data, m.data)
-
-
 def test_kernel_validates_weight_length():
     with pytest.raises(ValueError):
         Kernel(2, 2, 3, 3, np.zeros(5))

@@ -144,7 +144,10 @@ def test_report_tsv_shape():
     report = coco_map({0: []}, {0: [("car", B(0.1, 0.1, 0.4, 0.4))]})
     header = EvalReport.tsv_header().split("\t")
     line = report.tsv_line().split("\t")
-    assert len(header) == len(line) == 13
+    # ap_mean, recall, then one AP column per IoU threshold
+    assert len(header) == len(line) == 12
+    assert "counting_accuracy" not in header
+    assert "counting_accuracy" not in report.to_json()
 
 
 # ------------------------------------------------- naive-evaluator sweep

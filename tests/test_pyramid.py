@@ -63,15 +63,6 @@ def test_simple_fp_rejects_tiny_input():
         simple_fp(FeatureMap.full(1, 3, 3, 0.0), cfg, params)
 
 
-def test_simple_fp_params_json_round_trip():
-    rng = np.random.default_rng(3)
-    params = SimpleFPParams.seeded(2, PyramidConfig(fp_channels=2), rng)
-    back = SimpleFPParams.from_json(params.to_json())
-    for name, k in params.kernels.items():
-        np.testing.assert_array_equal(back.kernels[name].weights, k.weights)
-        np.testing.assert_array_equal(back.kernels[name].bias, k.bias)
-
-
 # --------------------------------------------------------------- aux_fuse
 
 def test_aux_fuse_same_size_is_pure_concat():

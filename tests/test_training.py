@@ -2,8 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from regionkit.config import ExperimentConfig
+from regionkit.experiments import evaluate_retrieval, make_eval_scenes
+from regionkit.gridops import Kernel, conv2d
+from regionkit.pyramid import PyramidConfig, SimpleFPParams, aux_fuse, simple_fp
+from regionkit.regionenc import Connector, connector_forward, positional_embedding_matrix
+from regionkit.roialign import roi_align_pooled
+from regionkit.simworld import EncoderConfig, make_training_set, toy_encode
 from regionkit.training import (
     GROUP_AUX,
     GROUP_CONNECTOR,
@@ -16,8 +24,17 @@ from regionkit.training import (
     TrainingDivergence,
     grad_check,
     init_model_params,
+    prepare_sample,
+    region_token_matrix,
     train,
 )
+
+VARIANTS = {
+    "hybrid": {},
+    "primary_only": {"use_auxiliary": False},
+    "primary_only_no_fp": {"use_auxiliary": False, "use_simplefp": False},
+    "auxiliary_only": {"use_primary": False, "use_simplefp": False},
+}
 
 
 # --------------------------------------------------------------- schedule
@@ -46,6 +63,46 @@ def test_config_requires_a_stream(tiny_config):
         tiny_config.replace(use_primary=False, use_auxiliary=False)
 
 
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("n_train_scenes", lambda cfg: cfg.replace(n_train_scenes=0)),
+        ("aux_base_resolution", lambda cfg: cfg.replace(encoder=EncoderConfig(aux_base_resolution=4))),
+        ("primary_resolution", lambda cfg: cfg.replace(encoder=EncoderConfig(primary_resolution=0))),
+        ("encoder.primary_resolution", lambda cfg: cfg.replace(encoder=EncoderConfig(primary_resolution=3))),
+    ],
+)
+def test_unusable_config_rejected_naming_field(tiny_config, field, build):
+    with pytest.raises(ValueError, match=field):
+        build(tiny_config)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    primary_resolution=st.integers(0, 10),
+    aux_base_resolution=st.integers(4, 20),
+    switches=st.sampled_from(sorted(VARIANTS)),
+    n_train_scenes=st.integers(0, 3),
+)
+@example(primary_resolution=9, aux_base_resolution=16, switches="hybrid", n_train_scenes=2)
+@example(primary_resolution=4, aux_base_resolution=8, switches="primary_only", n_train_scenes=1)
+@example(primary_resolution=1, aux_base_resolution=12, switches="auxiliary_only", n_train_scenes=1)
+def test_every_constructible_config_trains_and_evaluates(
+    tiny_config, primary_resolution, aux_base_resolution, switches, n_train_scenes
+):
+    try:
+        encoder = EncoderConfig(primary_resolution=primary_resolution, aux_base_resolution=aux_base_resolution)
+        cfg = tiny_config.replace(
+            encoder=encoder, n_train_scenes=n_train_scenes, n_eval_scenes=2,
+            stage1_steps=3, stage2_steps=2, **VARIANTS[switches],
+        )
+    except ValueError:
+        return
+    params, _ = train(cfg)
+    report = evaluate_retrieval(params, make_eval_scenes(cfg), cfg)
+    assert 0.0 <= report.ap_mean <= 1.0
+
+
 # ----------------------------------------------------------------- params
 
 def test_init_params_groups_and_identity_mixes(tiny_config):
@@ -63,7 +120,80 @@ def test_params_json_round_trip(tiny_config):
     assert back.checksums() == params.checksums()
 
 
+_MALFORMED_ARRAYS = {
+    "not an object": lambda spec: [spec["data"]],
+    "no shape": lambda spec: {"data": spec["data"]},
+    "no data": lambda spec: {"shape": spec["shape"]},
+    "one value short": lambda spec: {"shape": spec["shape"], "data": spec["data"][:-1]},
+    "one value over": lambda spec: {"shape": spec["shape"], "data": spec["data"] + [0.0]},
+    "shape not a list": lambda spec: {"shape": "4", "data": spec["data"]},
+    "negative dimension": lambda spec: {"shape": [-1] + spec["shape"], "data": spec["data"]},
+    "data not numbers": lambda spec: {"shape": spec["shape"], "data": ["x"] * len(spec["data"])},
+    "nested data": lambda spec: {"shape": spec["shape"], "data": [spec["data"]]},
+    "non-finite data": lambda spec: {"shape": spec["shape"], "data": [float("nan")] * len(spec["data"])},
+}
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), fault=st.sampled_from(sorted(_MALFORMED_ARRAYS)))
+def test_params_json_rejects_malformed_arrays(tiny_config, data, fault):
+    blob = init_model_params(tiny_config).to_json()
+    group = data.draw(st.sampled_from(sorted(blob)))
+    name = data.draw(st.sampled_from(sorted(blob[group])))
+    blob[group][name] = _MALFORMED_ARRAYS[fault](blob[group][name])
+    with pytest.raises(ValueError, match=f"{group}/{name}"):
+        ModelParams.from_json(blob)
+
+
+@pytest.mark.parametrize("blob", [[], "bundle", {"connector": []}, {"connector": None}])
+def test_params_json_rejects_malformed_groups(blob):
+    with pytest.raises(ValueError):
+        ModelParams.from_json(blob)
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_training_forward_equals_oracle_composition(tiny_config, variant):
+    cfg = tiny_config.replace(**VARIANTS[variant])
+    params = init_model_params(cfg)
+    rng = np.random.default_rng(11)
+    for arrs in params.groups.values():  # move off the identity mixes
+        for arr in arrs.values():
+            arr += rng.normal(0.0, 0.1, size=arr.shape)
+    sample = make_training_set(1, 0.0, seed=5, scene_config=cfg.world, proposal_config=cfg.proposals)[0]
+    tokens = region_token_matrix(params, prepare_sample(sample, cfg), cfg)
+
+    g = params.groups
+
+    def kernel(group, name):
+        w = g[group][f"{name}_w"]
+        return Kernel(*w.shape, w, g[group][f"{name}_b"])
+
+    last_map, aux_maps = toy_encode(sample.scene, cfg.encoder)
+    boxes = list(sample.proposals)
+    pooled = []
+    if cfg.use_primary:
+        mixed = conv2d(last_map, kernel(GROUP_PRIMARY, "mix"))
+        levels = [mixed]
+        if cfg.use_simplefp:
+            branches = ("down", "same", "up2", "up4_a", "up4_b")
+            fp = SimpleFPParams({b: kernel(GROUP_SIMPLEFP, b) for b in branches})
+            levels = simple_fp(mixed, PyramidConfig(cfg.fp_channels), fp)
+        pooled += [roi_align_pooled(level, boxes, cfg.roi) for level in levels]
+    if cfg.use_auxiliary:
+        fused = aux_fuse([conv2d(m, kernel(GROUP_AUX, f"mix{i}")) for i, m in enumerate(aux_maps)])
+        pooled.append(roi_align_pooled(fused, boxes, cfg.roi))
+    features = np.concatenate(pooled, axis=1) + positional_embedding_matrix(boxes, cfg.d_total)
+    c = g[GROUP_CONNECTOR]
+    expected = connector_forward(Connector(c["w1"], c["b1"], c["w2"], c["b2"]), features)
+    assert np.array_equal(tokens, expected)
+
+
 # --------------------------------------------------------------- training
+
+def test_train_rejects_empty_dataset(tiny_config):
+    with pytest.raises(ValueError, match="training sample"):
+        train(tiny_config, [])
+
 
 def test_zero_steps_params_equal_init_bitwise(tiny_config):
     cfg = tiny_config.replace(stage1_steps=0, stage2_steps=0)
@@ -115,6 +245,15 @@ def test_divergence_raises_with_diagnostic(tiny_config):
         train(cfg)
     assert exc_info.value.stage == 1
     assert exc_info.value.step > 0
+
+    # a step this large overflows a feature map before any loss exists
+    with pytest.raises(TrainingDivergence) as exc_info:
+        train(cfg.replace(stage1_lr=1e300))
+    err = exc_info.value
+    assert err.stage == 1 and err.step > 0
+    assert err.loss is None
+    assert "FeatureMap contains non-finite values" in str(err)
+    assert "loss" not in str(err)
 
 
 def test_log_shapes(tiny_config):
