@@ -8,19 +8,18 @@ the reference widths (512 per pyramid scale; auxiliary levels summing to
 
 import numpy as np
 
-from regionkit import Box, FeatureMap, PyramidConfig, SimpleFPParams, aux_fuse, simple_fp
-from regionkit.regionenc import extract_region_features, fuse_hybrid
+from regionkit import Box, FeatureMap, SimpleFPParams, aux_fuse, roi_align_pooled, simple_fp
+from regionkit.regionenc import positional_embedding_matrix
 
 
 def main():
     rng = np.random.default_rng(0)
 
-    cfg = PyramidConfig(fp_channels=512)
-    params = SimpleFPParams.seeded(512, cfg, rng)
+    params = SimpleFPParams.seeded(512, 512, rng)
     last_map = FeatureMap.from_array(rng.normal(size=(512, 8, 8)) * 0.1)
-    levels = simple_fp(last_map, cfg, params)
+    levels = simple_fp(last_map, params)
     print("pyramid scales:", [lv.shape for lv in levels])
-    print("per-region pyramid feature dimension:", cfg.d_p)
+    print("per-region pyramid feature dimension:", sum(lv.channels for lv in levels))
 
     aux_levels = [
         FeatureMap.from_array(rng.normal(size=(c, s, s)) * 0.1)
@@ -30,12 +29,15 @@ def main():
     print("fused auxiliary map:", fused.shape)
 
     boxes = [Box(0.1, 0.2, 0.6, 0.7)]
-    f_pri, f_aux = extract_region_features(levels, fused, boxes)
-    hybrid = fuse_hybrid(f_pri, f_aux, boxes)[0]
-    print("f_pri", f_pri.shape, "+ f_aux", f_aux.shape, "->", hybrid.f_hybrid.shape)
+    f_pri = np.concatenate([roi_align_pooled(level, boxes) for level in levels], axis=1)
+    f_aux = roi_align_pooled(fused, boxes)
+    features = np.concatenate([f_pri, f_aux], axis=1)
+    e_pos = positional_embedding_matrix(boxes, features.shape[1])
+    f_hybrid = features + e_pos
+    print("f_pri", f_pri.shape, "+ f_aux", f_aux.shape, "->", f_hybrid[0].shape)
 
     # the hybrid vector decomposes exactly into features plus box embedding
-    assert np.allclose(hybrid.f_hybrid - hybrid.e_pos, np.concatenate([f_pri[0], f_aux[0]]))
+    assert np.allclose(f_hybrid - e_pos, features)
 
 
 if __name__ == "__main__":

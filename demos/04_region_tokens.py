@@ -10,17 +10,18 @@ import numpy as np
 
 from regionkit import (
     Connector,
-    PyramidConfig,
+    RegionToken,
     SimpleFPParams,
     aux_fuse,
     build_input_sequence,
+    connector_forward,
     generate_scene,
-    region_tokens,
+    roi_align_pooled,
     simple_fp,
     simulate_opn,
     toy_encode,
 )
-from regionkit.regionenc import extract_region_features, fuse_hybrid
+from regionkit.regionenc import positional_embedding_matrix
 from regionkit.simworld import SceneConfig
 
 
@@ -34,16 +35,16 @@ def main():
     print(f"{len(proposals)} proposals, top score {proposals[0].score:.2f}")
 
     primary, aux_maps = toy_encode(scene)
-    cfg = PyramidConfig(fp_channels=8)
-    pyramid = simple_fp(primary, cfg, SimpleFPParams.seeded(primary.channels, cfg, rng))
+    pyramid = simple_fp(primary, SimpleFPParams.seeded(primary.channels, 8, rng))
     fused = aux_fuse(aux_maps)
 
-    f_pri, f_aux = extract_region_features(pyramid, fused, proposals)
-    hybrids = fuse_hybrid(f_pri, f_aux, proposals)
-    print("hybrid feature length:", hybrids[0].f_hybrid.shape[0])
+    pooled = [roi_align_pooled(m, proposals) for m in pyramid + [fused]]
+    features = np.concatenate(pooled, axis=1)
+    f_hybrid = features + positional_embedding_matrix(proposals, features.shape[1])
+    print("hybrid feature length:", f_hybrid.shape[1])
 
-    connector = Connector.seeded(hybrids[0].f_hybrid.shape[0], 64, rng)
-    tokens = region_tokens(connector, hybrids)
+    connector = Connector.seeded(f_hybrid.shape[1], 64, rng)
+    tokens = [RegionToken(row, i) for i, row in enumerate(connector_forward(connector, f_hybrid))]
     print("region tokens:", len(tokens), "x", tokens[0].embedding.shape[0])
 
     seq = build_input_sequence(4, tokens, ["find ", "every ", "object"])

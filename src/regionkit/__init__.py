@@ -2,17 +2,13 @@
 
 from .gridops import FeatureMap, Kernel, bilinear_resize, concat_channels, conv2d, deconv2d
 from .roialign import Box, RoiConfig, roi_align, roi_align_pooled
-from .pyramid import PyramidConfig, SimpleFPParams, aux_fuse, simple_fp
+from .pyramid import SimpleFPParams, aux_fuse, simple_fp
 from .regionenc import (
     Connector,
-    HybridRegionFeature,
     RegionToken,
     connector_backward,
     connector_forward,
-    extract_region_features,
-    fuse_hybrid,
     positional_embedding,
-    region_tokens,
 )
 from .tokenproto import (
     BareRegionRef,

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import typing
 from dataclasses import dataclass, field
 
 from .roialign import RoiConfig
@@ -61,11 +63,16 @@ class ExperimentConfig:
             raise ValueError("step counts must be non-negative")
         if not (self.use_primary or self.use_auxiliary):
             raise ValueError("at least one of use_primary/use_auxiliary must be enabled")
+        if self.use_simplefp and not self.use_primary:
+            raise ValueError(
+                "use_simplefp needs use_primary: the pyramid runs on the primary map "
+                "(an auxiliary-only model is use_primary=False, use_simplefp=False)"
+            )
         if not (0.0 < self.threshold < 1.0):
             raise ValueError("threshold must lie in (0, 1)")
         if self.n_train_scenes < 1:
             raise ValueError("n_train_scenes must be >= 1")
-        if self.use_primary and self.use_simplefp and self.encoder.primary_resolution < 4:
+        if self.use_simplefp and self.encoder.primary_resolution < 4:
             raise ValueError(
                 "encoder.primary_resolution must be >= 4 with use_simplefp: the stride-2 branch needs a 4x4 map"
             )
@@ -88,11 +95,9 @@ class ExperimentConfig:
     @property
     def d_p(self) -> int:
         """Primary region feature dimension under the current switches."""
-        if not self.use_primary:
-            return 0
         if self.use_simplefp:
             return 4 * self.fp_channels
-        return self.primary_channels
+        return self.primary_channels if self.use_primary else 0
 
     @property
     def d_a(self) -> int:
@@ -112,26 +117,17 @@ class ExperimentConfig:
     # ------------------------------------------------------------- JSON
 
     def to_json(self) -> dict:
-        out = dataclasses.asdict(self)
-        for key in ("world", "proposals", "encoder", "roi"):
-            out[key] = dict(out[key])
-        return out
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        kwargs = dict(obj)
-        if "world" in kwargs:
-            w = dict(kwargs["world"])
-            if w.get("category_weights") is not None:
-                w["category_weights"] = tuple(w["category_weights"])
-            kwargs["world"] = SceneConfig(**w)
-        if "proposals" in kwargs:
-            kwargs["proposals"] = ProposalSimConfig(**kwargs["proposals"])
-        if "encoder" in kwargs:
-            kwargs["encoder"] = EncoderConfig(**kwargs["encoder"])
-        if "roi" in kwargs:
-            kwargs["roi"] = RoiConfig(**kwargs["roi"])
-        return cls(**kwargs)
+        """Inverse of :meth:`to_json`; missing fields take their defaults.
+
+        A document that is not an object, an unknown key, a section that
+        is not an object, or a value of the wrong type raises ValueError
+        naming the field.
+        """
+        return _from_json(cls, obj)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2)
@@ -142,3 +138,44 @@ class ExperimentConfig:
 
     def replace(self, **changes) -> "ExperimentConfig":
         return dataclasses.replace(self, **changes)
+
+
+def _from_json(cls, obj, section: str = ""):
+    """Build dataclass ``cls`` from a JSON object; ``section`` names where it sits."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"config {f'section {section}' if section else 'document'} must be a JSON object")
+    prefix = f"{section}." if section else ""
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, value in obj.items():
+        if key not in hints:
+            raise ValueError(f"unknown config field {prefix}{key}")
+        hint = hints[key]
+        if dataclasses.is_dataclass(hint):
+            kwargs[key] = _from_json(hint, value, prefix + key)
+        else:
+            kwargs[key] = _json_value(value, hint, prefix + key)
+    return cls(**kwargs)
+
+
+def _json_value(value, hint, name: str):
+    """Check one JSON value against a field's type: int, float, bool, an
+    optional of one of these, or a tuple of floats (a JSON list)."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        (hint,) = [t for t in args if t is not type(None)]
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"config field {name} must be a list, got {value!r}")
+        return tuple(_json_value(v, typing.get_args(hint)[0], name) for v in value)
+    if hint is float:
+        ok = type(value) is int or (type(value) is float and math.isfinite(value))
+        want = "a finite number"
+    else:
+        ok = type(value) is hint
+        want = hint.__name__
+    if not ok:
+        raise ValueError(f"config field {name} must be {want}, got {value!r}")
+    return value

@@ -38,15 +38,9 @@ __all__ = [
 ]
 
 
-def _as_grid(data: np.ndarray | list, channels: int, height: int, width: int) -> np.ndarray:
+def _as_grid(data: np.ndarray, channels: int, height: int, width: int) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim == 1:
-        if arr.size != channels * height * width:
-            raise ValueError(
-                f"data length {arr.size} does not match {channels}x{height}x{width}"
-            )
-        arr = arr.reshape(channels, height, width)
-    elif arr.shape != (channels, height, width):
+    if arr.shape != (channels, height, width):
         raise ValueError(f"data shape {arr.shape} does not match ({channels}, {height}, {width})")
     return np.ascontiguousarray(arr)
 
@@ -106,11 +100,7 @@ class Kernel:
                 raise ValueError("Kernel dimensions must be positive")
         w = np.asarray(self.weights, dtype=np.float64)
         expect = (self.out_channels, self.in_channels, self.k_h, self.k_w)
-        if w.ndim == 1:
-            if w.size != int(np.prod(expect)):
-                raise ValueError("kernel weights length does not match its dimensions")
-            w = w.reshape(expect)
-        elif w.shape != expect:
+        if w.shape != expect:
             raise ValueError(f"kernel weights shape {w.shape}, expected {expect}")
         self.weights = np.ascontiguousarray(w)
         if self.bias is None:
@@ -166,8 +156,10 @@ def resize_matrix(in_size: int, out_size: int) -> np.ndarray:
     frac = src - lo
     mat = np.zeros((out_size, in_size))
     rows = np.arange(out_size)
-    np.add.at(mat, (rows, lo), 1.0 - frac)
-    np.add.at(mat, (rows, hi), frac)
+    # (rows, lo) pairs are distinct, as are (rows, hi); where hi == lo the
+    # second statement adds onto the first
+    mat[rows, lo] += 1.0 - frac
+    mat[rows, hi] += frac
     return mat
 
 
@@ -177,8 +169,7 @@ def bilinear_resize(fmap: FeatureMap, out_h: int, out_w: int) -> FeatureMap:
         raise ValueError("target size must be >= 1")
     ry = resize_matrix(fmap.height, out_h)
     rx = resize_matrix(fmap.width, out_w)
-    out = np.einsum("ab,cbd,ed->cae", ry, fmap.data, rx, optimize=True)
-    return FeatureMap(fmap.channels, out_h, out_w, out)
+    return FeatureMap(fmap.channels, out_h, out_w, ry @ fmap.data @ rx.T)
 
 
 def bilinear_resize_grad(
@@ -188,7 +179,7 @@ def bilinear_resize_grad(
     back to a (C, in_h, in_w) gradient."""
     ry = resize_matrix(in_h, grad.shape[1])
     rx = resize_matrix(in_w, grad.shape[2])
-    return np.einsum("ab,cae,ed->cbd", ry, grad, rx, optimize=True)
+    return ry.T @ grad @ rx
 
 
 # ------------------------------------------------------------- convolution

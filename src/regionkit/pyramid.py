@@ -35,31 +35,7 @@ from .gridops import (
     deconv2d_backward,
 )
 
-__all__ = ["PyramidConfig", "SimpleFPParams", "simple_fp", "simple_fp_backward", "aux_fuse", "aux_fuse_backward"]
-
-#: Spatial scale of each pyramid level relative to the input map.
-PYRAMID_STRIDES = (2, 1, "1/2", "1/4")
-
-
-@dataclass(frozen=True)
-class PyramidConfig:
-    """Per-scale channel width; the region feature dimension is 4x that."""
-
-    fp_channels: int = 512
-
-    def __post_init__(self):
-        if self.fp_channels < 1:
-            raise ValueError("fp_channels must be >= 1")
-
-    @property
-    def strides(self) -> tuple:
-        return PYRAMID_STRIDES
-
-    @property
-    def d_p(self) -> int:
-        """Dimension of the concatenated per-region pyramid feature."""
-        return 4 * self.fp_channels
-
+__all__ = ["SimpleFPParams", "simple_fp", "simple_fp_backward", "aux_fuse", "aux_fuse_backward"]
 
 _BRANCHES = ("down", "same", "up2", "up4_a", "up4_b")
 
@@ -76,20 +52,19 @@ class SimpleFPParams:
             raise ValueError(f"missing pyramid branches: {missing}")
 
     @classmethod
-    def seeded(cls, in_channels: int, cfg: PyramidConfig, rng: np.random.Generator) -> "SimpleFPParams":
-        fp = cfg.fp_channels
+    def seeded(cls, in_channels: int, fp_channels: int, rng: np.random.Generator) -> "SimpleFPParams":
         return cls(
             {
-                "down": Kernel.seeded_uniform(fp, in_channels, 3, 3, rng),
-                "same": Kernel.seeded_uniform(fp, in_channels, 1, 1, rng),
-                "up2": Kernel.seeded_uniform(fp, in_channels, 2, 2, rng),
-                "up4_a": Kernel.seeded_uniform(fp, in_channels, 2, 2, rng),
-                "up4_b": Kernel.seeded_uniform(fp, fp, 2, 2, rng),
+                "down": Kernel.seeded_uniform(fp_channels, in_channels, 3, 3, rng),
+                "same": Kernel.seeded_uniform(fp_channels, in_channels, 1, 1, rng),
+                "up2": Kernel.seeded_uniform(fp_channels, in_channels, 2, 2, rng),
+                "up4_a": Kernel.seeded_uniform(fp_channels, in_channels, 2, 2, rng),
+                "up4_b": Kernel.seeded_uniform(fp_channels, fp_channels, 2, 2, rng),
             }
         )
 
 
-def simple_fp(last_map: FeatureMap, cfg: PyramidConfig, params: SimpleFPParams) -> list[FeatureMap]:
+def simple_fp(last_map: FeatureMap, params: SimpleFPParams) -> list[FeatureMap]:
     """Build the 4-level pyramid {H/2 x W/2, H x W, 2H x 2W, 4H x 4W}."""
     if min(last_map.height, last_map.width) < 4:
         raise ValueError("input map must be at least 4x4 for the stride-2 branch")

@@ -1,9 +1,11 @@
-"""Hybrid region encoding: from feature stacks and boxes to region tokens.
+"""Hybrid region encoding: the pieces between pooled features and region tokens.
 
-Per region the encoder pools a primary feature (concatenated over the four
+Per region the model pools a primary feature (concatenated over the four
 pyramid scales) and an auxiliary feature (pooled from the fused map),
 concatenates them, adds a sine-cosine embedding of the box coordinates,
 and projects through a small two-layer connector into the token space.
+This module holds the embedding and the connector; the one composition of
+the whole stage is ``training.region_token_matrix``.
 
 The positional embedding follows transformer convention: the vector splits
 into four equal blocks, one per coordinate in (x1, y1, x2, y2) order; block
@@ -17,31 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridops import FeatureMap, NonFiniteError
-from .roialign import Box, RoiConfig, roi_align_pooled
+from .gridops import NonFiniteError
+from .roialign import Box
 
 __all__ = [
-    "HybridRegionFeature",
     "RegionToken",
     "Connector",
-    "extract_region_features",
     "positional_embedding",
     "positional_embedding_matrix",
-    "fuse_hybrid",
     "connector_forward",
     "connector_backward",
-    "region_tokens",
 ]
-
-
-@dataclass
-class HybridRegionFeature:
-    """Per-region feature decomposition: f_hybrid = concat(f_pri, f_aux) + e_pos."""
-
-    f_pri: np.ndarray
-    f_aux: np.ndarray
-    e_pos: np.ndarray
-    f_hybrid: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -56,26 +44,6 @@ class RegionToken:
             raise ValueError("region token embedding must be finite")
         if self.index < 0:
             raise ValueError("region index must be >= 0")
-
-
-def extract_region_features(
-    pri_pyramid: list[FeatureMap],
-    aux_fused: FeatureMap,
-    boxes: list[Box],
-    cfg: RoiConfig = RoiConfig(),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pool per-region features from both visual streams.
-
-    Returns (N x D_p, N x D_a): primary rows concatenate the pooled features
-    of the four pyramid scales in order; auxiliary rows pool the fused map.
-    """
-    if not boxes:
-        raise ValueError("at least one box is required")
-    if len(pri_pyramid) != 4:
-        raise ValueError("expected a 4-level pyramid")
-    pri = np.concatenate([roi_align_pooled(level, boxes, cfg) for level in pri_pyramid], axis=1)
-    aux = roi_align_pooled(aux_fused, boxes, cfg)
-    return pri, aux
 
 
 def positional_embedding(box: Box, dim: int) -> np.ndarray:
@@ -99,37 +67,16 @@ def positional_embedding_matrix(boxes: list[Box], dim: int) -> np.ndarray:
     return np.stack([positional_embedding(b, dim) for b in boxes])
 
 
-def fuse_hybrid(f_pri: np.ndarray, f_aux: np.ndarray, boxes: list[Box]) -> list[HybridRegionFeature]:
-    """Concatenate the two feature streams and add each box's positional embedding."""
-    n = len(boxes)
-    if f_pri.shape[0] != n or f_aux.shape[0] != n:
-        raise ValueError("feature row counts must equal the number of boxes")
-    dim = f_pri.shape[1] + f_aux.shape[1]
-    out = []
-    for i, box in enumerate(boxes):
-        e_pos = positional_embedding(box, dim)
-        comb = np.concatenate([f_pri[i], f_aux[i]])
-        out.append(HybridRegionFeature(f_pri[i].copy(), f_aux[i].copy(), e_pos, comb + e_pos))
-    return out
-
-
 @dataclass
 class Connector:
-    """Two affine layers with a tanh between, projecting features to token space.
-
-    ``activation`` may be "tanh" or "identity"; the identity setting exists
-    for linear-path tests.
-    """
+    """Two affine layers with a tanh between, projecting features to token space."""
 
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-    activation: str = "tanh"
 
     def __post_init__(self):
-        if self.activation not in ("tanh", "identity"):
-            raise ValueError("activation must be 'tanh' or 'identity'")
         if self.w1.shape[0] != self.b1.shape[0] or self.w2.shape[0] != self.b2.shape[0]:
             raise ValueError("bias lengths must match layer output widths")
         if self.w2.shape[1] != self.w1.shape[0]:
@@ -152,8 +99,7 @@ class Connector:
 
     @classmethod
     def seeded(
-        cls, in_dim: int, out_dim: int, rng: np.random.Generator, hidden_dim: int | None = None,
-        activation: str = "tanh",
+        cls, in_dim: int, out_dim: int, rng: np.random.Generator, hidden_dim: int | None = None
     ) -> "Connector":
         hidden = out_dim if hidden_dim is None else hidden_dim
         s1 = 1.0 / np.sqrt(in_dim)
@@ -163,18 +109,15 @@ class Connector:
             b1=rng.uniform(-s1, s1, size=hidden),
             w2=rng.uniform(-s2, s2, size=(out_dim, hidden)),
             b2=rng.uniform(-s2, s2, size=out_dim),
-            activation=activation,
         )
 
 
 def connector_forward(conn: Connector, f_hybrid: np.ndarray) -> np.ndarray:
-    """Row-wise affine -> activation -> affine."""
+    """Row-wise affine -> tanh -> affine."""
     f = np.atleast_2d(f_hybrid)
     if f.shape[1] != conn.in_dim:
         raise ValueError(f"input width {f.shape[1]} does not match connector ({conn.in_dim})")
-    pre = f @ conn.w1.T + conn.b1
-    hidden = np.tanh(pre) if conn.activation == "tanh" else pre
-    return hidden @ conn.w2.T + conn.b2
+    return np.tanh(f @ conn.w1.T + conn.b1) @ conn.w2.T + conn.b2
 
 
 def connector_backward(
@@ -191,21 +134,14 @@ def connector_backward(
         raise ValueError("input width does not match connector")
     if g.shape != (f.shape[0], conn.out_dim):
         raise ValueError("upstream gradient shape does not match forward output")
-    pre = f @ conn.w1.T + conn.b1
-    hidden = np.tanh(pre) if conn.activation == "tanh" else pre
+    hidden = np.tanh(f @ conn.w1.T + conn.b1)
     d_w2 = g.T @ hidden
     d_b2 = g.sum(axis=0)
     d_hidden = g @ conn.w2
-    d_pre = d_hidden * (1.0 - hidden**2) if conn.activation == "tanh" else d_hidden
+    d_pre = d_hidden * (1.0 - hidden**2)
     d_w1 = d_pre.T @ f
     d_b1 = d_pre.sum(axis=0)
     d_f = d_pre @ conn.w1
     grads = {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}
     return grads, d_f
 
-
-def region_tokens(conn: Connector, hybrids: list[HybridRegionFeature]) -> list[RegionToken]:
-    """Project hybrid features to token space, indexed in input order."""
-    mat = np.stack([h.f_hybrid for h in hybrids])
-    emb = connector_forward(conn, mat)
-    return [RegionToken(embedding=emb[i], index=i) for i in range(len(hybrids))]

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gridops import FeatureMap
+from .metrics import iou
 from .roialign import Box
 
 __all__ = [
@@ -163,14 +164,6 @@ class Scene:
         return tuple(present)
 
 
-def _pair_iou(a: Box, b: Box) -> float:
-    ix = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
-    iy = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
-    inter = ix * iy
-    union = a.area + b.area - inter
-    return inter / union if union > 0 else 0.0
-
-
 def generate_scene(seed: int, config: SceneConfig = SceneConfig()) -> Scene:
     """Sample one scene, deterministic in the seed.
 
@@ -189,7 +182,7 @@ def generate_scene(seed: int, config: SceneConfig = SceneConfig()) -> Scene:
             x1 = float(rng.uniform(0.0, 1.0 - w))
             y1 = float(rng.uniform(0.0, 1.0 - h))
             box = Box(x1, y1, x1 + w, y1 + h, label=cat)
-            if all(_pair_iou(box, b) <= config.max_overlap for _, b in objects):
+            if all(iou(box, b) <= config.max_overlap for _, b in objects):
                 objects.append((cat, box))
                 break
     return Scene(
@@ -329,6 +322,12 @@ def simulate_opn(scene: Scene, cfg: ProposalSimConfig = ProposalSimConfig(), see
 
 # ---------------------------------------------------------- training data
 
+#: A proposal is a positive for a query above this IoU with a same-category object.
+TARGET_IOU_THRESHOLD = 0.5
+#: Absent categories a rejection sample queries, at most.
+REJECTION_QUERIES = 2
+
+
 @dataclass(frozen=True)
 class TrainingSample:
     """One training record: a scene, its proposals, the queried categories,
@@ -341,16 +340,17 @@ class TrainingSample:
     is_rejection: bool = False
 
 
-def assignment_targets(proposals: list[Box], scene: Scene, queries: list[str], iou_threshold: float = 0.5) -> np.ndarray:
+def assignment_targets(proposals: list[Box], scene: Scene, queries: list[str]) -> np.ndarray:
     """(N, Q) binary targets: proposal i is positive for query q when it
-    overlaps a same-category ground-truth box with IoU above the threshold."""
+    overlaps a same-category ground-truth box with IoU above
+    ``TARGET_IOU_THRESHOLD``."""
     targets = np.zeros((len(proposals), len(queries)))
     for q, name in enumerate(queries):
         gt = scene.boxes_of(name)
         if not gt:
             continue
         for i, p in enumerate(proposals):
-            if any(_pair_iou(p, g) > iou_threshold for g in gt):
+            if any(iou(p, g) > TARGET_IOU_THRESHOLD for g in gt):
                 targets[i, q] = 1.0
     return targets
 
@@ -361,12 +361,12 @@ def make_training_set(
     seed: int = 0,
     scene_config: SceneConfig = SceneConfig(),
     proposal_config: ProposalSimConfig = ProposalSimConfig(),
-    n_rejection_queries: int = 2,
 ) -> list[TrainingSample]:
     """Build a replayable dataset of (scene, proposals, queries, targets).
 
-    A ``rejection_fraction`` share of samples additionally queries categories
-    absent from the scene; their targets are all-negative by construction.
+    A ``rejection_fraction`` share of samples additionally queries up to
+    ``REJECTION_QUERIES`` categories absent from the scene; their targets
+    are all-negative by construction.
     """
     if not (0.0 <= rejection_fraction <= 1.0):
         raise ValueError("rejection_fraction must lie in [0, 1]")
@@ -386,7 +386,7 @@ def make_training_set(
         if want_rejection:
             absent = [n for n in names if n not in queries]
             if absent:
-                picked = rng.choice(len(absent), size=min(n_rejection_queries, len(absent)), replace=False)
+                picked = rng.choice(len(absent), size=min(REJECTION_QUERIES, len(absent)), replace=False)
                 queries.extend(absent[i] for i in sorted(picked))
                 is_rejection = True
         targets = assignment_targets(proposals, scene, queries)

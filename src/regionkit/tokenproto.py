@@ -125,21 +125,17 @@ def build_input_sequence(
     n_image_tokens: int,
     region_tokens: list[RegionToken],
     text: list[str],
-    reorder: bool = False,
 ) -> RegionTokenSequence:
     """Assemble the canonical input sequence from region tokens and text.
 
-    Region tokens must carry indices 0..N-1.  Out-of-order tokens are an
-    error unless ``reorder`` is set, in which case they are sorted.
+    Region tokens must carry indices 0..N-1, in order.
     """
     n = len(region_tokens)
     indices = [t.index for t in region_tokens]
     if sorted(indices) != list(range(n)):
         raise ValueError("region tokens must carry each index 0..N-1 exactly once")
     if indices != list(range(n)):
-        if not reorder:
-            raise ValueError("region tokens out of order (pass reorder=True to sort)")
-        region_tokens = sorted(region_tokens, key=lambda t: t.index)
+        raise ValueError("region tokens out of order")
     elements: list = [ImageTokenBlock(n_image_tokens), _NEWLINE]
     for tok in region_tokens:
         elements.append(RegionIndexToken(tok.index))

@@ -33,7 +33,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .gridops import FeatureMap, Kernel, NonFiniteError, conv2d, conv2d_backward
-from .pyramid import PyramidConfig, SimpleFPParams, aux_fuse, aux_fuse_backward, simple_fp, simple_fp_backward
+from .pyramid import SimpleFPParams, aux_fuse, aux_fuse_backward, simple_fp, simple_fp_backward
 from .regionenc import Connector, connector_backward, connector_forward, positional_embedding_matrix
 from .retrieval import CategoryQuery
 from .roialign import Box, pooled_apply, pooled_weights
@@ -157,7 +157,7 @@ class FreezeSchedule:
     @classmethod
     def from_config(cls, config: ExperimentConfig) -> "FreezeSchedule":
         base = {GROUP_CONNECTOR, GROUP_NEW_VOCAB}
-        if config.use_primary and config.use_simplefp:
+        if config.use_simplefp:
             base.add(GROUP_SIMPLEFP)
         stage2 = set(base)
         if config.use_auxiliary and config.unfreeze_aux_stage2:
@@ -198,7 +198,7 @@ def init_model_params(config: ExperimentConfig, rng: np.random.Generator | None 
         aux[f"mix{level}_b"] = np.zeros(c_aux)
     groups[GROUP_AUX] = aux
 
-    fp = SimpleFPParams.seeded(c_pri, PyramidConfig(config.fp_channels), rng)
+    fp = SimpleFPParams.seeded(c_pri, config.fp_channels, rng)
     groups[GROUP_SIMPLEFP] = {}
     for branch in _FP_BRANCHES:
         k = fp.kernels[branch]
@@ -315,7 +315,7 @@ def _forward(params: ModelParams, s: SampleStatic, config: ExperimentConfig) -> 
         cache.mixed_pri = conv2d(s.last_map, _kernel(g, GROUP_PRIMARY, "mix"))
         if config.use_simplefp:
             cache.fp = _fp_params(g)
-            cache.levels = simple_fp(cache.mixed_pri, PyramidConfig(config.fp_channels), cache.fp)
+            cache.levels = simple_fp(cache.mixed_pri, cache.fp)
         else:
             cache.levels = [cache.mixed_pri]
         pooled_maps += cache.levels
@@ -490,18 +490,14 @@ class GradCheckReport:
         return {"per_group": self.per_group, "frozen_zero": self.frozen_zero, "max_rel_error": self.max_rel_error}
 
 
-def grad_check(
-    config: ExperimentConfig,
-    step: float = 1e-5,
-    max_entries_per_array: int | None = None,
-) -> GradCheckReport:
+def grad_check(config: ExperimentConfig) -> GradCheckReport:
     """Central finite differences against the analytic gradients.
 
-    Checks every parameterized group that can ever train.  The relative
-    error per entry is |a - n| / max(|a|, |n|, 1e-5); intended for small
-    configurations (dims <= 64).  The original-vocabulary table has no
-    path into the loss, so it is reported in ``frozen_zero`` rather than
-    differenced.
+    Checks every entry of every parameterized group that can ever train,
+    with a step of 1e-5.  The relative error per entry is
+    |a - n| / max(|a|, |n|, 1e-5); intended for small configurations
+    (dims <= 64).  The original-vocabulary table has no path into the
+    loss, so it is reported in ``frozen_zero`` rather than differenced.
     """
     if config.d_llm > 64 or config.hidden_dim > 64:
         raise ValueError("grad_check is meant for small dimensions (<= 64)")
@@ -515,7 +511,7 @@ def grad_check(
     params = init_model_params(config, np.random.default_rng(param_ss))
 
     check_groups = [GROUP_CONNECTOR, GROUP_NEW_VOCAB]
-    if config.use_primary and config.use_simplefp:
+    if config.use_simplefp:
         check_groups.append(GROUP_SIMPLEFP)
     if config.use_auxiliary:
         check_groups.append(GROUP_AUX)
@@ -524,17 +520,14 @@ def grad_check(
 
     _, analytic = loss_and_grads(params, s, config, frozenset(check_groups))
 
-    rng = np.random.default_rng(param_ss.spawn(1)[0])
+    step = 1e-5
     report: dict[str, dict] = {}
     for grp in check_groups:
         worst = 0.0
         n_checked = 0
         for name, arr in params.groups[grp].items():
             flat = arr.ravel()
-            idx = np.arange(flat.size)
-            if max_entries_per_array is not None and flat.size > max_entries_per_array:
-                idx = rng.choice(flat.size, size=max_entries_per_array, replace=False)
-            for i in idx:
+            for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + step
                 up, _ = loss_and_grads(params, s, config)

@@ -25,10 +25,10 @@ from regionkit.experiments import (
 from regionkit.baseline import regression_baseline_eval, train_baseline
 from regionkit.gridops import FeatureMap
 from regionkit.metrics import COCO_IOU_THRESHOLDS, coco_map
-from regionkit.pyramid import PyramidConfig, SimpleFPParams, aux_fuse, simple_fp
-from regionkit.regionenc import extract_region_features, fuse_hybrid
+from regionkit.pyramid import SimpleFPParams, aux_fuse, simple_fp
+from regionkit.regionenc import positional_embedding_matrix
 from regionkit.retrieval import Detection
-from regionkit.roialign import Box, RoiConfig, roi_align
+from regionkit.roialign import Box, RoiConfig, roi_align, roi_align_pooled
 from regionkit.simworld import EncoderConfig, ProposalSimConfig, SceneConfig
 from regionkit.tokenproto import ParseError, parse_grounded, serialize_grounded
 from regionkit.training import (
@@ -108,10 +108,9 @@ def test_criterion_03_grammar_round_trip_and_fuzz():
 def test_criterion_04_reference_dimension_contract():
     rng = np.random.default_rng(0)
     h = 8
-    cfg = PyramidConfig(fp_channels=512)
-    params = SimpleFPParams.seeded(512, cfg, rng)
+    params = SimpleFPParams.seeded(512, 512, rng)
     last = FeatureMap.from_array(rng.normal(size=(512, h, h)) * 0.1)
-    levels = simple_fp(last, cfg, params)
+    levels = simple_fp(last, params)
     shapes = [lv.shape for lv in levels]
     shape_ok = shapes == [(512, h // 2, h // 2), (512, h, h), (512, 2 * h, 2 * h), (512, 4 * h, 4 * h)]
 
@@ -121,16 +120,18 @@ def test_criterion_04_reference_dimension_contract():
     ]
     fused = aux_fuse(aux_maps)
     boxes = [Box(0.1, 0.2, 0.6, 0.7), Box(0.3, 0.1, 0.9, 0.5)]
-    f_pri, f_aux = extract_region_features(levels, fused, boxes)
-    hybrids = fuse_hybrid(f_pri, f_aux, boxes)
+    f_pri = np.concatenate([roi_align_pooled(level, boxes) for level in levels], axis=1)
+    f_aux = roi_align_pooled(fused, boxes)
+    d_total = f_pri.shape[1] + f_aux.shape[1]
+    f_hybrid = np.concatenate([f_pri, f_aux], axis=1) + positional_embedding_matrix(boxes, d_total)
     dims_ok = (
         f_pri.shape == (2, 2048)
         and f_aux.shape == (2, 3840)
-        and all(hb.f_hybrid.shape == (5888,) for hb in hybrids)
+        and all(row.shape == (5888,) for row in f_hybrid)
     )
     _report(4, shape_ok and dims_ok,
             f"SimpleFP scales {shapes}; D_p=2048, D_a=3840, f_hybrid length "
-            f"{hybrids[0].f_hybrid.shape[0]}")
+            f"{f_hybrid[0].shape[0]}")
 
 
 def test_criterion_05_freeze_schedule_bitwise(trained_default):

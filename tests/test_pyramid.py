@@ -3,23 +3,27 @@
 import numpy as np
 import pytest
 
+from regionkit.config import ExperimentConfig
 from regionkit.gridops import FeatureMap, concat_channels, conv2d, deconv2d
-from regionkit.pyramid import PyramidConfig, SimpleFPParams, aux_fuse, simple_fp
+from regionkit.pyramid import SimpleFPParams, aux_fuse, simple_fp
 
 
 def test_config_dimension_contract():
-    assert PyramidConfig(512).d_p == 2048
-    assert PyramidConfig(8).d_p == 32
-    assert PyramidConfig().strides == (2, 1, "1/2", "1/4")
+    """The pyramid's levels carry fp_channels each, so a region's pooled
+    pyramid feature has the config's d_p = 4 * fp_channels entries."""
+    for fp in (512, 8):
+        assert ExperimentConfig(fp_channels=fp).d_p == 4 * fp
+    params = SimpleFPParams.seeded(3, 8, np.random.default_rng(0))
+    levels = simple_fp(FeatureMap.full(3, 4, 4, 1.0), params)
+    assert sum(level.channels for level in levels) == ExperimentConfig(fp_channels=8).d_p
 
 
 @pytest.mark.parametrize("h", [8, 16, 32])
 def test_simple_fp_spatial_scales(h):
     rng = np.random.default_rng(h)
-    cfg = PyramidConfig(fp_channels=4)
-    params = SimpleFPParams.seeded(3, cfg, rng)
+    params = SimpleFPParams.seeded(3, 4, rng)
     m = FeatureMap.from_array(rng.normal(size=(3, h, h)))
-    levels = simple_fp(m, cfg, params)
+    levels = simple_fp(m, params)
     assert [lv.shape for lv in levels] == [
         (4, h // 2, h // 2),
         (4, h, h),
@@ -30,22 +34,20 @@ def test_simple_fp_spatial_scales(h):
 
 def test_simple_fp_zero_input_zero_bias_gives_zero_maps():
     rng = np.random.default_rng(0)
-    cfg = PyramidConfig(fp_channels=2)
-    params = SimpleFPParams.seeded(2, cfg, rng)
+    params = SimpleFPParams.seeded(2, 2, rng)
     for k in params.kernels.values():
         k.bias[:] = 0.0
     m = FeatureMap.full(2, 8, 8, 0.0)
-    for level in simple_fp(m, cfg, params):
+    for level in simple_fp(m, params):
         np.testing.assert_allclose(level.data, 0.0)
 
 
 def test_simple_fp_equals_manual_branch_composition():
     """Each level equals composing the grid ops by hand."""
     rng = np.random.default_rng(1)
-    cfg = PyramidConfig(fp_channels=3)
-    params = SimpleFPParams.seeded(2, cfg, rng)
+    params = SimpleFPParams.seeded(2, 3, rng)
     m = FeatureMap.from_array(rng.normal(size=(2, 8, 8)))
-    levels = simple_fp(m, cfg, params)
+    levels = simple_fp(m, params)
     k = params.kernels
     np.testing.assert_array_equal(levels[0].data, conv2d(m, k["down"], stride=2, padding=1).data)
     np.testing.assert_array_equal(levels[1].data, conv2d(m, k["same"]).data)
@@ -57,10 +59,9 @@ def test_simple_fp_equals_manual_branch_composition():
 
 def test_simple_fp_rejects_tiny_input():
     rng = np.random.default_rng(2)
-    cfg = PyramidConfig(fp_channels=2)
-    params = SimpleFPParams.seeded(1, cfg, rng)
+    params = SimpleFPParams.seeded(1, 2, rng)
     with pytest.raises(ValueError):
-        simple_fp(FeatureMap.full(1, 3, 3, 0.0), cfg, params)
+        simple_fp(FeatureMap.full(1, 3, 3, 0.0), params)
 
 
 # --------------------------------------------------------------- aux_fuse

@@ -1,5 +1,7 @@
 """Hybrid region encoding: pooling composition, positional embeddings, connector."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,12 @@ from regionkit.regionenc import (
     Connector,
     connector_backward,
     connector_forward,
-    extract_region_features,
-    fuse_hybrid,
     positional_embedding,
-    region_tokens,
+    positional_embedding_matrix,
 )
-from regionkit.roialign import Box, RoiConfig, roi_align_pooled
+from regionkit.roialign import Box, RoiConfig, pooled_apply, pooled_weights, roi_align_pooled
+from regionkit.simworld import make_training_set
+from regionkit.training import GROUP_CONNECTOR, init_model_params, prepare_sample, region_token_matrix
 
 
 def oracle_positional_embedding(box: Box, dim: int) -> np.ndarray:
@@ -40,14 +42,19 @@ def make_pyramid(rng, channels=2, value=None):
     return maps
 
 
-# -------------------------------------------------- extract_region_features
+def pool_pyramid(pyramid, boxes, cfg=RoiConfig()):
+    """Per-region primary features: the pooled scales side by side."""
+    return np.concatenate([roi_align_pooled(level, boxes, cfg) for level in pyramid], axis=1)
+
+
+# ------------------------------------------------------- region pooling
 
 def test_constant_pyramid_blocks_survive_pooling():
     rng = np.random.default_rng(0)
     pyramid = make_pyramid(rng, channels=3, value=lambda i: i + 1.0)
     aux = FeatureMap.full(2, 16, 16, 7.0)
     boxes = [Box(0.1, 0.1, 0.6, 0.6), Box(0.2, 0.3, 0.9, 0.8)]
-    pri, auxf = extract_region_features(pyramid, aux, boxes)
+    pri, auxf = pool_pyramid(pyramid, boxes), roi_align_pooled(aux, boxes)
     assert pri.shape == (2, 12) and auxf.shape == (2, 2)
     for i, expected in enumerate((1.0, 2.0, 3.0, 4.0)):
         np.testing.assert_allclose(pri[:, 3 * i : 3 * (i + 1)], expected, atol=1e-12)
@@ -55,32 +62,24 @@ def test_constant_pyramid_blocks_survive_pooling():
 
 
 def test_extract_matches_per_scale_pooling():
+    """Pooling weights depend only on the map size, so the training
+    forward's per-size cache pools every scale as roi_align_pooled does."""
     rng = np.random.default_rng(1)
-    pyramid = make_pyramid(rng)
-    aux = FeatureMap.from_array(rng.normal(size=(3, 16, 16)))
-    boxes = [Box(0.05, 0.1, 0.5, 0.7)]
-    cfg = RoiConfig()
-    pri, auxf = extract_region_features(pyramid, aux, boxes, cfg)
-    manual = np.concatenate([roi_align_pooled(level, boxes, cfg) for level in pyramid], axis=1)
-    np.testing.assert_array_equal(pri, manual)
-    np.testing.assert_array_equal(auxf, roi_align_pooled(aux, boxes, cfg))
+    boxes = [Box(0.05, 0.1, 0.5, 0.7), Box(0.3, 0.2, 0.9, 0.6)]
+    for level, other in zip(make_pyramid(rng), make_pyramid(rng, channels=3)):
+        weights = pooled_weights(level.height, level.width, boxes)
+        for fmap in (level, other):
+            np.testing.assert_array_equal(pooled_apply(weights, fmap.data), roi_align_pooled(fmap, boxes))
 
 
 def test_extract_row_count_and_order():
     rng = np.random.default_rng(2)
     pyramid = make_pyramid(rng)
-    aux = FeatureMap.from_array(rng.normal(size=(1, 16, 16)))
     boxes = [Box(0.0, 0.0, 0.3, 0.3), Box(0.4, 0.4, 0.9, 0.9), Box(0.1, 0.5, 0.3, 0.8)]
-    pri, _ = extract_region_features(pyramid, aux, boxes)
+    pri = pool_pyramid(pyramid, boxes)
     assert pri.shape[0] == 3
-    single, _ = extract_region_features(pyramid, aux, [boxes[1]])
+    single = pool_pyramid(pyramid, [boxes[1]])
     np.testing.assert_allclose(pri[1], single[0], atol=1e-12)
-
-
-def test_extract_requires_boxes():
-    rng = np.random.default_rng(3)
-    with pytest.raises(ValueError):
-        extract_region_features(make_pyramid(rng), FeatureMap.full(1, 16, 16, 0.0), [])
 
 
 # ---------------------------------------------------- positional embedding
@@ -114,33 +113,30 @@ def test_embedding_depends_only_on_coordinates():
     np.testing.assert_array_equal(a, b)
 
 
-# -------------------------------------------------------------- fuse_hybrid
+# ------------------------------------------------------ hybrid features
 
-def test_zero_features_fuse_to_positional_embedding():
-    boxes = [Box(0.2, 0.2, 0.8, 0.9)]
-    hybrids = fuse_hybrid(np.zeros((1, 8)), np.zeros((1, 8)), boxes)
-    np.testing.assert_array_equal(hybrids[0].f_hybrid, hybrids[0].e_pos)
-
-
-def test_fuse_reconstruction_inverse():
-    rng = np.random.default_rng(4)
-    boxes = [Box(0.1, 0.1, 0.4, 0.5), Box(0.5, 0.2, 0.9, 0.9)]
-    f_pri = rng.normal(size=(2, 8))
-    f_aux = rng.normal(size=(2, 8))
-    for i, h in enumerate(fuse_hybrid(f_pri, f_aux, boxes)):
-        recovered = h.f_hybrid - h.e_pos
-        np.testing.assert_allclose(recovered, np.concatenate([f_pri[i], f_aux[i]]), atol=1e-12)
+def test_zero_features_fuse_to_positional_embedding(tiny_config):
+    """With every map zero, each region's hybrid feature is its box
+    embedding alone, so its token is the connector applied to that."""
+    params = init_model_params(tiny_config)
+    for group, arrs in params.groups.items():
+        if group != GROUP_CONNECTOR:
+            for arr in arrs.values():
+                arr[...] = 0.0
+    sample = make_training_set(1, 0.0, seed=5, scene_config=tiny_config.world,
+                               proposal_config=tiny_config.proposals)[0]
+    s = prepare_sample(sample, tiny_config)
+    np.testing.assert_array_equal(s.epos, positional_embedding_matrix(list(sample.proposals), tiny_config.d_total))
+    c = params.groups[GROUP_CONNECTOR]
+    expected = connector_forward(Connector(c["w1"], c["b1"], c["w2"], c["b2"]), s.epos)
+    np.testing.assert_array_equal(region_token_matrix(params, s, tiny_config), expected)
 
 
 def test_fuse_reference_scale_dimension():
     boxes = [Box(0.1, 0.1, 0.5, 0.5)]
-    hybrids = fuse_hybrid(np.zeros((1, 2048)), np.zeros((1, 3840)), boxes)
-    assert hybrids[0].f_hybrid.shape == (5888,)
-
-
-def test_fuse_rejects_row_mismatch():
-    with pytest.raises(ValueError):
-        fuse_hybrid(np.zeros((2, 4)), np.zeros((1, 4)), [Box(0, 0, 1, 1)])
+    f_hybrid = np.concatenate([np.zeros((1, 2048)), np.zeros((1, 3840))], axis=1)
+    f_hybrid = f_hybrid + positional_embedding_matrix(boxes, f_hybrid.shape[1])
+    assert f_hybrid.shape == (1, 5888)
 
 
 # ---------------------------------------------------------------- connector
@@ -152,14 +148,6 @@ def test_connector_zero_weights_collapse_to_final_bias():
     out = connector_forward(conn, np.random.default_rng(0).normal(size=(3, 6)))
     for row in out:
         np.testing.assert_array_equal(row, np.arange(5.0))
-
-
-def test_connector_identity_configuration():
-    conn = Connector(
-        w1=np.eye(4), b1=np.zeros(4), w2=np.eye(4), b2=np.zeros(4), activation="identity"
-    )
-    x = np.random.default_rng(1).normal(size=(2, 4))
-    np.testing.assert_allclose(connector_forward(conn, x), x, atol=1e-12)
 
 
 def test_connector_matches_matmul_oracle():
@@ -227,21 +215,20 @@ def test_connector_gradcheck_wide_configuration():
 
 # ------------------------------------------------------------ region tokens
 
-def test_region_tokens_deterministic_and_equivariant():
-    rng = np.random.default_rng(8)
-    boxes = [Box(0.1, 0.1, 0.4, 0.4), Box(0.5, 0.5, 0.9, 0.8), Box(0.2, 0.6, 0.5, 0.95)]
-    f_pri = rng.normal(size=(3, 8))
-    f_aux = rng.normal(size=(3, 8))
-    conn = Connector.seeded(16, 6, rng)
-    tokens = region_tokens(conn, fuse_hybrid(f_pri, f_aux, boxes))
-    again = region_tokens(conn, fuse_hybrid(f_pri, f_aux, boxes))
-    for a, b in zip(tokens, again):
-        np.testing.assert_array_equal(a.embedding, b.embedding)
+def test_region_tokens_deterministic_and_equivariant(tiny_config):
+    """Permuting a sample's proposals permutes the token rows, bitwise."""
+    params = init_model_params(tiny_config)
+    sample = make_training_set(1, 0.0, seed=8, scene_config=tiny_config.world,
+                               proposal_config=tiny_config.proposals)[0]
+    assert len(sample.proposals) >= 3
+    tokens = region_token_matrix(params, prepare_sample(sample, tiny_config), tiny_config)
+    again = region_token_matrix(params, prepare_sample(sample, tiny_config), tiny_config)
+    np.testing.assert_array_equal(tokens, again)
 
-    perm = [2, 0, 1]
-    permuted = region_tokens(
-        conn, fuse_hybrid(f_pri[perm], f_aux[perm], [boxes[i] for i in perm])
+    perm = np.random.default_rng(8).permutation(len(sample.proposals))
+    assert list(perm) != sorted(perm)
+    permuted_sample = dataclasses.replace(
+        sample, proposals=tuple(sample.proposals[i] for i in perm), targets=sample.targets[perm]
     )
-    for new_idx, old_idx in enumerate(perm):
-        np.testing.assert_array_equal(permuted[new_idx].embedding, tokens[old_idx].embedding)
-        assert permuted[new_idx].index == new_idx
+    permuted = region_token_matrix(params, prepare_sample(permuted_sample, tiny_config), tiny_config)
+    np.testing.assert_array_equal(permuted, tokens[perm])

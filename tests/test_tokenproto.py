@@ -59,13 +59,10 @@ def test_two_region_sequence_layout():
     assert seq.render() == "<image>\n<region0><region_token><region1><region_token>\nfind them"
 
 
-def test_shuffled_tokens_error_by_default_and_reorder_flag():
+def test_shuffled_tokens_error():
     toks = list(reversed(make_tokens(3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="out of order"):
         build_input_sequence(1, toks, [])
-    seq = build_input_sequence(1, toks, [], reorder=True)
-    indices = [e.index for e in seq.elements if isinstance(e, RegionIndexToken)]
-    assert indices == [0, 1, 2]
 
 
 def test_duplicate_indices_rejected():

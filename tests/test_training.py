@@ -1,5 +1,7 @@
 """Trainer: freeze schedule, determinism, gradients, divergence handling."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from regionkit.config import ExperimentConfig
 from regionkit.experiments import evaluate_retrieval, make_eval_scenes
 from regionkit.gridops import Kernel, conv2d
-from regionkit.pyramid import PyramidConfig, SimpleFPParams, aux_fuse, simple_fp
+from regionkit.pyramid import SimpleFPParams, aux_fuse, simple_fp
 from regionkit.regionenc import Connector, connector_forward, positional_embedding_matrix
 from regionkit.roialign import roi_align_pooled
 from regionkit.simworld import EncoderConfig, make_training_set, toy_encode
@@ -70,6 +72,7 @@ def test_config_requires_a_stream(tiny_config):
         ("aux_base_resolution", lambda cfg: cfg.replace(encoder=EncoderConfig(aux_base_resolution=4))),
         ("primary_resolution", lambda cfg: cfg.replace(encoder=EncoderConfig(primary_resolution=0))),
         ("encoder.primary_resolution", lambda cfg: cfg.replace(encoder=EncoderConfig(primary_resolution=3))),
+        ("use_simplefp", lambda cfg: cfg.replace(use_primary=False, use_simplefp=True)),
     ],
 )
 def test_unusable_config_rejected_naming_field(tiny_config, field, build):
@@ -177,7 +180,7 @@ def test_training_forward_equals_oracle_composition(tiny_config, variant):
         if cfg.use_simplefp:
             branches = ("down", "same", "up2", "up4_a", "up4_b")
             fp = SimpleFPParams({b: kernel(GROUP_SIMPLEFP, b) for b in branches})
-            levels = simple_fp(mixed, PyramidConfig(cfg.fp_channels), fp)
+            levels = simple_fp(mixed, fp)
         pooled += [roi_align_pooled(level, boxes, cfg.roi) for level in levels]
     if cfg.use_auxiliary:
         fused = aux_fuse([conv2d(m, kernel(GROUP_AUX, f"mix{i}")) for i, m in enumerate(aux_maps)])
@@ -299,10 +302,64 @@ def test_variant_dimension_bookkeeping(tiny_config):
     assert primary_only.d_total == 8
     no_fp = tiny_config.replace(use_auxiliary=False, use_simplefp=False)
     assert no_fp.d_total == tiny_config.primary_channels
-    aux_only = tiny_config.replace(use_primary=False)
+    aux_only = tiny_config.replace(use_primary=False, use_simplefp=False)
     assert aux_only.d_total == 16
 
 
 def test_config_json_round_trip(tiny_config):
     back = ExperimentConfig.loads(tiny_config.dumps())
     assert back == tiny_config
+
+
+_SECTIONS = ("world", "proposals", "encoder", "roi")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _wrong_values(value):
+    """JSON values of a type that a field now holding ``value`` does not take."""
+    others = st.text(max_size=4) | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)
+    if type(value) is bool:
+        return others | st.integers() | st.none()
+    if type(value) is int:
+        return others | st.booleans() | st.none() | st.floats()
+    if type(value) is float:
+        return others | st.booleans() | st.none() | st.sampled_from([float("nan"), float("inf")])
+    return others  # optional fields, null in the fixture
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), fault=st.sampled_from(["document", "unknown key", "section", "wrong type"]))
+def test_config_json_rejects_malformed_input_naming_field(tiny_config, data, fault):
+    doc = tiny_config.to_json()
+    section = data.draw(st.sampled_from((None,) + _SECTIONS))
+    where, prefix = (doc, "") if section is None else (doc[section], f"{section}.")
+    if fault == "document":
+        doc, field = data.draw(_JSON.filter(lambda v: not isinstance(v, dict))), "document"
+    elif fault == "unknown key":
+        key = data.draw(st.text(min_size=1, max_size=6).filter(lambda k: k not in where))
+        where[key], field = 0, prefix + key
+    elif fault == "section":
+        field = data.draw(st.sampled_from(_SECTIONS))
+        doc[field] = data.draw(_JSON.filter(lambda v: not isinstance(v, dict)))
+    else:
+        key = data.draw(st.sampled_from(sorted(k for k in where if k not in _SECTIONS)))
+        where[key], field = data.draw(_wrong_values(where[key])), prefix + key
+    with pytest.raises(ValueError, match=re.escape(field)):
+        ExperimentConfig.from_json(doc)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), value=_JSON)
+def test_config_json_any_value_builds_or_raises_value_error(tiny_config, data, value):
+    doc = tiny_config.to_json()
+    section = data.draw(st.sampled_from((None,) + _SECTIONS))
+    where = doc if section is None else doc[section]
+    where[data.draw(st.sampled_from(sorted(where)))] = value
+    try:
+        assert isinstance(ExperimentConfig.from_json(doc), ExperimentConfig)
+    except ValueError:
+        pass
