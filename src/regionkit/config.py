@@ -57,16 +57,27 @@ class ExperimentConfig:
     baseline_pool: int = 8
 
     def __post_init__(self):
-        if self.stage1_lr <= 0 or self.stage2_lr <= 0:
-            raise ValueError("learning rates must be positive")
-        if self.stage1_steps < 0 or self.stage2_steps < 0:
-            raise ValueError("step counts must be non-negative")
+        for name in ("stage1_lr", "stage2_lr"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("stage1_steps", "stage2_steps"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("fp_channels", "d_llm", "connector_hidden"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if not (self.use_primary or self.use_auxiliary):
             raise ValueError("at least one of use_primary/use_auxiliary must be enabled")
         if self.use_simplefp and not self.use_primary:
             raise ValueError(
                 "use_simplefp needs use_primary: the pyramid runs on the primary map "
                 "(an auxiliary-only model is use_primary=False, use_simplefp=False)"
+            )
+        if self.unfreeze_primary and not self.use_primary:
+            raise ValueError(
+                "unfreeze_primary needs use_primary: an auxiliary-only model has no primary "
+                "encoder to unfreeze (leave unfreeze_primary=False)"
             )
         if not (0.0 < self.threshold < 1.0):
             raise ValueError("threshold must lie in (0, 1)")
@@ -76,8 +87,6 @@ class ExperimentConfig:
             raise ValueError(
                 "encoder.primary_resolution must be >= 4 with use_simplefp: the stride-2 branch needs a 4x4 map"
             )
-        if self.fp_channels < 1 or self.d_llm < 1:
-            raise ValueError("model dimensions must be positive")
         if self.d_total % 8 != 0:
             raise ValueError(
                 f"combined region feature dimension {self.d_total} must be divisible by 8 "
@@ -124,8 +133,9 @@ class ExperimentConfig:
         """Inverse of :meth:`to_json`; missing fields take their defaults.
 
         A document that is not an object, an unknown key, a section that
-        is not an object, or a value of the wrong type raises ValueError
-        naming the field.
+        is not an object, a value of the wrong type, or a value out of its
+        range raises ValueError naming the field, with its section
+        (``world.min_objects``).
         """
         return _from_json(cls, obj)
 
@@ -155,7 +165,13 @@ def _from_json(cls, obj, section: str = ""):
             kwargs[key] = _from_json(hint, value, prefix + key)
         else:
             kwargs[key] = _json_value(value, hint, prefix + key)
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        # every range check's message starts with the field it names
+        if section:
+            raise ValueError(f"{prefix}{exc}") from None
+        raise
 
 
 def _json_value(value, hint, name: str):

@@ -14,7 +14,19 @@ Two constructions feed region pooling:
 Branches are plain linear maps (no normalization or nonlinearity);
 parameters initialize from a seeded uniform so runs are reproducible.
 :func:`simple_fp_backward` and :func:`aux_fuse_backward` are their
-adjoints, so the branch wiring and the fuse rule are stated only here.
+adjoints.
+
+Because every step from a raw map to a mean-pooled region feature is
+linear, the pooled levels also have a factored form, which is what
+training and evaluation run.  Per sample, :func:`simple_fp_taps` and
+:func:`aux_fuse_taps` pool the raw maps into a few "taps" per box: which
+input pixels each kernel tap reaches, weighted by pooling.  A pooled level is
+then the taps times an effective kernel built from the parameters
+(:func:`simple_fp_pooled`, :func:`aux_fuse_pooled`), and the gradients
+are the transposed products (:func:`simple_fp_pooled_backward`,
+:func:`aux_fuse_pooled_backward`).  The dense functions above are the
+oracle these are tested against; the branch wiring and the fuse rule are
+stated only in this module.
 """
 
 from __future__ import annotations
@@ -33,9 +45,25 @@ from .gridops import (
     conv2d_backward,
     deconv2d,
     deconv2d_backward,
+    resize_matrix,
+    uniform_init,
 )
+from .roialign import Box, RoiConfig, apply_taps, pooled_axis_weights, pooled_taps
 
-__all__ = ["SimpleFPParams", "simple_fp", "simple_fp_backward", "aux_fuse", "aux_fuse_backward"]
+__all__ = [
+    "SimpleFPParams",
+    "simple_fp_init",
+    "simple_fp",
+    "simple_fp_backward",
+    "aux_fuse",
+    "aux_fuse_backward",
+    "simple_fp_taps",
+    "simple_fp_pooled",
+    "simple_fp_pooled_backward",
+    "aux_fuse_taps",
+    "aux_fuse_pooled",
+    "aux_fuse_pooled_backward",
+]
 
 _BRANCHES = ("down", "same", "up2", "up4_a", "up4_b")
 
@@ -53,15 +81,24 @@ class SimpleFPParams:
 
     @classmethod
     def seeded(cls, in_channels: int, fp_channels: int, rng: np.random.Generator) -> "SimpleFPParams":
-        return cls(
-            {
-                "down": Kernel.seeded_uniform(fp_channels, in_channels, 3, 3, rng),
-                "same": Kernel.seeded_uniform(fp_channels, in_channels, 1, 1, rng),
-                "up2": Kernel.seeded_uniform(fp_channels, in_channels, 2, 2, rng),
-                "up4_a": Kernel.seeded_uniform(fp_channels, in_channels, 2, 2, rng),
-                "up4_b": Kernel.seeded_uniform(fp_channels, fp_channels, 2, 2, rng),
-            }
-        )
+        a = simple_fp_init(in_channels, fp_channels, rng)
+        return cls({b: Kernel(*a[f"{b}_w"].shape, a[f"{b}_w"], a[f"{b}_b"]) for b in _BRANCHES})
+
+
+def simple_fp_init(in_channels: int, fp_channels: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Seeded branch arrays by name (``down_w``, ``down_b``, ...), drawn branch
+    by branch with :func:`gridops.uniform_init`."""
+    shapes = {
+        "down": (fp_channels, in_channels, 3, 3),
+        "same": (fp_channels, in_channels, 1, 1),
+        "up2": (fp_channels, in_channels, 2, 2),
+        "up4_a": (fp_channels, in_channels, 2, 2),
+        "up4_b": (fp_channels, fp_channels, 2, 2),
+    }
+    arrays = {}
+    for branch in _BRANCHES:
+        arrays[f"{branch}_w"], arrays[f"{branch}_b"] = uniform_init(shapes[branch], rng)
+    return arrays
 
 
 def simple_fp(last_map: FeatureMap, params: SimpleFPParams) -> list[FeatureMap]:
@@ -102,16 +139,20 @@ def simple_fp_backward(
     return grads, d_input
 
 
+def _fuse_target(sizes: list[tuple[int, int]]) -> tuple[int, int]:
+    """The size four auxiliary maps are fused at: the largest one's."""
+    if len(sizes) != 4:
+        raise ValueError(f"aux_fuse expects exactly 4 maps, got {len(sizes)}")
+    biggest = max(h * w for h, w in sizes)
+    targets = {(h, w) for h, w in sizes if h * w == biggest}
+    if len(targets) != 1:
+        raise ValueError("largest map is ambiguous: maximal-area maps differ in shape")
+    return targets.pop()
+
+
 def aux_fuse(maps: list[FeatureMap]) -> FeatureMap:
     """Resize four maps to the largest spatial size and concatenate channels."""
-    if len(maps) != 4:
-        raise ValueError(f"aux_fuse expects exactly 4 maps, got {len(maps)}")
-    areas = [m.height * m.width for m in maps]
-    biggest = max(areas)
-    target_shapes = {(m.height, m.width) for m, a in zip(maps, areas) if a == biggest}
-    if len(target_shapes) != 1:
-        raise ValueError("largest map is ambiguous: maximal-area maps differ in shape")
-    (th, tw) = target_shapes.pop()
+    th, tw = _fuse_target([(m.height, m.width) for m in maps])
     resized = [m if (m.height, m.width) == (th, tw) else bilinear_resize(m, th, tw) for m in maps]
     return concat_channels(resized)
 
@@ -126,3 +167,168 @@ def aux_fuse_backward(maps: list[FeatureMap], d_fused: np.ndarray) -> list[np.nd
         c0 += m.channels
         out.append(d if (m.height, m.width) == d.shape[1:] else bilinear_resize_grad(d, m.height, m.width))
     return out
+
+
+# ------------------------------------------------------ factored (pooled taps)
+
+def _conv_gather(a: np.ndarray, k: int, stride: int, in_size: int) -> np.ndarray:
+    """(N, k, in_size) tap weights of a conv along one axis: output pixel y
+    reads input (padded) index stride * y + t for tap t."""
+    g = np.zeros((a.shape[0], k, in_size))
+    for t in range(k):
+        g[:, t, t : t + stride * a.shape[1] : stride] = a
+    return g
+
+
+def _deconv_gather(a: np.ndarray, stride: int) -> np.ndarray:
+    """(N, stride, in) tap weights of a stride-sized transposed conv (or a
+    chain of them) along one axis: input y writes output stride * y + t."""
+    return a.reshape(a.shape[0], -1, stride).transpose(0, 2, 1)
+
+
+def _row_sums(a_y: np.ndarray, a_x: np.ndarray) -> np.ndarray:
+    """(N, 1) total pooling weight per box: what a constant bias pools to."""
+    return (a_y.sum(axis=1) * a_x.sum(axis=1))[:, None]
+
+
+def simple_fp_taps(
+    raw: np.ndarray, boxes: list[Box], cfg: RoiConfig = RoiConfig()
+) -> list[np.ndarray]:
+    """Pooled taps of :func:`simple_fp`'s four levels, one (N, K) array each.
+
+    ``raw`` is the (J, H, W) map the pyramid's (C, J) input mix acts on;
+    a caller whose mix has a bias appends a ones channel to it.  The zero
+    padding of the ``down`` branch pads that channel with zeros too, so it
+    doubles as the mask that keeps the bias out of the padding.
+
+    Level l pools to ``taps[l] @ effective kernel.T``
+    (:func:`simple_fp_pooled`).  The columns are (tap_y, tap_x, channel)
+    products, then the level's bias columns:
+
+    * ``down``: 3 x 3 taps at index 2y + t of the zero-padded map, then
+      the row sum S that carries the branch bias;
+    * ``same``: 1 tap, then S;
+    * ``up2``: 2 x 2 taps by output parity, then S;
+    * ``up4``: 4 x 4 taps at index 4y + 2a + c (a from ``up4_a``, c from
+      ``up4_b``), then the per-parity sums R[c, d] that carry ``up4_a``'s
+      bias, then S.
+    """
+    _, h, w = raw.shape
+    if min(h, w) < 4:
+        raise ValueError("input map must be at least 4x4 for the stride-2 branch")
+    levels = []
+    a_y, a_x = pooled_axis_weights((h - 1) // 2 + 1, (w - 1) // 2 + 1, boxes, cfg)
+    padded = np.pad(raw, ((0, 0), (1, 1), (1, 1)))
+    taps = pooled_taps(padded, _conv_gather(a_y, 3, 2, h + 2), _conv_gather(a_x, 3, 2, w + 2))
+    levels.append(np.concatenate([taps, _row_sums(a_y, a_x)], axis=1))
+    a_y, a_x = pooled_axis_weights(h, w, boxes, cfg)
+    levels.append(np.concatenate([pooled_taps(raw, a_y[:, None], a_x[:, None]), _row_sums(a_y, a_x)], axis=1))
+    a_y, a_x = pooled_axis_weights(2 * h, 2 * w, boxes, cfg)
+    taps = pooled_taps(raw, _deconv_gather(a_y, 2), _deconv_gather(a_x, 2))
+    levels.append(np.concatenate([taps, _row_sums(a_y, a_x)], axis=1))
+    a_y, a_x = pooled_axis_weights(4 * h, 4 * w, boxes, cfg)
+    taps = pooled_taps(raw, _deconv_gather(a_y, 4), _deconv_gather(a_x, 4))
+    n = len(boxes)
+    parity = _deconv_gather(a_y, 2).sum(axis=2)[:, :, None] * _deconv_gather(a_x, 2).sum(axis=2)[:, None, :]
+    levels.append(np.concatenate([taps, parity.reshape(n, 4), _row_sums(a_y, a_x)], axis=1))
+    return levels
+
+
+def _tap_major(w: np.ndarray) -> np.ndarray:
+    """(O, C, kh, kw) kernel as (O, kh, kw, C), the taps' column order."""
+    return w.transpose(0, 2, 3, 1)
+
+
+def _fp_kernels(mix: np.ndarray, fp: dict[str, np.ndarray]) -> list[np.ndarray]:
+    """Effective (O, K) kernels of the four levels for (C, J) input ``mix``."""
+    o = fp["same_b"].shape[0]
+    bias = {b: fp[f"{b}_b"][:, None] for b in ("down", "same", "up2", "up4_b")}
+    down = (_tap_major(fp["down_w"]) @ mix).reshape(o, -1)
+    same = fp["same_w"][:, :, 0, 0] @ mix
+    up2 = (_tap_major(fp["up2_w"]) @ mix).reshape(o, -1)
+    mid = _tap_major(fp["up4_a_w"]) @ mix  # (F, a, b, J)
+    outer = _tap_major(fp["up4_b_w"]).reshape(4 * o, -1)  # rows (o, c, d)
+    up4 = (outer @ mid.reshape(mid.shape[0], -1)).reshape(o, 2, 2, 2, 2, -1)
+    up4 = up4.transpose(0, 3, 1, 4, 2, 5).reshape(o, -1)  # columns (a, c, b, d, J)
+    mid_bias = (outer @ fp["up4_a_b"]).reshape(o, 4)  # columns (c, d)
+    return [
+        np.concatenate([down, bias["down"]], axis=1),
+        np.concatenate([same, bias["same"]], axis=1),
+        np.concatenate([up2, bias["up2"]], axis=1),
+        np.concatenate([up4, mid_bias, bias["up4_b"]], axis=1),
+    ]
+
+
+def simple_fp_pooled(taps: list[np.ndarray], mix: np.ndarray, fp: dict[str, np.ndarray]) -> list[np.ndarray]:
+    """The four pooled levels of :func:`simple_fp` on ``mix`` applied to the
+    tapped map: (N, O) each.  ``fp`` holds the branch arrays by name
+    (``down_w``, ``down_b``, ...)."""
+    return [apply_taps(t, k) for t, k in zip(taps, _fp_kernels(mix, fp))]
+
+
+def simple_fp_pooled_backward(
+    taps: list[np.ndarray], mix: np.ndarray, fp: dict[str, np.ndarray], d_pooled: list[np.ndarray]
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Adjoint of :func:`simple_fp_pooled` for (N, O) gradients on its four
+    levels: ({``down_w``: ..., ``down_b``: ..., ...}, d_mix)."""
+    mid = _tap_major(fp["up4_a_w"]) @ mix  # (F, a, b, J), as in the forward
+    d_down, d_same, d_up2, d_up4 = (d.T @ t for d, t in zip(d_pooled, taps))
+    o, c = fp["same_w"].shape[:2]
+    grads = {}
+    d_mix = np.zeros_like(mix)
+
+    def tapped(branch: str, d_k: np.ndarray) -> None:
+        w = _tap_major(fp[f"{branch}_w"])
+        d_k = d_k.reshape(w.shape[:-1] + (-1,))
+        grads[f"{branch}_w"] = (d_k @ mix.T).transpose(0, 3, 1, 2)
+        d_mix[...] += w.reshape(-1, c).T @ d_k.reshape(-1, d_k.shape[-1])
+
+    tapped("down", d_down[:, :-1])
+    grads["down_b"] = d_down[:, -1]
+    tapped("same", d_same[:, :-1])
+    grads["same_b"] = d_same[:, -1]
+    tapped("up2", d_up2[:, :-1])
+    grads["up2_b"] = d_up2[:, -1]
+
+    outer = _tap_major(fp["up4_b_w"]).reshape(4 * o, -1)
+    d_up4, d_mid_bias, grads["up4_b_b"] = d_up4[:, :-5], d_up4[:, -5:-1].reshape(-1), d_up4[:, -1]
+    d_prod = d_up4.reshape(o, 2, 2, 2, 2, -1).transpose(0, 2, 4, 1, 3, 5).reshape(4 * o, -1)
+    d_outer = d_prod @ mid.reshape(mid.shape[0], -1).T + np.outer(d_mid_bias, fp["up4_a_b"])
+    grads["up4_b_w"] = d_outer.reshape(o, 2, 2, -1).transpose(0, 3, 1, 2)
+    grads["up4_a_b"] = outer.T @ d_mid_bias
+    tapped("up4_a", outer.T @ d_prod)
+    return grads, d_mix
+
+
+def aux_fuse_taps(
+    raw_maps: list[np.ndarray], boxes: list[Box], cfg: RoiConfig = RoiConfig()
+) -> list[np.ndarray]:
+    """Pooled taps of :func:`aux_fuse`: per input map, the (N, J) pooling of
+    that map resized to the fused size.
+
+    The resize is folded into the per-axis pooling weights, box by box.
+    """
+    sizes = [m.shape[1:] for m in raw_maps]
+    th, tw = _fuse_target(sizes)
+    a_y, a_x = pooled_axis_weights(th, tw, boxes, cfg)
+    taps = []
+    for m, (h, w) in zip(raw_maps, sizes):
+        g_y, g_x = a_y[:, None], a_x[:, None]
+        if (h, w) != (th, tw):
+            g_y, g_x = g_y @ resize_matrix(h, th), g_x @ resize_matrix(w, tw)
+        taps.append(pooled_taps(m, g_y, g_x))
+    return taps
+
+
+def aux_fuse_pooled(taps: list[np.ndarray], mixes: list[np.ndarray]) -> np.ndarray:
+    """Pooled :func:`aux_fuse` of the mixed maps: (N, sum of mix widths),
+    where mix l is an (O_l, J_l) 1x1 kernel with its bias as last column."""
+    return np.concatenate([apply_taps(t, m) for t, m in zip(taps, mixes)], axis=1)
+
+
+def aux_fuse_pooled_backward(
+    taps: list[np.ndarray], mixes: list[np.ndarray], d_pooled: np.ndarray
+) -> list[np.ndarray]:
+    """Adjoint of :func:`aux_fuse_pooled`: the gradient of each mix."""
+    cols = np.cumsum([0] + [m.shape[0] for m in mixes])
+    return [d_pooled[:, c0:c1].T @ t for t, c0, c1 in zip(taps, cols[:-1], cols[1:])]

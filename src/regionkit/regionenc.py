@@ -82,7 +82,7 @@ class Connector:
         if self.w2.shape[1] != self.w1.shape[0]:
             raise ValueError("layer widths are inconsistent")
         for arr in (self.w1, self.b1, self.w2, self.b2):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise NonFiniteError("connector parameters must be finite")
 
     @property

@@ -8,10 +8,13 @@ normalized coordinate u maps to the continuous array coordinate
 rounding anywhere.  Samples falling outside the map clamp to the edge.
 
 ``roi_align`` produces the C x P x P bin grid; ``roi_align_pooled`` means
-over the bins, which equals a fixed linear functional of the map.  That
-functional's weights are exposed via :func:`pooled_weights` so training
-code can cache them per (map size, box set) and backpropagate through
-pooling as a plain matrix product.
+over the bins, which equals a fixed linear functional of the map.  The
+samples form a separable grid, so that functional is rank 1 per box: the
+outer product of one weight vector per axis (:func:`pooled_axis_weights`).
+:func:`pooled_weights` is that outer product as an (N, H * W) matrix, and
+:func:`pooled_taps` contracts a map with per-axis tap weights box by box
+and :func:`apply_taps` applies a kernel to the taps, which is how the
+training forward pools without building any level map.
 """
 
 from __future__ import annotations
@@ -22,7 +25,17 @@ import numpy as np
 
 from .gridops import FeatureMap
 
-__all__ = ["Box", "RoiConfig", "roi_align", "roi_align_pooled", "pooled_weights", "pooled_apply"]
+__all__ = [
+    "Box",
+    "RoiConfig",
+    "roi_align",
+    "roi_align_pooled",
+    "pooled_axis_weights",
+    "pooled_weights",
+    "pooled_apply",
+    "pooled_taps",
+    "apply_taps",
+]
 
 
 @dataclass(frozen=True)
@@ -91,19 +104,18 @@ class RoiConfig:
             raise ValueError("sampling_ratio must be >= 1")
 
 
-def _sample_coords(lo: float, hi: float, size: int, cfg: RoiConfig) -> np.ndarray:
-    """Continuous array coordinates of all P * ratio samples along one axis.
+def _sample_coords(lo: np.ndarray, hi: np.ndarray, size: int, cfg: RoiConfig) -> np.ndarray:
+    """(N, P * ratio) continuous array coordinates of the samples along one axis.
 
-    lo/hi are the box edges in normalized [0, 1]; returned coordinates are
+    lo/hi are (N,) box edges in normalized [0, 1]; returned coordinates are
     clamped to [0, size - 1].
     """
     start = lo * size - 0.5
-    extent = (hi - lo) * size
-    bin_len = extent / cfg.pool_size
+    bin_len = (hi - lo) * size / cfg.pool_size
     r = cfg.sampling_ratio
     # sample s of bin b sits at start + bin_len * (b + (s + 0.5) / r)
-    offsets = (np.arange(cfg.pool_size)[:, None] + (np.arange(r)[None, :] + 0.5) / r) * bin_len
-    coords = start + offsets.ravel()
+    unit = (np.arange(cfg.pool_size)[:, None] + (np.arange(r)[None, :] + 0.5) / r).ravel()
+    coords = start[:, None] + unit[None, :] * bin_len[:, None]
     return np.clip(coords, 0.0, size - 1)
 
 
@@ -121,8 +133,8 @@ def roi_align(fmap: FeatureMap, box: Box, cfg: RoiConfig = RoiConfig()) -> Featu
     regularly spaced points inside the bin.
     """
     p, r = cfg.pool_size, cfg.sampling_ratio
-    ys = _sample_coords(box.y1, box.y2, fmap.height, cfg)
-    xs = _sample_coords(box.x1, box.x2, fmap.width, cfg)
+    ys = _sample_coords(np.array([box.y1]), np.array([box.y2]), fmap.height, cfg)[0]
+    xs = _sample_coords(np.array([box.x1]), np.array([box.x2]), fmap.width, cfg)[0]
     y0, y1, wy0, wy1 = _axis_weights(ys, fmap.height)
     x0, x1, wx0, wx1 = _axis_weights(xs, fmap.width)
     d = fmap.data
@@ -137,35 +149,72 @@ def roi_align(fmap: FeatureMap, box: Box, cfg: RoiConfig = RoiConfig()) -> Featu
     return FeatureMap(fmap.channels, p, p, bins)
 
 
+def _axis_pool_weights(lo: np.ndarray, hi: np.ndarray, size: int, cfg: RoiConfig) -> np.ndarray:
+    """(N, size) mean bilinear weights of the P * ratio samples of each box
+    edge pair (lo[n], hi[n]) along one axis."""
+    i0, i1, w0, w1 = _axis_weights(_sample_coords(lo, hi, size, cfg), size)
+    n, samples = i0.shape
+    row = np.arange(n)[:, None] * size
+    # each box's weights sum in the same order wherever the box sits
+    cells = np.concatenate([(row + i0).ravel(), (row + i1).ravel()])
+    sums = np.bincount(cells, weights=np.concatenate([w0.ravel(), w1.ravel()]), minlength=n * size)
+    return sums.reshape(n, size) / samples
+
+
+def pooled_axis_weights(
+    height: int, width: int, boxes: list[Box], cfg: RoiConfig = RoiConfig()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis pooling weights (a_y (N, height), a_x (N, width)).
+
+    Box n pools a map as sum_{y, x} a_y[n, y] * a_x[n, x] * map[c, y, x].
+    """
+    if not boxes:
+        raise ValueError("at least one box is required")
+    edges = np.array([(b.y1, b.y2, b.x1, b.x2) for b in boxes], dtype=np.float64)
+    return (
+        _axis_pool_weights(edges[:, 0], edges[:, 1], height, cfg),
+        _axis_pool_weights(edges[:, 2], edges[:, 3], width, cfg),
+    )
+
+
 def pooled_weights(height: int, width: int, boxes: list[Box], cfg: RoiConfig = RoiConfig()) -> np.ndarray:
     """(N, height * width) weights W with pooled[n, c] = sum_p W[n, p] * map[c, p].
 
     Mean-over-bins pooling averages all P^2 * ratio^2 samples with equal
-    weight, so the pooled vector is this fixed linear functional of the map.
+    weight, so the pooled vector is this fixed linear functional of the map:
+    per box, the outer product of the per-axis weights.
     """
-    if not boxes:
-        raise ValueError("at least one box is required")
-    n_samples = (cfg.pool_size * cfg.sampling_ratio) ** 2
-    out = np.zeros((len(boxes), height * width))
-    for n, box in enumerate(boxes):
-        ys = _sample_coords(box.y1, box.y2, height, cfg)
-        xs = _sample_coords(box.x1, box.x2, width, cfg)
-        y0, y1, wy0, wy1 = _axis_weights(ys, height)
-        x0, x1, wx0, wx1 = _axis_weights(xs, width)
-        grid = np.zeros((height, width))
-        # accumulate the four bilinear corners of every sample point
-        np.add.at(grid, (y0[:, None], x0[None, :]), wy0[:, None] * wx0[None, :])
-        np.add.at(grid, (y0[:, None], x1[None, :]), wy0[:, None] * wx1[None, :])
-        np.add.at(grid, (y1[:, None], x0[None, :]), wy1[:, None] * wx0[None, :])
-        np.add.at(grid, (y1[:, None], x1[None, :]), wy1[:, None] * wx1[None, :])
-        out[n] = grid.ravel() / n_samples
-    return out
+    a_y, a_x = pooled_axis_weights(height, width, boxes, cfg)
+    return (a_y[:, :, None] * a_x[:, None, :]).reshape(len(boxes), height * width)
 
 
 def pooled_apply(weights: np.ndarray, map_data: np.ndarray) -> np.ndarray:
     """Apply cached pooling weights to a (C, H, W) array, yielding (N, C)."""
     c = map_data.shape[0]
     return weights @ map_data.reshape(c, -1).T
+
+
+def pooled_taps(map_data: np.ndarray, g_y: np.ndarray, g_x: np.ndarray) -> np.ndarray:
+    """(N, T_y * T_x * C) taps[n, (ty, tx, c)] = sum_{y, x} g_y[n, ty, y] g_x[n, tx, x] map[c, y, x].
+
+    ``map_data`` is (C, H, W), ``g_y`` is (N, T_y, H) and ``g_x`` is
+    (N, T_x, W).  Every product is batched over the box axis, so a box's
+    row does not depend on where it sits among the boxes.
+    """
+    c, h, w = map_data.shape
+    n, t_y, t_x = g_y.shape[0], g_y.shape[1], g_x.shape[1]
+    rows = np.matmul(g_y, map_data.transpose(1, 0, 2).reshape(h, c * w))  # (N, T_y, C * W)
+    taps = np.matmul(rows.reshape(n, t_y * c, w), g_x.transpose(0, 2, 1))  # (N, T_y * C, T_x)
+    return taps.reshape(n, t_y, c, t_x).transpose(0, 1, 3, 2).reshape(n, -1)
+
+
+def apply_taps(taps: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """(N, O) features taps @ kernel.T for (N, K) taps and an (O, K) kernel.
+
+    A stacked product computes each box's row on its own; one (N, K) matrix
+    product may round a row differently depending on where it sits.
+    """
+    return np.matmul(taps[:, None, :], kernel.T)[:, 0]
 
 
 def roi_align_pooled(fmap: FeatureMap, boxes: list[Box], cfg: RoiConfig = RoiConfig()) -> np.ndarray:

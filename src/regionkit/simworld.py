@@ -22,6 +22,7 @@ here is replayable bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,10 +74,16 @@ class SceneConfig:
     category_weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if not (0 <= self.min_objects <= self.max_objects):
-            raise ValueError("object count range is invalid")
-        if not (0.0 < self.min_size <= self.max_size <= 1.0):
-            raise ValueError("object size range is invalid")
+        if self.min_objects < 0:
+            raise ValueError(f"min_objects must be >= 0, got {self.min_objects}")
+        if self.min_objects > self.max_objects:
+            raise ValueError(f"min_objects {self.min_objects} exceeds max_objects {self.max_objects}")
+        if not self.min_size > 0.0:
+            raise ValueError(f"min_size must be > 0, got {self.min_size}")
+        if self.min_size > self.max_size:
+            raise ValueError(f"min_size {self.min_size} exceeds max_size {self.max_size}")
+        if self.max_size > 1.0:
+            raise ValueError(f"max_size must be <= 1, got {self.max_size}")
         if self.category_weights is not None and len(self.category_weights) != self.n_categories:
             raise ValueError("category_weights length must equal n_categories")
 
@@ -420,24 +427,96 @@ def scenes_to_json(scenes: list[Scene], proposals: dict[int, list[Box]] | None =
     return out
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number (bools are not numbers)."""
+    if type(value) not in (int, float):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _json_field(rec: dict, key: str, kind: type, where: str, default=None):
+    """``rec[key]`` checked to be a ``kind`` (``float``: any finite number);
+    ``default`` when absent, unless that is None."""
+    if key not in rec:
+        if default is None:
+            raise ValueError(f"{where} has no {key!r}")
+        return default
+    value = rec[key]
+    if not (_is_number(value) if kind is float else type(value) is kind):
+        want = "a finite number" if kind is float else kind.__name__
+        raise ValueError(f"{where}.{key} must be {want}, got {value!r}")
+    return value
+
+
+def _json_box(where: str, coords, score=None, label=None) -> Box:
+    """A Box from four JSON numbers (x1, y1, x2, y2); a box that
+    :class:`Box` rejects raises ValueError naming ``where``."""
+    if not all(_is_number(v) for v in coords):
+        raise ValueError(f"{where} coordinates must be finite numbers, got {coords!r}")
+    try:
+        return Box(*coords, score=score, label=label)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def scenes_from_json(obj: dict) -> tuple[list[Scene], dict[int, list[Box]]]:
+    """Inverse of :func:`scenes_to_json`.
+
+    Malformed input (not an object, a missing ``images``/``id``/``objects``/
+    ``category``/``bbox``, a value of the wrong type, a bbox that is not
+    four numbers, or a box that :class:`Box` rejects) raises ValueError
+    naming where it is.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("a scene file must be a JSON object")
     scenes = []
-    for rec in obj["images"]:
-        objects = tuple(
-            (o["category"], Box(o["bbox"][0], o["bbox"][1], o["bbox"][0] + o["bbox"][2], o["bbox"][1] + o["bbox"][3], label=o["category"]))
-            for o in rec["objects"]
-        )
+    for k, rec in enumerate(_json_field(obj, "images", list, "scene file")):
+        where = f"images[{k}]"
+        if not isinstance(rec, dict):
+            raise ValueError(f"{where} must be an object")
+        image_id = _json_field(rec, "id", int, where)
+        objects = []
+        for j, o in enumerate(_json_field(rec, "objects", list, where)):
+            at = f"{where}.objects[{j}]"
+            if not isinstance(o, dict):
+                raise ValueError(f"{at} must be an object")
+            category = _json_field(o, "category", str, at)
+            bbox = _json_field(o, "bbox", list, at)
+            if len(bbox) != 4:
+                raise ValueError(f"{at}.bbox must be 4 numbers [x, y, w, h], got {bbox!r}")
+            if all(_is_number(v) for v in bbox):
+                x, y, w, h = map(float, bbox)
+                bbox = [x, y, x + w, y + h]
+            objects.append((category, _json_box(f"{at}.bbox", bbox, label=category)))
         scenes.append(
             Scene(
-                image_id=rec["id"],
-                resolution=rec.get("resolution", 64),
-                objects=objects,
-                clutter_density=rec.get("clutter_density", 0.0),
-                seed=rec.get("seed", rec["id"]),
-                n_categories=rec.get("n_categories", 8),
+                image_id=image_id,
+                resolution=_json_field(rec, "resolution", int, where, 64),
+                objects=tuple(objects),
+                clutter_density=_json_field(rec, "clutter_density", float, where, 0.0),
+                seed=_json_field(rec, "seed", int, where, image_id),
+                n_categories=_json_field(rec, "n_categories", int, where, 8),
             )
         )
-    proposals = {
-        int(k): [Box.from_json(b) for b in v] for k, v in obj.get("proposals", {}).items()
-    }
+    proposals = {}
+    for key, boxes in _json_field(obj, "proposals", dict, "scene file", {}).items():
+        where = f"proposals[{key!r}]"
+        try:
+            image_id = int(key)
+        except ValueError:
+            raise ValueError(f"{where}: the key must be an image id") from None
+        if not isinstance(boxes, list):
+            raise ValueError(f"{where} must be a list of boxes")
+        proposals[image_id] = []
+        for i, b in enumerate(boxes):
+            at = f"{where}[{i}]"
+            if not isinstance(b, list) or not 4 <= len(b) <= 6:
+                raise ValueError(f"{at} must be a list [x1, y1, x2, y2, score?, label?], got {b!r}")
+            score, label = (b[4:] + [None, None])[:2]
+            if not (score is None or _is_number(score)) or not (label is None or isinstance(label, str)):
+                raise ValueError(f"{at} score must be a number and label a string, got {b[4:]!r}")
+            proposals[image_id].append(_json_box(at, b[:4], score, label))
     return scenes, proposals

@@ -32,11 +32,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ExperimentConfig
-from .gridops import FeatureMap, Kernel, NonFiniteError, conv2d, conv2d_backward
-from .pyramid import SimpleFPParams, aux_fuse, aux_fuse_backward, simple_fp, simple_fp_backward
+from .gridops import NonFiniteError
+from .pyramid import (
+    aux_fuse_pooled,
+    aux_fuse_pooled_backward,
+    aux_fuse_taps,
+    simple_fp_init,
+    simple_fp_pooled,
+    simple_fp_pooled_backward,
+    simple_fp_taps,
+)
 from .regionenc import Connector, connector_backward, connector_forward, positional_embedding_matrix
 from .retrieval import CategoryQuery
-from .roialign import Box, pooled_apply, pooled_weights
+from .roialign import Box, apply_taps, pooled_axis_weights, pooled_taps
 from .simworld import TrainingSample, make_training_set, toy_encode, vocabulary
 
 __all__ = [
@@ -66,11 +74,9 @@ GROUP_CONNECTOR = "connector"
 GROUP_NEW_VOCAB = "new_token_embeddings"
 GROUP_ORIG_VOCAB = "original_embeddings"
 
-_FP_BRANCHES = ("down", "same", "up2", "up4_a", "up4_b")
-
 
 class TrainingDivergence(RuntimeError):
-    """Raised when the loss, or a feature map or connector on the way to it,
+    """Raised when the loss, or the region features or connector on the way to it,
     stops being finite.  ``loss`` is None when no loss was computed."""
 
     def __init__(self, stage: int, step: int, loss: float | None = None, cause: str | None = None):
@@ -162,7 +168,7 @@ class FreezeSchedule:
         stage2 = set(base)
         if config.use_auxiliary and config.unfreeze_aux_stage2:
             stage2.add(GROUP_AUX)
-        if config.use_primary and config.unfreeze_primary:
+        if config.unfreeze_primary:
             stage2.add(GROUP_PRIMARY)
         return cls(frozenset(base), frozenset(stage2))
 
@@ -198,12 +204,7 @@ def init_model_params(config: ExperimentConfig, rng: np.random.Generator | None 
         aux[f"mix{level}_b"] = np.zeros(c_aux)
     groups[GROUP_AUX] = aux
 
-    fp = SimpleFPParams.seeded(c_pri, config.fp_channels, rng)
-    groups[GROUP_SIMPLEFP] = {}
-    for branch in _FP_BRANCHES:
-        k = fp.kernels[branch]
-        groups[GROUP_SIMPLEFP][f"{branch}_w"] = k.weights
-        groups[GROUP_SIMPLEFP][f"{branch}_b"] = k.bias
+    groups[GROUP_SIMPLEFP] = simple_fp_init(c_pri, config.fp_channels, rng)
 
     conn = Connector.seeded(config.d_total, config.d_llm, rng, hidden_dim=config.hidden_dim)
     groups[GROUP_CONNECTOR] = {"w1": conn.w1, "b1": conn.b1, "w2": conn.w2, "b2": conn.b2}
@@ -219,14 +220,22 @@ def init_model_params(config: ExperimentConfig, rng: np.random.Generator | None 
     return ModelParams(groups)
 
 
-def _kernel(groups: dict, group: str, name: str) -> Kernel:
-    w = groups[group][f"{name}_w"]
-    b = groups[group][f"{name}_b"]
-    return Kernel(w.shape[0], w.shape[1], w.shape[2], w.shape[3], w, b)
+def _with_ones(data: np.ndarray) -> np.ndarray:
+    """A (C, H, W) map with a constant-one channel appended, so that taps
+    of it carry a 1x1 mix's bias (:func:`_mix`)."""
+    return np.concatenate([data, np.ones((1,) + data.shape[1:])])
 
 
-def _fp_params(groups: dict) -> SimpleFPParams:
-    return SimpleFPParams({b: _kernel(groups, GROUP_SIMPLEFP, b) for b in _FP_BRANCHES})
+def _mix(group: dict[str, np.ndarray], name: str) -> np.ndarray:
+    """A 1x1 mix kernel as (out, in + 1), its bias the last column: it acts
+    on taps of a map with a ones channel appended."""
+    return np.concatenate([group[f"{name}_w"][:, :, 0, 0], group[f"{name}_b"][:, None]], axis=1)
+
+
+def _mix_grads(d_mix: np.ndarray, name: str) -> dict[str, np.ndarray]:
+    """Adjoint of :func:`_mix`: the gradient of an (out, in + 1) mix as
+    the group's weight and bias arrays."""
+    return {f"{name}_w": d_mix[:, :-1, None, None], f"{name}_b": d_mix[:, -1]}
 
 
 def _connector(groups: dict) -> Connector:
@@ -245,13 +254,19 @@ def model_queries(params: ModelParams, config: ExperimentConfig) -> list[Categor
 @dataclass
 class SampleStatic:
     """Everything about one sample that does not depend on the parameters:
-    rendered maps, cached pooling weights per map size, positional
-    embeddings, query indices, and targets."""
+    the pooled taps of its rendered maps, positional embeddings, query
+    indices, and targets.
+
+    ``primary_taps`` is :func:`pyramid.simple_fp_taps` of the primary map
+    with SimpleFP on, or the map's own (N, J) pooled taps with it off, and
+    None without the primary stream; ``aux_taps`` is
+    :func:`pyramid.aux_fuse_taps` of the auxiliary maps, or None.  Every
+    map carries a ones channel for its mix bias.
+    """
 
     boxes: list[Box]
-    last_map: FeatureMap
-    aux_maps: list[FeatureMap]
-    pool_w: dict[tuple[int, int], np.ndarray]
+    primary_taps: list[np.ndarray] | np.ndarray | None
+    aux_taps: list[np.ndarray] | None
     epos: np.ndarray
     query_idx: np.ndarray
     targets: np.ndarray
@@ -259,15 +274,24 @@ class SampleStatic:
 
 
 def prepare_sample(sample, config: ExperimentConfig) -> SampleStatic:
-    """Render and embed one scene with its proposals.
+    """Render one scene with its proposals and pool the maps into taps.
 
     ``sample`` is a :class:`TrainingSample`, or any scene-with-proposals
     (``.scene``, ``.proposals``) such as an eval scene, which has no
-    queries or targets.  Pooling weights fill in on first use, per size of
-    the maps the forward produces.
+    queries or targets.
     """
     last_map, aux_maps = toy_encode(sample.scene, config.encoder)
     boxes = list(sample.proposals)
+    primary_taps = aux_taps = None
+    if config.use_primary:
+        raw = _with_ones(last_map.data)
+        if config.use_simplefp:
+            primary_taps = simple_fp_taps(raw, boxes, config.roi)
+        else:
+            a_y, a_x = pooled_axis_weights(last_map.height, last_map.width, boxes, config.roi)
+            primary_taps = pooled_taps(raw, a_y[:, None], a_x[:, None])
+    if config.use_auxiliary:
+        aux_taps = aux_fuse_taps([_with_ones(m.data) for m in aux_maps], boxes, config.roi)
     if isinstance(sample, TrainingSample):
         index = {n: i for i, n in enumerate(vocabulary(config.n_categories))}
         query_idx = np.array([index[q] for q in sample.queries], dtype=int)
@@ -277,9 +301,8 @@ def prepare_sample(sample, config: ExperimentConfig) -> SampleStatic:
         targets = np.zeros((len(boxes), 0))
     return SampleStatic(
         boxes=boxes,
-        last_map=last_map,
-        aux_maps=aux_maps,
-        pool_w={},
+        primary_taps=primary_taps,
+        aux_taps=aux_taps,
         epos=positional_embedding_matrix(boxes, config.d_total),
         query_idx=query_idx,
         targets=targets,
@@ -287,46 +310,38 @@ def prepare_sample(sample, config: ExperimentConfig) -> SampleStatic:
     )
 
 
-def _pool_weights(s: SampleStatic, fmap: FeatureMap, config: ExperimentConfig) -> np.ndarray:
-    key = (fmap.height, fmap.width)
-    if key not in s.pool_w:
-        s.pool_w[key] = pooled_weights(fmap.height, fmap.width, s.boxes, config.roi)
-    return s.pool_w[key]
-
-
 # ------------------------------------------------------------- forward
 
 @dataclass
 class _ForwardCache:
-    fp: SimpleFPParams | None = None
-    mixed_pri: FeatureMap | None = None
-    levels: list[FeatureMap] = field(default_factory=list)
-    mixed_aux: list[FeatureMap] | None = None
-    fused: FeatureMap | None = None
-    features: np.ndarray | None = None
-    tokens: np.ndarray | None = None
+    mix: np.ndarray | None  # the primary mix as (out, in + 1)
+    aux_mixes: list[np.ndarray] | None
+    connector: Connector
+    features: np.ndarray
+    tokens: np.ndarray
 
 
 def _forward(params: ModelParams, s: SampleStatic, config: ExperimentConfig) -> _ForwardCache:
+    """Pooled features as contractions of the sample's taps with effective
+    kernels, then the connector.  No feature map is built."""
     g = params.groups
-    cache = _ForwardCache()
-    pooled_maps = []
+    parts = []
+    mix = aux_mixes = None
     if config.use_primary:
-        cache.mixed_pri = conv2d(s.last_map, _kernel(g, GROUP_PRIMARY, "mix"))
+        mix = _mix(g[GROUP_PRIMARY], "mix")
         if config.use_simplefp:
-            cache.fp = _fp_params(g)
-            cache.levels = simple_fp(cache.mixed_pri, cache.fp)
+            parts += simple_fp_pooled(s.primary_taps, mix, g[GROUP_SIMPLEFP])
         else:
-            cache.levels = [cache.mixed_pri]
-        pooled_maps += cache.levels
+            parts.append(apply_taps(s.primary_taps, mix))
     if config.use_auxiliary:
-        cache.mixed_aux = [conv2d(m, _kernel(g, GROUP_AUX, f"mix{i}")) for i, m in enumerate(s.aux_maps)]
-        cache.fused = aux_fuse(cache.mixed_aux)
-        pooled_maps.append(cache.fused)
-    parts = [pooled_apply(_pool_weights(s, m, config), m.data) for m in pooled_maps]
-    cache.features = np.concatenate(parts, axis=1) + s.epos
-    cache.tokens = connector_forward(_connector(g), cache.features)
-    return cache
+        aux_mixes = [_mix(g[GROUP_AUX], f"mix{i}") for i in range(4)]
+        parts.append(aux_fuse_pooled(s.aux_taps, aux_mixes))
+    features = np.concatenate(parts, axis=1) + s.epos
+    if not np.isfinite(features).all():
+        n, d = features.shape
+        raise NonFiniteError(f"{n}x{d} region feature matrix contains non-finite values")
+    conn = _connector(g)
+    return _ForwardCache(mix, aux_mixes, conn, features, connector_forward(conn, features))
 
 
 def region_token_matrix(params: ModelParams, s: SampleStatic, config: ExperimentConfig) -> np.ndarray:
@@ -376,37 +391,23 @@ def loss_and_grads(
         return loss, grads
 
     d_tokens = d_logits @ queries
-    conn_grads, d_feats = connector_backward(_connector(g), cache.features, d_tokens)
+    conn_grads, d_feats = connector_backward(cache.connector, cache.features, d_tokens)
     if GROUP_CONNECTOR in want:
         grads[GROUP_CONNECTOR] = conn_grads
 
-    def d_map(fmap: FeatureMap, col: int) -> np.ndarray:
-        """Adjoint of pooling ``fmap`` into feature columns col:col+C."""
-        d_pool = d_feats[:, col : col + fmap.channels]
-        return (d_pool.T @ s.pool_w[(fmap.height, fmap.width)]).reshape(fmap.shape)
-
-    cols = np.cumsum([0] + [level.channels for level in cache.levels])
-    d_mixed_pri = None
-    if cache.levels and want & {GROUP_SIMPLEFP, GROUP_PRIMARY}:
-        d_levels = [d_map(level, col) for level, col in zip(cache.levels, cols)]
+    if config.use_primary and want & {GROUP_SIMPLEFP, GROUP_PRIMARY}:
         if config.use_simplefp:
-            branch_grads, d_mixed_pri = simple_fp_backward(cache.mixed_pri, cache.fp, d_levels)
-            fp_grads = grads[GROUP_SIMPLEFP] = {}
-            for branch, (d_w, d_b) in branch_grads.items():
-                fp_grads[f"{branch}_w"], fp_grads[f"{branch}_b"] = d_w, d_b
+            w = config.fp_channels
+            d_levels = [d_feats[:, k * w : (k + 1) * w] for k in range(4)]
+            grads[GROUP_SIMPLEFP], d_mix = simple_fp_pooled_backward(
+                s.primary_taps, cache.mix, g[GROUP_SIMPLEFP], d_levels
+            )
         else:
-            d_mixed_pri = d_levels[0]
-    if cache.fused is not None and GROUP_AUX in want:
-        d_mixed_aux = aux_fuse_backward(cache.mixed_aux, d_map(cache.fused, cols[-1]))
-        aux_grads = {}
-        for i, d_mixed in enumerate(d_mixed_aux):
-            d_w, d_b, _ = conv2d_backward(s.aux_maps[i], _kernel(g, GROUP_AUX, f"mix{i}"), d_mixed)
-            aux_grads[f"mix{i}_w"], aux_grads[f"mix{i}_b"] = d_w, d_b
-        grads[GROUP_AUX] = aux_grads
-
-    if GROUP_PRIMARY in want and d_mixed_pri is not None:
-        d_w, d_b, _ = conv2d_backward(s.last_map, _kernel(g, GROUP_PRIMARY, "mix"), d_mixed_pri)
-        grads[GROUP_PRIMARY] = {"mix_w": d_w, "mix_b": d_b}
+            d_mix = d_feats[:, : config.d_p].T @ s.primary_taps
+        grads[GROUP_PRIMARY] = _mix_grads(d_mix, "mix")
+    if config.use_auxiliary and GROUP_AUX in want:
+        d_mixes = aux_fuse_pooled_backward(s.aux_taps, cache.aux_mixes, d_feats[:, config.d_p :])
+        grads[GROUP_AUX] = {k: v for i, d in enumerate(d_mixes) for k, v in _mix_grads(d, f"mix{i}").items()}
 
     # requested groups with no path into this config's loss get zero grads;
     # groups touched only to reach an input gradient are dropped

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regionkit.metrics import box_recall, iou
 from regionkit.roialign import Box, roi_align_pooled
@@ -267,6 +269,85 @@ def test_scene_json_round_trip():
             assert abs(b1.x1 - b2.x1) < 1e-12 and abs(b1.y2 - b2.y2) < 1e-12
     for img, props in proposals.items():
         assert [p.to_json() for p in back_props[img]] == [p.to_json() for p in props]
+
+
+def _valid_scene_blob():
+    scenes = [generate_scene(s, SceneConfig()) for s in (1, 2)]
+    proposals = {s.image_id: simulate_opn(s, ProposalSimConfig(), seed=s.image_id) for s in scenes}
+    return scenes_to_json(scenes, proposals)
+
+
+def _first_object(blob):
+    return blob["images"][0]["objects"][0]
+
+
+def _first_proposals(blob):
+    return next(iter(blob["proposals"].values()))
+
+
+# each fault edits a valid document in place
+_MALFORMED_SCENES = {
+    "no images": lambda blob: blob.pop("images"),
+    "images not a list": lambda blob: blob.update(images={"0": blob["images"][0]}),
+    "image not an object": lambda blob: blob["images"].__setitem__(0, [1, 2]),
+    "no id": lambda blob: blob["images"][0].pop("id"),
+    "string id": lambda blob: blob["images"][0].update(id="1"),
+    "no objects": lambda blob: blob["images"][0].pop("objects"),
+    "no bbox": lambda blob: _first_object(blob).pop("bbox"),
+    "no category": lambda blob: _first_object(blob).pop("category"),
+    "short bbox": lambda blob: _first_object(blob)["bbox"].pop(),
+    "long bbox": lambda blob: _first_object(blob)["bbox"].append(0.1),
+    "bbox not a list": lambda blob: _first_object(blob).update(bbox="0 0 1 1"),
+    "string coordinate": lambda blob: _first_object(blob)["bbox"].__setitem__(1, "0.2"),
+    "null coordinate": lambda blob: _first_object(blob)["bbox"].__setitem__(2, None),
+    "list coordinate": lambda blob: _first_object(blob)["bbox"].__setitem__(0, [0.1]),
+    "bool coordinate": lambda blob: _first_object(blob)["bbox"].__setitem__(0, True),
+    "negative width": lambda blob: _first_object(blob)["bbox"].__setitem__(2, -0.5),
+    "string proposal coordinate": lambda blob: _first_proposals(blob)[0].__setitem__(0, "x"),
+    "short proposal": lambda blob: _first_proposals(blob).__setitem__(0, [0.1, 0.2]),
+    "proposal key not an id": lambda blob: blob["proposals"].update(abc=[]),
+}
+
+
+@pytest.mark.parametrize("document", [[], "scenes", 3, None])
+def test_scene_json_rejects_non_object(document):
+    with pytest.raises(ValueError, match="JSON object"):
+        scenes_from_json(document)
+
+
+@pytest.mark.parametrize("fault", sorted(_MALFORMED_SCENES))
+def test_scene_json_rejects_malformed_input(fault):
+    blob = _valid_scene_blob()
+    _MALFORMED_SCENES[fault](blob)
+    with pytest.raises(ValueError):
+        scenes_from_json(blob)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _json_paths(node, path=()):
+    """Every (container, key) position in a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield node, key
+        yield from _json_paths(child, path + (key,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), value=_JSON)
+def test_scene_json_any_value_loads_or_raises_value_error(data, value):
+    blob = _valid_scene_blob()
+    container, key = data.draw(st.sampled_from(list(_json_paths(blob))))
+    container[key] = value
+    try:
+        scenes_from_json(blob)
+    except ValueError:
+        pass
 
 
 def test_proposal_config_validation():

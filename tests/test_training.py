@@ -7,12 +7,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from regionkit import experiments, gridops, pyramid, roialign, training
 from regionkit.config import ExperimentConfig
 from regionkit.experiments import evaluate_retrieval, make_eval_scenes
-from regionkit.gridops import Kernel, conv2d
-from regionkit.pyramid import SimpleFPParams, aux_fuse, simple_fp
-from regionkit.regionenc import Connector, connector_forward, positional_embedding_matrix
-from regionkit.roialign import roi_align_pooled
+from regionkit.gridops import Kernel, conv2d, conv2d_backward
+from regionkit.pyramid import SimpleFPParams, aux_fuse, aux_fuse_backward, simple_fp, simple_fp_backward
+from regionkit.regionenc import Connector, connector_backward, connector_forward, positional_embedding_matrix
+from regionkit.roialign import RoiConfig, pooled_weights, roi_align_pooled
 from regionkit.simworld import EncoderConfig, make_training_set, toy_encode
 from regionkit.training import (
     GROUP_AUX,
@@ -26,8 +27,8 @@ from regionkit.training import (
     TrainingDivergence,
     grad_check,
     init_model_params,
+    loss_and_grads,
     prepare_sample,
-    region_token_matrix,
     train,
 )
 
@@ -73,6 +74,7 @@ def test_config_requires_a_stream(tiny_config):
         ("primary_resolution", lambda cfg: cfg.replace(encoder=EncoderConfig(primary_resolution=0))),
         ("encoder.primary_resolution", lambda cfg: cfg.replace(encoder=EncoderConfig(primary_resolution=3))),
         ("use_simplefp", lambda cfg: cfg.replace(use_primary=False, use_simplefp=True)),
+        ("unfreeze_primary", lambda cfg: cfg.replace(use_primary=False, use_simplefp=False, unfreeze_primary=True)),
     ],
 )
 def test_unusable_config_rejected_naming_field(tiny_config, field, build):
@@ -154,17 +156,23 @@ def test_params_json_rejects_malformed_groups(blob):
         ModelParams.from_json(blob)
 
 
-@pytest.mark.parametrize("variant", sorted(VARIANTS))
-def test_training_forward_equals_oracle_composition(tiny_config, variant):
-    cfg = tiny_config.replace(**VARIANTS[variant])
-    params = init_model_params(cfg)
-    rng = np.random.default_rng(11)
-    for arrs in params.groups.values():  # move off the identity mixes
-        for arr in arrs.values():
-            arr += rng.normal(0.0, 0.1, size=arr.shape)
-    sample = make_training_set(1, 0.0, seed=5, scene_config=cfg.world, proposal_config=cfg.proposals)[0]
-    tokens = region_token_matrix(params, prepare_sample(sample, cfg), cfg)
+# the factored forward against the dense maps: every variant, the primary
+# unfreeze switch, odd map sizes and a non-default pooling grid
+ORACLE_CASES = {
+    **VARIANTS,
+    "unfreeze_primary": {"unfreeze_primary": True},
+    "primary_resolution_5": {"encoder": EncoderConfig(primary_resolution=5, aux_base_resolution=16)},
+    "primary_resolution_9": {"encoder": EncoderConfig(primary_resolution=9, aux_base_resolution=16)},
+    "aux_base_resolution_12": {"encoder": EncoderConfig(primary_resolution=8, aux_base_resolution=12)},
+    "roi_3x3": {"roi": RoiConfig(pool_size=3, sampling_ratio=3)},
+}
+_BRANCHES = ("down", "same", "up2", "up4_a", "up4_b")
 
+
+def dense_oracle(params, sample, s, cfg):
+    """(loss, features, grads) through dense maps: simple_fp / aux_fuse ->
+    roi_align_pooled forward; simple_fp_backward / aux_fuse_backward /
+    conv2d_backward and the pooling-weight adjoint backward."""
     g = params.groups
 
     def kernel(group, name):
@@ -173,22 +181,94 @@ def test_training_forward_equals_oracle_composition(tiny_config, variant):
 
     last_map, aux_maps = toy_encode(sample.scene, cfg.encoder)
     boxes = list(sample.proposals)
-    pooled = []
+    maps = []
     if cfg.use_primary:
         mixed = conv2d(last_map, kernel(GROUP_PRIMARY, "mix"))
-        levels = [mixed]
-        if cfg.use_simplefp:
-            branches = ("down", "same", "up2", "up4_a", "up4_b")
-            fp = SimpleFPParams({b: kernel(GROUP_SIMPLEFP, b) for b in branches})
-            levels = simple_fp(mixed, fp)
-        pooled += [roi_align_pooled(level, boxes, cfg.roi) for level in levels]
+        fp = SimpleFPParams({b: kernel(GROUP_SIMPLEFP, b) for b in _BRANCHES})
+        maps += simple_fp(mixed, fp) if cfg.use_simplefp else [mixed]
     if cfg.use_auxiliary:
-        fused = aux_fuse([conv2d(m, kernel(GROUP_AUX, f"mix{i}")) for i, m in enumerate(aux_maps)])
-        pooled.append(roi_align_pooled(fused, boxes, cfg.roi))
+        mixed_aux = [conv2d(m, kernel(GROUP_AUX, f"mix{i}")) for i, m in enumerate(aux_maps)]
+        maps.append(aux_fuse(mixed_aux))
+    pooled = [roi_align_pooled(m, boxes, cfg.roi) for m in maps]
     features = np.concatenate(pooled, axis=1) + positional_embedding_matrix(boxes, cfg.d_total)
     c = g[GROUP_CONNECTOR]
-    expected = connector_forward(Connector(c["w1"], c["b1"], c["w2"], c["b2"]), features)
-    assert np.array_equal(tokens, expected)
+    conn = Connector(c["w1"], c["b1"], c["w2"], c["b2"])
+    queries = g[GROUP_NEW_VOCAB]["queries"][s.query_idx]
+    logits = connector_forward(conn, features) @ queries.T
+    loss = float(np.sum(np.maximum(logits, 0.0) - logits * s.targets + np.log1p(np.exp(-np.abs(logits)))))
+    d_logits = 1.0 / (1.0 + np.exp(-logits)) - s.targets
+    grads = {}
+    grads[GROUP_CONNECTOR], d_feats = connector_backward(conn, features, d_logits @ queries)
+    cols = np.cumsum([0] + [m.channels for m in maps])
+    d_maps = [
+        (d_feats[:, c0:c1].T @ pooled_weights(m.height, m.width, boxes, cfg.roi)).reshape(m.shape)
+        for m, c0, c1 in zip(maps, cols[:-1], cols[1:])
+    ]
+    if cfg.use_primary:
+        d_mixed = d_maps[0]
+        if cfg.use_simplefp:
+            branch_grads, d_mixed = simple_fp_backward(mixed, fp, d_maps[:4])
+            grads[GROUP_SIMPLEFP] = {f"{b}_{k}": d for b, ds in branch_grads.items() for k, d in zip("wb", ds)}
+        d_w, d_b, _ = conv2d_backward(last_map, kernel(GROUP_PRIMARY, "mix"), d_mixed)
+        grads[GROUP_PRIMARY] = {"mix_w": d_w, "mix_b": d_b}
+    if cfg.use_auxiliary:
+        grads[GROUP_AUX] = {}
+        for i, d in enumerate(aux_fuse_backward(mixed_aux, d_maps[-1])):
+            d_w, d_b, _ = conv2d_backward(aux_maps[i], kernel(GROUP_AUX, f"mix{i}"), d)
+            grads[GROUP_AUX][f"mix{i}_w"], grads[GROUP_AUX][f"mix{i}_b"] = d_w, d_b
+    return loss, features, grads
+
+
+def assert_rel_close(got, want, what):
+    scale = max(np.max(np.abs(want)), np.finfo(float).tiny)
+    assert got.shape == want.shape, what
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale, what
+
+
+@pytest.mark.parametrize("variant", sorted(ORACLE_CASES))
+def test_training_forward_equals_oracle_composition(tiny_config, variant):
+    """Pooled-tap features, loss and the gradient of every group with a path
+    into the loss equal the dense oracle to 1e-12 relative."""
+    cfg = tiny_config.replace(**ORACLE_CASES[variant])
+    params = init_model_params(cfg)
+    rng = np.random.default_rng(11)
+    for arrs in params.groups.values():  # move off the identity mixes
+        for arr in arrs.values():
+            arr += rng.normal(0.0, 0.1, size=arr.shape)
+    for seed in (5, 6):
+        sample = make_training_set(1, 0.5, seed=seed, scene_config=cfg.world, proposal_config=cfg.proposals)[0]
+        s = prepare_sample(sample, cfg)
+        loss, features, want = dense_oracle(params, sample, s, cfg)
+        assert_rel_close(training._forward(params, s, cfg).features, features, "features")
+        got_loss, got = loss_and_grads(params, s, cfg, frozenset(want))
+        assert abs(got_loss - loss) <= 1e-12 * abs(loss)
+        assert set(got) == set(want)
+        for group, arrs in want.items():
+            assert set(got[group]) == set(arrs)
+            for name, arr in arrs.items():
+                assert_rel_close(got[group][name], arr, f"{group}/{name}")
+
+
+_DENSE_OPS = (
+    "conv2d", "deconv2d", "bilinear_resize", "conv2d_backward", "deconv2d_backward",
+    "bilinear_resize_grad", "pooled_apply",
+)
+
+
+def test_dense_ops_stay_off_the_hot_path(tiny_config, monkeypatch):
+    """Training and evaluation run on pooled taps: they finish with every
+    dense map op raising wherever the package binds it."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a dense map op ran on the training or evaluation path")
+
+    for module in (gridops, roialign, pyramid, training, experiments):
+        for name in _DENSE_OPS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    params, _ = train(tiny_config)
+    report = evaluate_retrieval(params, make_eval_scenes(tiny_config), tiny_config)
+    assert 0.0 <= report.ap_mean <= 1.0
 
 
 # --------------------------------------------------------------- training
@@ -249,13 +329,13 @@ def test_divergence_raises_with_diagnostic(tiny_config):
     assert exc_info.value.stage == 1
     assert exc_info.value.step > 0
 
-    # a step this large overflows a feature map before any loss exists
+    # a step this large overflows the region features before any loss exists
     with pytest.raises(TrainingDivergence) as exc_info:
         train(cfg.replace(stage1_lr=1e300))
     err = exc_info.value
     assert err.stage == 1 and err.step > 0
     assert err.loss is None
-    assert "FeatureMap contains non-finite values" in str(err)
+    assert "region feature matrix contains non-finite values" in str(err)
     assert "loss" not in str(err)
 
 
@@ -349,6 +429,28 @@ def test_config_json_rejects_malformed_input_naming_field(tiny_config, data, fau
         key = data.draw(st.sampled_from(sorted(k for k in where if k not in _SECTIONS)))
         where[key], field = data.draw(_wrong_values(where[key])), prefix + key
     with pytest.raises(ValueError, match=re.escape(field)):
+        ExperimentConfig.from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"world": {"min_objects": 9}}, "world.min_objects"),
+        ({"world": {"min_objects": -1}}, "world.min_objects"),
+        ({"world": {"min_size": 0.5}}, "world.min_size"),
+        ({"world": {"max_size": 1.5}}, "world.max_size"),
+        ({"encoder": {"primary_resolution": 0}}, "encoder.primary_resolution"),
+        ({"roi": {"pool_size": 0}}, "roi.pool_size"),
+        ({"d_llm": 0}, "d_llm"),
+        ({"fp_channels": 0}, "fp_channels"),
+        ({"connector_hidden": 0}, "connector_hidden"),
+        ({"stage1_lr": 0}, "stage1_lr"),
+        ({"stage2_lr": -1e-5}, "stage2_lr"),
+        ({"stage2_steps": -1}, "stage2_steps"),
+    ],
+)
+def test_config_json_range_errors_name_field(doc, field):
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)}\b"):
         ExperimentConfig.from_json(doc)
 
 
