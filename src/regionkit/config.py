@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import typing
 from dataclasses import dataclass, field
 
-from .roialign import RoiConfig
+from .roialign import RoiConfig, is_json_number
 from .simworld import EncoderConfig, ProposalSimConfig, SceneConfig
 
 __all__ = ["ExperimentConfig"]
@@ -187,7 +186,7 @@ def _json_value(value, hint, name: str):
             raise ValueError(f"config field {name} must be a list, got {value!r}")
         return tuple(_json_value(v, typing.get_args(hint)[0], name) for v in value)
     if hint is float:
-        ok = type(value) is int or (type(value) is float and math.isfinite(value))
+        ok = is_json_number(value)
         want = "a finite number"
     else:
         ok = type(value) is hint

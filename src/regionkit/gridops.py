@@ -28,7 +28,6 @@ __all__ = [
     "FeatureMap",
     "NonFiniteError",
     "Kernel",
-    "uniform_init",
     "bilinear_resize",
     "resize_matrix",
     "conv2d",
@@ -84,16 +83,6 @@ class FeatureMap:
         return (self.channels, self.height, self.width)
 
 
-def uniform_init(shape: tuple[int, int, int, int], rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """(weights, bias) of an (out, in, kh, kw) kernel drawn uniform in
-    [-1/sqrt(fan_in), +1/sqrt(fan_in)], fan_in = in*kh*kw: weights first."""
-    out_channels, in_channels, k_h, k_w = shape
-    bound = 1.0 / np.sqrt(in_channels * k_h * k_w)
-    w = rng.uniform(-bound, bound, size=shape)
-    b = rng.uniform(-bound, bound, size=out_channels)
-    return w, b
-
-
 @dataclass
 class Kernel:
     """Convolution weights (out_channels, in_channels, k_h, k_w) plus bias."""
@@ -127,7 +116,9 @@ class Kernel:
         cls, out_channels: int, in_channels: int, k_h: int, k_w: int, rng: np.random.Generator
     ) -> "Kernel":
         """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)], fan_in = in*kh*kw."""
-        w, b = uniform_init((out_channels, in_channels, k_h, k_w), rng)
+        bound = 1.0 / np.sqrt(in_channels * k_h * k_w)
+        w = rng.uniform(-bound, bound, size=(out_channels, in_channels, k_h, k_w))
+        b = rng.uniform(-bound, bound, size=out_channels)
         return cls(out_channels, in_channels, k_h, k_w, w, b)
 
     @classmethod

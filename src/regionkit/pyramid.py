@@ -46,13 +46,11 @@ from .gridops import (
     deconv2d,
     deconv2d_backward,
     resize_matrix,
-    uniform_init,
 )
 from .roialign import Box, RoiConfig, apply_taps, pooled_axis_weights, pooled_taps
 
 __all__ = [
     "SimpleFPParams",
-    "simple_fp_init",
     "simple_fp",
     "simple_fp_backward",
     "aux_fuse",
@@ -81,24 +79,15 @@ class SimpleFPParams:
 
     @classmethod
     def seeded(cls, in_channels: int, fp_channels: int, rng: np.random.Generator) -> "SimpleFPParams":
-        a = simple_fp_init(in_channels, fp_channels, rng)
-        return cls({b: Kernel(*a[f"{b}_w"].shape, a[f"{b}_w"], a[f"{b}_b"]) for b in _BRANCHES})
-
-
-def simple_fp_init(in_channels: int, fp_channels: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Seeded branch arrays by name (``down_w``, ``down_b``, ...), drawn branch
-    by branch with :func:`gridops.uniform_init`."""
-    shapes = {
-        "down": (fp_channels, in_channels, 3, 3),
-        "same": (fp_channels, in_channels, 1, 1),
-        "up2": (fp_channels, in_channels, 2, 2),
-        "up4_a": (fp_channels, in_channels, 2, 2),
-        "up4_b": (fp_channels, fp_channels, 2, 2),
-    }
-    arrays = {}
-    for branch in _BRANCHES:
-        arrays[f"{branch}_w"], arrays[f"{branch}_b"] = uniform_init(shapes[branch], rng)
-    return arrays
+        return cls(
+            {
+                "down": Kernel.seeded_uniform(fp_channels, in_channels, 3, 3, rng),
+                "same": Kernel.seeded_uniform(fp_channels, in_channels, 1, 1, rng),
+                "up2": Kernel.seeded_uniform(fp_channels, in_channels, 2, 2, rng),
+                "up4_a": Kernel.seeded_uniform(fp_channels, in_channels, 2, 2, rng),
+                "up4_b": Kernel.seeded_uniform(fp_channels, fp_channels, 2, 2, rng),
+            }
+        )
 
 
 def simple_fp(last_map: FeatureMap, params: SimpleFPParams) -> list[FeatureMap]:

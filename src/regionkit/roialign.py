@@ -19,6 +19,7 @@ training forward pools without building any level map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,16 @@ __all__ = [
     "pooled_taps",
     "apply_taps",
 ]
+
+
+def is_json_number(value) -> bool:
+    """A finite JSON number: an int or a float, not a bool, that a float holds."""
+    if type(value) not in (int, float):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 @dataclass(frozen=True)
@@ -84,10 +95,20 @@ class Box:
 
     @classmethod
     def from_json(cls, obj: list) -> "Box":
-        x1, y1, x2, y2 = obj[:4]
-        score = obj[4] if len(obj) > 4 else None
-        label = obj[5] if len(obj) > 5 else None
-        return cls(x1, y1, x2, y2, score, label)
+        """Inverse of :meth:`to_json`: ``[x1, y1, x2, y2, score?, label?]``.
+
+        Anything else (a wrong length, a coordinate or score that is not a
+        finite number, a label that is not a string, or a box the checks
+        above reject) raises ValueError.
+        """
+        if not isinstance(obj, list) or not 4 <= len(obj) <= 6:
+            raise ValueError(f"a box must be a list [x1, y1, x2, y2, score?, label?], got {obj!r}")
+        if not all(is_json_number(v) for v in obj[:4]):
+            raise ValueError(f"box coordinates must be finite numbers, got {obj[:4]!r}")
+        score, label = (obj[4:] + [None, None])[:2]
+        if not (score is None or is_json_number(score)) or not (label is None or isinstance(label, str)):
+            raise ValueError(f"box score must be a number and label a string, got {obj[4:]!r}")
+        return cls(*obj[:4], score, label)
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,13 @@ here is replayable bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .gridops import FeatureMap
 from .metrics import iou
-from .roialign import Box
+from .roialign import Box, is_json_number
 
 __all__ = [
     "CATEGORY_WORDS",
@@ -427,16 +426,6 @@ def scenes_to_json(scenes: list[Scene], proposals: dict[int, list[Box]] | None =
     return out
 
 
-def _is_number(value) -> bool:
-    """A finite JSON number (bools are not numbers)."""
-    if type(value) not in (int, float):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
 def _json_field(rec: dict, key: str, kind: type, where: str, default=None):
     """``rec[key]`` checked to be a ``kind`` (``float``: any finite number);
     ``default`` when absent, unless that is None."""
@@ -445,21 +434,10 @@ def _json_field(rec: dict, key: str, kind: type, where: str, default=None):
             raise ValueError(f"{where} has no {key!r}")
         return default
     value = rec[key]
-    if not (_is_number(value) if kind is float else type(value) is kind):
+    if not (is_json_number(value) if kind is float else type(value) is kind):
         want = "a finite number" if kind is float else kind.__name__
         raise ValueError(f"{where}.{key} must be {want}, got {value!r}")
     return value
-
-
-def _json_box(where: str, coords, score=None, label=None) -> Box:
-    """A Box from four JSON numbers (x1, y1, x2, y2); a box that
-    :class:`Box` rejects raises ValueError naming ``where``."""
-    if not all(_is_number(v) for v in coords):
-        raise ValueError(f"{where} coordinates must be finite numbers, got {coords!r}")
-    try:
-        return Box(*coords, score=score, label=label)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
 
 
 def scenes_from_json(obj: dict) -> tuple[list[Scene], dict[int, list[Box]]]:
@@ -485,12 +463,13 @@ def scenes_from_json(obj: dict) -> tuple[list[Scene], dict[int, list[Box]]]:
                 raise ValueError(f"{at} must be an object")
             category = _json_field(o, "category", str, at)
             bbox = _json_field(o, "bbox", list, at)
-            if len(bbox) != 4:
-                raise ValueError(f"{at}.bbox must be 4 numbers [x, y, w, h], got {bbox!r}")
-            if all(_is_number(v) for v in bbox):
-                x, y, w, h = map(float, bbox)
-                bbox = [x, y, x + w, y + h]
-            objects.append((category, _json_box(f"{at}.bbox", bbox, label=category)))
+            if len(bbox) != 4 or not all(is_json_number(v) for v in bbox):
+                raise ValueError(f"{at}.bbox must be 4 finite numbers [x, y, w, h], got {bbox!r}")
+            x, y, w, h = map(float, bbox)
+            try:
+                objects.append((category, Box(x, y, x + w, y + h, label=category)))
+            except ValueError as exc:
+                raise ValueError(f"{at}.bbox: {exc}") from None
         scenes.append(
             Scene(
                 image_id=image_id,
@@ -512,11 +491,8 @@ def scenes_from_json(obj: dict) -> tuple[list[Scene], dict[int, list[Box]]]:
             raise ValueError(f"{where} must be a list of boxes")
         proposals[image_id] = []
         for i, b in enumerate(boxes):
-            at = f"{where}[{i}]"
-            if not isinstance(b, list) or not 4 <= len(b) <= 6:
-                raise ValueError(f"{at} must be a list [x1, y1, x2, y2, score?, label?], got {b!r}")
-            score, label = (b[4:] + [None, None])[:2]
-            if not (score is None or _is_number(score)) or not (label is None or isinstance(label, str)):
-                raise ValueError(f"{at} score must be a number and label a string, got {b[4:]!r}")
-            proposals[image_id].append(_json_box(at, b[:4], score, label))
+            try:
+                proposals[image_id].append(Box.from_json(b))
+            except ValueError as exc:
+                raise ValueError(f"{where}[{i}]: {exc}") from None
     return scenes, proposals

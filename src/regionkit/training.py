@@ -34,10 +34,10 @@ import numpy as np
 from .config import ExperimentConfig
 from .gridops import NonFiniteError
 from .pyramid import (
+    SimpleFPParams,
     aux_fuse_pooled,
     aux_fuse_pooled_backward,
     aux_fuse_taps,
-    simple_fp_init,
     simple_fp_pooled,
     simple_fp_pooled_backward,
     simple_fp_taps,
@@ -204,7 +204,11 @@ def init_model_params(config: ExperimentConfig, rng: np.random.Generator | None 
         aux[f"mix{level}_b"] = np.zeros(c_aux)
     groups[GROUP_AUX] = aux
 
-    groups[GROUP_SIMPLEFP] = simple_fp_init(c_pri, config.fp_channels, rng)
+    fp = SimpleFPParams.seeded(c_pri, config.fp_channels, rng)
+    groups[GROUP_SIMPLEFP] = {}
+    for branch, k in fp.kernels.items():
+        groups[GROUP_SIMPLEFP][f"{branch}_w"] = k.weights
+        groups[GROUP_SIMPLEFP][f"{branch}_b"] = k.bias
 
     conn = Connector.seeded(config.d_total, config.d_llm, rng, hidden_dim=config.hidden_dim)
     groups[GROUP_CONNECTOR] = {"w1": conn.w1, "b1": conn.b1, "w2": conn.w2, "b2": conn.b2}

@@ -76,6 +76,28 @@ def test_box_json_round_trip():
     assert back == b
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        (0.1, 0.2, 0.5, 0.9),
+        [0.1, 0.2, 0.5],
+        [0.1, 0.2, 0.5, 0.9, 0.7, "car", 1],
+        [0.1, "0.2", 0.5, 0.9],
+        [True, 0.2, 0.5, 0.9],
+        [0.1, 0.2, None, 0.9],
+        [10**400, 0.2, 0.5, 0.9],
+        [0.1, 0.2, 0.5, float("nan")],
+        [0.1, 0.2, 0.5, 0.9, "high"],
+        [0.1, 0.2, 0.5, 0.9, 1.5],
+        [0.1, 0.2, 0.5, 0.9, 0.7, 3],
+        [0.5, 0.2, 0.1, 0.9],
+    ],
+)
+def test_box_from_json_rejects_malformed(obj):
+    with pytest.raises(ValueError):
+        Box.from_json(obj)
+
+
 # ------------------------------------------------------------ roi_align
 
 def test_constant_map_pools_to_constant():

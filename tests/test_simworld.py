@@ -302,6 +302,7 @@ _MALFORMED_SCENES = {
     "null coordinate": lambda blob: _first_object(blob)["bbox"].__setitem__(2, None),
     "list coordinate": lambda blob: _first_object(blob)["bbox"].__setitem__(0, [0.1]),
     "bool coordinate": lambda blob: _first_object(blob)["bbox"].__setitem__(0, True),
+    "int coordinate beyond float": lambda blob: _first_object(blob)["bbox"].__setitem__(0, 10**400),
     "negative width": lambda blob: _first_object(blob)["bbox"].__setitem__(2, -0.5),
     "string proposal coordinate": lambda blob: _first_proposals(blob)[0].__setitem__(0, "x"),
     "short proposal": lambda blob: _first_proposals(blob).__setitem__(0, [0.1, 0.2]),

@@ -454,6 +454,12 @@ def test_config_json_range_errors_name_field(doc, field):
         ExperimentConfig.from_json(doc)
 
 
+def test_config_json_float_field_rejects_int_beyond_float():
+    # the same number check as scenes_from_json and Box.from_json
+    with pytest.raises(ValueError, match="stage1_lr must be a finite number"):
+        ExperimentConfig.from_json({"stage1_lr": 10**400})
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), value=_JSON)
 def test_config_json_any_value_builds_or_raises_value_error(tiny_config, data, value):
