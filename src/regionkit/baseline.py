@@ -1,15 +1,18 @@
 """Coordinate-regression baseline.
 
 The comparison model embodies the generate-the-numbers paradigm: from a
-grid-pooled global primary feature it regresses K box slots directly, each
-slot carrying (cx, cy, w, h) through sigmoids, an objectness logit, and
-per-category logits.  Slots are assigned to ground-truth objects in a fixed
-reading order (sorted by coordinates), which is exactly the brittleness of
-emitting an ordered coordinate sequence: with several instances the slot
-that should own an object changes whenever any other object moves.
+grid-pooled global primary feature it regresses ``SLOTS`` box slots
+directly, each slot carrying (cx, cy, w, h) through sigmoids, an
+objectness logit, and per-category logits.  Slots are assigned to
+ground-truth objects in a fixed reading order (sorted by coordinates),
+which is exactly the brittleness of emitting an ordered coordinate
+sequence: with several instances the slot that should own an object
+changes whenever any other object moves.
 
-It trains with the same optimizer, learning-rate schedule, and step budget
-as the retrieval head so the head-to-head comparison is budget-matched.
+It is built from the retrieval head's parts, so the head-to-head
+comparison differs only in the paradigm: the connector MLP, the stable
+logistic and binary cross-entropy, the training scenes of ``train``, and
+its two-stage schedule of step budgets and learning rates.
 """
 
 from __future__ import annotations
@@ -20,65 +23,46 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .metrics import EvalReport, coco_map
-from .retrieval import Detection
+from .regionenc import Connector, connector_backward, connector_forward
+from .retrieval import Detection, logistic
 from .roialign import Box
-from .simworld import Scene, generate_scene, toy_encode, vocabulary
+from .simworld import Scene, toy_encode, vocabulary
+from .training import TrainingDivergence, bce_with_logits, seeded_training_set
 
 __all__ = ["BaselineHead", "init_baseline", "train_baseline", "decode_baseline", "regression_baseline_eval"]
 
+#: Regression slots per image.
+SLOTS = 8
+#: The primary map is average-pooled to a POOL x POOL grid.
+POOL = 8
 _BOX_LOSS_WEIGHT = 20.0
 
 
 @dataclass
 class BaselineHead:
-    """One hidden layer, then K regression slots of (4 box, 1 objectness, C category) outputs.
+    """The connector MLP from a pooled primary feature to ``SLOTS`` slots of
+    (4 box, 1 objectness, C category) outputs.
 
     Inputs are standardized with mean/std computed over the training
     features (stored on the head), the usual treatment for a small MLP
     regressor on raw pooled features.
     """
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    n_slots: int
+    mlp: Connector
     n_categories: int
-    pool_grid: int
-    feat_mean: np.ndarray = None
-    feat_std: np.ndarray = None
+    feat_mean: np.ndarray
+    feat_std: np.ndarray
     steps_trained: int = 0
-
-    def __post_init__(self):
-        dim = self.w1.shape[1]
-        if self.feat_mean is None:
-            self.feat_mean = np.zeros(dim)
-        if self.feat_std is None:
-            self.feat_std = np.ones(dim)
 
     def normalize(self, feat: np.ndarray) -> np.ndarray:
         return (feat - self.feat_mean) / self.feat_std
 
-    @property
-    def slot_width(self) -> int:
-        return 5 + self.n_categories
-
 
 def init_baseline(config: ExperimentConfig, rng: np.random.Generator) -> BaselineHead:
-    feat_dim = config.primary_channels * config.baseline_pool**2
-    hidden = config.hidden_dim
-    out_dim = config.baseline_slots * (5 + config.n_categories)
-    s1 = 1.0 / np.sqrt(feat_dim)
-    s2 = 1.0 / np.sqrt(hidden)
-    return BaselineHead(
-        w1=rng.uniform(-s1, s1, size=(hidden, feat_dim)),
-        b1=rng.uniform(-s1, s1, size=hidden),
-        w2=rng.uniform(-s2, s2, size=(out_dim, hidden)),
-        b2=rng.uniform(-s2, s2, size=out_dim),
-        n_slots=config.baseline_slots,
-        n_categories=config.n_categories,
-        pool_grid=config.baseline_pool,
-    )
+    """A seeded head with identity standardization."""
+    feat_dim = config.primary_channels * POOL**2
+    mlp = Connector.seeded(feat_dim, SLOTS * (5 + config.n_categories), rng, hidden_dim=config.d_llm)
+    return BaselineHead(mlp, config.n_categories, np.zeros(feat_dim), np.ones(feat_dim))
 
 
 def grid_pool(map_data: np.ndarray, grid: int) -> np.ndarray:
@@ -95,22 +79,12 @@ def grid_pool(map_data: np.ndarray, grid: int) -> np.ndarray:
 
 def scene_feature(scene: Scene, config: ExperimentConfig) -> np.ndarray:
     last_map, _ = toy_encode(scene, config.encoder)
-    return grid_pool(last_map.data, config.baseline_pool)
+    return grid_pool(last_map.data, POOL)
 
 
-def _forward(head: BaselineHead, feat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    hidden = np.tanh(head.w1 @ feat + head.b1)
-    out = head.w2 @ hidden + head.b2
-    return hidden, out.reshape(head.n_slots, head.slot_width)
-
-
-def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _forward(head: BaselineHead, feat: np.ndarray) -> np.ndarray:
+    """(SLOTS, 5 + C) slot outputs of a standardized feature."""
+    return connector_forward(head.mlp, feat).reshape(SLOTS, -1)
 
 
 def _slot_targets(scene: Scene, n_slots: int, n_categories: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -129,90 +103,65 @@ def _slot_targets(scene: Scene, n_slots: int, n_categories: int) -> tuple[np.nda
 
 
 def _loss_and_grads(head: BaselineHead, feat: np.ndarray, scene: Scene) -> tuple[float, dict[str, np.ndarray]]:
-    hidden, slots = _forward(head, feat)
-    box_t, obj_t, cat_t = _slot_targets(scene, head.n_slots, head.n_categories)
-    assigned = obj_t > 0
+    slots = _forward(head, feat)
+    box_t, obj_t, cat_t = _slot_targets(scene, SLOTS, head.n_categories)
+    assigned = (obj_t > 0)[:, None]
 
-    box_logits = slots[:, :4]
-    obj_logits = slots[:, 4]
-    cat_logits = slots[:, 5:]
-    box_pred = _stable_sigmoid(box_logits)
-    obj_p = _stable_sigmoid(obj_logits)
-    cat_p = _stable_sigmoid(cat_logits)
-
-    box_err = (box_pred - box_t) * assigned[:, None]
-    loss_box = _BOX_LOSS_WEIGHT * float(np.sum(box_err**2))
-    loss_obj = float(
-        np.sum(np.maximum(obj_logits, 0) - obj_logits * obj_t + np.log1p(np.exp(-np.abs(obj_logits))))
+    box_pred = logistic(slots[:, :4])
+    box_err = (box_pred - box_t) * assigned
+    loss = (
+        _BOX_LOSS_WEIGHT * float(np.sum(box_err**2))
+        + float(np.sum(bce_with_logits(slots[:, 4], obj_t)))
+        + float(np.sum(bce_with_logits(slots[:, 5:], cat_t) * assigned))
     )
-    cat_ce = np.maximum(cat_logits, 0) - cat_logits * cat_t + np.log1p(np.exp(-np.abs(cat_logits)))
-    loss_cat = float(np.sum(cat_ce * assigned[:, None]))
-    loss = loss_box + loss_obj + loss_cat
 
-    d_slots = np.zeros_like(slots)
+    d_slots = np.empty_like(slots)
     d_slots[:, :4] = (2.0 * _BOX_LOSS_WEIGHT) * box_err * box_pred * (1 - box_pred)
-    d_slots[:, 4] = obj_p - obj_t
-    d_slots[:, 5:] = (cat_p - cat_t) * assigned[:, None]
-
-    d_out = d_slots.ravel()
-    d_w2 = np.outer(d_out, hidden)
-    d_b2 = d_out
-    d_hidden = head.w2.T @ d_out
-    d_pre = d_hidden * (1 - hidden**2)
-    d_w1 = np.outer(d_pre, feat)
-    d_b1 = d_pre
-    return loss, {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}
+    d_slots[:, 4] = logistic(slots[:, 4]) - obj_t
+    d_slots[:, 5:] = (logistic(slots[:, 5:]) - cat_t) * assigned
+    grads, _ = connector_backward(head.mlp, feat, d_slots.reshape(1, -1))
+    return loss, grads
 
 
-def train_baseline(config: ExperimentConfig, scenes: list[Scene] | None = None) -> tuple[BaselineHead, list[float]]:
-    """Train with the retrieval head's exact step budget and learning rates."""
-    ss = np.random.SeedSequence(config.seed)
-    data_ss, param_ss = ss.spawn(2)
-    if scenes is None:
-        rng = np.random.default_rng(data_ss)
-        scenes = [
-            generate_scene(int(rng.integers(2**31)), config.world) for _ in range(config.n_train_scenes)
-        ]
-    head = init_baseline(config, np.random.default_rng(param_ss))
+def train_baseline(config: ExperimentConfig) -> tuple[BaselineHead, list[float]]:
+    """Train on the retrieval head's training scenes with its schedule."""
+    scenes = [sample.scene for sample in seeded_training_set(config)]
+    head = init_baseline(config, np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1]))
     raw = np.stack([scene_feature(s, config) for s in scenes])
     head.feat_mean = raw.mean(axis=0)
     head.feat_std = np.maximum(raw.std(axis=0), 1e-6)
     feats = [head.normalize(f) for f in raw]
     losses = []
-    step_counter = 0
-    for steps, lr in ((config.stage1_steps, config.stage1_lr), (config.stage2_steps, config.stage2_lr)):
+    for stage, steps, lr in config.stages:
         for _ in range(steps):
-            i = step_counter % len(scenes)
-            step_counter += 1
+            i = head.steps_trained % len(scenes)
+            head.steps_trained += 1
             loss, grads = _loss_and_grads(head, feats[i], scenes[i])
             if not np.isfinite(loss):
-                raise RuntimeError(f"baseline loss diverged at step {step_counter}")
-            head.w1 -= lr * grads["w1"]
-            head.b1 -= lr * grads["b1"]
-            head.w2 -= lr * grads["w2"]
-            head.b2 -= lr * grads["b2"]
+                raise TrainingDivergence(stage, head.steps_trained, loss)
+            for name, d in grads.items():
+                getattr(head.mlp, name)[...] -= lr * d
             losses.append(loss)
-    head.steps_trained = step_counter
     return head, losses
 
 
 def decode_baseline(head: BaselineHead, feat: np.ndarray, threshold: float) -> list[Detection]:
     """Slots above the objectness threshold become detections; ``feat`` is raw."""
-    _, slots = _forward(head, head.normalize(feat))
+    slots = _forward(head, head.normalize(feat))
     names = vocabulary(head.n_categories)
     out = []
-    for k in range(head.n_slots):
-        conf = float(_stable_sigmoid(slots[k, 4:5])[0])
+    for k, slot in enumerate(slots):
+        conf = float(logistic(slot[4:5])[0])
         if conf <= threshold:
             continue
-        cx, cy, w, h = _stable_sigmoid(slots[k, :4])
+        cx, cy, w, h = logistic(slot[:4])
         box = Box(
             float(np.clip(cx - w / 2, 0, 1)),
             float(np.clip(cy - h / 2, 0, 1)),
             float(np.clip(cx + w / 2, 0, 1)),
             float(np.clip(cy + h / 2, 0, 1)),
         )
-        label = names[int(np.argmax(slots[k, 5:]))]
+        label = names[int(np.argmax(slot[5:]))]
         out.append(Detection(box=box, label=label, confidence=conf, source_region=k))
     return out
 

@@ -153,7 +153,7 @@ def small_gradcheck_config() -> ExperimentConfig:
 
     return ExperimentConfig(
         seed=3,
-        world=SceneConfig(n_categories=4, min_objects=2, max_objects=3, resolution=16),
+        world=SceneConfig(n_categories=4, min_objects=2, max_objects=3),
         proposals=ProposalSimConfig(jitter_sigma=0.01, drop_rate=0.0, clutter_rate=1.0, max_proposals=8),
         encoder=EncoderConfig(primary_resolution=8, aux_base_resolution=16),
         fp_channels=2,

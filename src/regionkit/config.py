@@ -35,7 +35,6 @@ class ExperimentConfig:
 
     fp_channels: int = 8
     d_llm: int = 64
-    connector_hidden: int | None = None
 
     n_train_scenes: int = 200
     rejection_fraction: float = 0.2
@@ -50,10 +49,6 @@ class ExperimentConfig:
     use_auxiliary: bool = True
     use_simplefp: bool = True
     unfreeze_primary: bool = False
-    unfreeze_aux_stage2: bool = True
-
-    baseline_slots: int = 8
-    baseline_pool: int = 8
 
     def __post_init__(self):
         for name in ("stage1_lr", "stage2_lr"):
@@ -62,10 +57,9 @@ class ExperimentConfig:
         for name in ("stage1_steps", "stage2_steps"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("fp_channels", "d_llm", "connector_hidden"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+        for name in ("fp_channels", "d_llm"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (self.use_primary or self.use_auxiliary):
             raise ValueError("at least one of use_primary/use_auxiliary must be enabled")
         if self.use_simplefp and not self.use_primary:
@@ -119,8 +113,9 @@ class ExperimentConfig:
         return self.d_p + self.d_a
 
     @property
-    def hidden_dim(self) -> int:
-        return self.d_llm if self.connector_hidden is None else self.connector_hidden
+    def stages(self) -> tuple[tuple[int, int, float], ...]:
+        """The two-stage schedule as (stage, steps, learning rate)."""
+        return ((1, self.stage1_steps, self.stage1_lr), (2, self.stage2_steps, self.stage2_lr))
 
     # ------------------------------------------------------------- JSON
 
@@ -174,17 +169,7 @@ def _from_json(cls, obj, section: str = ""):
 
 
 def _json_value(value, hint, name: str):
-    """Check one JSON value against a field's type: int, float, bool, an
-    optional of one of these, or a tuple of floats (a JSON list)."""
-    args = typing.get_args(hint)
-    if type(None) in args:
-        if value is None:
-            return None
-        (hint,) = [t for t in args if t is not type(None)]
-    if typing.get_origin(hint) is tuple:
-        if not isinstance(value, list):
-            raise ValueError(f"config field {name} must be a list, got {value!r}")
-        return tuple(_json_value(v, typing.get_args(hint)[0], name) for v in value)
+    """Check one JSON value against a field's type: int, float or bool."""
     if hint is float:
         ok = is_json_number(value)
         want = "a finite number"

@@ -181,12 +181,9 @@ def coco_map(
             for d in img_dets
             if d.label == cat
         ]
-        ap_by_cat_thr[cat] = {}
-        for thr in COCO_IOU_THRESHOLDS:
-            tp, _ = _match(dets, gts, thr)
-            ap_by_cat_thr[cat][thr] = _interpolated_ap(tp, n_gt)
-        tp50, _ = _match(dets, gts, 0.5)
-        recall_by_cat[cat] = float(tp50.sum()) / n_gt if n_gt else 0.0
+        tp_by_thr = {thr: _match(dets, gts, thr)[0] for thr in COCO_IOU_THRESHOLDS}
+        ap_by_cat_thr[cat] = {thr: _interpolated_ap(tp, n_gt) for thr, tp in tp_by_thr.items()}
+        recall_by_cat[cat] = float(tp_by_thr[0.5].sum()) / n_gt if n_gt else 0.0
 
     ap_per_iou = {
         thr: float(np.mean([ap_by_cat_thr[c][thr] for c in eval_cats])) for thr in COCO_IOU_THRESHOLDS

@@ -25,6 +25,7 @@ from .tokenproto import GroundedResponse, GroundedSpan
 __all__ = [
     "CategoryQuery",
     "Detection",
+    "logistic",
     "score_regions",
     "score_matrix",
     "decode_detections",
@@ -57,7 +58,8 @@ class Detection:
     source_region: int
 
 
-def _logistic(z: np.ndarray) -> np.ndarray:
+def logistic(z: np.ndarray) -> np.ndarray:
+    """Elementwise 1 / (1 + exp(-z)), in a form that never overflows."""
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -72,7 +74,7 @@ def score_matrix(token_embeddings: np.ndarray, query_embeddings: np.ndarray) -> 
     q = np.atleast_2d(query_embeddings)
     if t.shape[1] != q.shape[1]:
         raise ValueError(f"token dim {t.shape[1]} does not match query dim {q.shape[1]}")
-    return _logistic(t @ q.T)
+    return logistic(t @ q.T)
 
 
 def score_regions(tokens: list[RegionToken], queries: list[CategoryQuery]) -> np.ndarray:

@@ -69,10 +69,10 @@ class SceneConfig:
     max_size: float = 0.32
     max_overlap: float = 0.2
     clutter_density: float = 0.05
-    resolution: int = 64
-    category_weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        if self.n_categories < 1:
+            raise ValueError(f"n_categories must be >= 1, got {self.n_categories}")
         if self.min_objects < 0:
             raise ValueError(f"min_objects must be >= 0, got {self.min_objects}")
         if self.min_objects > self.max_objects:
@@ -83,19 +83,12 @@ class SceneConfig:
             raise ValueError(f"min_size {self.min_size} exceeds max_size {self.max_size}")
         if self.max_size > 1.0:
             raise ValueError(f"max_size must be <= 1, got {self.max_size}")
-        if self.category_weights is not None and len(self.category_weights) != self.n_categories:
-            raise ValueError("category_weights length must equal n_categories")
+        if self.clutter_density < 0:
+            raise ValueError(f"clutter_density must be >= 0, got {self.clutter_density}")
 
     @property
     def categories(self) -> tuple[str, ...]:
         return vocabulary(self.n_categories)
-
-    @property
-    def weights(self) -> np.ndarray:
-        if self.category_weights is None:
-            return np.full(self.n_categories, 1.0 / self.n_categories)
-        w = np.asarray(self.category_weights, dtype=np.float64)
-        return w / w.sum()
 
 
 @dataclass(frozen=True)
@@ -112,6 +105,8 @@ class EncoderConfig:
             raise ValueError("primary_resolution must be >= 1")
         if self.aux_base_resolution < 8:
             raise ValueError("aux_base_resolution must be >= 8: the coarsest auxiliary level is 1/8 of it")
+        if self.noise_sigma < 0:
+            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
     @staticmethod
     def primary_channels(n_categories: int) -> int:
@@ -154,7 +149,6 @@ class Scene:
     """One synthetic image: labeled object boxes on the unit square."""
 
     image_id: int
-    resolution: int
     objects: tuple[tuple[str, Box], ...]
     clutter_density: float
     seed: int
@@ -178,10 +172,12 @@ def generate_scene(seed: int, config: SceneConfig = SceneConfig()) -> Scene:
     """
     rng = np.random.default_rng(seed)
     names = config.categories
+    n = config.n_categories
     n_obj = int(rng.integers(config.min_objects, config.max_objects + 1))
     objects: list[tuple[str, Box]] = []
     for _ in range(n_obj):
-        cat = names[int(rng.choice(config.n_categories, p=config.weights))]
+        # an explicit uniform p: choice without p draws differently
+        cat = names[int(rng.choice(n, p=np.full(n, 1.0 / n)))]
         for _attempt in range(50):
             w = float(rng.uniform(config.min_size, config.max_size))
             h = float(rng.uniform(config.min_size, config.max_size))
@@ -193,7 +189,6 @@ def generate_scene(seed: int, config: SceneConfig = SceneConfig()) -> Scene:
                 break
     return Scene(
         image_id=int(seed),
-        resolution=config.resolution,
         objects=tuple(objects),
         clutter_density=config.clutter_density,
         seed=int(seed),
@@ -410,7 +405,6 @@ def scenes_to_json(scenes: list[Scene], proposals: dict[int, list[Box]] | None =
         "images": [
             {
                 "id": s.image_id,
-                "resolution": s.resolution,
                 "seed": s.seed,
                 "n_categories": s.n_categories,
                 "clutter_density": s.clutter_density,
@@ -473,7 +467,6 @@ def scenes_from_json(obj: dict) -> tuple[list[Scene], dict[int, list[Box]]]:
         scenes.append(
             Scene(
                 image_id=image_id,
-                resolution=_json_field(rec, "resolution", int, where, 64),
                 objects=tuple(objects),
                 clutter_density=_json_field(rec, "clutter_density", float, where, 0.0),
                 seed=_json_field(rec, "seed", int, where, image_id),

@@ -59,6 +59,8 @@ __all__ = [
     "TrainingLog",
     "TrainingDivergence",
     "SampleStatic",
+    "bce_with_logits",
+    "seeded_training_set",
     "init_model_params",
     "prepare_sample",
     "loss_and_grads",
@@ -166,7 +168,7 @@ class FreezeSchedule:
         if config.use_simplefp:
             base.add(GROUP_SIMPLEFP)
         stage2 = set(base)
-        if config.use_auxiliary and config.unfreeze_aux_stage2:
+        if config.use_auxiliary:
             stage2.add(GROUP_AUX)
         if config.unfreeze_primary:
             stage2.add(GROUP_PRIMARY)
@@ -210,7 +212,7 @@ def init_model_params(config: ExperimentConfig, rng: np.random.Generator | None 
         groups[GROUP_SIMPLEFP][f"{branch}_w"] = k.weights
         groups[GROUP_SIMPLEFP][f"{branch}_b"] = k.bias
 
-    conn = Connector.seeded(config.d_total, config.d_llm, rng, hidden_dim=config.hidden_dim)
+    conn = Connector.seeded(config.d_total, config.d_llm, rng)
     groups[GROUP_CONNECTOR] = {"w1": conn.w1, "b1": conn.b1, "w2": conn.w2, "b2": conn.b2}
 
     # near-unit-norm query rows: the scoring is bilinear in (token, query),
@@ -353,9 +355,10 @@ def region_token_matrix(params: ModelParams, s: SampleStatic, config: Experiment
     return _forward(params, s, config).tokens
 
 
-def _bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> float:
-    # log(1 + exp(-|z|)) formulation, stable for large |z|
-    return float(np.sum(np.maximum(logits, 0.0) - logits * targets + np.log1p(np.exp(-np.abs(logits)))))
+def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Elementwise binary cross-entropy of ``logits`` against ``targets``,
+    in the log(1 + exp(-|z|)) form that stays finite for large |z|."""
+    return np.maximum(logits, 0.0) - logits * targets + np.log1p(np.exp(-np.abs(logits)))
 
 
 def loss_and_grads(
@@ -375,7 +378,7 @@ def loss_and_grads(
     cache = _forward(params, s, config)
     queries = g[GROUP_NEW_VOCAB]["queries"][s.query_idx]
     logits = cache.tokens @ queries.T
-    loss = _bce_with_logits(logits, s.targets)
+    loss = float(np.sum(bce_with_logits(logits, s.targets)))
 
     grads: dict[str, dict[str, np.ndarray]] = {}
     want = set(trainable)
@@ -433,6 +436,18 @@ class TrainingLog:
         return {"losses": self.losses, "checksums": self.checksums}
 
 
+def seeded_training_set(config: ExperimentConfig) -> list[TrainingSample]:
+    """The training set :func:`train` draws when given none: the first
+    child of the config seed, the second seeding the parameters."""
+    return make_training_set(
+        config.n_train_scenes,
+        config.rejection_fraction,
+        seed=np.random.SeedSequence(config.seed).spawn(2)[0],
+        scene_config=config.world,
+        proposal_config=config.proposals,
+    )
+
+
 def train(
     config: ExperimentConfig,
     dataset: list[TrainingSample] | None = None,
@@ -442,26 +457,18 @@ def train(
     The log records the per-step loss of both stages and per-group
     parameter checksums at initialization and after each stage.
     """
-    ss = np.random.SeedSequence(config.seed)
-    data_ss, param_ss = ss.spawn(2)
     if dataset is None:
-        dataset = make_training_set(
-            config.n_train_scenes,
-            config.rejection_fraction,
-            seed=data_ss,
-            scene_config=config.world,
-            proposal_config=config.proposals,
-        )
+        dataset = seeded_training_set(config)
     statics = [prepare_sample(sample, config) for sample in dataset]
     if not statics:
         raise ValueError("train needs at least one training sample")
-    params = init_model_params(config, np.random.default_rng(param_ss))
+    params = init_model_params(config)
     schedule = FreezeSchedule.from_config(config)
     log = TrainingLog()
     log.checksums["init"] = params.checksums()
 
     step_counter = 0
-    for stage, steps, lr in ((1, config.stage1_steps, config.stage1_lr), (2, config.stage2_steps, config.stage2_lr)):
+    for stage, steps, lr in config.stages:
         trainable = schedule.trainable(stage)
         for _ in range(steps):
             s = statics[step_counter % len(statics)]
@@ -504,16 +511,11 @@ def grad_check(config: ExperimentConfig) -> GradCheckReport:
     (dims <= 64).  The original-vocabulary table has no path into the
     loss, so it is reported in ``frozen_zero`` rather than differenced.
     """
-    if config.d_llm > 64 or config.hidden_dim > 64:
+    if config.d_llm > 64:
         raise ValueError("grad_check is meant for small dimensions (<= 64)")
-    ss = np.random.SeedSequence(config.seed)
-    data_ss, param_ss = ss.spawn(2)
-    dataset = make_training_set(
-        2, config.rejection_fraction, seed=data_ss,
-        scene_config=config.world, proposal_config=config.proposals,
-    )
-    s = prepare_sample(dataset[0], config)
-    params = init_model_params(config, np.random.default_rng(param_ss))
+    # samples are drawn in sequence, so this is the first sample train() sees
+    s = prepare_sample(seeded_training_set(config.replace(n_train_scenes=1))[0], config)
+    params = init_model_params(config)
 
     check_groups = [GROUP_CONNECTOR, GROUP_NEW_VOCAB]
     if config.use_simplefp:

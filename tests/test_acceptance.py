@@ -67,7 +67,7 @@ def test_criterion_01_roialign_oracle_equivalence():
 def test_criterion_02_gradient_verification():
     cfg = ExperimentConfig(
         seed=3,
-        world=SceneConfig(n_categories=4, min_objects=2, max_objects=3, resolution=16),
+        world=SceneConfig(n_categories=4, min_objects=2, max_objects=3),
         proposals=ProposalSimConfig(jitter_sigma=0.01, drop_rate=0.0, clutter_rate=1.0, max_proposals=8),
         encoder=EncoderConfig(primary_resolution=8, aux_base_resolution=16),
         fp_channels=2,
@@ -153,7 +153,7 @@ def test_criterion_06_recall_ceiling_invariant():
     while scenes_checked < 200:
         cfg = ExperimentConfig(
             seed=int(rng.integers(100_000)),
-            world=SceneConfig(n_categories=4, min_objects=1, max_objects=4, resolution=16),
+            world=SceneConfig(n_categories=4, min_objects=1, max_objects=4),
             proposals=ProposalSimConfig(
                 jitter_sigma=float(rng.uniform(0, 0.06)),
                 drop_rate=float(rng.uniform(0, 0.7)),

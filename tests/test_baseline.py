@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from regionkit.baseline import (
+    POOL,
     _loss_and_grads,
     _slot_targets,
     decode_baseline,
@@ -13,7 +14,8 @@ from regionkit.baseline import (
     scene_feature,
     train_baseline,
 )
-from regionkit.simworld import generate_scene
+from regionkit.simworld import generate_scene, make_training_set
+from regionkit.training import TrainingDivergence
 
 
 def test_grid_pool_constant():
@@ -47,7 +49,7 @@ def test_baseline_gradients_match_finite_differences(tiny_config):
     _, grads = _loss_and_grads(head, feat, scene)
     rng = np.random.default_rng(1)
     for name in ("w1", "b1", "w2", "b2"):
-        arr = getattr(head, name)
+        arr = getattr(head.mlp, name)
         flat = arr.ravel()
         g = grads[name].ravel()
         for i in rng.choice(flat.size, size=min(8, flat.size), replace=False):
@@ -78,16 +80,6 @@ def test_untrained_baseline_rejected(tiny_config):
         regression_baseline_eval(head, [generate_scene(0, tiny_config.world)], tiny_config)
 
 
-def test_zero_slot_budget_yields_no_detections(tiny_config):
-    cfg = tiny_config.replace(baseline_slots=0)
-    head = init_baseline(cfg, np.random.default_rng(4))
-    head.steps_trained = 1
-    scene = generate_scene(1, cfg.world)
-    assert decode_baseline(head, scene_feature(scene, cfg), 0.5) == []
-    report = regression_baseline_eval(head, [scene], cfg)
-    assert report.ap_mean == 0.0
-
-
 def test_baseline_trains_and_evaluates(tiny_config):
     cfg = tiny_config.replace(stage1_steps=150, stage2_steps=0, n_train_scenes=10)
     head, losses = train_baseline(cfg)
@@ -96,3 +88,25 @@ def test_baseline_trains_and_evaluates(tiny_config):
     scenes = [generate_scene(1000 + k, cfg.world) for k in range(5)]
     report = regression_baseline_eval(head, scenes, cfg)
     assert 0.0 <= report.ap_mean <= 1.0
+
+
+def test_baseline_trains_on_the_retrieval_heads_scenes(tiny_config):
+    cfg = tiny_config.replace(stage1_steps=1, stage2_steps=0)
+    head, _ = train_baseline(cfg)
+    dataset = make_training_set(
+        cfg.n_train_scenes, cfg.rejection_fraction, seed=np.random.SeedSequence(cfg.seed).spawn(2)[0],
+        scene_config=cfg.world, proposal_config=cfg.proposals,
+    )
+    feats = np.stack([scene_feature(s.scene, cfg) for s in dataset])
+    assert feats.shape[1] == cfg.primary_channels * POOL**2
+    np.testing.assert_array_equal(head.feat_mean, feats.mean(axis=0))
+
+
+def test_divergent_baseline_raises_with_stage_and_step(tiny_config):
+    # the sigmoid outputs bound the gradients, so the loss only stops being
+    # finite once a single update overflows (1e300 leaves it near 1e301)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDivergence) as info:
+        train_baseline(tiny_config.replace(stage1_lr=1e308))
+    assert (info.value.stage, info.value.step) == (1, 2)
+    assert not np.isfinite(info.value.loss)
+    assert "at stage 1 step 2" in str(info.value)

@@ -39,7 +39,7 @@ def test_detection_recall_never_exceeds_proposal_recall_random_configs():
     for trial in range(6):
         cfg = ExperimentConfig(
             seed=int(rng.integers(10_000)),
-            world=SceneConfig(n_categories=4, min_objects=1, max_objects=3, resolution=16),
+            world=SceneConfig(n_categories=4, min_objects=1, max_objects=3),
             proposals=ProposalSimConfig(
                 jitter_sigma=float(rng.uniform(0, 0.05)),
                 drop_rate=float(rng.uniform(0, 0.6)),

@@ -1,6 +1,8 @@
 """Trainer: freeze schedule, determinism, gradients, divergence handling."""
 
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from regionkit.gridops import Kernel, conv2d, conv2d_backward
 from regionkit.pyramid import SimpleFPParams, aux_fuse, aux_fuse_backward, simple_fp, simple_fp_backward
 from regionkit.regionenc import Connector, connector_backward, connector_forward, positional_embedding_matrix
 from regionkit.roialign import RoiConfig, pooled_weights, roi_align_pooled
-from regionkit.simworld import EncoderConfig, make_training_set, toy_encode
+from regionkit.simworld import EncoderConfig, SceneConfig, make_training_set, toy_encode
 from regionkit.training import (
     GROUP_AUX,
     GROUP_CONNECTOR,
@@ -88,17 +90,29 @@ def test_unusable_config_rejected_naming_field(tiny_config, field, build):
     aux_base_resolution=st.integers(4, 20),
     switches=st.sampled_from(sorted(VARIANTS)),
     n_train_scenes=st.integers(0, 3),
+    n_categories=st.integers(0, 9),
+    noise_sigma=st.floats(-0.1, 0.1),
+    clutter_density=st.floats(-0.5, 0.5),
 )
-@example(primary_resolution=9, aux_base_resolution=16, switches="hybrid", n_train_scenes=2)
-@example(primary_resolution=4, aux_base_resolution=8, switches="primary_only", n_train_scenes=1)
-@example(primary_resolution=1, aux_base_resolution=12, switches="auxiliary_only", n_train_scenes=1)
+@example(primary_resolution=9, aux_base_resolution=16, switches="hybrid", n_train_scenes=2,
+         n_categories=4, noise_sigma=0.01, clutter_density=0.05)
+@example(primary_resolution=4, aux_base_resolution=8, switches="primary_only", n_train_scenes=1,
+         n_categories=1, noise_sigma=0.0, clutter_density=0.0)
+@example(primary_resolution=1, aux_base_resolution=12, switches="auxiliary_only", n_train_scenes=1,
+         n_categories=8, noise_sigma=0.01, clutter_density=0.05)
+@example(primary_resolution=8, aux_base_resolution=16, switches="primary_only", n_train_scenes=1,
+         n_categories=0, noise_sigma=-0.01, clutter_density=-0.05)
 def test_every_constructible_config_trains_and_evaluates(
-    tiny_config, primary_resolution, aux_base_resolution, switches, n_train_scenes
+    tiny_config, primary_resolution, aux_base_resolution, switches, n_train_scenes,
+    n_categories, noise_sigma, clutter_density,
 ):
     try:
-        encoder = EncoderConfig(primary_resolution=primary_resolution, aux_base_resolution=aux_base_resolution)
+        world = SceneConfig(n_categories=n_categories, min_objects=2, max_objects=3, clutter_density=clutter_density)
+        encoder = EncoderConfig(
+            primary_resolution=primary_resolution, aux_base_resolution=aux_base_resolution, noise_sigma=noise_sigma
+        )
         cfg = tiny_config.replace(
-            encoder=encoder, n_train_scenes=n_train_scenes, n_eval_scenes=2,
+            world=world, encoder=encoder, n_train_scenes=n_train_scenes, n_eval_scenes=2,
             stage1_steps=3, stage2_steps=2, **VARIANTS[switches],
         )
     except ValueError:
@@ -391,6 +405,13 @@ def test_config_json_round_trip(tiny_config):
     assert back == tiny_config
 
 
+def test_readme_config_schema_is_the_default_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    schema = readme.split("## Configuration file schema", 1)[1]
+    block = schema.split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == ExperimentConfig().to_json()
+
+
 _SECTIONS = ("world", "proposals", "encoder", "roi")
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -408,7 +429,7 @@ def _wrong_values(value):
         return others | st.booleans() | st.none() | st.floats()
     if type(value) is float:
         return others | st.booleans() | st.none() | st.sampled_from([float("nan"), float("inf")])
-    return others  # optional fields, null in the fixture
+    return others
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -443,10 +464,12 @@ def test_config_json_rejects_malformed_input_naming_field(tiny_config, data, fau
         ({"roi": {"pool_size": 0}}, "roi.pool_size"),
         ({"d_llm": 0}, "d_llm"),
         ({"fp_channels": 0}, "fp_channels"),
-        ({"connector_hidden": 0}, "connector_hidden"),
+        ({"world": {"n_categories": 0}}, "world.n_categories"),
         ({"stage1_lr": 0}, "stage1_lr"),
         ({"stage2_lr": -1e-5}, "stage2_lr"),
         ({"stage2_steps": -1}, "stage2_steps"),
+        ({"world": {"clutter_density": -1}}, "world.clutter_density"),
+        ({"encoder": {"noise_sigma": -1}}, "encoder.noise_sigma"),
     ],
 )
 def test_config_json_range_errors_name_field(doc, field):
