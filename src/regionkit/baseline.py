@@ -82,11 +82,6 @@ def scene_feature(scene: Scene, config: ExperimentConfig) -> np.ndarray:
     return grid_pool(last_map.data, POOL)
 
 
-def _forward(head: BaselineHead, feat: np.ndarray) -> np.ndarray:
-    """(SLOTS, 5 + C) slot outputs of a standardized feature."""
-    return connector_forward(head.mlp, feat).reshape(SLOTS, -1)
-
-
 def _slot_targets(scene: Scene, n_slots: int, n_categories: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reading-order slot assignment: (box targets, objectness, one-hot categories)."""
     names = vocabulary(n_categories)
@@ -103,7 +98,9 @@ def _slot_targets(scene: Scene, n_slots: int, n_categories: int) -> tuple[np.nda
 
 
 def _loss_and_grads(head: BaselineHead, feat: np.ndarray, scene: Scene) -> tuple[float, dict[str, np.ndarray]]:
-    slots = _forward(head, feat)
+    # (SLOTS, 5 + C) slot outputs of the standardized feature
+    out, hidden = connector_forward(head.mlp, feat, with_hidden=True)
+    slots = out.reshape(SLOTS, -1)
     box_t, obj_t, cat_t = _slot_targets(scene, SLOTS, head.n_categories)
     assigned = (obj_t > 0)[:, None]
 
@@ -119,7 +116,7 @@ def _loss_and_grads(head: BaselineHead, feat: np.ndarray, scene: Scene) -> tuple
     d_slots[:, :4] = (2.0 * _BOX_LOSS_WEIGHT) * box_err * box_pred * (1 - box_pred)
     d_slots[:, 4] = logistic(slots[:, 4]) - obj_t
     d_slots[:, 5:] = (logistic(slots[:, 5:]) - cat_t) * assigned
-    grads, _ = connector_backward(head.mlp, feat, d_slots.reshape(1, -1))
+    grads, _ = connector_backward(head.mlp, feat, d_slots.reshape(1, -1), hidden=hidden, input_grad=False)
     return loss, grads
 
 
@@ -147,7 +144,7 @@ def train_baseline(config: ExperimentConfig) -> tuple[BaselineHead, list[float]]
 
 def decode_baseline(head: BaselineHead, feat: np.ndarray, threshold: float) -> list[Detection]:
     """Slots above the objectness threshold become detections; ``feat`` is raw."""
-    slots = _forward(head, head.normalize(feat))
+    slots = connector_forward(head.mlp, head.normalize(feat)).reshape(SLOTS, -1)
     names = vocabulary(head.n_categories)
     out = []
     for k, slot in enumerate(slots):

@@ -21,6 +21,7 @@ All arrays are float64 and all operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -140,11 +141,13 @@ class Kernel:
 
 # ---------------------------------------------------------------- resizing
 
+@lru_cache(maxsize=256)
 def resize_matrix(in_size: int, out_size: int) -> np.ndarray:
     """1-D interpolation matrix R with out[d] = sum_s R[d, s] * in[s].
 
     Half-pixel-center mapping with edge clamping; each row has at most two
-    non-zero entries that sum to 1.
+    non-zero entries that sum to 1.  Built once per (in, out) pair and
+    shared, so the array is read-only.
     """
     if out_size < 1:
         raise ValueError("target size must be >= 1")
@@ -160,6 +163,7 @@ def resize_matrix(in_size: int, out_size: int) -> np.ndarray:
     # second statement adds onto the first
     mat[rows, lo] += 1.0 - frac
     mat[rows, hi] += frac
+    mat.flags.writeable = False
     return mat
 
 

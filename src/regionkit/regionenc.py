@@ -47,7 +47,13 @@ class RegionToken:
 
 
 def positional_embedding(box: Box, dim: int) -> np.ndarray:
-    """Sine-cosine embedding of the four box coordinates, length ``dim``.
+    """Sine-cosine embedding of the four box coordinates, length ``dim``:
+    the one-box case of :func:`positional_embedding_matrix`."""
+    return positional_embedding_matrix([box], dim)[0]
+
+
+def positional_embedding_matrix(boxes: list[Box], dim: int) -> np.ndarray:
+    """(N, dim) sine-cosine embeddings of the boxes' coordinates, one row per box.
 
     ``dim`` must be divisible by 8 (four coordinate blocks of sin/cos pairs).
     """
@@ -55,16 +61,12 @@ def positional_embedding(box: Box, dim: int) -> np.ndarray:
         raise ValueError("embedding dimension must be divisible by 8")
     block = dim // 4
     freqs = 10000.0 ** (-2.0 * np.arange(block // 2) / block)
-    out = np.empty(dim)
-    for i, coord in enumerate((box.x1, box.y1, box.x2, box.y2)):
-        phase = (2.0 * np.pi * coord) * freqs
-        out[i * block : (i + 1) * block : 2] = np.sin(phase)
-        out[i * block + 1 : (i + 1) * block : 2] = np.cos(phase)
-    return out
-
-
-def positional_embedding_matrix(boxes: list[Box], dim: int) -> np.ndarray:
-    return np.stack([positional_embedding(b, dim) for b in boxes])
+    coords = np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
+    phase = (2.0 * np.pi * coords)[:, :, None] * freqs  # (N, 4, block / 2)
+    out = np.empty(phase.shape + (2,))
+    out[..., 0] = np.sin(phase)
+    out[..., 1] = np.cos(phase)
+    return out.reshape(len(coords), dim)
 
 
 @dataclass
@@ -108,21 +110,35 @@ class Connector:
         )
 
 
-def connector_forward(conn: Connector, f_hybrid: np.ndarray) -> np.ndarray:
-    """Row-wise affine -> tanh -> affine."""
+def connector_forward(
+    conn: Connector, f_hybrid: np.ndarray, with_hidden: bool = False
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Row-wise affine -> tanh -> affine.
+
+    With ``with_hidden``, returns (output, tanh activations): the second is
+    what :func:`connector_backward` takes as ``hidden``.
+    """
     f = np.atleast_2d(f_hybrid)
     if f.shape[1] != conn.in_dim:
         raise ValueError(f"input width {f.shape[1]} does not match connector ({conn.in_dim})")
-    return np.tanh(f @ conn.w1.T + conn.b1) @ conn.w2.T + conn.b2
+    hidden = np.tanh(f @ conn.w1.T + conn.b1)
+    out = hidden @ conn.w2.T + conn.b2
+    return (out, hidden) if with_hidden else out
 
 
 def connector_backward(
-    conn: Connector, f_hybrid: np.ndarray, upstream: np.ndarray
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    conn: Connector,
+    f_hybrid: np.ndarray,
+    upstream: np.ndarray,
+    hidden: np.ndarray | None = None,
+    input_grad: bool = True,
+) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
     """Analytic gradients of :func:`connector_forward`.
 
     Returns ({"w1", "b1", "w2", "b2"}, d_input) for an upstream gradient of
-    the same shape as the forward output.
+    the same shape as the forward output.  ``hidden`` is the forward's tanh
+    activations on this input, recomputed when not given; d_input is None
+    without ``input_grad``.
     """
     f = np.atleast_2d(f_hybrid)
     g = np.atleast_2d(upstream)
@@ -130,14 +146,13 @@ def connector_backward(
         raise ValueError("input width does not match connector")
     if g.shape != (f.shape[0], conn.out_dim):
         raise ValueError("upstream gradient shape does not match forward output")
-    hidden = np.tanh(f @ conn.w1.T + conn.b1)
+    if hidden is None:
+        hidden = np.tanh(f @ conn.w1.T + conn.b1)
     d_w2 = g.T @ hidden
     d_b2 = g.sum(axis=0)
     d_hidden = g @ conn.w2
     d_pre = d_hidden * (1.0 - hidden**2)
     d_w1 = d_pre.T @ f
     d_b1 = d_pre.sum(axis=0)
-    d_f = d_pre @ conn.w1
     grads = {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}
-    return grads, d_f
-
+    return grads, (d_pre @ conn.w1 if input_grad else None)

@@ -125,11 +125,12 @@ class RoiConfig:
             raise ValueError("sampling_ratio must be >= 1")
 
 
-def _sample_coords(lo: np.ndarray, hi: np.ndarray, size: int, cfg: RoiConfig) -> np.ndarray:
+def _sample_coords(lo: np.ndarray, hi: np.ndarray, size: int | np.ndarray, cfg: RoiConfig) -> np.ndarray:
     """(N, P * ratio) continuous array coordinates of the samples along one axis.
 
-    lo/hi are (N,) box edges in normalized [0, 1]; returned coordinates are
-    clamped to [0, size - 1].
+    lo/hi are (N,) box edges in normalized [0, 1]; ``size`` is the axis
+    length, one for all rows or an (N,) array of one per row.  Returned
+    coordinates are clamped to [0, size - 1].
     """
     start = lo * size - 0.5
     bin_len = (hi - lo) * size / cfg.pool_size
@@ -137,10 +138,12 @@ def _sample_coords(lo: np.ndarray, hi: np.ndarray, size: int, cfg: RoiConfig) ->
     # sample s of bin b sits at start + bin_len * (b + (s + 0.5) / r)
     unit = (np.arange(cfg.pool_size)[:, None] + (np.arange(r)[None, :] + 0.5) / r).ravel()
     coords = start[:, None] + unit[None, :] * bin_len[:, None]
-    return np.clip(coords, 0.0, size - 1)
+    return np.clip(coords, 0.0, np.reshape(size, (-1, 1)) - 1)
 
 
-def _axis_weights(coords: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _axis_weights(
+    coords: np.ndarray, size: int | np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     lo = np.floor(coords).astype(int)
     hi = np.minimum(lo + 1, size - 1)
     frac = coords - lo
@@ -170,16 +173,16 @@ def roi_align(fmap: FeatureMap, box: Box, cfg: RoiConfig = RoiConfig()) -> Featu
     return FeatureMap(fmap.channels, p, p, bins)
 
 
-def _axis_pool_weights(lo: np.ndarray, hi: np.ndarray, size: int, cfg: RoiConfig) -> np.ndarray:
-    """(N, size) mean bilinear weights of the P * ratio samples of each box
-    edge pair (lo[n], hi[n]) along one axis."""
-    i0, i1, w0, w1 = _axis_weights(_sample_coords(lo, hi, size, cfg), size)
-    n, samples = i0.shape
-    row = np.arange(n)[:, None] * size
-    # each box's weights sum in the same order wherever the box sits
-    cells = np.concatenate([(row + i0).ravel(), (row + i1).ravel()])
-    sums = np.bincount(cells, weights=np.concatenate([w0.ravel(), w1.ravel()]), minlength=n * size)
-    return sums.reshape(n, size) / samples
+def _axis_pool_weights(lo: np.ndarray, hi: np.ndarray, sizes: np.ndarray, cfg: RoiConfig) -> np.ndarray:
+    """Mean bilinear weights of the P * ratio samples of each edge pair
+    (lo[k], hi[k]) along an axis of sizes[k] cells, flat: row k's cells
+    follow row k - 1's."""
+    i0, i1, w0, w1 = _axis_weights(_sample_coords(lo, hi, sizes, cfg), sizes[:, None])
+    start = (np.cumsum(sizes) - sizes)[:, None]
+    # each row's weights sum in the same order wherever the row sits
+    cells = np.concatenate([(start + i0).ravel(), (start + i1).ravel()])
+    sums = np.bincount(cells, weights=np.concatenate([w0.ravel(), w1.ravel()]), minlength=int(sizes.sum()))
+    return sums / i0.shape[1]
 
 
 def pooled_axis_weights(
@@ -188,14 +191,15 @@ def pooled_axis_weights(
     """Per-axis pooling weights (a_y (N, height), a_x (N, width)).
 
     Box n pools a map as sum_{y, x} a_y[n, y] * a_x[n, x] * map[c, y, x].
+    Both axes come from one pass: the y rows of all boxes, then the x rows.
     """
     if not boxes:
         raise ValueError("at least one box is required")
-    edges = np.array([(b.y1, b.y2, b.x1, b.x2) for b in boxes], dtype=np.float64)
-    return (
-        _axis_pool_weights(edges[:, 0], edges[:, 1], height, cfg),
-        _axis_pool_weights(edges[:, 2], edges[:, 3], width, cfg),
-    )
+    n = len(boxes)
+    lo = np.array([b.y1 for b in boxes] + [b.x1 for b in boxes], dtype=np.float64)
+    hi = np.array([b.y2 for b in boxes] + [b.x2 for b in boxes], dtype=np.float64)
+    flat = _axis_pool_weights(lo, hi, np.repeat([height, width], n), cfg)
+    return flat[: n * height].reshape(n, height), flat[n * height :].reshape(n, width)
 
 
 def pooled_weights(height: int, width: int, boxes: list[Box], cfg: RoiConfig = RoiConfig()) -> np.ndarray:

@@ -47,6 +47,12 @@ __all__ = [
 ]
 
 CATEGORY_WORDS = ("ball", "block", "tree", "car", "person", "sign", "lamp", "bird")
+#: The most categories a world may have: a render paints a channel per
+#: category at every resolution.
+MAX_CATEGORIES = 256
+#: The highest clutter density.  A scene draws Poisson(8 * density)
+#: distractors; at 10 their ~80 smudges cover about a third of the image.
+MAX_CLUTTER_DENSITY = 10.0
 
 
 def vocabulary(n_categories: int) -> tuple[str, ...]:
@@ -73,6 +79,8 @@ class SceneConfig:
     def __post_init__(self):
         if self.n_categories < 1:
             raise ValueError(f"n_categories must be >= 1, got {self.n_categories}")
+        if self.n_categories > MAX_CATEGORIES:
+            raise ValueError(f"n_categories must be <= {MAX_CATEGORIES}, got {self.n_categories}")
         if self.min_objects < 0:
             raise ValueError(f"min_objects must be >= 0, got {self.min_objects}")
         if self.min_objects > self.max_objects:
@@ -83,8 +91,8 @@ class SceneConfig:
             raise ValueError(f"min_size {self.min_size} exceeds max_size {self.max_size}")
         if self.max_size > 1.0:
             raise ValueError(f"max_size must be <= 1, got {self.max_size}")
-        if self.clutter_density < 0:
-            raise ValueError(f"clutter_density must be >= 0, got {self.clutter_density}")
+        if not 0 <= self.clutter_density <= MAX_CLUTTER_DENSITY:
+            raise ValueError(f"clutter_density must lie in [0, {MAX_CLUTTER_DENSITY}], got {self.clutter_density}")
 
     @property
     def categories(self) -> tuple[str, ...]:
@@ -198,71 +206,73 @@ def generate_scene(seed: int, config: SceneConfig = SceneConfig()) -> Scene:
 
 # ------------------------------------------------------------- rendering
 
-def _coverage(box: Box, res: int) -> np.ndarray:
-    """Fraction of each grid cell covered by the box (res x res, values in [0, 1])."""
+def _axis_coverage(lo: np.ndarray, hi: np.ndarray, res: int) -> np.ndarray:
+    """Fraction of each of ``res`` grid rows (or columns) that the edge
+    pairs (lo, hi) cover, in [0, 1]: shape ``lo.shape + (res,)``."""
     edges = np.arange(res + 1) / res
-    cy = np.clip(np.minimum(box.y2, edges[1:]) - np.maximum(box.y1, edges[:-1]), 0.0, None) * res
-    cx = np.clip(np.minimum(box.x2, edges[1:]) - np.maximum(box.x1, edges[:-1]), 0.0, None) * res
-    return np.outer(cy, cx)
+    return np.maximum(np.minimum(hi[..., None], edges[1:]) - np.maximum(lo[..., None], edges[:-1]), 0.0) * res
 
 
 def _blur3(img: np.ndarray) -> np.ndarray:
-    """3x3 binomial blur with zero padding, applied per 2-D slice."""
-    pad = np.pad(img, 1)
+    """3x3 binomial blur with zero padding, applied to every (H, W) slice
+    of a (C, H, W) stack at once."""
+    c, h, w = img.shape
+    pad = np.zeros((c, h + 2, w + 2))
+    pad[:, 1:-1, 1:-1] = img
     out = np.zeros_like(img)
     weights = {(-1, -1): 1, (-1, 0): 2, (-1, 1): 1, (0, -1): 2, (0, 0): 4, (0, 1): 2, (1, -1): 1, (1, 0): 2, (1, 1): 1}
-    h, w = img.shape
     for (dy, dx), wt in weights.items():
-        out += wt * pad[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
+        out += wt * pad[:, 1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
     return out / 16.0
-
-
-def _edge_maps(occupancy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ey = np.zeros_like(occupancy)
-    ex = np.zeros_like(occupancy)
-    ey[1:-1, :] = np.abs(occupancy[2:, :] - occupancy[:-2, :]) / 2.0
-    ex[:, 1:-1] = np.abs(occupancy[:, 2:] - occupancy[:, :-2]) / 2.0
-    return ey, ex
 
 
 def toy_encode(scene: Scene, enc: EncoderConfig = EncoderConfig()) -> tuple[FeatureMap, list[FeatureMap]]:
     """Render a scene into (primary last map, four auxiliary maps).
 
     Deterministic in the scene seed: encoding the same scene twice yields
-    bitwise-identical maps.
+    bitwise-identical maps.  Each distinct resolution is painted once, all
+    boxes together: per box, the outer product of its row and column
+    coverage, added into its category channel in box order (the objects,
+    then the distractors at ``distractor_intensity``).
     """
     rng = np.random.default_rng([scene.seed, 0xE0C0DE])
     n_cat = scene.n_categories
-    names = vocabulary(n_cat)
-    cat_index = {name: i for i, name in enumerate(names)}
+    cat_index = {name: i for i, name in enumerate(vocabulary(n_cat))}
 
     # distractor smudges shared by both streams
     n_distract = int(rng.poisson(scene.clutter_density * 8))
-    distractors: list[tuple[int, Box]] = []
+    boxes = [box for _, box in scene.objects]
+    channels = [cat_index[cat] for cat, _ in scene.objects]
     for _ in range(n_distract):
         w = float(rng.uniform(0.03, 0.10))
         h = float(rng.uniform(0.03, 0.10))
         x1 = float(rng.uniform(0.0, 1.0 - w))
         y1 = float(rng.uniform(0.0, 1.0 - h))
-        distractors.append((int(rng.integers(n_cat)), Box(x1, y1, x1 + w, y1 + h)))
+        channels.append(int(rng.integers(n_cat)))
+        boxes.append(Box(x1, y1, x1 + w, y1 + h))
+    # (box, axis) edge pairs, the y axis first
+    lo = np.array([(b.y1, b.x1) for b in boxes], dtype=np.float64).reshape(-1, 2)
+    hi = np.array([(b.y2, b.x2) for b in boxes], dtype=np.float64).reshape(-1, 2)
+    n_obj = len(scene.objects)
 
-    def painted(res: int) -> np.ndarray:
+    pr = enc.primary_resolution
+    aux_res = [enc.aux_base_resolution // (2**level) for level in range(4)]
+    painted = {}
+    for res in {pr, *aux_res}:
+        rows, cols = _axis_coverage(lo, hi, res).transpose(1, 0, 2)
+        cover = rows[:, :, None] * cols[:, None, :]
+        cover[n_obj:] *= enc.distractor_intensity
         sig = np.zeros((n_cat, res, res))
-        for cat, box in scene.objects:
-            sig[cat_index[cat]] += _coverage(box, res)
-        for ci, box in distractors:
-            sig[ci] += enc.distractor_intensity * _coverage(box, res)
-        return sig
+        for c, box_cover in zip(channels, cover):
+            sig[c] += box_cover
+        painted[res] = sig
 
     # primary stream: blurred semantics at low resolution
-    pr = enc.primary_resolution
     c_pri = enc.primary_channels(n_cat)
     primary = np.zeros((c_pri, pr, pr))
-    sig = painted(pr)
-    occupancy = sig.sum(axis=0)
-    for c in range(n_cat):
-        primary[c] = _blur3(sig[c])
-    primary[n_cat] = np.clip(1.0 - occupancy, 0.0, None)
+    sig = painted[pr]
+    primary[:n_cat] = _blur3(sig)
+    primary[n_cat] = np.maximum(1.0 - sig.sum(axis=0), 0.0)
     ramp = (np.arange(pr) + 0.5) / pr
     primary[n_cat + 1] = np.tile(ramp, (pr, 1))
     primary[n_cat + 2] = np.tile(ramp[:, None], (1, pr))
@@ -271,16 +281,16 @@ def toy_encode(scene: Scene, enc: EncoderConfig = EncoderConfig()) -> tuple[Feat
     # auxiliary stream: sharp paired-category textures plus edges, four scales
     n_groups = (n_cat + 1) // 2
     aux_maps = []
-    for level in range(4):
-        res = enc.aux_base_resolution // (2**level)
-        ch = EncoderConfig.aux_channels(n_cat)
-        level_map = np.zeros((ch, res, res))
-        sig_l = painted(res)
-        for c in range(n_cat):
-            level_map[c // 2] += sig_l[c]
-        ey, ex = _edge_maps(sig_l.sum(axis=0))
-        level_map[n_groups] = ey
-        level_map[n_groups + 1] = ex
+    for res in aux_res:
+        level_map = np.zeros((EncoderConfig.aux_channels(n_cat), res, res))
+        sig = painted[res]
+        # category c joins texture c // 2: the even member first
+        level_map[:n_groups] += sig[0::2]
+        level_map[: n_cat // 2] += sig[1::2]
+        # edge channels: central differences of the occupancy, zero on the border
+        occ = sig.sum(axis=0)
+        level_map[n_groups, 1:-1, :] = np.abs(occ[2:, :] - occ[:-2, :]) / 2.0
+        level_map[n_groups + 1, :, 1:-1] = np.abs(occ[:, 2:] - occ[:, :-2]) / 2.0
         level_map += rng.normal(0.0, enc.noise_sigma, size=level_map.shape)
         aux_maps.append(FeatureMap.from_array(level_map))
 
@@ -440,7 +450,10 @@ def scenes_from_json(obj: dict) -> tuple[list[Scene], dict[int, list[Box]]]:
     Malformed input (not an object, a missing ``images``/``id``/``objects``/
     ``category``/``bbox``, a value of the wrong type, a bbox that is not
     four numbers, or a box that :class:`Box` rejects) raises ValueError
-    naming where it is.
+    naming where it is.  So does a scene that :func:`toy_encode` could not
+    render: ``n_categories`` or ``clutter_density`` out of
+    :class:`SceneConfig`'s range, a negative ``seed``, or a category
+    outside the scene's vocabulary.
     """
     if not isinstance(obj, dict):
         raise ValueError("a scene file must be a JSON object")
@@ -450,12 +463,24 @@ def scenes_from_json(obj: dict) -> tuple[list[Scene], dict[int, list[Box]]]:
         if not isinstance(rec, dict):
             raise ValueError(f"{where} must be an object")
         image_id = _json_field(rec, "id", int, where)
+        n_categories = _json_field(rec, "n_categories", int, where, 8)
+        clutter_density = _json_field(rec, "clutter_density", float, where, 0.0)
+        try:
+            SceneConfig(n_categories=n_categories, clutter_density=clutter_density)
+        except ValueError as exc:
+            raise ValueError(f"{where}.{exc}") from None
+        seed = _json_field(rec, "seed", int, where, image_id)
+        if seed < 0:
+            raise ValueError(f"{where}.seed must be >= 0 (it defaults to the id), got {seed}")
+        names = set(vocabulary(n_categories))
         objects = []
         for j, o in enumerate(_json_field(rec, "objects", list, where)):
             at = f"{where}.objects[{j}]"
             if not isinstance(o, dict):
                 raise ValueError(f"{at} must be an object")
             category = _json_field(o, "category", str, at)
+            if category not in names:
+                raise ValueError(f"{at}.category {category!r} is not one of the scene's {n_categories} categories")
             bbox = _json_field(o, "bbox", list, at)
             if len(bbox) != 4 or not all(is_json_number(v) for v in bbox):
                 raise ValueError(f"{at}.bbox must be 4 finite numbers [x, y, w, h], got {bbox!r}")
@@ -468,9 +493,9 @@ def scenes_from_json(obj: dict) -> tuple[list[Scene], dict[int, list[Box]]]:
             Scene(
                 image_id=image_id,
                 objects=tuple(objects),
-                clutter_density=_json_field(rec, "clutter_density", float, where, 0.0),
-                seed=_json_field(rec, "seed", int, where, image_id),
-                n_categories=_json_field(rec, "n_categories", int, where, 8),
+                clutter_density=clutter_density,
+                seed=seed,
+                n_categories=n_categories,
             )
         )
     proposals = {}

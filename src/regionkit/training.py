@@ -324,6 +324,7 @@ class _ForwardCache:
     aux_mixes: list[np.ndarray] | None
     connector: Connector
     features: np.ndarray
+    hidden: np.ndarray  # the connector's tanh activations
     tokens: np.ndarray
 
 
@@ -347,7 +348,8 @@ def _forward(params: ModelParams, s: SampleStatic, config: ExperimentConfig) -> 
         n, d = features.shape
         raise NonFiniteError(f"{n}x{d} region feature matrix contains non-finite values")
     conn = _connector(g)
-    return _ForwardCache(mix, aux_mixes, conn, features, connector_forward(conn, features))
+    tokens, hidden = connector_forward(conn, features, with_hidden=True)
+    return _ForwardCache(mix, aux_mixes, conn, features, hidden, tokens)
 
 
 def region_token_matrix(params: ModelParams, s: SampleStatic, config: ExperimentConfig) -> np.ndarray:
@@ -393,12 +395,14 @@ def loss_and_grads(
         np.add.at(dq, s.query_idx, d_logits.T @ cache.tokens)
         grads[GROUP_NEW_VOCAB] = {"queries": dq}
 
-    need_features = want & {GROUP_CONNECTOR, GROUP_SIMPLEFP, GROUP_AUX, GROUP_PRIMARY}
-    if not need_features:
+    below_connector = want & {GROUP_SIMPLEFP, GROUP_AUX, GROUP_PRIMARY}
+    if not (below_connector or GROUP_CONNECTOR in want):
         return loss, grads
 
     d_tokens = d_logits @ queries
-    conn_grads, d_feats = connector_backward(cache.connector, cache.features, d_tokens)
+    conn_grads, d_feats = connector_backward(
+        cache.connector, cache.features, d_tokens, hidden=cache.hidden, input_grad=bool(below_connector)
+    )
     if GROUP_CONNECTOR in want:
         grads[GROUP_CONNECTOR] = conn_grads
 

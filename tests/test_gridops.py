@@ -15,6 +15,7 @@ from regionkit.gridops import (
     conv2d_backward,
     deconv2d,
     deconv2d_backward,
+    resize_matrix,
 )
 
 
@@ -159,6 +160,16 @@ def test_resize_grad_is_adjoint():
     lhs = np.sum(out.data * g)
     rhs = np.sum(m.data * bilinear_resize_grad(g, 5, 4))
     assert abs(lhs - rhs) < 1e-10
+
+
+def test_resize_matrix_is_shared_and_read_only():
+    mat = resize_matrix(5, 9)
+    assert resize_matrix(5, 9) is mat
+    with pytest.raises(ValueError):
+        mat[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        mat += 1.0
+    np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-12)
 
 
 # ----------------------------------------------------------- convolution

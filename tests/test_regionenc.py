@@ -14,6 +14,7 @@ from regionkit.regionenc import (
     positional_embedding_matrix,
 )
 from regionkit.roialign import Box, RoiConfig, pooled_apply, pooled_weights, roi_align_pooled
+from regionkit import baseline, training
 from regionkit.simworld import make_training_set
 from regionkit.training import GROUP_CONNECTOR, init_model_params, prepare_sample, region_token_matrix
 
@@ -28,6 +29,19 @@ def oracle_positional_embedding(box: Box, dim: int) -> np.ndarray:
             omega = 1.0 / (10000.0 ** (2.0 * i / block))
             out[ci * block + 2 * i] = np.sin(v * omega)
             out[ci * block + 2 * i + 1] = np.cos(v * omega)
+    return out
+
+
+def per_box_positional_embedding(box: Box, dim: int) -> np.ndarray:
+    """The per-box loop ``positional_embedding`` ran before the matrix form:
+    the same arithmetic, one coordinate block at a time."""
+    block = dim // 4
+    freqs = 10000.0 ** (-2.0 * np.arange(block // 2) / block)
+    out = np.empty(dim)
+    for i, coord in enumerate((box.x1, box.y1, box.x2, box.y2)):
+        phase = (2.0 * np.pi * coord) * freqs
+        out[i * block : (i + 1) * block : 2] = np.sin(phase)
+        out[i * block + 1 : (i + 1) * block : 2] = np.cos(phase)
     return out
 
 
@@ -105,6 +119,23 @@ def test_embedding_matches_formula_oracle():
 def test_embedding_rejects_bad_dim():
     with pytest.raises(ValueError):
         positional_embedding(Box(0, 0, 1, 1), 12)
+    with pytest.raises(ValueError):
+        positional_embedding_matrix([Box(0, 0, 1, 1)], 12)
+
+
+def test_embedding_matrix_equals_stacked_per_box_arithmetic_bitwise():
+    rng = np.random.default_rng(12)
+    for dim in (8, 16, 40, 104, 472):
+        for n in (1, 2, 5, 33):
+            corners = np.sort(rng.uniform(size=(n, 2, 2)), axis=2)  # (box, axis, lo/hi)
+            boxes = [Box(c[0, 0], c[1, 0], c[0, 1], c[1, 1]) for c in corners]
+            got = positional_embedding_matrix(boxes, dim)
+            want = np.stack([per_box_positional_embedding(b, dim) for b in boxes])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert got[0].tobytes() == positional_embedding(boxes[0], dim).tobytes()
+    np.testing.assert_allclose(
+        positional_embedding_matrix(boxes, 16), np.stack([oracle_positional_embedding(b, 16) for b in boxes]), atol=1e-12
+    )
 
 
 def test_embedding_depends_only_on_coordinates():
@@ -211,6 +242,50 @@ def test_connector_gradcheck_wide_configuration():
             a = grad.ravel()[i]
             worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-5))
     assert worst < 1e-4
+
+
+def oracle_connector_backward(conn, f_hybrid, upstream, hidden=None, input_grad=True):
+    """The backward before it took the forward's activations: it recomputes
+    the tanh layer and always returns the input gradient.  ``hidden`` and
+    ``input_grad`` are accepted and ignored."""
+    f = np.atleast_2d(f_hybrid)
+    g = np.atleast_2d(upstream)
+    hidden = np.tanh(f @ conn.w1.T + conn.b1)
+    d_w2 = g.T @ hidden
+    d_b2 = g.sum(axis=0)
+    d_hidden = g @ conn.w2
+    d_pre = d_hidden * (1.0 - hidden**2)
+    d_w1 = d_pre.T @ f
+    d_b1 = d_pre.sum(axis=0)
+    d_f = d_pre @ conn.w1
+    return {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}, d_f
+
+
+def test_connector_backward_with_forward_activations_matches_recompute_bitwise():
+    rng = np.random.default_rng(9)
+    conn = Connector.seeded(7, 5, rng, hidden_dim=6)
+    x, upstream = rng.normal(size=(4, 7)), rng.normal(size=(4, 5))
+    out, hidden = connector_forward(conn, x, with_hidden=True)
+    assert out.tobytes() == connector_forward(conn, x).tobytes()
+    grads, d_in = connector_backward(conn, x, upstream, hidden=hidden)
+    want, want_d_in = oracle_connector_backward(conn, x, upstream)
+    assert d_in.tobytes() == want_d_in.tobytes()
+    for name in want:
+        assert grads[name].tobytes() == want[name].tobytes()
+    assert connector_backward(conn, x, upstream, hidden=hidden, input_grad=False)[1] is None
+
+
+def test_trained_parameters_equal_under_recomputing_backward(default_config, trained_default, monkeypatch):
+    """Seed 7, default budget: the retrieval head and the baseline train to
+    the same bits with the old, recomputing backward."""
+    head, _ = baseline.train_baseline(default_config)
+    monkeypatch.setattr(training, "connector_backward", oracle_connector_backward)
+    monkeypatch.setattr(baseline, "connector_backward", oracle_connector_backward)
+    params, _ = training.train(default_config)
+    assert params.checksums() == trained_default[0].checksums()
+    oracle_head, _ = baseline.train_baseline(default_config)
+    for name in ("w1", "b1", "w2", "b2"):
+        assert getattr(head.mlp, name).tobytes() == getattr(oracle_head.mlp, name).tobytes()
 
 
 # ------------------------------------------------------------ region tokens

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from regionkit.gridops import FeatureMap
-from regionkit.roialign import Box, RoiConfig, pooled_apply, pooled_weights, roi_align, roi_align_pooled
+from regionkit.roialign import (
+    Box,
+    RoiConfig,
+    pooled_apply,
+    pooled_axis_weights,
+    pooled_weights,
+    roi_align,
+    roi_align_pooled,
+)
 
 
 # ------------------------------------------------------------- oracle
@@ -45,6 +53,24 @@ def oracle_roi_align(data: np.ndarray, box: Box, cfg: RoiConfig) -> np.ndarray:
                         acc += oracle_sample(data[ci], y, x)
                 out[ci, by, bx] = acc / (r * r)
     return out
+
+
+def single_axis_pool_weights(lo: np.ndarray, hi: np.ndarray, size: int, cfg: RoiConfig) -> np.ndarray:
+    """(N, size) mean bilinear weights along one axis: the per-axis pass
+    ``pooled_axis_weights`` ran once per axis before it did both in one."""
+    start = lo * size - 0.5
+    bin_len = (hi - lo) * size / cfg.pool_size
+    r = cfg.sampling_ratio
+    unit = (np.arange(cfg.pool_size)[:, None] + (np.arange(r)[None, :] + 0.5) / r).ravel()
+    coords = np.clip(start[:, None] + unit[None, :] * bin_len[:, None], 0.0, size - 1)
+    i0 = np.floor(coords).astype(int)
+    i1 = np.minimum(i0 + 1, size - 1)
+    frac = coords - i0
+    n, samples = i0.shape
+    row = np.arange(n)[:, None] * size
+    cells = np.concatenate([(row + i0).ravel(), (row + i1).ravel()])
+    sums = np.bincount(cells, weights=np.concatenate([(1.0 - frac).ravel(), frac.ravel()]), minlength=n * size)
+    return sums.reshape(n, size) / samples
 
 
 def random_box(rng) -> Box:
@@ -176,6 +202,18 @@ def test_constant_map_pooled_rows_constant():
     rng = np.random.default_rng(4)
     pooled = roi_align_pooled(m, [random_box(rng) for _ in range(3)])
     np.testing.assert_allclose(pooled, 5.0, atol=1e-12)
+
+
+def test_one_pass_axis_weights_equal_two_single_axis_passes_bitwise():
+    rng = np.random.default_rng(11)
+    for h, w in [(3, 17), (17, 3), (8, 64), (64, 8), (1, 5), (9, 9), (33, 12)]:
+        for cfg in (RoiConfig(), RoiConfig(pool_size=3, sampling_ratio=1), RoiConfig(pool_size=2, sampling_ratio=3)):
+            boxes = [random_box(rng) for _ in range(int(rng.integers(1, 9)))]
+            a_y, a_x = pooled_axis_weights(h, w, boxes, cfg)
+            want_y = single_axis_pool_weights(np.array([b.y1 for b in boxes]), np.array([b.y2 for b in boxes]), h, cfg)
+            want_x = single_axis_pool_weights(np.array([b.x1 for b in boxes]), np.array([b.x2 for b in boxes]), w, cfg)
+            assert a_y.shape == want_y.shape and a_y.tobytes() == want_y.tobytes()
+            assert a_x.shape == want_x.shape and a_x.tobytes() == want_x.tobytes()
 
 
 def test_pooled_requires_boxes():

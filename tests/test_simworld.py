@@ -1,5 +1,7 @@
 """Synthetic world: determinism, rendering properties, proposal statistics."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -342,13 +344,41 @@ def _json_paths(node, path=()):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), value=_JSON)
 def test_scene_json_any_value_loads_or_raises_value_error(data, value):
+    """Any value anywhere: the document is refused, or it loads and renders."""
     blob = _valid_scene_blob()
     container, key = data.draw(st.sampled_from(list(_json_paths(blob))))
     container[key] = value
     try:
-        scenes_from_json(blob)
+        scenes, _ = scenes_from_json(blob)
     except ValueError:
-        pass
+        return
+    for scene in scenes:
+        toy_encode(scene)
+
+
+@pytest.mark.parametrize(
+    "record, where",
+    [
+        ({"id": 1, "objects": [], "clutter_density": -1.0}, "images[3].clutter_density"),
+        ({"id": 1, "objects": [], "clutter_density": 11}, "images[3].clutter_density"),
+        ({"id": 1, "objects": [], "n_categories": 0}, "images[3].n_categories"),
+        ({"id": 1, "objects": [], "n_categories": 2**16}, "images[3].n_categories"),
+        ({"id": 1, "objects": [], "seed": -2}, "images[3].seed"),
+        ({"id": -1, "objects": []}, "images[3].seed"),
+        ({"id": 1, "n_categories": 2, "objects": [{"category": "tree", "bbox": [0, 0, 0.5, 0.5]}]},
+         "images[3].objects[0].category"),
+        ({"id": 1, "objects": [{"category": "thing8", "bbox": [0, 0, 0.5, 0.5]}]},
+         "images[3].objects[0].category"),
+    ],
+)
+def test_scene_json_rejects_unrenderable_scene_naming_where(record, where):
+    blob = _valid_scene_blob()
+    blob["images"][2:] = [blob["images"][0], record]
+    with pytest.raises(ValueError, match=re.escape(where)):
+        scenes_from_json(blob)
+    blob["images"].pop()
+    for scene in scenes_from_json(blob)[0]:
+        toy_encode(scene)
 
 
 def test_proposal_config_validation():
