@@ -1,55 +1,47 @@
-"""From a synthetic scene to region tokens and the model input sequence.
+"""From a synthetic scene to region tokens, scores and detections.
 
-Runs the whole encoding path at desk scale: render a scene with the toy
-dual encoders, build the pyramid, pool per-proposal features from both
-streams, add box positional embeddings, project through the connector,
-and interleave the resulting region tokens into an input sequence.
+Runs the path the system runs, at desk scale: render a scene with the toy
+dual encoders and pool both streams into per-proposal taps
+(``prepare_sample``), turn the taps into one region token per proposal
+(``region_token_matrix``: pyramid and fused-map features, box positional
+embeddings, connector), score every token against every category query
+(``score_matrix``) and keep the pairs above the threshold
+(``decode_detections``).  The model here is freshly initialized, so its
+scores sit near one half; ``08_train_and_benchmark.py`` trains one.
 """
 
 import numpy as np
 
-from regionkit import (
-    Connector,
-    RegionToken,
-    SimpleFPParams,
-    aux_fuse,
-    build_input_sequence,
-    connector_forward,
-    generate_scene,
-    roi_align_pooled,
-    simple_fp,
-    simulate_opn,
-    toy_encode,
-)
-from regionkit.regionenc import positional_embedding_matrix
-from regionkit.simworld import SceneConfig
+from regionkit import ExperimentConfig, decode_detections, generate_scene, score_matrix, simulate_opn, vocabulary
+from regionkit.experiments import EvalScene
+from regionkit.training import GROUP_NEW_VOCAB, init_model_params, prepare_sample, region_token_matrix
 
 
 def main():
-    rng = np.random.default_rng(1)
-    world = SceneConfig(min_objects=3, max_objects=3)
-    scene = generate_scene(11, world)
+    config = ExperimentConfig(seed=1)
+    scene = generate_scene(11, config.world)
     print("scene objects:", [(c, round(b.x1, 2), round(b.y1, 2)) for c, b in scene.objects])
 
-    proposals = simulate_opn(scene, seed=5)
+    proposals = simulate_opn(scene, config.proposals, seed=5)
     print(f"{len(proposals)} proposals, top score {proposals[0].score:.2f}")
 
-    primary, aux_maps = toy_encode(scene)
-    pyramid = simple_fp(primary, SimpleFPParams.seeded(primary.channels, 8, rng))
-    fused = aux_fuse(aux_maps)
+    sample = prepare_sample(EvalScene(scene, proposals), config)
+    print(f"pooled taps: {len(sample.primary_taps)} pyramid levels, {len(sample.aux_taps)} fused-map levels")
+    print(f"hybrid feature length: {config.d_p} primary + {config.d_a} auxiliary = {config.d_total}")
 
-    pooled = [roi_align_pooled(m, proposals) for m in pyramid + [fused]]
-    features = np.concatenate(pooled, axis=1)
-    f_hybrid = features + positional_embedding_matrix(proposals, features.shape[1])
-    print("hybrid feature length:", f_hybrid.shape[1])
+    params = init_model_params(config)
+    tokens = region_token_matrix(params, sample, config)
+    print("region tokens:", tokens.shape[0], "x", tokens.shape[1])
 
-    connector = Connector.seeded(f_hybrid.shape[1], 64, rng)
-    tokens = [RegionToken(row, i) for i, row in enumerate(connector_forward(connector, f_hybrid))]
-    print("region tokens:", len(tokens), "x", tokens[0].embedding.shape[0])
+    queries = params.groups[GROUP_NEW_VOCAB]["queries"]
+    scores = score_matrix(tokens, queries)
+    print("category queries:", queries.shape[0], "x", queries.shape[1])
+    print("score range:", np.round(scores.min(), 3), "to", np.round(scores.max(), 3))
 
-    seq = build_input_sequence(4, tokens, ["find ", "every ", "object"])
-    print("input sequence:")
-    print(seq.render())
+    dets = decode_detections(scores, proposals, vocabulary(config.n_categories), config.threshold)
+    print(f"{len(dets)} of {scores.size} (region, category) pairs pass threshold {config.threshold}")
+    for d in dets[:3]:
+        print(f"  {d.label:8s} at region {d.source_region} (conf {d.confidence:.3f})")
 
 
 if __name__ == "__main__":

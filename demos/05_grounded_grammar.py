@@ -6,7 +6,7 @@ are legal too.  Malformed input never crashes the parser; it raises a
 structured error carrying the byte offset and violated production.
 """
 
-from regionkit import ParseError, bindings, parse_grounded, serialize_grounded
+from regionkit import GroundedSpan, ParseError, parse_grounded, serialize_grounded
 
 
 def main():
@@ -14,7 +14,8 @@ def main():
     resp = parse_grounded(text, n_regions=11)
     for node in resp.nodes:
         print("node:", node)
-    print("bindings:", bindings(resp))
+    spans = [(n.phrase, n.regions) for n in resp.nodes if isinstance(n, GroundedSpan)]
+    print("grounded spans:", spans)
     print("round-trip identical:", serialize_grounded(resp) == text)
 
     print()

@@ -3,32 +3,22 @@
 from .gridops import FeatureMap, Kernel, bilinear_resize, concat_channels, conv2d, deconv2d
 from .roialign import Box, RoiConfig, roi_align, roi_align_pooled
 from .pyramid import SimpleFPParams, aux_fuse, simple_fp
-from .regionenc import (
-    Connector,
-    RegionToken,
-    connector_backward,
-    connector_forward,
-    positional_embedding,
-)
+from .regionenc import Connector, connector_backward, connector_forward, positional_embedding_matrix
 from .tokenproto import (
     BareRegionRef,
     GroundedResponse,
     GroundedSpan,
     ParseError,
-    RegionTokenSequence,
     Text,
-    bindings,
-    build_input_sequence,
     parse_grounded,
     serialize_grounded,
 )
 from .retrieval import (
-    CategoryQuery,
     Detection,
     decode_detections,
     detect_then_count,
     grounded_to_detections,
-    score_regions,
+    score_matrix,
 )
 from .simworld import (
     EncoderConfig,
@@ -41,7 +31,7 @@ from .simworld import (
     toy_encode,
     vocabulary,
 )
-from .metrics import EvalReport, average_precision, box_recall, coco_map, counting_accuracy, iou
+from .metrics import EvalReport, box_recall, coco_map, counting_accuracy, iou
 from .config import ExperimentConfig
 from .training import FreezeSchedule, ModelParams, TrainingDivergence, grad_check, train
 from .baseline import regression_baseline_eval, train_baseline

@@ -23,40 +23,30 @@ from .tokenproto import ParseError, parse_grounded
 from .training import grad_check, train
 
 
+#: The config fields a command-line flag overrides: (flag, field, type).
+CONFIG_FLAGS = (
+    ("--seed", "seed", int),
+    ("--stage1-steps", "stage1_steps", int),
+    ("--stage2-steps", "stage2_steps", int),
+    ("--stage1-lr", "stage1_lr", float),
+    ("--stage2-lr", "stage2_lr", float),
+    ("--threshold", "threshold", float),
+    ("--n-train-scenes", "n_train_scenes", int),
+    ("--n-eval-scenes", "n_eval_scenes", int),
+    ("--rejection-fraction", "rejection_fraction", float),
+)
+
+
 def _load_config(args) -> ExperimentConfig:
-    if args.config:
-        cfg = ExperimentConfig.loads(Path(args.config).read_text())
-    else:
-        cfg = ExperimentConfig()
-    overrides = {}
-    for name in (
-        "seed",
-        "stage1_steps",
-        "stage2_steps",
-        "stage1_lr",
-        "stage2_lr",
-        "threshold",
-        "n_train_scenes",
-        "n_eval_scenes",
-        "rejection_fraction",
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
+    cfg = ExperimentConfig.loads(Path(args.config).read_text()) if args.config else ExperimentConfig()
+    overrides = {name: getattr(args, name) for _, name, _ in CONFIG_FLAGS if getattr(args, name) is not None}
     return cfg.replace(**overrides) if overrides else cfg
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON config file (see README for the schema)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--stage1-steps", dest="stage1_steps", type=int)
-    p.add_argument("--stage2-steps", dest="stage2_steps", type=int)
-    p.add_argument("--stage1-lr", dest="stage1_lr", type=float)
-    p.add_argument("--stage2-lr", dest="stage2_lr", type=float)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--n-train-scenes", dest="n_train_scenes", type=int)
-    p.add_argument("--n-eval-scenes", dest="n_eval_scenes", type=int)
-    p.add_argument("--rejection-fraction", dest="rejection_fraction", type=float)
+    for flag, name, kind in CONFIG_FLAGS:
+        p.add_argument(flag, dest=name, type=kind)
 
 
 def cmd_gen(args) -> int:

@@ -30,7 +30,6 @@ from .training import (
     GROUP_NEW_VOCAB,
     ModelParams,
     TrainingLog,
-    model_queries,
     prepare_sample,
     region_token_matrix,
     train,
@@ -91,7 +90,7 @@ def detections_for_scene(
     """Full retrieval decode: region tokens, scores against every category,
     thresholded detections."""
     scores = _scene_scores(params, ev, config)
-    return decode_detections(scores, ev.proposals, model_queries(params, config), config.threshold)
+    return decode_detections(scores, ev.proposals, vocabulary(config.n_categories), config.threshold)
 
 
 def evaluate_retrieval(
@@ -245,16 +244,16 @@ def counting_stats(
                                   max_proposals=config.proposals.max_proposals)
     eval_scenes = make_eval_scenes(config, n_scenes=n_scenes, proposal_config=noiseless,
                                    salt=_EVAL_SEED_SALT + 2)
-    queries = model_queries(params, config)
+    names = vocabulary(config.n_categories)
     predicted = []
     true = []
     for ev in eval_scenes:
         scores = _scene_scores(params, ev, config)
-        for q, query in enumerate(queries):
-            true_count = len(ev.scene.boxes_of(query.name))
+        for q, name in enumerate(names):
+            true_count = len(ev.scene.boxes_of(name))
             if true_count == 0:
                 continue
-            predicted.append(detect_then_count(scores[:, [q]], ev.proposals, query, config.threshold))
+            predicted.append(detect_then_count(scores[:, [q]], ev.proposals, name, config.threshold))
             true.append(true_count)
     return {
         "n_queries": float(len(true)),

@@ -23,7 +23,6 @@ __all__ = [
     "COCO_IOU_THRESHOLDS",
     "EvalReport",
     "iou",
-    "average_precision",
     "coco_map",
     "counting_accuracy",
     "box_recall",
@@ -125,20 +124,6 @@ def _interpolated_ap(tp: np.ndarray, n_gt: int) -> float:
         mask = recall >= r
         ap += precision[mask].max() if mask.any() else 0.0
     return ap / len(RECALL_POINTS)
-
-
-def average_precision(
-    detections: list[tuple[int, Box, float]],
-    ground_truth: dict[int, list[Box]],
-    iou_threshold: float,
-) -> float:
-    """Single-category AP at one IoU threshold.
-
-    ``detections`` are (image_id, box, confidence) triples; ``ground_truth``
-    maps image ids to that category's boxes.
-    """
-    tp, n_gt = _match(list(detections), ground_truth, iou_threshold)
-    return _interpolated_ap(tp, n_gt)
 
 
 def coco_map(

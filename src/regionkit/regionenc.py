@@ -23,33 +23,11 @@ from .gridops import NonFiniteError
 from .roialign import Box
 
 __all__ = [
-    "RegionToken",
     "Connector",
-    "positional_embedding",
     "positional_embedding_matrix",
     "connector_forward",
     "connector_backward",
 ]
-
-
-@dataclass(frozen=True)
-class RegionToken:
-    """A token-space vector standing for one proposal region."""
-
-    embedding: np.ndarray
-    index: int
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.embedding)):
-            raise ValueError("region token embedding must be finite")
-        if self.index < 0:
-            raise ValueError("region index must be >= 0")
-
-
-def positional_embedding(box: Box, dim: int) -> np.ndarray:
-    """Sine-cosine embedding of the four box coordinates, length ``dim``:
-    the one-box case of :func:`positional_embedding_matrix`."""
-    return positional_embedding_matrix([box], dim)[0]
 
 
 def positional_embedding_matrix(boxes: list[Box], dim: int) -> np.ndarray:

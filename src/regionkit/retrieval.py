@@ -1,12 +1,13 @@
 """Retrieval-based detection decoding.
 
-Detection here is a lookup, not a generation problem: each region token is
-scored independently against every category query with a logistic over the
-dot product, and any (region, category) pair above the threshold becomes a
-detection that reuses the proposal's box verbatim.  A category whose scores
-all stay below the threshold yields nothing — rejection is the default
-outcome, not an error.  Counting is decode-then-count: decode detections
-for the category, report their cardinality.
+Detection here is a lookup, not a generation problem: each region token (a
+row of the token matrix) is scored independently against every category
+query (a row of the query table) with a logistic over the dot product, and
+any (region, category) pair above the threshold becomes a detection that
+reuses the proposal's box verbatim.  A category whose scores all stay
+below the threshold yields nothing — rejection is the default outcome, not
+an error.  Counting is decode-then-count: decode detections for the
+category, report their cardinality.
 
 There is no non-maximum suppression; proposals are assumed to come from a
 detector that already deduplicates.
@@ -14,19 +15,17 @@ detector that already deduplicates.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .roialign import Box
-from .regionenc import RegionToken
 from .tokenproto import GroundedResponse, GroundedSpan
 
 __all__ = [
-    "CategoryQuery",
     "Detection",
     "logistic",
-    "score_regions",
     "score_matrix",
     "decode_detections",
     "detect_then_count",
@@ -34,18 +33,6 @@ __all__ = [
     "detections_to_json",
     "emit_grounded_summary",
 ]
-
-
-@dataclass(frozen=True)
-class CategoryQuery:
-    """A named category with its learned token-space embedding."""
-
-    name: str
-    embedding: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.embedding)):
-            raise ValueError("query embedding must be finite")
 
 
 @dataclass(frozen=True)
@@ -69,7 +56,8 @@ def logistic(z: np.ndarray) -> np.ndarray:
 
 
 def score_matrix(token_embeddings: np.ndarray, query_embeddings: np.ndarray) -> np.ndarray:
-    """(N, Q) logistic scores from raw embedding matrices."""
+    """(N, Q) logistic scores of every region token (row of ``token_embeddings``)
+    against every category query (row of ``query_embeddings``); entries in [0, 1]."""
     t = np.atleast_2d(token_embeddings)
     q = np.atleast_2d(query_embeddings)
     if t.shape[1] != q.shape[1]:
@@ -77,32 +65,23 @@ def score_matrix(token_embeddings: np.ndarray, query_embeddings: np.ndarray) -> 
     return logistic(t @ q.T)
 
 
-def score_regions(tokens: list[RegionToken], queries: list[CategoryQuery]) -> np.ndarray:
-    """Score every region token against every category query; entries in [0, 1]."""
-    t = np.stack([tok.embedding for tok in tokens])
-    q = np.stack([qr.embedding for qr in queries])
-    names = [qr.name for qr in queries]
-    if len(set(names)) != len(names):
-        raise ValueError("query names must be unique")
-    return score_matrix(t, q)
-
-
 def decode_detections(
     scores: np.ndarray,
     proposals: list[Box],
-    queries: list[CategoryQuery],
+    labels: Sequence[str],
     threshold: float = 0.5,
 ) -> list[Detection]:
-    """One detection per (region, query) score strictly above the threshold.
+    """One detection per (region, category) score strictly above the threshold;
+    column q of ``scores`` belongs to category ``labels[q]``.
 
     Output is ordered by confidence descending, ties broken by lower region
-    index then query order.
+    index then category order.
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError("threshold must lie in (0, 1)")
     scores = np.atleast_2d(scores)
-    if scores.shape != (len(proposals), len(queries)):
-        raise ValueError("score matrix shape must be (n_proposals, n_queries)")
+    if scores.shape != (len(proposals), len(labels)):
+        raise ValueError("score matrix shape must be (n_proposals, n_labels)")
     hits = []
     for i in range(scores.shape[0]):
         for q in range(scores.shape[1]):
@@ -111,35 +90,31 @@ def decode_detections(
                 hits.append((-s, i, q))
     hits.sort()
     return [
-        Detection(box=proposals[i], label=queries[q].name, confidence=-neg, source_region=i)
+        Detection(box=proposals[i], label=labels[q], confidence=-neg, source_region=i)
         for neg, i, q in hits
     ]
 
 
 def detect_then_count(
-    scores: np.ndarray, proposals: list[Box], query: CategoryQuery, threshold: float = 0.5
+    scores: np.ndarray, proposals: list[Box], label: str, threshold: float = 0.5
 ) -> int:
-    """Count instances of one category by decoding first, then aggregating."""
-    dets = decode_detections(scores, proposals, [query], threshold)
+    """Count instances of one category by decoding first, then aggregating;
+    ``scores`` is that category's (N, 1) column."""
+    dets = decode_detections(scores, proposals, [label], threshold)
     return len(dets)
 
 
-def grounded_to_detections(
-    resp: GroundedResponse, proposals: list[Box], phrase_to_label: dict[str, str] | None = None
-) -> list[Detection]:
-    """Turn each grounded span's region references into confidence-1.0 detections.
-
-    Labels come from ``phrase_to_label`` when given, else the phrase itself.
-    """
+def grounded_to_detections(resp: GroundedResponse, proposals: list[Box]) -> list[Detection]:
+    """Turn each grounded span's region references into confidence-1.0
+    detections labelled with the span's phrase."""
     out = []
     for node in resp.nodes:
         if not isinstance(node, GroundedSpan):
             continue
-        label = phrase_to_label.get(node.phrase, node.phrase) if phrase_to_label else node.phrase
         for idx in node.regions:
             if idx >= len(proposals):
                 raise ValueError(f"region index {idx} out of range for {len(proposals)} proposals")
-            out.append(Detection(box=proposals[idx], label=label, confidence=1.0, source_region=idx))
+            out.append(Detection(box=proposals[idx], label=node.phrase, confidence=1.0, source_region=idx))
     return out
 
 

@@ -53,6 +53,10 @@ MAX_CATEGORIES = 256
 #: The highest clutter density.  A scene draws Poisson(8 * density)
 #: distractors; at 10 their ~80 smudges cover about a third of the image.
 MAX_CLUTTER_DENSITY = 10.0
+#: The highest encoder resolution.  A render paints every category at each
+#: resolution; at 512 the largest paint (256 categories x 512^2 float64) is
+#: 512 MiB.
+MAX_RESOLUTION = 512
 
 
 def vocabulary(n_categories: int) -> tuple[str, ...]:
@@ -113,8 +117,13 @@ class EncoderConfig:
             raise ValueError("primary_resolution must be >= 1")
         if self.aux_base_resolution < 8:
             raise ValueError("aux_base_resolution must be >= 8: the coarsest auxiliary level is 1/8 of it")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        for name in ("primary_resolution", "aux_base_resolution"):
+            if getattr(self, name) > MAX_RESOLUTION:
+                raise ValueError(f"{name} must be <= {MAX_RESOLUTION}, got {getattr(self, name)}")
+        if not 0 <= self.noise_sigma < float("inf"):
+            raise ValueError(f"noise_sigma must be a finite number >= 0, got {self.noise_sigma}")
+        if not 0 <= self.distractor_intensity <= 1:
+            raise ValueError(f"distractor_intensity must lie in [0, 1], got {self.distractor_intensity}")
 
     @staticmethod
     def primary_channels(n_categories: int) -> int:

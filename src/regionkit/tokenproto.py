@@ -1,11 +1,7 @@
-"""Token-based region referencing protocol.
+"""Token-based region referencing: the grounded-output grammar.
 
-Input side: the model input is an interleaved sequence of image tokens, a
-newline, one ``<regionK>`` index token immediately followed by its region
-token for K = 0..N-1, another newline, then text tokens.
-
-Output side: responses ground noun phrases in regions with a flat tag
-grammar.  The grammar, in EBNF (also documented in the README):
+Responses ground noun phrases in regions with a flat tag grammar.  The
+grammar, in EBNF (also documented in the README):
 
     response      = { text | grounded_span | region_ref } ;
     grounded_span = "<ground>" phrase "</ground>"
@@ -29,15 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .regionenc import RegionToken
-
 __all__ = [
-    "ImageTokenBlock",
-    "RegionIndexToken",
-    "RegionTokenSlot",
-    "TextToken",
-    "RegionTokenSequence",
-    "build_input_sequence",
     "Text",
     "GroundedSpan",
     "BareRegionRef",
@@ -45,107 +33,8 @@ __all__ = [
     "ParseError",
     "parse_grounded",
     "serialize_grounded",
-    "bindings",
 ]
 
-
-# ------------------------------------------------------- input sequence
-
-@dataclass(frozen=True)
-class ImageTokenBlock:
-    count: int
-
-
-@dataclass(frozen=True)
-class RegionIndexToken:
-    index: int
-
-
-@dataclass(frozen=True)
-class RegionTokenSlot:
-    index: int
-    token: RegionToken | None = None
-
-
-@dataclass(frozen=True)
-class TextToken:
-    text: str
-
-
-_NEWLINE = TextToken("\n")
-
-
-@dataclass(frozen=True)
-class RegionTokenSequence:
-    """Validated interleaved input sequence.
-
-    Structure: image block, newline, N (index token, region slot) pairs with
-    indices ascending 0..N-1, newline, text tokens.
-    """
-
-    elements: tuple
-    n_regions: int
-
-    def __post_init__(self):
-        e = self.elements
-        n = self.n_regions
-        if len(e) < 3 or not isinstance(e[0], ImageTokenBlock):
-            raise ValueError("sequence must start with an image token block")
-        if e[1] != _NEWLINE:
-            raise ValueError("image block must be followed by a newline")
-        for k in range(n):
-            idx_el = e[2 + 2 * k]
-            slot_el = e[3 + 2 * k]
-            if not isinstance(idx_el, RegionIndexToken) or idx_el.index != k:
-                raise ValueError(f"expected index token {k} at position {2 + 2 * k}")
-            if not isinstance(slot_el, RegionTokenSlot) or slot_el.index != k:
-                raise ValueError(f"region slot {k} must immediately follow its index token")
-        if e[2 + 2 * n] != _NEWLINE:
-            raise ValueError("region pairs must be followed by a newline")
-        for el in e[3 + 2 * n :]:
-            if not isinstance(el, TextToken):
-                raise ValueError("only text tokens may follow the region section")
-
-    def render(self) -> str:
-        """Wire-format string; region slots render as the ``<region_token>`` placeholder."""
-        parts = []
-        for el in self.elements:
-            if isinstance(el, ImageTokenBlock):
-                parts.append("<image>" * el.count)
-            elif isinstance(el, RegionIndexToken):
-                parts.append(f"<region{el.index}>")
-            elif isinstance(el, RegionTokenSlot):
-                parts.append("<region_token>")
-            else:
-                parts.append(el.text)
-        return "".join(parts)
-
-
-def build_input_sequence(
-    n_image_tokens: int,
-    region_tokens: list[RegionToken],
-    text: list[str],
-) -> RegionTokenSequence:
-    """Assemble the canonical input sequence from region tokens and text.
-
-    Region tokens must carry indices 0..N-1, in order.
-    """
-    n = len(region_tokens)
-    indices = [t.index for t in region_tokens]
-    if sorted(indices) != list(range(n)):
-        raise ValueError("region tokens must carry each index 0..N-1 exactly once")
-    if indices != list(range(n)):
-        raise ValueError("region tokens out of order")
-    elements: list = [ImageTokenBlock(n_image_tokens), _NEWLINE]
-    for tok in region_tokens:
-        elements.append(RegionIndexToken(tok.index))
-        elements.append(RegionTokenSlot(tok.index, tok))
-    elements.append(_NEWLINE)
-    elements.extend(TextToken(t) for t in text)
-    return RegionTokenSequence(tuple(elements), n)
-
-
-# ---------------------------------------------------- grounded responses
 
 @dataclass(frozen=True)
 class Text:
@@ -327,7 +216,3 @@ def serialize_grounded(resp: GroundedResponse) -> str:
             raise ValueError(f"unknown node type {type(node).__name__}")
     return "".join(parts)
 
-
-def bindings(resp: GroundedResponse) -> list[tuple[str, list[int]]]:
-    """All (phrase, region indices) pairs, in document order."""
-    return [(n.phrase, list(n.regions)) for n in resp.nodes if isinstance(n, GroundedSpan)]

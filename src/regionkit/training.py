@@ -43,7 +43,6 @@ from .pyramid import (
     simple_fp_taps,
 )
 from .regionenc import Connector, connector_backward, connector_forward, positional_embedding_matrix
-from .retrieval import CategoryQuery
 from .roialign import Box, apply_taps, pooled_axis_weights, pooled_taps
 from .simworld import TrainingSample, make_training_set, toy_encode, vocabulary
 
@@ -247,12 +246,6 @@ def _mix_grads(d_mix: np.ndarray, name: str) -> dict[str, np.ndarray]:
 def _connector(groups: dict) -> Connector:
     c = groups[GROUP_CONNECTOR]
     return Connector(c["w1"], c["b1"], c["w2"], c["b2"])
-
-
-def model_queries(params: ModelParams, config: ExperimentConfig) -> list[CategoryQuery]:
-    names = vocabulary(config.n_categories)
-    table = params.groups[GROUP_NEW_VOCAB]["queries"]
-    return [CategoryQuery(name, table[i]) for i, name in enumerate(names)]
 
 
 # ---------------------------------------------------------- sample prep

@@ -32,3 +32,11 @@ def trained_default(default_config):
     from regionkit.training import train
 
     return train(default_config)
+
+
+@pytest.fixture(scope="session")
+def default_ablation(default_config):
+    """Every feature-stream variant at the default budget over seeds 7-11."""
+    from regionkit.experiments import run_ablations
+
+    return run_ablations(default_config, n_seeds=5)

@@ -2,7 +2,8 @@
 
 One test per criterion, each printing a PASS/FAIL line (run with
 ``pytest tests/test_acceptance.py -v -s`` to see them live).  Training-heavy
-criteria share the session-scoped default seed-7 run.
+criteria share the session-scoped default seed-7 run and the default
+five-seed ablation.
 """
 
 import itertools
@@ -15,20 +16,26 @@ from grammar_tools import mutate_invalid, random_response
 from naive_eval import naive_report
 from regionkit.config import ExperimentConfig
 from regionkit.experiments import (
-    evaluate_retrieval,
     make_eval_scenes,
     recall_ceiling_check,
     rejection_stats,
     counting_stats,
-    run_ablations,
 )
 from regionkit.baseline import regression_baseline_eval, train_baseline
 from regionkit.gridops import FeatureMap
 from regionkit.metrics import COCO_IOU_THRESHOLDS, coco_map
-from regionkit.pyramid import SimpleFPParams, aux_fuse, simple_fp
+from regionkit.pyramid import (
+    SimpleFPParams,
+    aux_fuse,
+    aux_fuse_pooled,
+    aux_fuse_taps,
+    simple_fp,
+    simple_fp_pooled,
+    simple_fp_taps,
+)
 from regionkit.regionenc import positional_embedding_matrix
 from regionkit.retrieval import Detection
-from regionkit.roialign import Box, RoiConfig, roi_align, roi_align_pooled
+from regionkit.roialign import Box, RoiConfig, pooled_axis_weights, pooled_taps, roi_align, roi_align_pooled
 from regionkit.simworld import EncoderConfig, ProposalSimConfig, SceneConfig
 from regionkit.tokenproto import ParseError, parse_grounded, serialize_grounded
 from regionkit.training import (
@@ -39,7 +46,6 @@ from regionkit.training import (
     GROUP_PRIMARY,
     grad_check,
     init_model_params,
-    train,
 )
 from test_roialign import oracle_roi_align, random_box
 
@@ -53,15 +59,21 @@ def test_criterion_01_roialign_oracle_equivalence():
     rng = np.random.default_rng(42)
     cfg = RoiConfig()
     start = time.time()
-    worst = 0.0
+    worst = worst_pooled = 0.0
     for _ in range(200):
         data = rng.normal(size=(3, 8, 8))
         box = random_box(rng)
+        want = oracle_roi_align(data, box, cfg)
         got = roi_align(FeatureMap.from_array(data), box, cfg).data
-        worst = max(worst, float(np.max(np.abs(got - oracle_roi_align(data, box, cfg)))))
+        worst = max(worst, float(np.max(np.abs(got - want))))
+        # the per-axis path the system pools with, against the oracle's bin mean
+        a_y, a_x = pooled_axis_weights(8, 8, [box], cfg)
+        pooled = pooled_taps(data, a_y[:, None], a_x[:, None])[0]
+        worst_pooled = max(worst_pooled, float(np.max(np.abs(pooled - want.mean(axis=(1, 2))))))
     elapsed = time.time() - start
-    _report(1, worst < 1e-9 and elapsed < 5.0,
-            f"200 random cases, max |diff| {worst:.2e} vs naive oracle, {elapsed:.1f}s")
+    _report(1, worst < 1e-9 and worst_pooled < 1e-9 and elapsed < 5.0,
+            f"200 random cases, max |diff| vs naive oracle {worst:.2e} (roi_align), "
+            f"{worst_pooled:.2e} (pooled_axis_weights + pooled_taps), {elapsed:.1f}s")
 
 
 def test_criterion_02_gradient_verification():
@@ -129,9 +141,27 @@ def test_criterion_04_reference_dimension_contract():
         and f_aux.shape == (2, 3840)
         and all(row.shape == (5888,) for row in f_hybrid)
     )
-    _report(4, shape_ok and dims_ok,
+
+    # the factored path the system runs: pooled taps of each map (with a
+    # ones channel for the mix bias) contracted with identity mixes
+    def with_ones(data):
+        return np.concatenate([data, np.ones((1,) + data.shape[1:])])
+
+    def identity_mix(c):
+        return np.eye(c, c + 1)
+
+    fp = {f"{b}_{part}": getattr(k, attr) for b, k in params.kernels.items()
+          for part, attr in (("w", "weights"), ("b", "bias"))}
+    p_pri = np.concatenate(simple_fp_pooled(simple_fp_taps(with_ones(last.data), boxes), identity_mix(512), fp),
+                           axis=1)
+    p_aux = aux_fuse_pooled(aux_fuse_taps([with_ones(m.data) for m in aux_maps], boxes),
+                            [identity_mix(m.channels) for m in aux_maps])
+    factored_diff = max(float(np.max(np.abs(p_pri - f_pri))), float(np.max(np.abs(p_aux - f_aux))))
+    factored_ok = p_pri.shape == (2, 2048) and p_aux.shape == (2, 3840) and factored_diff <= 1e-12
+    _report(4, shape_ok and dims_ok and factored_ok,
             f"SimpleFP scales {shapes}; D_p=2048, D_a=3840, f_hybrid length "
-            f"{f_hybrid[0].shape[0]}")
+            f"{f_hybrid[0].shape[0]}; factored path D_p={p_pri.shape[1]}, D_a={p_aux.shape[1]}, "
+            f"max |diff| {factored_diff:.1e} vs dense")
 
 
 def test_criterion_05_freeze_schedule_bitwise(trained_default):
@@ -173,31 +203,26 @@ def test_criterion_06_recall_ceiling_invariant():
     _report(6, ok, f"detection recall <= proposal recall at all 10 IoU thresholds over {scenes_checked} scenes")
 
 
-def test_criterion_07_head_to_head_five_seeds(default_config, trained_default):
+def test_criterion_07_head_to_head_five_seeds(default_config, default_ablation):
+    """The retrieval APs are the default ablation's hybrid row: the same
+    configs, seeds and held-out scenes, so those models train only once."""
+    retrieval_aps = {r.variant: r.ap_per_seed for r in default_ablation}["hybrid"]
     start = time.time()
     results = []
-    for seed in range(7, 12):
-        cfg = default_config.replace(seed=seed)
-        if seed == default_config.seed:
-            params, _ = trained_default
-        else:
-            params, _ = train(cfg)
+    for offset, retrieval_ap in enumerate(retrieval_aps):
+        cfg = default_config.replace(seed=default_config.seed + offset)
         eval_scenes = make_eval_scenes(cfg)
-        retrieval = evaluate_retrieval(params, eval_scenes, cfg)
         head, _ = train_baseline(cfg)
         baseline = regression_baseline_eval(head, [e.scene for e in eval_scenes], cfg)
-        results.append((seed, retrieval.ap_mean, baseline.ap_mean))
+        results.append((cfg.seed, retrieval_ap, baseline.ap_mean))
     elapsed = time.time() - start
     ok = all(r >= 0.60 and (r - b) >= 0.15 for _, r, b in results) and elapsed < 600
     detail = "; ".join(f"seed {s}: retrieval {r:.3f} vs baseline {b:.3f}" for s, r, b in results)
     _report(7, ok, f"{detail} ({elapsed:.0f}s)")
 
 
-def test_criterion_08_ablation_orderings(default_config):
-    cfg = default_config.replace(
-        n_train_scenes=100, stage1_steps=800, stage2_steps=200, n_eval_scenes=15
-    )
-    rows = {r.variant: r.ap_mean for r in run_ablations(cfg, n_seeds=5)}
+def test_criterion_08_ablation_orderings(default_ablation):
+    rows = {r.variant: r.ap_mean for r in default_ablation}
     ok = (
         rows["hybrid"] >= rows["primary_only"]
         and rows["hybrid"] >= rows["auxiliary_only"]

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from regionkit.cli import CONFIG_FLAGS
 from regionkit.cli import main as cli_main
 from regionkit.config import ExperimentConfig
 from regionkit.experiments import (
@@ -183,11 +184,18 @@ def test_cli_validate_transcript(tmp_path, capsys):
 
 
 def test_cli_flag_overrides(tmp_path):
-    rc = cli_main([
-        "train", "--seed", "4", "--stage1-steps", "2", "--stage2-steps", "1",
-        "--n-train-scenes", "2", "--out", str(tmp_path / "ov"),
-    ])
-    assert rc == 0
+    """Every override flag, set once, lands in the run's manifest."""
+    values = {
+        "--seed": "4", "--stage1-steps": "2", "--stage2-steps": "1", "--stage1-lr": "0.002",
+        "--stage2-lr": "2e-05", "--threshold": "0.6", "--n-train-scenes": "2", "--n-eval-scenes": "3",
+        "--rejection-fraction": "0.25",
+    }
+    assert set(values) == {flag for flag, _, _ in CONFIG_FLAGS}
+    argv = ["train", "--out", str(tmp_path / "ov")]
+    for flag, value in values.items():
+        argv += [flag, value]
+    assert cli_main(argv) == 0
     manifest = json.loads((tmp_path / "ov" / "manifest.json").read_text())
-    assert manifest["config"]["seed"] == 4
-    assert manifest["config"]["stage1_steps"] == 2
+    for flag, name, kind in CONFIG_FLAGS:
+        got = manifest["config"][name]
+        assert type(got) is kind and got == kind(values[flag]), (flag, got)

@@ -9,7 +9,6 @@ from naive_eval import naive_report
 from regionkit.metrics import (
     COCO_IOU_THRESHOLDS,
     EvalReport,
-    average_precision,
     box_recall,
     coco_map,
     counting_accuracy,
@@ -48,20 +47,30 @@ def test_iou_zero_union():
 
 # ---------------------------------------------------------------------- AP
 
+def single_category_ap(dets, gt, thr):
+    """``coco_map``'s AP at one IoU threshold for detections of one category
+    given as (image_id, box, confidence) and its boxes per image."""
+    detections = {}
+    for img, box, conf in dets:
+        detections.setdefault(img, []).append(D(box, "c", conf))
+    truth = {img: [("c", b) for b in boxes] for img, boxes in gt.items()}
+    return coco_map(detections, truth).ap_per_iou[thr]
+
+
 def test_ap_perfect_single():
     gt = {0: [B(0.1, 0.1, 0.4, 0.4)]}
     dets = [(0, B(0.1, 0.1, 0.4, 0.4), 0.9)]
-    assert average_precision(dets, gt, 0.5) == 1.0
+    assert single_category_ap(dets, gt, 0.5) == 1.0
 
 
 def test_ap_no_detections():
-    assert average_precision([], {0: [B(0.1, 0.1, 0.4, 0.4)]}, 0.5) == 0.0
+    assert single_category_ap([], {0: [B(0.1, 0.1, 0.4, 0.4)]}, 0.5) == 0.0
 
 
 def test_ap_two_gt_one_true_positive_is_51_over_101():
     gt = {0: [B(0.1, 0.1, 0.3, 0.3), B(0.6, 0.6, 0.9, 0.9)]}
     dets = [(0, B(0.1, 0.1, 0.3, 0.3), 0.8)]
-    ap = average_precision(dets, gt, 0.5)
+    ap = single_category_ap(dets, gt, 0.5)
     assert abs(ap - 51.0 / 101.0) < 1e-12
 
 
@@ -73,9 +82,9 @@ def test_ap_rescaling_invariance():
         for _ in range(4):
             x1, y1 = rng.uniform(0, 0.5, size=2)
             dets.append((img, B(x1, y1, x1 + 0.3, y1 + 0.3), float(rng.uniform(0.1, 0.9))))
-    base = average_precision(dets, gt, 0.5)
+    base = single_category_ap(dets, gt, 0.5)
     scaled = [(img, b, c * 0.37) for img, b, c in dets]
-    assert average_precision(scaled, gt, 0.5) == base
+    assert single_category_ap(scaled, gt, 0.5) == base
 
 
 def test_ap_monotone_in_threshold():
@@ -86,7 +95,7 @@ def test_ap_monotone_in_threshold():
         (0, B(0.55, 0.5, 0.8, 0.86), 0.8),
         (0, B(0.3, 0.3, 0.6, 0.6), 0.7),
     ]
-    aps = [average_precision(dets, gt, t) for t in COCO_IOU_THRESHOLDS]
+    aps = [single_category_ap(dets, gt, t) for t in COCO_IOU_THRESHOLDS]
     for a, b in zip(aps, aps[1:]):
         assert b <= a + 1e-12
 

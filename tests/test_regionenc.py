@@ -10,7 +10,6 @@ from regionkit.regionenc import (
     Connector,
     connector_backward,
     connector_forward,
-    positional_embedding,
     positional_embedding_matrix,
 )
 from regionkit.roialign import Box, RoiConfig, pooled_apply, pooled_weights, roi_align_pooled
@@ -33,7 +32,7 @@ def oracle_positional_embedding(box: Box, dim: int) -> np.ndarray:
 
 
 def per_box_positional_embedding(box: Box, dim: int) -> np.ndarray:
-    """The per-box loop ``positional_embedding`` ran before the matrix form:
+    """The per-box loop the embedding ran before the matrix form:
     the same arithmetic, one coordinate block at a time."""
     block = dim // 4
     freqs = 10000.0 ** (-2.0 * np.arange(block // 2) / block)
@@ -99,26 +98,24 @@ def test_extract_row_count_and_order():
 # ---------------------------------------------------- positional embedding
 
 def test_zero_box_embedding_is_sin0_cos1():
-    e = positional_embedding(Box(0, 0, 0, 0), 16)
+    e = positional_embedding_matrix([Box(0, 0, 0, 0)], 16)[0]
     np.testing.assert_allclose(e[0::2], 0.0, atol=1e-15)
     np.testing.assert_allclose(e[1::2], 1.0, atol=1e-15)
 
 
 def test_embedding_pairs_on_unit_circle():
-    e = positional_embedding(Box(0.3, 0.7, 0.8, 0.95), 32)
+    e = positional_embedding_matrix([Box(0.3, 0.7, 0.8, 0.95)], 32)[0]
     pair_norm = e[0::2] ** 2 + e[1::2] ** 2
     np.testing.assert_allclose(pair_norm, 1.0, atol=1e-12)
 
 
 def test_embedding_matches_formula_oracle():
     box = Box(0.25, 0.5, 0.75, 1.0)
-    got = positional_embedding(box, 16)
+    got = positional_embedding_matrix([box], 16)[0]
     np.testing.assert_allclose(got, oracle_positional_embedding(box, 16), atol=1e-12)
 
 
 def test_embedding_rejects_bad_dim():
-    with pytest.raises(ValueError):
-        positional_embedding(Box(0, 0, 1, 1), 12)
     with pytest.raises(ValueError):
         positional_embedding_matrix([Box(0, 0, 1, 1)], 12)
 
@@ -132,15 +129,14 @@ def test_embedding_matrix_equals_stacked_per_box_arithmetic_bitwise():
             got = positional_embedding_matrix(boxes, dim)
             want = np.stack([per_box_positional_embedding(b, dim) for b in boxes])
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
-            assert got[0].tobytes() == positional_embedding(boxes[0], dim).tobytes()
     np.testing.assert_allclose(
         positional_embedding_matrix(boxes, 16), np.stack([oracle_positional_embedding(b, 16) for b in boxes]), atol=1e-12
     )
 
 
 def test_embedding_depends_only_on_coordinates():
-    a = positional_embedding(Box(0.1, 0.2, 0.5, 0.6, score=0.9, label="car"), 24)
-    b = positional_embedding(Box(0.1, 0.2, 0.5, 0.6), 24)
+    a = positional_embedding_matrix([Box(0.1, 0.2, 0.5, 0.6, score=0.9, label="car")], 24)[0]
+    b = positional_embedding_matrix([Box(0.1, 0.2, 0.5, 0.6)], 24)[0]
     np.testing.assert_array_equal(a, b)
 
 

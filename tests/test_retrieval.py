@@ -3,27 +3,17 @@
 import numpy as np
 import pytest
 
-from regionkit.regionenc import RegionToken
 from regionkit.retrieval import (
-    CategoryQuery,
     Detection,
     decode_detections,
     detect_then_count,
     detections_to_json,
     emit_grounded_summary,
     grounded_to_detections,
-    score_regions,
+    score_matrix,
 )
 from regionkit.roialign import Box
 from regionkit.tokenproto import parse_grounded
-
-
-def toks(arrs):
-    return [RegionToken(embedding=np.asarray(a, dtype=float), index=i) for i, a in enumerate(arrs)]
-
-
-def qrs(named):
-    return [CategoryQuery(n, np.asarray(e, dtype=float)) for n, e in named]
 
 
 def boxes(n):
@@ -37,46 +27,45 @@ def boxes(n):
 # ---------------------------------------------------------------- scoring
 
 def test_zero_token_scores_half():
-    s = score_regions(toks([[0, 0, 0]]), qrs([("a", [1, 2, 3]), ("b", [-1, 0, 1])]))
+    s = score_matrix(np.zeros((1, 3)), np.array([[1.0, 2.0, 3.0], [-1.0, 0.0, 1.0]]))
     np.testing.assert_allclose(s, 0.5)
 
 
 def test_aligned_token_saturates():
     q = np.array([1.0, 2.0, 0.5])
-    s = score_regions(toks([q * 50]), qrs([("a", q)]))
+    s = score_matrix(q * 50, q)
     assert s[0, 0] > 0.999999
+    # logits far beyond exp's range in either sign score 1 and 0, never overflow
+    with np.errstate(over="raise"):
+        s = score_matrix(np.array([[1e3], [-1e3]]), np.array([[1e3]]))
+    assert s[0, 0] == 1.0 and s[1, 0] == 0.0
 
 
 def test_scores_match_dot_product_oracle():
     rng = np.random.default_rng(0)
     t = rng.normal(size=(4, 6))
     q = rng.normal(size=(3, 6))
-    s = score_regions(toks(t), qrs([(f"c{i}", q[i]) for i in range(3)]))
+    s = score_matrix(t, q)
     want = 1.0 / (1.0 + np.exp(-(t @ q.T)))
     np.testing.assert_allclose(s, want, atol=1e-9)
 
 
 def test_score_dimension_mismatch():
-    with pytest.raises(ValueError):
-        score_regions(toks([[1, 2]]), qrs([("a", [1, 2, 3])]))
-
-
-def test_duplicate_query_names_rejected():
-    with pytest.raises(ValueError):
-        score_regions(toks([[0.0]]), qrs([("a", [1.0]), ("a", [2.0])]))
+    with pytest.raises(ValueError, match="token dim 2 does not match query dim 3"):
+        score_matrix(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0, 3.0]]))
 
 
 # --------------------------------------------------------------- decoding
 
 def test_all_below_threshold_rejects_everything():
     scores = np.full((3, 2), 0.4)
-    assert decode_detections(scores, boxes(3), qrs([("a", [0]), ("b", [0])]), 0.5) == []
+    assert decode_detections(scores, boxes(3), ["a", "b"], 0.5) == []
 
 
 def test_single_hit_reuses_proposal_box():
     props = boxes(2)
     scores = np.array([[0.2], [0.9]])
-    dets = decode_detections(scores, props, qrs([("a", [0])]), 0.5)
+    dets = decode_detections(scores, props, ["a"], 0.5)
     assert len(dets) == 1
     assert dets[0].box == props[1]
     assert dets[0].confidence == 0.9
@@ -86,13 +75,13 @@ def test_single_hit_reuses_proposal_box():
 def test_decode_matches_enumeration_oracle():
     scores = np.array([[0.9, 0.1], [0.55, 0.55], [0.2, 0.8]])
     props = boxes(3)
-    queries = qrs([("a", [0]), ("b", [0])])
-    dets = decode_detections(scores, props, queries, 0.5)
+    labels = ["a", "b"]
+    dets = decode_detections(scores, props, labels, 0.5)
     expected = set()
     for i in range(3):
-        for q, query in enumerate(queries):
+        for q, label in enumerate(labels):
             if scores[i, q] > 0.5:
-                expected.add((i, query.name, scores[i, q]))
+                expected.add((i, label, scores[i, q]))
     assert {(d.source_region, d.label, d.confidence) for d in dets} == expected
     # sorted by confidence desc, ties by lower region index
     confs = [d.confidence for d in dets]
@@ -105,39 +94,37 @@ def test_threshold_monotonicity():
     rng = np.random.default_rng(1)
     scores = rng.uniform(size=(6, 3))
     props = boxes(6)
-    queries = qrs([(f"c{i}", [0]) for i in range(3)])
-    counts = [len(decode_detections(scores, props, queries, t)) for t in (0.2, 0.4, 0.6, 0.8)]
+    labels = [f"c{i}" for i in range(3)]
+    counts = [len(decode_detections(scores, props, labels, t)) for t in (0.2, 0.4, 0.6, 0.8)]
     assert counts == sorted(counts, reverse=True)
 
 
 def test_zero_query_embedding_rejected_above_half():
     tokens = np.random.default_rng(2).normal(size=(5, 4))
-    scores = score_regions(toks(tokens), qrs([("void", [0, 0, 0, 0])]))
-    assert decode_detections(scores, boxes(5), qrs([("void", [0, 0, 0, 0])]), 0.51) == []
+    scores = score_matrix(tokens, np.zeros((1, 4)))
+    assert decode_detections(scores, boxes(5), ["void"], 0.51) == []
 
 
 def test_decode_threshold_validation():
     with pytest.raises(ValueError):
-        decode_detections(np.zeros((1, 1)), boxes(1), qrs([("a", [0])]), 1.0)
+        decode_detections(np.zeros((1, 1)), boxes(1), ["a"], 1.0)
 
 
 # ---------------------------------------------------------------- counting
 
 def test_count_zero_and_three():
     props = boxes(4)
-    q = qrs([("a", [0])])[0]
-    assert detect_then_count(np.array([[0.1], [0.2], [0.3], [0.4]]), props, q, 0.5) == 0
-    assert detect_then_count(np.array([[0.9], [0.8], [0.2], [0.7]]), props, q, 0.5) == 3
+    assert detect_then_count(np.array([[0.1], [0.2], [0.3], [0.4]]), props, "a", 0.5) == 0
+    assert detect_then_count(np.array([[0.9], [0.8], [0.2], [0.7]]), props, "a", 0.5) == 3
 
 
 def test_count_equals_decode_length_randomized():
     rng = np.random.default_rng(3)
-    q = CategoryQuery("a", np.zeros(1))
     for _ in range(20):
         scores = rng.uniform(size=(5, 1))
         props = boxes(5)
-        n = detect_then_count(scores, props, q, 0.5)
-        assert n == len(decode_detections(scores, props, [q], 0.5))
+        n = detect_then_count(scores, props, "a", 0.5)
+        assert n == len(decode_detections(scores, props, ["a"], 0.5))
 
 
 # --------------------------------------------------------- grounded route
@@ -170,12 +157,6 @@ def test_grounded_out_of_range_region():
     resp = parse_grounded("<ground>a</ground><object><region3></object>", 4)
     with pytest.raises(ValueError):
         grounded_to_detections(resp, boxes(2))
-
-
-def test_phrase_to_label_mapping():
-    resp = parse_grounded("<ground>two dogs</ground><object><region0></object>", 2)
-    dets = grounded_to_detections(resp, boxes(2), {"two dogs": "dog"})
-    assert dets[0].label == "dog"
 
 
 # ------------------------------------------------------------- interfaces

@@ -1,4 +1,4 @@
-"""Token protocol: input-sequence invariants and the grounded-output grammar."""
+"""Token protocol: the grounded-output grammar."""
 
 import numpy as np
 import pytest
@@ -6,84 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grammar_tools import mutate_invalid, random_response, random_valid_string
-from regionkit.regionenc import RegionToken
 from regionkit.tokenproto import (
     BareRegionRef,
     GroundedResponse,
     GroundedSpan,
-    ImageTokenBlock,
     ParseError,
-    RegionIndexToken,
-    RegionTokenSlot,
     Text,
-    TextToken,
-    bindings,
-    build_input_sequence,
     parse_grounded,
     serialize_grounded,
 )
-
-
-def make_tokens(n):
-    return [RegionToken(embedding=np.zeros(4), index=i) for i in range(n)]
-
-
-# --------------------------------------------------------- input sequence
-
-def test_empty_region_sequence():
-    seq = build_input_sequence(3, [], ["hello"])
-    assert seq.elements == (
-        ImageTokenBlock(3),
-        TextToken("\n"),
-        TextToken("\n"),
-        TextToken("hello"),
-    )
-    assert seq.render() == "<image><image><image>\n\nhello"
-
-
-def test_two_region_sequence_layout():
-    toks = make_tokens(2)
-    seq = build_input_sequence(1, toks, ["find", " them"])
-    kinds = [type(e).__name__ for e in seq.elements]
-    assert kinds == [
-        "ImageTokenBlock",
-        "TextToken",
-        "RegionIndexToken",
-        "RegionTokenSlot",
-        "RegionIndexToken",
-        "RegionTokenSlot",
-        "TextToken",
-        "TextToken",
-        "TextToken",
-    ]
-    assert seq.render() == "<image>\n<region0><region_token><region1><region_token>\nfind them"
-
-
-def test_shuffled_tokens_error():
-    toks = list(reversed(make_tokens(3)))
-    with pytest.raises(ValueError, match="out of order"):
-        build_input_sequence(1, toks, [])
-
-
-def test_duplicate_indices_rejected():
-    toks = make_tokens(2)
-    toks[1] = RegionToken(embedding=np.zeros(4), index=0)
-    with pytest.raises(ValueError):
-        build_input_sequence(1, toks, [])
-
-
-def test_slot_must_follow_its_index_token():
-    from regionkit.tokenproto import RegionTokenSequence
-
-    bad = (
-        ImageTokenBlock(1),
-        TextToken("\n"),
-        RegionIndexToken(0),
-        RegionTokenSlot(1),
-        TextToken("\n"),
-    )
-    with pytest.raises(ValueError):
-        RegionTokenSequence(bad, 1)
 
 
 # ------------------------------------------------------------------ parse
@@ -98,7 +29,6 @@ def test_parse_reference_example():
         GroundedSpan("people", (2, 10)),
         Text(" are dancing."),
     )
-    assert bindings(resp) == [("people", [2, 10])]
 
 
 def test_parse_plain_text():
@@ -222,11 +152,3 @@ def test_parser_never_crashes_on_arbitrary_text(junk):
     except ParseError:
         pass
 
-
-def test_bindings_orders_and_filters():
-    resp = parse_grounded(
-        "<ground>a</ground><object><region1></object>mid<ground>b</ground><object><region0><region2></object>",
-        4,
-    )
-    assert bindings(resp) == [("a", [1]), ("b", [0, 2])]
-    assert bindings(parse_grounded("plain", 0)) == []

@@ -77,6 +77,17 @@ def test_config_requires_a_stream(tiny_config):
         ("encoder.primary_resolution", lambda cfg: cfg.replace(encoder=EncoderConfig(primary_resolution=3))),
         ("use_simplefp", lambda cfg: cfg.replace(use_primary=False, use_simplefp=True)),
         ("unfreeze_primary", lambda cfg: cfg.replace(use_primary=False, use_simplefp=False, unfreeze_primary=True)),
+        ("noise_sigma .* got nan", lambda cfg: cfg.replace(encoder=EncoderConfig(noise_sigma=float("nan")))),
+        ("noise_sigma .* got inf", lambda cfg: cfg.replace(encoder=EncoderConfig(noise_sigma=float("inf")))),
+        ("distractor_intensity .* got nan",
+         lambda cfg: cfg.replace(encoder=EncoderConfig(distractor_intensity=float("nan")))),
+        ("distractor_intensity .* got 1.5", lambda cfg: cfg.replace(encoder=EncoderConfig(distractor_intensity=1.5))),
+        ("primary_resolution must be <= 512",
+         lambda cfg: cfg.replace(encoder=EncoderConfig(primary_resolution=513))),
+        ("encoder.aux_base_resolution",
+         lambda cfg: ExperimentConfig.from_json({"encoder": {"aux_base_resolution": 1000000}})),
+        ("encoder.distractor_intensity",
+         lambda cfg: ExperimentConfig.from_json({"encoder": {"distractor_intensity": -0.5}})),
     ],
 )
 def test_unusable_config_rejected_naming_field(tiny_config, field, build):
@@ -91,25 +102,32 @@ def test_unusable_config_rejected_naming_field(tiny_config, field, build):
     switches=st.sampled_from(sorted(VARIANTS)),
     n_train_scenes=st.integers(0, 3),
     n_categories=st.integers(0, 9),
-    noise_sigma=st.floats(-0.1, 0.1),
+    noise_sigma=st.floats(-0.1, 0.1) | st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    distractor_intensity=st.floats(-0.5, 1.5) | st.sampled_from([float("nan"), float("inf"), -float("inf")]),
     clutter_density=st.floats(-0.5, 0.5),
 )
 @example(primary_resolution=9, aux_base_resolution=16, switches="hybrid", n_train_scenes=2,
-         n_categories=4, noise_sigma=0.01, clutter_density=0.05)
+         n_categories=4, noise_sigma=0.01, distractor_intensity=0.3, clutter_density=0.05)
 @example(primary_resolution=4, aux_base_resolution=8, switches="primary_only", n_train_scenes=1,
-         n_categories=1, noise_sigma=0.0, clutter_density=0.0)
+         n_categories=1, noise_sigma=0.0, distractor_intensity=1.0, clutter_density=0.0)
 @example(primary_resolution=1, aux_base_resolution=12, switches="auxiliary_only", n_train_scenes=1,
-         n_categories=8, noise_sigma=0.01, clutter_density=0.05)
+         n_categories=8, noise_sigma=0.01, distractor_intensity=0.0, clutter_density=0.05)
 @example(primary_resolution=8, aux_base_resolution=16, switches="primary_only", n_train_scenes=1,
-         n_categories=0, noise_sigma=-0.01, clutter_density=-0.05)
+         n_categories=0, noise_sigma=-0.01, distractor_intensity=0.3, clutter_density=-0.05)
+# non-finite encoder floats are rejected at construction, not in toy_encode
+@example(primary_resolution=8, aux_base_resolution=16, switches="hybrid", n_train_scenes=1,
+         n_categories=4, noise_sigma=float("nan"), distractor_intensity=0.3, clutter_density=0.05)
+@example(primary_resolution=8, aux_base_resolution=16, switches="hybrid", n_train_scenes=1,
+         n_categories=4, noise_sigma=0.01, distractor_intensity=float("nan"), clutter_density=0.5)
 def test_every_constructible_config_trains_and_evaluates(
     tiny_config, primary_resolution, aux_base_resolution, switches, n_train_scenes,
-    n_categories, noise_sigma, clutter_density,
+    n_categories, noise_sigma, distractor_intensity, clutter_density,
 ):
     try:
         world = SceneConfig(n_categories=n_categories, min_objects=2, max_objects=3, clutter_density=clutter_density)
         encoder = EncoderConfig(
-            primary_resolution=primary_resolution, aux_base_resolution=aux_base_resolution, noise_sigma=noise_sigma
+            primary_resolution=primary_resolution, aux_base_resolution=aux_base_resolution,
+            noise_sigma=noise_sigma, distractor_intensity=distractor_intensity,
         )
         cfg = tiny_config.replace(
             world=world, encoder=encoder, n_train_scenes=n_train_scenes, n_eval_scenes=2,
