@@ -37,8 +37,9 @@ CONFIG_FLAGS = (
 )
 
 
-def _load_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig.loads(Path(args.config).read_text()) if args.config else ExperimentConfig()
+def _load_config(args, default: ExperimentConfig = ExperimentConfig()) -> ExperimentConfig:
+    """``--config`` (else ``default``) with the flag overrides applied."""
+    cfg = ExperimentConfig.loads(Path(args.config).read_text()) if args.config else default
     overrides = {name: getattr(args, name) for _, name, _ in CONFIG_FLAGS if getattr(args, name) is not None}
     return cfg.replace(**overrides) if overrides else cfg
 
@@ -82,9 +83,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg = _load_config(args)
-    if args.config is None and args.seed is None:
-        cfg = small_gradcheck_config()
+    cfg = _load_config(args, small_gradcheck_config())
     report = grad_check(cfg)
     print(json.dumps(report.to_json(), indent=2))
     ok = report.max_rel_error < 1e-4

@@ -48,9 +48,10 @@ class ExperimentConfig:
     use_primary: bool = True
     use_auxiliary: bool = True
     use_simplefp: bool = True
-    unfreeze_primary: bool = False
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("stage1_lr", "stage2_lr"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -66,11 +67,6 @@ class ExperimentConfig:
             raise ValueError(
                 "use_simplefp needs use_primary: the pyramid runs on the primary map "
                 "(an auxiliary-only model is use_primary=False, use_simplefp=False)"
-            )
-        if self.unfreeze_primary and not self.use_primary:
-            raise ValueError(
-                "unfreeze_primary needs use_primary: an auxiliary-only model has no primary "
-                "encoder to unfreeze (leave unfreeze_primary=False)"
             )
         if not (0.0 < self.threshold < 1.0):
             raise ValueError("threshold must lie in (0, 1)")

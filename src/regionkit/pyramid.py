@@ -257,27 +257,14 @@ def simple_fp_pooled(taps: list[np.ndarray], mix: np.ndarray, fp: dict[str, np.n
 
 def simple_fp_pooled_backward(
     taps: list[np.ndarray], mix: np.ndarray, fp: dict[str, np.ndarray], d_pooled: list[np.ndarray]
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Adjoint of :func:`simple_fp_pooled` for (N, O) gradients on its four
-    levels: ({``down_w``: ..., ``down_b``: ..., ...}, d_mix)."""
+) -> dict[str, np.ndarray]:
+    """Adjoint of :func:`simple_fp_pooled` in the branch arrays for (N, O)
+    gradients on its four levels: {``down_w``: ..., ``down_b``: ..., ...}.
+    The input ``mix`` is held fixed."""
     mid = _tap_major(fp["up4_a_w"]) @ mix  # (F, a, b, J), as in the forward
     d_down, d_same, d_up2, d_up4 = (d.T @ t for d, t in zip(d_pooled, taps))
-    o, c = fp["same_w"].shape[:2]
-    grads = {}
-    d_mix = np.zeros_like(mix)
-
-    def tapped(branch: str, d_k: np.ndarray) -> None:
-        w = _tap_major(fp[f"{branch}_w"])
-        d_k = d_k.reshape(w.shape[:-1] + (-1,))
-        grads[f"{branch}_w"] = (d_k @ mix.T).transpose(0, 3, 1, 2)
-        d_mix[...] += w.reshape(-1, c).T @ d_k.reshape(-1, d_k.shape[-1])
-
-    tapped("down", d_down[:, :-1])
-    grads["down_b"] = d_down[:, -1]
-    tapped("same", d_same[:, :-1])
-    grads["same_b"] = d_same[:, -1]
-    tapped("up2", d_up2[:, :-1])
-    grads["up2_b"] = d_up2[:, -1]
+    o = fp["same_w"].shape[0]
+    grads = {"down_b": d_down[:, -1], "same_b": d_same[:, -1], "up2_b": d_up2[:, -1]}
 
     outer = _tap_major(fp["up4_b_w"]).reshape(4 * o, -1)
     d_up4, d_mid_bias, grads["up4_b_b"] = d_up4[:, :-5], d_up4[:, -5:-1].reshape(-1), d_up4[:, -1]
@@ -285,8 +272,13 @@ def simple_fp_pooled_backward(
     d_outer = d_prod @ mid.reshape(mid.shape[0], -1).T + np.outer(d_mid_bias, fp["up4_a_b"])
     grads["up4_b_w"] = d_outer.reshape(o, 2, 2, -1).transpose(0, 3, 1, 2)
     grads["up4_a_b"] = outer.T @ d_mid_bias
-    tapped("up4_a", outer.T @ d_prod)
-    return grads, d_mix
+
+    # each branch's effective kernel is its tap-major weights times the mix
+    d_kernels = {"down": d_down[:, :-1], "same": d_same[:, :-1], "up2": d_up2[:, :-1], "up4_a": outer.T @ d_prod}
+    for branch, d_k in d_kernels.items():
+        n_out, _, kh, kw = fp[f"{branch}_w"].shape
+        grads[f"{branch}_w"] = (d_k.reshape(n_out, kh, kw, -1) @ mix.T).transpose(0, 3, 1, 2)
+    return grads
 
 
 def aux_fuse_taps(

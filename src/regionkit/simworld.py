@@ -462,16 +462,21 @@ def scenes_from_json(obj: dict) -> tuple[list[Scene], dict[int, list[Box]]]:
     naming where it is.  So does a scene that :func:`toy_encode` could not
     render: ``n_categories`` or ``clutter_density`` out of
     :class:`SceneConfig`'s range, a negative ``seed``, or a category
-    outside the scene's vocabulary.
+    outside the scene's vocabulary.  Image ids are unique, and every
+    proposal list belongs to an image.
     """
     if not isinstance(obj, dict):
         raise ValueError("a scene file must be a JSON object")
     scenes = []
+    index_of: dict[int, int] = {}
     for k, rec in enumerate(_json_field(obj, "images", list, "scene file")):
         where = f"images[{k}]"
         if not isinstance(rec, dict):
             raise ValueError(f"{where} must be an object")
         image_id = _json_field(rec, "id", int, where)
+        if image_id in index_of:
+            raise ValueError(f"{where}.id {image_id} repeats images[{index_of[image_id]}]")
+        index_of[image_id] = k
         n_categories = _json_field(rec, "n_categories", int, where, 8)
         clutter_density = _json_field(rec, "clutter_density", float, where, 0.0)
         try:
@@ -514,6 +519,10 @@ def scenes_from_json(obj: dict) -> tuple[list[Scene], dict[int, list[Box]]]:
             image_id = int(key)
         except ValueError:
             raise ValueError(f"{where}: the key must be an image id") from None
+        if image_id not in index_of:
+            raise ValueError(f"{where}: no image has id {image_id}")
+        if image_id in proposals:
+            raise ValueError(f"{where}: a second proposal list for image {image_id}")
         if not isinstance(boxes, list):
             raise ValueError(f"{where} must be a list of boxes")
         proposals[image_id] = []

@@ -4,8 +4,8 @@ Parameters live in named groups so the freeze schedule can be stated and
 audited exactly:
 
 * ``primary_encoder`` — a 1x1 channel-mixing kernel on the primary map,
-  identity-initialized; frozen throughout (it stands in for the pretrained
-  primary tower) unless the explicit ablation switch unfreezes it.
+  identity-initialized; never trained (it stands in for the pretrained
+  primary tower), so no gradient is ever computed for it.
 * ``aux_encoder`` — per-level 1x1 kernels on the auxiliary maps,
   identity-initialized; frozen in stage 1, unfrozen in stage 2.
 * ``simplefp`` — the pyramid branch kernels; trained in both stages.
@@ -43,7 +43,7 @@ from .pyramid import (
     simple_fp_taps,
 )
 from .regionenc import Connector, connector_backward, connector_forward, positional_embedding_matrix
-from .roialign import Box, apply_taps, pooled_axis_weights, pooled_taps
+from .roialign import apply_taps, pooled_axis_weights, pooled_taps
 from .simworld import TrainingSample, make_training_set, toy_encode, vocabulary
 
 __all__ = [
@@ -93,11 +93,6 @@ class ModelParams:
     """All trainable state, as named arrays in named groups."""
 
     groups: dict[str, dict[str, np.ndarray]]
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            {g: {k: v.copy() for k, v in arrs.items()} for g, arrs in self.groups.items()}
-        )
 
     def checksum(self, group: str) -> str:
         h = hashlib.sha256()
@@ -156,10 +151,9 @@ class FreezeSchedule:
     stage2: frozenset
 
     def __post_init__(self):
-        if GROUP_ORIG_VOCAB in self.stage1 | self.stage2:
-            raise ValueError("the original vocabulary embeddings are never trainable")
-        if GROUP_PRIMARY in self.stage1:
-            raise ValueError("the primary encoder is frozen in stage 1")
+        never = sorted((self.stage1 | self.stage2) & {GROUP_PRIMARY, GROUP_ORIG_VOCAB})
+        if never:
+            raise ValueError(f"{', '.join(never)} cannot train in either stage")
 
     @classmethod
     def from_config(cls, config: ExperimentConfig) -> "FreezeSchedule":
@@ -169,8 +163,6 @@ class FreezeSchedule:
         stage2 = set(base)
         if config.use_auxiliary:
             stage2.add(GROUP_AUX)
-        if config.unfreeze_primary:
-            stage2.add(GROUP_PRIMARY)
         return cls(frozenset(base), frozenset(stage2))
 
     def trainable(self, stage: int) -> frozenset:
@@ -263,13 +255,11 @@ class SampleStatic:
     map carries a ones channel for its mix bias.
     """
 
-    boxes: list[Box]
     primary_taps: list[np.ndarray] | np.ndarray | None
     aux_taps: list[np.ndarray] | None
     epos: np.ndarray
     query_idx: np.ndarray
     targets: np.ndarray
-    scene_id: int
 
 
 def prepare_sample(sample, config: ExperimentConfig) -> SampleStatic:
@@ -299,13 +289,11 @@ def prepare_sample(sample, config: ExperimentConfig) -> SampleStatic:
         query_idx = np.zeros(0, dtype=int)
         targets = np.zeros((len(boxes), 0))
     return SampleStatic(
-        boxes=boxes,
         primary_taps=primary_taps,
         aux_taps=aux_taps,
         epos=positional_embedding_matrix(boxes, config.d_total),
         query_idx=query_idx,
         targets=targets,
-        scene_id=sample.scene.image_id,
     )
 
 
@@ -365,8 +353,12 @@ def loss_and_grads(
     """Loss on one sample plus analytic gradients for the requested groups.
 
     The loss is binary cross-entropy per (region, query) pair, summed over
-    all pairs of the sample.
+    all pairs of the sample.  A requested group with no path into this
+    config's loss gets zero gradients.  The primary encoder never trains
+    (:class:`FreezeSchedule`) and has a path, so requesting it raises.
     """
+    if GROUP_PRIMARY in trainable:
+        raise ValueError(f"{GROUP_PRIMARY} never trains: no gradient is computed for it")
     g = params.groups
     if s.query_idx.size == 0:
         return 0.0, {grp: {k: np.zeros_like(v) for k, v in g[grp].items()} for grp in trainable}
@@ -388,37 +380,25 @@ def loss_and_grads(
         np.add.at(dq, s.query_idx, d_logits.T @ cache.tokens)
         grads[GROUP_NEW_VOCAB] = {"queries": dq}
 
-    below_connector = want & {GROUP_SIMPLEFP, GROUP_AUX, GROUP_PRIMARY}
-    if not (below_connector or GROUP_CONNECTOR in want):
-        return loss, grads
-
-    d_tokens = d_logits @ queries
-    conn_grads, d_feats = connector_backward(
-        cache.connector, cache.features, d_tokens, hidden=cache.hidden, input_grad=bool(below_connector)
-    )
-    if GROUP_CONNECTOR in want:
-        grads[GROUP_CONNECTOR] = conn_grads
-
-    if config.use_primary and want & {GROUP_SIMPLEFP, GROUP_PRIMARY}:
-        if config.use_simplefp:
+    fp_path = config.use_simplefp and GROUP_SIMPLEFP in want
+    aux_path = config.use_auxiliary and GROUP_AUX in want
+    if fp_path or aux_path or GROUP_CONNECTOR in want:
+        d_tokens = d_logits @ queries
+        conn_grads, d_feats = connector_backward(
+            cache.connector, cache.features, d_tokens, hidden=cache.hidden, input_grad=fp_path or aux_path
+        )
+        if GROUP_CONNECTOR in want:
+            grads[GROUP_CONNECTOR] = conn_grads
+        if fp_path:
             w = config.fp_channels
             d_levels = [d_feats[:, k * w : (k + 1) * w] for k in range(4)]
-            grads[GROUP_SIMPLEFP], d_mix = simple_fp_pooled_backward(
-                s.primary_taps, cache.mix, g[GROUP_SIMPLEFP], d_levels
-            )
-        else:
-            d_mix = d_feats[:, : config.d_p].T @ s.primary_taps
-        grads[GROUP_PRIMARY] = _mix_grads(d_mix, "mix")
-    if config.use_auxiliary and GROUP_AUX in want:
-        d_mixes = aux_fuse_pooled_backward(s.aux_taps, cache.aux_mixes, d_feats[:, config.d_p :])
-        grads[GROUP_AUX] = {k: v for i, d in enumerate(d_mixes) for k, v in _mix_grads(d, f"mix{i}").items()}
+            grads[GROUP_SIMPLEFP] = simple_fp_pooled_backward(s.primary_taps, cache.mix, g[GROUP_SIMPLEFP], d_levels)
+        if aux_path:
+            d_mixes = aux_fuse_pooled_backward(s.aux_taps, cache.aux_mixes, d_feats[:, config.d_p :])
+            grads[GROUP_AUX] = {k: v for i, d in enumerate(d_mixes) for k, v in _mix_grads(d, f"mix{i}").items()}
 
-    # requested groups with no path into this config's loss get zero grads;
-    # groups touched only to reach an input gradient are dropped
-    grads = {grp: arrs for grp, arrs in grads.items() if grp in want}
-    for grp in want:
-        if grp not in grads:
-            grads[grp] = {k: np.zeros_like(v) for k, v in g[grp].items()}
+    for grp in want - grads.keys():
+        grads[grp] = {k: np.zeros_like(v) for k, v in g[grp].items()}
     return loss, grads
 
 
@@ -502,9 +482,9 @@ class GradCheckReport:
 def grad_check(config: ExperimentConfig) -> GradCheckReport:
     """Central finite differences against the analytic gradients.
 
-    Checks every entry of every parameterized group that can ever train,
-    with a step of 1e-5.  The relative error per entry is
-    |a - n| / max(|a|, |n|, 1e-5); intended for small configurations
+    Checks every entry of every group the freeze schedule ever trains (its
+    stage 2, which contains stage 1), with a step of 1e-5.  The relative
+    error per entry is |a - n| / max(|a|, |n|, 1e-5); intended for small configurations
     (dims <= 64).  The original-vocabulary table has no path into the
     loss, so it is reported in ``frozen_zero`` rather than differenced.
     """
@@ -514,21 +494,13 @@ def grad_check(config: ExperimentConfig) -> GradCheckReport:
     s = prepare_sample(seeded_training_set(config.replace(n_train_scenes=1))[0], config)
     params = init_model_params(config)
 
-    check_groups = [GROUP_CONNECTOR, GROUP_NEW_VOCAB]
-    if config.use_simplefp:
-        check_groups.append(GROUP_SIMPLEFP)
-    if config.use_auxiliary:
-        check_groups.append(GROUP_AUX)
-    if config.use_primary:
-        check_groups.append(GROUP_PRIMARY)
-
-    _, analytic = loss_and_grads(params, s, config, frozenset(check_groups))
+    check_groups = FreezeSchedule.from_config(config).stage2
+    _, analytic = loss_and_grads(params, s, config, check_groups)
 
     step = 1e-5
     report: dict[str, dict] = {}
-    for grp in check_groups:
+    for grp in sorted(check_groups):
         worst = 0.0
-        n_checked = 0
         for name, arr in params.groups[grp].items():
             flat = arr.ravel()
             for i in range(flat.size):
@@ -542,6 +514,6 @@ def grad_check(config: ExperimentConfig) -> GradCheckReport:
                 a = analytic[grp][name].ravel()[i]
                 rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-5)
                 worst = max(worst, rel)
-                n_checked += 1
+        n_checked = sum(arr.size for arr in params.groups[grp].values())
         report[grp] = {"max_rel_error": worst, "entries_checked": n_checked}
     return GradCheckReport(per_group=report, frozen_zero=[GROUP_ORIG_VOCAB])

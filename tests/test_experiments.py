@@ -164,6 +164,13 @@ def test_cli_gradcheck_default_small_config(tmp_path, capsys):
     assert blob["max_rel_error"] < 1e-4
 
 
+def test_cli_gradcheck_flags_apply_to_its_small_config(tmp_path, capsys):
+    argv = ["gradcheck", "--seed", "4", "--rejection-fraction", "1.0", "--out", str(tmp_path / "gc")]
+    assert cli_main(argv) == 0
+    config = json.loads((tmp_path / "gc" / "manifest.json").read_text())["config"]
+    assert (config["seed"], config["rejection_fraction"], config["d_llm"]) == (4, 1.0, 8)
+
+
 def test_cli_validate_transcript(tmp_path, capsys):
     lines = [
         json.dumps("The <ground>people</ground><object><region2><region10></object> are dancing."),

@@ -309,6 +309,9 @@ _MALFORMED_SCENES = {
     "string proposal coordinate": lambda blob: _first_proposals(blob)[0].__setitem__(0, "x"),
     "short proposal": lambda blob: _first_proposals(blob).__setitem__(0, [0.1, 0.2]),
     "proposal key not an id": lambda blob: blob["proposals"].update(abc=[]),
+    "repeated image id": lambda blob: blob["images"][1].update(id=blob["images"][0]["id"]),
+    "proposals for no image": lambda blob: blob["proposals"].update({"9": []}),
+    "two proposal lists for one image": lambda blob: blob["proposals"].update({"01": []}),
 }
 
 
@@ -359,21 +362,21 @@ def test_scene_json_any_value_loads_or_raises_value_error(data, value):
 @pytest.mark.parametrize(
     "record, where",
     [
-        ({"id": 1, "objects": [], "clutter_density": -1.0}, "images[3].clutter_density"),
-        ({"id": 1, "objects": [], "clutter_density": 11}, "images[3].clutter_density"),
-        ({"id": 1, "objects": [], "n_categories": 0}, "images[3].n_categories"),
-        ({"id": 1, "objects": [], "n_categories": 2**16}, "images[3].n_categories"),
-        ({"id": 1, "objects": [], "seed": -2}, "images[3].seed"),
+        ({"id": 4, "objects": [], "clutter_density": -1.0}, "images[3].clutter_density"),
+        ({"id": 4, "objects": [], "clutter_density": 11}, "images[3].clutter_density"),
+        ({"id": 4, "objects": [], "n_categories": 0}, "images[3].n_categories"),
+        ({"id": 4, "objects": [], "n_categories": 2**16}, "images[3].n_categories"),
+        ({"id": 4, "objects": [], "seed": -2}, "images[3].seed"),
         ({"id": -1, "objects": []}, "images[3].seed"),
-        ({"id": 1, "n_categories": 2, "objects": [{"category": "tree", "bbox": [0, 0, 0.5, 0.5]}]},
+        ({"id": 4, "n_categories": 2, "objects": [{"category": "tree", "bbox": [0, 0, 0.5, 0.5]}]},
          "images[3].objects[0].category"),
-        ({"id": 1, "objects": [{"category": "thing8", "bbox": [0, 0, 0.5, 0.5]}]},
+        ({"id": 4, "objects": [{"category": "thing8", "bbox": [0, 0, 0.5, 0.5]}]},
          "images[3].objects[0].category"),
     ],
 )
 def test_scene_json_rejects_unrenderable_scene_naming_where(record, where):
     blob = _valid_scene_blob()
-    blob["images"][2:] = [blob["images"][0], record]
+    blob["images"][2:] = [dict(blob["images"][0], id=3), record]
     with pytest.raises(ValueError, match=re.escape(where)):
         scenes_from_json(blob)
     blob["images"].pop()

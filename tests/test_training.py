@@ -50,17 +50,18 @@ def test_schedule_defaults(tiny_config):
     assert sched.stage2 == {GROUP_SIMPLEFP, GROUP_CONNECTOR, GROUP_NEW_VOCAB, GROUP_AUX}
 
 
-def test_schedule_primary_unfreeze_switch(tiny_config):
-    sched = FreezeSchedule.from_config(tiny_config.replace(unfreeze_primary=True))
-    assert GROUP_PRIMARY in sched.stage2
-    assert GROUP_PRIMARY not in sched.stage1
-
-
 def test_schedule_invariants_enforced():
     with pytest.raises(ValueError):
         FreezeSchedule(frozenset({GROUP_ORIG_VOCAB}), frozenset())
     with pytest.raises(ValueError):
         FreezeSchedule(frozenset({GROUP_PRIMARY}), frozenset())
+    with pytest.raises(ValueError, match=GROUP_PRIMARY):
+        FreezeSchedule(frozenset(), frozenset({GROUP_PRIMARY}))
+
+
+def test_config_has_no_primary_unfreeze_switch():
+    with pytest.raises(ValueError, match="unknown config field unfreeze_primary"):
+        ExperimentConfig.from_json({"unfreeze_primary": False})
 
 
 def test_config_requires_a_stream(tiny_config):
@@ -76,7 +77,7 @@ def test_config_requires_a_stream(tiny_config):
         ("primary_resolution", lambda cfg: cfg.replace(encoder=EncoderConfig(primary_resolution=0))),
         ("encoder.primary_resolution", lambda cfg: cfg.replace(encoder=EncoderConfig(primary_resolution=3))),
         ("use_simplefp", lambda cfg: cfg.replace(use_primary=False, use_simplefp=True)),
-        ("unfreeze_primary", lambda cfg: cfg.replace(use_primary=False, use_simplefp=False, unfreeze_primary=True)),
+        ("seed must be >= 0, got -1", lambda cfg: ExperimentConfig.from_json({"seed": -1})),
         ("noise_sigma .* got nan", lambda cfg: cfg.replace(encoder=EncoderConfig(noise_sigma=float("nan")))),
         ("noise_sigma .* got inf", lambda cfg: cfg.replace(encoder=EncoderConfig(noise_sigma=float("inf")))),
         ("distractor_intensity .* got nan",
@@ -97,6 +98,7 @@ def test_unusable_config_rejected_naming_field(tiny_config, field, build):
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
+    seed=st.integers(-3, 2**40),
     primary_resolution=st.integers(0, 10),
     aux_base_resolution=st.integers(4, 20),
     switches=st.sampled_from(sorted(VARIANTS)),
@@ -106,21 +108,24 @@ def test_unusable_config_rejected_naming_field(tiny_config, field, build):
     distractor_intensity=st.floats(-0.5, 1.5) | st.sampled_from([float("nan"), float("inf"), -float("inf")]),
     clutter_density=st.floats(-0.5, 0.5),
 )
-@example(primary_resolution=9, aux_base_resolution=16, switches="hybrid", n_train_scenes=2,
+@example(seed=3, primary_resolution=9, aux_base_resolution=16, switches="hybrid", n_train_scenes=2,
          n_categories=4, noise_sigma=0.01, distractor_intensity=0.3, clutter_density=0.05)
-@example(primary_resolution=4, aux_base_resolution=8, switches="primary_only", n_train_scenes=1,
+# a negative seed is rejected at construction, not by numpy in train
+@example(seed=-1, primary_resolution=9, aux_base_resolution=16, switches="hybrid", n_train_scenes=2,
+         n_categories=4, noise_sigma=0.01, distractor_intensity=0.3, clutter_density=0.05)
+@example(seed=3, primary_resolution=4, aux_base_resolution=8, switches="primary_only", n_train_scenes=1,
          n_categories=1, noise_sigma=0.0, distractor_intensity=1.0, clutter_density=0.0)
-@example(primary_resolution=1, aux_base_resolution=12, switches="auxiliary_only", n_train_scenes=1,
+@example(seed=3, primary_resolution=1, aux_base_resolution=12, switches="auxiliary_only", n_train_scenes=1,
          n_categories=8, noise_sigma=0.01, distractor_intensity=0.0, clutter_density=0.05)
-@example(primary_resolution=8, aux_base_resolution=16, switches="primary_only", n_train_scenes=1,
+@example(seed=3, primary_resolution=8, aux_base_resolution=16, switches="primary_only", n_train_scenes=1,
          n_categories=0, noise_sigma=-0.01, distractor_intensity=0.3, clutter_density=-0.05)
 # non-finite encoder floats are rejected at construction, not in toy_encode
-@example(primary_resolution=8, aux_base_resolution=16, switches="hybrid", n_train_scenes=1,
+@example(seed=3, primary_resolution=8, aux_base_resolution=16, switches="hybrid", n_train_scenes=1,
          n_categories=4, noise_sigma=float("nan"), distractor_intensity=0.3, clutter_density=0.05)
-@example(primary_resolution=8, aux_base_resolution=16, switches="hybrid", n_train_scenes=1,
+@example(seed=3, primary_resolution=8, aux_base_resolution=16, switches="hybrid", n_train_scenes=1,
          n_categories=4, noise_sigma=0.01, distractor_intensity=float("nan"), clutter_density=0.5)
 def test_every_constructible_config_trains_and_evaluates(
-    tiny_config, primary_resolution, aux_base_resolution, switches, n_train_scenes,
+    tiny_config, seed, primary_resolution, aux_base_resolution, switches, n_train_scenes,
     n_categories, noise_sigma, distractor_intensity, clutter_density,
 ):
     try:
@@ -130,7 +135,7 @@ def test_every_constructible_config_trains_and_evaluates(
             noise_sigma=noise_sigma, distractor_intensity=distractor_intensity,
         )
         cfg = tiny_config.replace(
-            world=world, encoder=encoder, n_train_scenes=n_train_scenes, n_eval_scenes=2,
+            seed=seed, world=world, encoder=encoder, n_train_scenes=n_train_scenes, n_eval_scenes=2,
             stage1_steps=3, stage2_steps=2, **VARIANTS[switches],
         )
     except ValueError:
@@ -188,11 +193,10 @@ def test_params_json_rejects_malformed_groups(blob):
         ModelParams.from_json(blob)
 
 
-# the factored forward against the dense maps: every variant, the primary
-# unfreeze switch, odd map sizes and a non-default pooling grid
+# the factored forward against the dense maps: every variant, odd map sizes
+# and a non-default pooling grid
 ORACLE_CASES = {
     **VARIANTS,
-    "unfreeze_primary": {"unfreeze_primary": True},
     "primary_resolution_5": {"encoder": EncoderConfig(primary_resolution=5, aux_base_resolution=16)},
     "primary_resolution_9": {"encoder": EncoderConfig(primary_resolution=9, aux_base_resolution=16)},
     "aux_base_resolution_12": {"encoder": EncoderConfig(primary_resolution=8, aux_base_resolution=12)},
@@ -204,7 +208,8 @@ _BRANCHES = ("down", "same", "up2", "up4_a", "up4_b")
 def dense_oracle(params, sample, s, cfg):
     """(loss, features, grads) through dense maps: simple_fp / aux_fuse ->
     roi_align_pooled forward; simple_fp_backward / aux_fuse_backward /
-    conv2d_backward and the pooling-weight adjoint backward."""
+    conv2d_backward and the pooling-weight adjoint backward.  The grads are
+    those of every group that can train."""
     g = params.groups
 
     def kernel(group, name):
@@ -236,13 +241,9 @@ def dense_oracle(params, sample, s, cfg):
         (d_feats[:, c0:c1].T @ pooled_weights(m.height, m.width, boxes, cfg.roi)).reshape(m.shape)
         for m, c0, c1 in zip(maps, cols[:-1], cols[1:])
     ]
-    if cfg.use_primary:
-        d_mixed = d_maps[0]
-        if cfg.use_simplefp:
-            branch_grads, d_mixed = simple_fp_backward(mixed, fp, d_maps[:4])
-            grads[GROUP_SIMPLEFP] = {f"{b}_{k}": d for b, ds in branch_grads.items() for k, d in zip("wb", ds)}
-        d_w, d_b, _ = conv2d_backward(last_map, kernel(GROUP_PRIMARY, "mix"), d_mixed)
-        grads[GROUP_PRIMARY] = {"mix_w": d_w, "mix_b": d_b}
+    if cfg.use_simplefp:
+        branch_grads, _ = simple_fp_backward(mixed, fp, d_maps[:4])
+        grads[GROUP_SIMPLEFP] = {f"{b}_{k}": d for b, ds in branch_grads.items() for k, d in zip("wb", ds)}
     if cfg.use_auxiliary:
         grads[GROUP_AUX] = {}
         for i, d in enumerate(aux_fuse_backward(mixed_aux, d_maps[-1])):
@@ -382,9 +383,7 @@ def test_log_shapes(tiny_config):
 
 def test_grad_check_all_groups_pass(tiny_config):
     report = grad_check(tiny_config)
-    assert set(report.per_group) == {
-        GROUP_CONNECTOR, GROUP_NEW_VOCAB, GROUP_SIMPLEFP, GROUP_AUX, GROUP_PRIMARY,
-    }
+    assert set(report.per_group) == {GROUP_CONNECTOR, GROUP_NEW_VOCAB, GROUP_SIMPLEFP, GROUP_AUX}
     assert report.max_rel_error < 1e-4
     assert report.frozen_zero == [GROUP_ORIG_VOCAB]
 
@@ -399,6 +398,12 @@ def test_grad_check_variant_configs(tiny_config):
     report = grad_check(no_fp)
     assert GROUP_AUX not in report.per_group
     assert report.max_rel_error < 1e-4
+
+
+def test_loss_and_grads_rejects_the_primary_encoder(tiny_config):
+    s = prepare_sample(training.seeded_training_set(tiny_config)[0], tiny_config)
+    with pytest.raises(ValueError, match=GROUP_PRIMARY):
+        loss_and_grads(init_model_params(tiny_config), s, tiny_config, {GROUP_PRIMARY})
 
 
 def test_grad_check_rejects_large_dims(default_config):
@@ -423,11 +428,22 @@ def test_config_json_round_trip(tiny_config):
     assert back == tiny_config
 
 
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_config_schema_is_the_default_config():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    schema = readme.split("## Configuration file schema", 1)[1]
+    schema = _README.read_text().split("## Configuration file schema", 1)[1]
     block = schema.split("```json\n", 1)[1].split("```", 1)[0]
     assert json.loads(block) == ExperimentConfig().to_json()
+
+
+def test_readme_freeze_table_is_the_default_schedule():
+    section = _README.read_text().split("## Training stages and parameter groups", 1)[1]
+    rows = re.findall(r"^\| `(\w+)` +\| (\w+) +\| (\w+)", section, flags=re.MULTILINE)
+    assert {group for group, _, _ in rows} == set(init_model_params(ExperimentConfig()).groups)
+    sched = FreezeSchedule.from_config(ExperimentConfig())
+    for group, stage1, stage2 in rows:
+        assert (stage1 == "trained", stage2 == "trained") == (group in sched.stage1, group in sched.stage2), group
 
 
 _SECTIONS = ("world", "proposals", "encoder", "roi")
