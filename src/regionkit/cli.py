@@ -37,11 +37,22 @@ CONFIG_FLAGS = (
 )
 
 
+class _ConfigError(Exception):
+    """A config file or flag override that cannot be loaded: :func:`main`
+    reports it in one line."""
+
+
 def _load_config(args, default: ExperimentConfig = ExperimentConfig()) -> ExperimentConfig:
-    """``--config`` (else ``default``) with the flag overrides applied."""
-    cfg = ExperimentConfig.loads(Path(args.config).read_text()) if args.config else default
-    overrides = {name: getattr(args, name) for _, name, _ in CONFIG_FLAGS if getattr(args, name) is not None}
-    return cfg.replace(**overrides) if overrides else cfg
+    """``--config`` (else ``default``) with the flag overrides applied.
+
+    An unreadable file or a rejected value raises :class:`_ConfigError`.
+    """
+    try:
+        cfg = ExperimentConfig.loads(Path(args.config).read_text()) if args.config else default
+        overrides = {name: getattr(args, name) for _, name, _ in CONFIG_FLAGS if getattr(args, name) is not None}
+        return cfg.replace(**overrides) if overrides else cfg
+    except (ValueError, OSError) as exc:
+        raise _ConfigError(str(exc)) from exc
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
@@ -190,7 +201,11 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_validate_transcript)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _ConfigError as exc:
+        print(f"regionkit: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -20,7 +20,10 @@ Because every step from a raw map to a mean-pooled region feature is
 linear, the pooled levels also have a factored form, which is what
 training and evaluation run.  Per sample, :func:`simple_fp_taps` and
 :func:`aux_fuse_taps` pool the raw maps into a few "taps" per box: which
-input pixels each kernel tap reaches, weighted by pooling.  A pooled level is
+input pixels each kernel tap reaches, weighted by pooling.  They take the
+boxes' pooling weights at the sizes they pool at (:func:`simple_fp_sizes`,
+:func:`aux_fuse_size`), which a caller computes in one pass for both
+(:func:`roialign.pooled_axis_weight_table`).  A pooled level is
 then the taps times an effective kernel built from the parameters
 (:func:`simple_fp_pooled`, :func:`aux_fuse_pooled`), and the gradients
 are the transposed products (:func:`simple_fp_pooled_backward`,
@@ -47,7 +50,7 @@ from .gridops import (
     deconv2d_backward,
     resize_matrix,
 )
-from .roialign import Box, RoiConfig, apply_taps, pooled_axis_weights, pooled_taps
+from .roialign import apply_taps, pooled_taps
 
 __all__ = [
     "SimpleFPParams",
@@ -55,9 +58,11 @@ __all__ = [
     "simple_fp_backward",
     "aux_fuse",
     "aux_fuse_backward",
+    "simple_fp_sizes",
     "simple_fp_taps",
     "simple_fp_pooled",
     "simple_fp_pooled_backward",
+    "aux_fuse_size",
     "aux_fuse_taps",
     "aux_fuse_pooled",
     "aux_fuse_pooled_backward",
@@ -128,8 +133,9 @@ def simple_fp_backward(
     return grads, d_input
 
 
-def _fuse_target(sizes: list[tuple[int, int]]) -> tuple[int, int]:
-    """The size four auxiliary maps are fused at: the largest one's."""
+def aux_fuse_size(sizes: list[tuple[int, int]]) -> tuple[int, int]:
+    """The size four auxiliary maps of these sizes are fused at: the largest
+    one's.  :func:`aux_fuse_taps` pools at it."""
     if len(sizes) != 4:
         raise ValueError(f"aux_fuse expects exactly 4 maps, got {len(sizes)}")
     biggest = max(h * w for h, w in sizes)
@@ -141,7 +147,7 @@ def _fuse_target(sizes: list[tuple[int, int]]) -> tuple[int, int]:
 
 def aux_fuse(maps: list[FeatureMap]) -> FeatureMap:
     """Resize four maps to the largest spatial size and concatenate channels."""
-    th, tw = _fuse_target([(m.height, m.width) for m in maps])
+    th, tw = aux_fuse_size([(m.height, m.width) for m in maps])
     resized = [m if (m.height, m.width) == (th, tw) else bilinear_resize(m, th, tw) for m in maps]
     return concat_channels(resized)
 
@@ -180,15 +186,22 @@ def _row_sums(a_y: np.ndarray, a_x: np.ndarray) -> np.ndarray:
     return (a_y.sum(axis=1) * a_x.sum(axis=1))[:, None]
 
 
-def simple_fp_taps(
-    raw: np.ndarray, boxes: list[Box], cfg: RoiConfig = RoiConfig()
-) -> list[np.ndarray]:
+def simple_fp_sizes(height: int, width: int) -> list[tuple[int, int]]:
+    """The (height, width) of :func:`simple_fp`'s four levels for an input map
+    of this size: what :func:`simple_fp_taps` pools at."""
+    return [((height - 1) // 2 + 1, (width - 1) // 2 + 1), (height, width), (2 * height, 2 * width),
+            (4 * height, 4 * width)]
+
+
+def simple_fp_taps(raw: np.ndarray, weights: dict) -> list[np.ndarray]:
     """Pooled taps of :func:`simple_fp`'s four levels, one (N, K) array each.
 
     ``raw`` is the (J, H, W) map the pyramid's (C, J) input mix acts on;
     a caller whose mix has a bias appends a ones channel to it.  The zero
     padding of the ``down`` branch pads that channel with zeros too, so it
     doubles as the mask that keeps the bias out of the padding.
+    ``weights`` maps each size of :func:`simple_fp_sizes` to the boxes'
+    per-axis pooling weights (:func:`roialign.pooled_axis_weight_table`).
 
     Level l pools to ``taps[l] @ effective kernel.T``
     (:func:`simple_fp_pooled`).  The columns are (tap_y, tap_x, channel)
@@ -205,19 +218,20 @@ def simple_fp_taps(
     _, h, w = raw.shape
     if min(h, w) < 4:
         raise ValueError("input map must be at least 4x4 for the stride-2 branch")
+    down, same, up2, up4 = (weights[size] for size in simple_fp_sizes(h, w))
     levels = []
-    a_y, a_x = pooled_axis_weights((h - 1) // 2 + 1, (w - 1) // 2 + 1, boxes, cfg)
+    a_y, a_x = down
     padded = np.pad(raw, ((0, 0), (1, 1), (1, 1)))
     taps = pooled_taps(padded, _conv_gather(a_y, 3, 2, h + 2), _conv_gather(a_x, 3, 2, w + 2))
     levels.append(np.concatenate([taps, _row_sums(a_y, a_x)], axis=1))
-    a_y, a_x = pooled_axis_weights(h, w, boxes, cfg)
+    a_y, a_x = same
     levels.append(np.concatenate([pooled_taps(raw, a_y[:, None], a_x[:, None]), _row_sums(a_y, a_x)], axis=1))
-    a_y, a_x = pooled_axis_weights(2 * h, 2 * w, boxes, cfg)
+    a_y, a_x = up2
     taps = pooled_taps(raw, _deconv_gather(a_y, 2), _deconv_gather(a_x, 2))
     levels.append(np.concatenate([taps, _row_sums(a_y, a_x)], axis=1))
-    a_y, a_x = pooled_axis_weights(4 * h, 4 * w, boxes, cfg)
+    a_y, a_x = up4
     taps = pooled_taps(raw, _deconv_gather(a_y, 4), _deconv_gather(a_x, 4))
-    n = len(boxes)
+    n = a_y.shape[0]
     parity = _deconv_gather(a_y, 2).sum(axis=2)[:, :, None] * _deconv_gather(a_x, 2).sum(axis=2)[:, None, :]
     levels.append(np.concatenate([taps, parity.reshape(n, 4), _row_sums(a_y, a_x)], axis=1))
     return levels
@@ -281,17 +295,17 @@ def simple_fp_pooled_backward(
     return grads
 
 
-def aux_fuse_taps(
-    raw_maps: list[np.ndarray], boxes: list[Box], cfg: RoiConfig = RoiConfig()
-) -> list[np.ndarray]:
+def aux_fuse_taps(raw_maps: list[np.ndarray], weights: dict) -> list[np.ndarray]:
     """Pooled taps of :func:`aux_fuse`: per input map, the (N, J) pooling of
     that map resized to the fused size.
 
-    The resize is folded into the per-axis pooling weights, box by box.
+    ``weights`` maps the fused size (:func:`aux_fuse_size`) to the boxes'
+    per-axis pooling weights (:func:`roialign.pooled_axis_weight_table`).
+    The resize is folded into those weights, box by box.
     """
     sizes = [m.shape[1:] for m in raw_maps]
-    th, tw = _fuse_target(sizes)
-    a_y, a_x = pooled_axis_weights(th, tw, boxes, cfg)
+    th, tw = aux_fuse_size(sizes)
+    a_y, a_x = weights[th, tw]
     taps = []
     for m, (h, w) in zip(raw_maps, sizes):
         g_y, g_x = a_y[:, None], a_x[:, None]

@@ -10,7 +10,9 @@ rounding anywhere.  Samples falling outside the map clamp to the edge.
 ``roi_align`` produces the C x P x P bin grid; ``roi_align_pooled`` means
 over the bins, which equals a fixed linear functional of the map.  The
 samples form a separable grid, so that functional is rank 1 per box: the
-outer product of one weight vector per axis (:func:`pooled_axis_weights`).
+outer product of one weight vector per axis (:func:`pooled_axis_weights`;
+:func:`pooled_axis_weight_table` computes them at several map sizes in one
+pass).
 :func:`pooled_weights` is that outer product as an (N, H * W) matrix, and
 :func:`pooled_taps` contracts a map with per-axis tap weights box by box
 and :func:`apply_taps` applies a kernel to the taps, which is how the
@@ -32,6 +34,7 @@ __all__ = [
     "roi_align",
     "roi_align_pooled",
     "pooled_axis_weights",
+    "pooled_axis_weight_table",
     "pooled_weights",
     "pooled_apply",
     "pooled_taps",
@@ -193,13 +196,31 @@ def pooled_axis_weights(
     Box n pools a map as sum_{y, x} a_y[n, y] * a_x[n, x] * map[c, y, x].
     Both axes come from one pass: the y rows of all boxes, then the x rows.
     """
+    return pooled_axis_weight_table([(height, width)], boxes, cfg)[height, width]
+
+
+def pooled_axis_weight_table(
+    sizes: list[tuple[int, int]], boxes: list[Box], cfg: RoiConfig = RoiConfig()
+) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
+    """:func:`pooled_axis_weights` at every (height, width) in ``sizes``,
+    keyed by size, from one pass: per distinct size, the y rows of all
+    boxes, then the x rows.  A row's weights do not depend on where it
+    sits, so each entry is bitwise the per-size result."""
     if not boxes:
         raise ValueError("at least one box is required")
     n = len(boxes)
+    sizes = list(dict.fromkeys(sizes))
     lo = np.array([b.y1 for b in boxes] + [b.x1 for b in boxes], dtype=np.float64)
     hi = np.array([b.y2 for b in boxes] + [b.x2 for b in boxes], dtype=np.float64)
-    flat = _axis_pool_weights(lo, hi, np.repeat([height, width], n), cfg)
-    return flat[: n * height].reshape(n, height), flat[n * height :].reshape(n, width)
+    flat = _axis_pool_weights(np.tile(lo, len(sizes)), np.tile(hi, len(sizes)), np.repeat(np.ravel(sizes), n), cfg)
+    table, start = {}, 0
+    for h, w in sizes:
+        a_y = flat[start : start + n * h].reshape(n, h)
+        start += n * h
+        a_x = flat[start : start + n * w].reshape(n, w)
+        start += n * w
+        table[h, w] = (a_y, a_x)
+    return table
 
 
 def pooled_weights(height: int, width: int, boxes: list[Box], cfg: RoiConfig = RoiConfig()) -> np.ndarray:

@@ -21,12 +21,16 @@ finetunes with the auxiliary group unfrozen (lr 1e-5).  The loss is
 per-(region, query) binary cross-entropy against the synthetic-world
 assignment targets, summed over pairs.  The optimizer is plain gradient
 descent so every gradient stays auditable, and everything is deterministic
-given the config seed.
+given the config seed.  All groups share one parameter vector, each a
+slice of it, so a step updates each trainable group with one slice
+operation and never touches a frozen one.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,13 +41,15 @@ from .pyramid import (
     SimpleFPParams,
     aux_fuse_pooled,
     aux_fuse_pooled_backward,
+    aux_fuse_size,
     aux_fuse_taps,
     simple_fp_pooled,
     simple_fp_pooled_backward,
+    simple_fp_sizes,
     simple_fp_taps,
 )
 from .regionenc import Connector, connector_backward, connector_forward, positional_embedding_matrix
-from .roialign import apply_taps, pooled_axis_weights, pooled_taps
+from .roialign import apply_taps, pooled_axis_weight_table, pooled_taps
 from .simworld import TrainingSample, make_training_set, toy_encode, vocabulary
 
 __all__ = [
@@ -88,11 +94,57 @@ class TrainingDivergence(RuntimeError):
         self.loss = loss
 
 
-@dataclass
 class ModelParams:
-    """All trainable state, as named arrays in named groups."""
+    """All trainable state: one contiguous float64 vector, seen as named
+    arrays in named groups.
 
-    groups: dict[str, dict[str, np.ndarray]]
+    ``groups[group][name]`` is a view into ``vector``; the arrays follow
+    each other in bundle order, so each group is one slice of the vector,
+    ``spans[group]``.  An in-place update of the vector is an update of
+    the named arrays, and the other way round.
+    """
+
+    def __init__(self, groups: dict[str, dict[str, np.ndarray]]):
+        self._layout = {g: {k: np.shape(a) for k, a in arrs.items()} for g, arrs in groups.items()}
+        self.spans: dict[str, slice] = {}
+        end = 0
+        for g, shapes in self._layout.items():
+            size = sum(math.prod(shape) for shape in shapes.values())
+            self.spans[g] = slice(end, end + size)
+            end += size
+        self.vector = np.empty(end)
+        for g, arrs in groups.items():
+            self.assign(g, arrs)
+
+    @functools.cached_property
+    def groups(self) -> dict[str, dict[str, np.ndarray]]:
+        """{group: {name: view into the vector}}, in bundle order."""
+        views: dict[str, dict[str, np.ndarray]] = {}
+        for g, shapes in self._layout.items():
+            start = self.spans[g].start
+            views[g] = {}
+            for k, shape in shapes.items():
+                views[g][k] = self.vector[start : start + math.prod(shape)].reshape(shape)
+                start += views[g][k].size
+        return views
+
+    def assign(self, group: str, arrays: dict[str, np.ndarray]) -> None:
+        """Copy ``arrays``, by name and shaped as the group's, into the
+        group's slice of the vector in one call."""
+        np.concatenate([arrays[k] for k in self._layout[group]], axis=None, out=self.vector[self.spans[group]])
+
+    def zeros_like(self) -> "ModelParams":
+        """All-zero parameters of the same layout, e.g. a gradient."""
+        out = ModelParams.__new__(ModelParams)
+        out._layout, out.spans, out.vector = self._layout, self.spans, np.zeros(self.vector.size)
+        return out
+
+    @functools.cached_property
+    def connector(self) -> Connector:
+        """The connector group as a :class:`Connector` over its views, so it
+        follows every in-place update of the vector."""
+        c = self.groups[GROUP_CONNECTOR]
+        return Connector(c["w1"], c["b1"], c["w2"], c["b2"])
 
     def checksum(self, group: str) -> str:
         h = hashlib.sha256()
@@ -235,11 +287,6 @@ def _mix_grads(d_mix: np.ndarray, name: str) -> dict[str, np.ndarray]:
     return {f"{name}_w": d_mix[:, :-1, None, None], f"{name}_b": d_mix[:, -1]}
 
 
-def _connector(groups: dict) -> Connector:
-    c = groups[GROUP_CONNECTOR]
-    return Connector(c["w1"], c["b1"], c["w2"], c["b2"])
-
-
 # ---------------------------------------------------------- sample prep
 
 @dataclass
@@ -267,20 +314,28 @@ def prepare_sample(sample, config: ExperimentConfig) -> SampleStatic:
 
     ``sample`` is a :class:`TrainingSample`, or any scene-with-proposals
     (``.scene``, ``.proposals``) such as an eval scene, which has no
-    queries or targets.
+    queries or targets.  The pooling weights of every size the taps pool
+    at come from one pass.
     """
     last_map, aux_maps = toy_encode(sample.scene, config.encoder)
     boxes = list(sample.proposals)
+    h, w = last_map.height, last_map.width
+    sizes = []
+    if config.use_primary:
+        sizes += simple_fp_sizes(h, w) if config.use_simplefp else [(h, w)]
+    if config.use_auxiliary:
+        sizes.append(aux_fuse_size([(m.height, m.width) for m in aux_maps]))
+    weights = pooled_axis_weight_table(sizes, boxes, config.roi)
     primary_taps = aux_taps = None
     if config.use_primary:
         raw = _with_ones(last_map.data)
         if config.use_simplefp:
-            primary_taps = simple_fp_taps(raw, boxes, config.roi)
+            primary_taps = simple_fp_taps(raw, weights)
         else:
-            a_y, a_x = pooled_axis_weights(last_map.height, last_map.width, boxes, config.roi)
+            a_y, a_x = weights[h, w]
             primary_taps = pooled_taps(raw, a_y[:, None], a_x[:, None])
     if config.use_auxiliary:
-        aux_taps = aux_fuse_taps([_with_ones(m.data) for m in aux_maps], boxes, config.roi)
+        aux_taps = aux_fuse_taps([_with_ones(m.data) for m in aux_maps], weights)
     if isinstance(sample, TrainingSample):
         index = {n: i for i, n in enumerate(vocabulary(config.n_categories))}
         query_idx = np.array([index[q] for q in sample.queries], dtype=int)
@@ -328,7 +383,9 @@ def _forward(params: ModelParams, s: SampleStatic, config: ExperimentConfig) -> 
     if not np.isfinite(features).all():
         n, d = features.shape
         raise NonFiniteError(f"{n}x{d} region feature matrix contains non-finite values")
-    conn = _connector(g)
+    if not np.isfinite(params.vector[params.spans[GROUP_CONNECTOR]]).all():
+        raise NonFiniteError("connector parameters must be finite")
+    conn = params.connector
     tokens, hidden = connector_forward(conn, features, with_hidden=True)
     return _ForwardCache(mix, aux_mixes, conn, features, hidden, tokens)
 
@@ -349,56 +406,53 @@ def loss_and_grads(
     s: SampleStatic,
     config: ExperimentConfig,
     trainable: frozenset | set = frozenset(),
-) -> tuple[float, dict[str, dict[str, np.ndarray]]]:
+) -> tuple[float, ModelParams]:
     """Loss on one sample plus analytic gradients for the requested groups.
 
     The loss is binary cross-entropy per (region, query) pair, summed over
-    all pairs of the sample.  A requested group with no path into this
-    config's loss gets zero gradients.  The primary encoder never trains
+    all pairs of the sample.  The gradient has the layout of ``params``;
+    a group that was not requested, or has no path into this config's
+    loss, is exactly zero.  The primary encoder never trains
     (:class:`FreezeSchedule`) and has a path, so requesting it raises.
     """
     if GROUP_PRIMARY in trainable:
         raise ValueError(f"{GROUP_PRIMARY} never trains: no gradient is computed for it")
-    g = params.groups
+    grads = params.zeros_like()
     if s.query_idx.size == 0:
-        return 0.0, {grp: {k: np.zeros_like(v) for k, v in g[grp].items()} for grp in trainable}
+        return 0.0, grads
+    g = params.groups
     cache = _forward(params, s, config)
     queries = g[GROUP_NEW_VOCAB]["queries"][s.query_idx]
     logits = cache.tokens @ queries.T
     loss = float(np.sum(bce_with_logits(logits, s.targets)))
-
-    grads: dict[str, dict[str, np.ndarray]] = {}
-    want = set(trainable)
-    if not want:
+    if not trainable:
         return loss, grads
 
     probs = 1.0 / (1.0 + np.exp(-logits))
     d_logits = probs - s.targets
 
-    if GROUP_NEW_VOCAB in want:
-        dq = np.zeros_like(g[GROUP_NEW_VOCAB]["queries"])
+    if GROUP_NEW_VOCAB in trainable:
+        # the group is this one array
+        dq = grads.vector[grads.spans[GROUP_NEW_VOCAB]].reshape(g[GROUP_NEW_VOCAB]["queries"].shape)
         np.add.at(dq, s.query_idx, d_logits.T @ cache.tokens)
-        grads[GROUP_NEW_VOCAB] = {"queries": dq}
 
-    fp_path = config.use_simplefp and GROUP_SIMPLEFP in want
-    aux_path = config.use_auxiliary and GROUP_AUX in want
-    if fp_path or aux_path or GROUP_CONNECTOR in want:
+    fp_path = config.use_simplefp and GROUP_SIMPLEFP in trainable
+    aux_path = config.use_auxiliary and GROUP_AUX in trainable
+    if fp_path or aux_path or GROUP_CONNECTOR in trainable:
         d_tokens = d_logits @ queries
         conn_grads, d_feats = connector_backward(
             cache.connector, cache.features, d_tokens, hidden=cache.hidden, input_grad=fp_path or aux_path
         )
-        if GROUP_CONNECTOR in want:
-            grads[GROUP_CONNECTOR] = conn_grads
+        if GROUP_CONNECTOR in trainable:
+            grads.assign(GROUP_CONNECTOR, conn_grads)
         if fp_path:
             w = config.fp_channels
             d_levels = [d_feats[:, k * w : (k + 1) * w] for k in range(4)]
-            grads[GROUP_SIMPLEFP] = simple_fp_pooled_backward(s.primary_taps, cache.mix, g[GROUP_SIMPLEFP], d_levels)
+            d_fp = simple_fp_pooled_backward(s.primary_taps, cache.mix, g[GROUP_SIMPLEFP], d_levels)
+            grads.assign(GROUP_SIMPLEFP, d_fp)
         if aux_path:
             d_mixes = aux_fuse_pooled_backward(s.aux_taps, cache.aux_mixes, d_feats[:, config.d_p :])
-            grads[GROUP_AUX] = {k: v for i, d in enumerate(d_mixes) for k, v in _mix_grads(d, f"mix{i}").items()}
-
-    for grp in want - grads.keys():
-        grads[grp] = {k: np.zeros_like(v) for k, v in g[grp].items()}
+            grads.assign(GROUP_AUX, {k: v for i, d in enumerate(d_mixes) for k, v in _mix_grads(d, f"mix{i}").items()})
     return loss, grads
 
 
@@ -447,6 +501,8 @@ def train(
     step_counter = 0
     for stage, steps, lr in config.stages:
         trainable = schedule.trainable(stage)
+        # frozen groups lie outside every span, so no step touches them
+        spans = [params.spans[grp] for grp in sorted(trainable)]
         for _ in range(steps):
             s = statics[step_counter % len(statics)]
             step_counter += 1
@@ -456,9 +512,8 @@ def train(
                 raise TrainingDivergence(stage, step_counter, cause=str(exc)) from exc
             if not np.isfinite(loss):
                 raise TrainingDivergence(stage, step_counter, loss)
-            for grp, arrs in grads.items():
-                for name, d in arrs.items():
-                    params.groups[grp][name] -= lr * d
+            for span in spans:
+                params.vector[span] -= lr * grads.vector[span]
             log.losses[f"stage{stage}"].append(loss)
         log.checksums[f"after_stage{stage}"] = params.checksums()
     return params, log
@@ -511,7 +566,7 @@ def grad_check(config: ExperimentConfig) -> GradCheckReport:
                 down, _ = loss_and_grads(params, s, config)
                 flat[i] = orig
                 numeric = (up - down) / (2 * step)
-                a = analytic[grp][name].ravel()[i]
+                a = analytic.groups[grp][name].ravel()[i]
                 rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-5)
                 worst = max(worst, rel)
         n_checked = sum(arr.size for arr in params.groups[grp].values())

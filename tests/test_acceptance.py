@@ -28,14 +28,24 @@ from regionkit.pyramid import (
     SimpleFPParams,
     aux_fuse,
     aux_fuse_pooled,
+    aux_fuse_size,
     aux_fuse_taps,
     simple_fp,
     simple_fp_pooled,
+    simple_fp_sizes,
     simple_fp_taps,
 )
 from regionkit.regionenc import positional_embedding_matrix
 from regionkit.retrieval import Detection
-from regionkit.roialign import Box, RoiConfig, pooled_axis_weights, pooled_taps, roi_align, roi_align_pooled
+from regionkit.roialign import (
+    Box,
+    RoiConfig,
+    pooled_axis_weight_table,
+    pooled_axis_weights,
+    pooled_taps,
+    roi_align,
+    roi_align_pooled,
+)
 from regionkit.simworld import EncoderConfig, ProposalSimConfig, SceneConfig
 from regionkit.tokenproto import ParseError, parse_grounded, serialize_grounded
 from regionkit.training import (
@@ -152,9 +162,11 @@ def test_criterion_04_reference_dimension_contract():
 
     fp = {f"{b}_{part}": getattr(k, attr) for b, k in params.kernels.items()
           for part, attr in (("w", "weights"), ("b", "bias"))}
-    p_pri = np.concatenate(simple_fp_pooled(simple_fp_taps(with_ones(last.data), boxes), identity_mix(512), fp),
+    fuse_size = aux_fuse_size([(m.height, m.width) for m in aux_maps])
+    weights = pooled_axis_weight_table(simple_fp_sizes(h, h) + [fuse_size], boxes)
+    p_pri = np.concatenate(simple_fp_pooled(simple_fp_taps(with_ones(last.data), weights), identity_mix(512), fp),
                            axis=1)
-    p_aux = aux_fuse_pooled(aux_fuse_taps([with_ones(m.data) for m in aux_maps], boxes),
+    p_aux = aux_fuse_pooled(aux_fuse_taps([with_ones(m.data) for m in aux_maps], weights),
                             [identity_mix(m.channels) for m in aux_maps])
     factored_diff = max(float(np.max(np.abs(p_pri - f_pri))), float(np.max(np.abs(p_aux - f_aux))))
     factored_ok = p_pri.shape == (2, 2048) and p_aux.shape == (2, 3840) and factored_diff <= 1e-12

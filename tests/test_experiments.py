@@ -18,6 +18,7 @@ from regionkit.experiments import (
 )
 from regionkit.metrics import box_recall
 from regionkit.simworld import ProposalSimConfig, SceneConfig
+from regionkit.training import TrainingDivergence
 from regionkit.training import init_model_params, train
 
 
@@ -169,6 +170,28 @@ def test_cli_gradcheck_flags_apply_to_its_small_config(tmp_path, capsys):
     assert cli_main(argv) == 0
     config = json.loads((tmp_path / "gc" / "manifest.json").read_text())["config"]
     assert (config["seed"], config["rejection_fraction"], config["d_llm"]) == (4, 1.0, 8)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gradcheck", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["train", "--config", "/nonexistent/config.json"], "No such file or directory"),
+        (["train", "--stage1-lr", "inf"], "stage1_lr must be a finite positive number, got inf"),
+    ],
+)
+def test_cli_reports_a_rejected_config_in_one_line(argv, message, capsys):
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("regionkit: error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_lets_a_run_error_propagate(tmp_path):
+    argv = ["train", "--stage1-lr", "1e300", "--n-train-scenes", "2", "--out", str(tmp_path / "t")]
+    with pytest.raises(TrainingDivergence):
+        cli_main(argv)
 
 
 def test_cli_validate_transcript(tmp_path, capsys):

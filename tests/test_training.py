@@ -89,6 +89,8 @@ def test_config_requires_a_stream(tiny_config):
          lambda cfg: ExperimentConfig.from_json({"encoder": {"aux_base_resolution": 1000000}})),
         ("encoder.distractor_intensity",
          lambda cfg: ExperimentConfig.from_json({"encoder": {"distractor_intensity": -0.5}})),
+        ("stage1_lr must be a finite positive number, got inf", lambda cfg: cfg.replace(stage1_lr=float("inf"))),
+        ("stage2_lr must be a finite positive number, got inf", lambda cfg: cfg.replace(stage2_lr=float("inf"))),
     ],
 )
 def test_unusable_config_rejected_naming_field(tiny_config, field, build):
@@ -154,6 +156,28 @@ def test_init_params_groups_and_identity_mixes(tiny_config):
     }
     mix = params.groups[GROUP_PRIMARY]["mix_w"]
     np.testing.assert_array_equal(mix[:, :, 0, 0], np.eye(mix.shape[0]))
+
+
+def test_params_are_views_into_one_vector(tiny_config):
+    params = init_model_params(tiny_config)
+    ends = [0]
+    for group, arrs in params.groups.items():
+        span = params.spans[group]
+        assert span.start == ends[-1]
+        ends.append(span.stop)
+        flat = np.concatenate([arr.ravel() for arr in arrs.values()])
+        assert flat.tobytes() == params.vector[span].tobytes()
+        for arr in arrs.values():
+            assert np.shares_memory(arr, params.vector)
+    assert ends[-1] == params.vector.size
+    before = {k: arr.copy() for k, arr in params.groups[GROUP_CONNECTOR].items()}
+    params.vector[params.spans[GROUP_CONNECTOR]] += 1.0
+    for k, arr in params.groups[GROUP_CONNECTOR].items():
+        np.testing.assert_array_equal(arr, before[k] + 1.0)
+    zeros = params.zeros_like()
+    assert zeros.spans == params.spans and not zeros.vector.any()
+    assert {g: {k: a.shape for k, a in arrs.items()} for g, arrs in zeros.groups.items()} == {
+        g: {k: a.shape for k, a in arrs.items()} for g, arrs in params.groups.items()}
 
 
 def test_params_json_round_trip(tiny_config):
@@ -261,7 +285,8 @@ def assert_rel_close(got, want, what):
 @pytest.mark.parametrize("variant", sorted(ORACLE_CASES))
 def test_training_forward_equals_oracle_composition(tiny_config, variant):
     """Pooled-tap features, loss and the gradient of every group with a path
-    into the loss equal the dense oracle to 1e-12 relative."""
+    into the loss equal the dense oracle to 1e-12 relative; the gradient of
+    every group not requested is exactly zero."""
     cfg = tiny_config.replace(**ORACLE_CASES[variant])
     params = init_model_params(cfg)
     rng = np.random.default_rng(11)
@@ -275,11 +300,12 @@ def test_training_forward_equals_oracle_composition(tiny_config, variant):
         assert_rel_close(training._forward(params, s, cfg).features, features, "features")
         got_loss, got = loss_and_grads(params, s, cfg, frozenset(want))
         assert abs(got_loss - loss) <= 1e-12 * abs(loss)
-        assert set(got) == set(want)
+        for group in set(got.groups) - set(want):
+            assert not got.vector[got.spans[group]].any(), f"unrequested group {group} is not zero"
         for group, arrs in want.items():
-            assert set(got[group]) == set(arrs)
+            assert set(got.groups[group]) == set(arrs)
             for name, arr in arrs.items():
-                assert_rel_close(got[group][name], arr, f"{group}/{name}")
+                assert_rel_close(got.groups[group][name], arr, f"{group}/{name}")
 
 
 _DENSE_OPS = (
