@@ -26,7 +26,8 @@ def main():
     print(f"{len(proposals)} proposals, top score {proposals[0].score:.2f}")
 
     sample = prepare_sample(EvalScene(scene, proposals), config)
-    print(f"pooled taps: {len(sample.primary_taps)} pyramid levels, {len(sample.aux_taps)} fused-map levels")
+    widths = [t.shape[1] for t in sample.taps]
+    print(f"pooled taps: {len(widths)} blocks (4 pyramid levels, then 4 auxiliary maps) of widths {widths}")
     print(f"hybrid feature length: {config.d_p} primary + {config.d_a} auxiliary = {config.d_total}")
 
     params = init_model_params(config)

@@ -38,8 +38,8 @@ CONFIG_FLAGS = (
 
 
 class _ConfigError(Exception):
-    """A config file or flag override that cannot be loaded: :func:`main`
-    reports it in one line."""
+    """A config file or flag that cannot be used: :func:`main` reports it
+    in one line, before the command writes anything."""
 
 
 def _load_config(args, default: ExperimentConfig = ExperimentConfig()) -> ExperimentConfig:
@@ -61,7 +61,13 @@ def _add_config_flags(p: argparse.ArgumentParser):
         p.add_argument(flag, dest=name, type=kind)
 
 
+def _check_count(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise _ConfigError(f"{flag} must be >= {least}, got {value}")
+
+
 def cmd_gen(args) -> int:
+    _check_count("--n-scenes", args.n_scenes, 0)
     cfg = _load_config(args)
     rng = np.random.default_rng(cfg.seed)
     scenes = []
@@ -115,6 +121,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    _check_count("--n-seeds", args.n_seeds, 1)
     cfg = _load_config(args)
     rows = run_ablations(cfg, n_seeds=args.n_seeds, out_dir=args.out or "runs/ablate")
     for row in rows:

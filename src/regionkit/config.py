@@ -71,8 +71,11 @@ class ExperimentConfig:
             )
         if not (0.0 < self.threshold < 1.0):
             raise ValueError("threshold must lie in (0, 1)")
-        if self.n_train_scenes < 1:
-            raise ValueError("n_train_scenes must be >= 1")
+        for name in ("n_train_scenes", "n_eval_scenes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 <= self.rejection_fraction <= 1.0:
+            raise ValueError(f"rejection_fraction must lie in [0, 1], got {self.rejection_fraction}")
         if self.use_simplefp and self.encoder.primary_resolution < 4:
             raise ValueError(
                 "encoder.primary_resolution must be >= 4 with use_simplefp: the stride-2 branch needs a 4x4 map"

@@ -182,6 +182,8 @@ def run_ablations(
     config: ExperimentConfig, n_seeds: int = 5, out_dir: str | Path | None = None
 ) -> list[AblationRow]:
     """Train every feature-stream variant across seeds with one shared budget."""
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     rows = []
     for name, switches in _VARIANTS:
         aps = []

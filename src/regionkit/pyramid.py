@@ -23,13 +23,14 @@ training and evaluation run.  Per sample, :func:`simple_fp_taps` and
 input pixels each kernel tap reaches, weighted by pooling.  They take the
 boxes' pooling weights at the sizes they pool at (:func:`simple_fp_sizes`,
 :func:`aux_fuse_size`), which a caller computes in one pass for both
-(:func:`roialign.pooled_axis_weight_table`).  A pooled level is
-then the taps times an effective kernel built from the parameters
-(:func:`simple_fp_pooled`, :func:`aux_fuse_pooled`), and the gradients
-are the transposed products (:func:`simple_fp_pooled_backward`,
-:func:`aux_fuse_pooled_backward`).  The dense functions above are the
-oracle these are tested against; the branch wiring and the fuse rule are
-stated only in this module.
+(:func:`roialign.pooled_axis_weight_table`).  Each block of taps has an
+effective kernel built from the parameters: :func:`simple_fp_kernels` for
+the four levels, and for a fused map its own 1x1 mix.  A pooled level is
+``roialign.apply_taps(taps, kernel)``, and a kernel's gradient is the
+transposed product ``d_pooled.T @ taps``, which
+:func:`simple_fp_kernels_backward` takes back to the branch arrays.  The
+dense functions above are the oracle these are tested against; the
+branch wiring and the fuse rule are stated only in this module.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .gridops import (
     deconv2d_backward,
     resize_matrix,
 )
-from .roialign import apply_taps, pooled_taps
+from .roialign import pooled_taps
 
 __all__ = [
     "SimpleFPParams",
@@ -60,12 +61,10 @@ __all__ = [
     "aux_fuse_backward",
     "simple_fp_sizes",
     "simple_fp_taps",
-    "simple_fp_pooled",
-    "simple_fp_pooled_backward",
+    "simple_fp_kernels",
+    "simple_fp_kernels_backward",
     "aux_fuse_size",
     "aux_fuse_taps",
-    "aux_fuse_pooled",
-    "aux_fuse_pooled_backward",
 ]
 
 _BRANCHES = ("down", "same", "up2", "up4_a", "up4_b")
@@ -203,8 +202,8 @@ def simple_fp_taps(raw: np.ndarray, weights: dict) -> list[np.ndarray]:
     ``weights`` maps each size of :func:`simple_fp_sizes` to the boxes'
     per-axis pooling weights (:func:`roialign.pooled_axis_weight_table`).
 
-    Level l pools to ``taps[l] @ effective kernel.T``
-    (:func:`simple_fp_pooled`).  The columns are (tap_y, tap_x, channel)
+    Level l pools to ``apply_taps(taps[l], kernels[l])`` with the kernels of
+    :func:`simple_fp_kernels`.  The columns are (tap_y, tap_x, channel)
     products, then the level's bias columns:
 
     * ``down``: 3 x 3 taps at index 2y + t of the zero-padded map, then
@@ -242,8 +241,11 @@ def _tap_major(w: np.ndarray) -> np.ndarray:
     return w.transpose(0, 2, 3, 1)
 
 
-def _fp_kernels(mix: np.ndarray, fp: dict[str, np.ndarray]) -> list[np.ndarray]:
-    """Effective (O, K) kernels of the four levels for (C, J) input ``mix``."""
+def simple_fp_kernels(mix: np.ndarray, fp: dict[str, np.ndarray]) -> list[np.ndarray]:
+    """Effective (O, K) kernels of :func:`simple_fp`'s four levels on the
+    (C, J) input ``mix``: level l pools to ``apply_taps(taps[l], kernels[l])``
+    for the taps of :func:`simple_fp_taps`.  ``fp`` holds the branch arrays
+    by name (``down_w``, ``down_b``, ...)."""
     o = fp["same_b"].shape[0]
     bias = {b: fp[f"{b}_b"][:, None] for b in ("down", "same", "up2", "up4_b")}
     down = (_tap_major(fp["down_w"]) @ mix).reshape(o, -1)
@@ -262,21 +264,14 @@ def _fp_kernels(mix: np.ndarray, fp: dict[str, np.ndarray]) -> list[np.ndarray]:
     ]
 
 
-def simple_fp_pooled(taps: list[np.ndarray], mix: np.ndarray, fp: dict[str, np.ndarray]) -> list[np.ndarray]:
-    """The four pooled levels of :func:`simple_fp` on ``mix`` applied to the
-    tapped map: (N, O) each.  ``fp`` holds the branch arrays by name
-    (``down_w``, ``down_b``, ...)."""
-    return [apply_taps(t, k) for t, k in zip(taps, _fp_kernels(mix, fp))]
-
-
-def simple_fp_pooled_backward(
-    taps: list[np.ndarray], mix: np.ndarray, fp: dict[str, np.ndarray], d_pooled: list[np.ndarray]
+def simple_fp_kernels_backward(
+    mix: np.ndarray, fp: dict[str, np.ndarray], d_kernels: list[np.ndarray]
 ) -> dict[str, np.ndarray]:
-    """Adjoint of :func:`simple_fp_pooled` in the branch arrays for (N, O)
-    gradients on its four levels: {``down_w``: ..., ``down_b``: ..., ...}.
+    """Adjoint of :func:`simple_fp_kernels` in the branch arrays for
+    gradients on its four kernels: {``down_w``: ..., ``down_b``: ..., ...}.
     The input ``mix`` is held fixed."""
     mid = _tap_major(fp["up4_a_w"]) @ mix  # (F, a, b, J), as in the forward
-    d_down, d_same, d_up2, d_up4 = (d.T @ t for d, t in zip(d_pooled, taps))
+    d_down, d_same, d_up2, d_up4 = d_kernels
     o = fp["same_w"].shape[0]
     grads = {"down_b": d_down[:, -1], "same_b": d_same[:, -1], "up2_b": d_up2[:, -1]}
 
@@ -288,8 +283,8 @@ def simple_fp_pooled_backward(
     grads["up4_a_b"] = outer.T @ d_mid_bias
 
     # each branch's effective kernel is its tap-major weights times the mix
-    d_kernels = {"down": d_down[:, :-1], "same": d_same[:, :-1], "up2": d_up2[:, :-1], "up4_a": outer.T @ d_prod}
-    for branch, d_k in d_kernels.items():
+    d_branch = {"down": d_down[:, :-1], "same": d_same[:, :-1], "up2": d_up2[:, :-1], "up4_a": outer.T @ d_prod}
+    for branch, d_k in d_branch.items():
         n_out, _, kh, kw = fp[f"{branch}_w"].shape
         grads[f"{branch}_w"] = (d_k.reshape(n_out, kh, kw, -1) @ mix.T).transpose(0, 3, 1, 2)
     return grads
@@ -301,7 +296,9 @@ def aux_fuse_taps(raw_maps: list[np.ndarray], weights: dict) -> list[np.ndarray]
 
     ``weights`` maps the fused size (:func:`aux_fuse_size`) to the boxes'
     per-axis pooling weights (:func:`roialign.pooled_axis_weight_table`).
-    The resize is folded into those weights, box by box.
+    The resize is folded into those weights, box by box.  Map l's part of
+    the fused feature is ``apply_taps(taps[l], mix)`` for its (O, J) 1x1
+    mix, whose bias is the last column when the map has a ones channel.
     """
     sizes = [m.shape[1:] for m in raw_maps]
     th, tw = aux_fuse_size(sizes)
@@ -313,17 +310,3 @@ def aux_fuse_taps(raw_maps: list[np.ndarray], weights: dict) -> list[np.ndarray]
             g_y, g_x = g_y @ resize_matrix(h, th), g_x @ resize_matrix(w, tw)
         taps.append(pooled_taps(m, g_y, g_x))
     return taps
-
-
-def aux_fuse_pooled(taps: list[np.ndarray], mixes: list[np.ndarray]) -> np.ndarray:
-    """Pooled :func:`aux_fuse` of the mixed maps: (N, sum of mix widths),
-    where mix l is an (O_l, J_l) 1x1 kernel with its bias as last column."""
-    return np.concatenate([apply_taps(t, m) for t, m in zip(taps, mixes)], axis=1)
-
-
-def aux_fuse_pooled_backward(
-    taps: list[np.ndarray], mixes: list[np.ndarray], d_pooled: np.ndarray
-) -> list[np.ndarray]:
-    """Adjoint of :func:`aux_fuse_pooled`: the gradient of each mix."""
-    cols = np.cumsum([0] + [m.shape[0] for m in mixes])
-    return [d_pooled[:, c0:c1].T @ t for t, c0, c1 in zip(taps, cols[:-1], cols[1:])]

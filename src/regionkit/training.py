@@ -39,12 +39,10 @@ from .config import ExperimentConfig
 from .gridops import NonFiniteError
 from .pyramid import (
     SimpleFPParams,
-    aux_fuse_pooled,
-    aux_fuse_pooled_backward,
     aux_fuse_size,
     aux_fuse_taps,
-    simple_fp_pooled,
-    simple_fp_pooled_backward,
+    simple_fp_kernels,
+    simple_fp_kernels_backward,
     simple_fp_sizes,
     simple_fp_taps,
 )
@@ -281,12 +279,6 @@ def _mix(group: dict[str, np.ndarray], name: str) -> np.ndarray:
     return np.concatenate([group[f"{name}_w"][:, :, 0, 0], group[f"{name}_b"][:, None]], axis=1)
 
 
-def _mix_grads(d_mix: np.ndarray, name: str) -> dict[str, np.ndarray]:
-    """Adjoint of :func:`_mix`: the gradient of an (out, in + 1) mix as
-    the group's weight and bias arrays."""
-    return {f"{name}_w": d_mix[:, :-1, None, None], f"{name}_b": d_mix[:, -1]}
-
-
 # ---------------------------------------------------------- sample prep
 
 @dataclass
@@ -295,15 +287,15 @@ class SampleStatic:
     the pooled taps of its rendered maps, positional embeddings, query
     indices, and targets.
 
-    ``primary_taps`` is :func:`pyramid.simple_fp_taps` of the primary map
-    with SimpleFP on, or the map's own (N, J) pooled taps with it off, and
-    None without the primary stream; ``aux_taps`` is
-    :func:`pyramid.aux_fuse_taps` of the auxiliary maps, or None.  Every
-    map carries a ones channel for its mix bias.
+    ``taps`` holds one (N, K) block per part of the region feature, in
+    the feature's order: the four levels of :func:`pyramid.simple_fp_taps`
+    of the primary map with SimpleFP on, or the map's own (N, J) pooled
+    taps with it off, then the four blocks of :func:`pyramid.aux_fuse_taps`
+    of the auxiliary maps.  A stream that is off has no blocks.  Every map
+    carries a ones channel for its mix bias.
     """
 
-    primary_taps: list[np.ndarray] | np.ndarray | None
-    aux_taps: list[np.ndarray] | None
+    taps: list[np.ndarray]
     epos: np.ndarray
     query_idx: np.ndarray
     targets: np.ndarray
@@ -326,16 +318,16 @@ def prepare_sample(sample, config: ExperimentConfig) -> SampleStatic:
     if config.use_auxiliary:
         sizes.append(aux_fuse_size([(m.height, m.width) for m in aux_maps]))
     weights = pooled_axis_weight_table(sizes, boxes, config.roi)
-    primary_taps = aux_taps = None
+    taps = []
     if config.use_primary:
         raw = _with_ones(last_map.data)
         if config.use_simplefp:
-            primary_taps = simple_fp_taps(raw, weights)
+            taps += simple_fp_taps(raw, weights)
         else:
             a_y, a_x = weights[h, w]
-            primary_taps = pooled_taps(raw, a_y[:, None], a_x[:, None])
+            taps.append(pooled_taps(raw, a_y[:, None], a_x[:, None]))
     if config.use_auxiliary:
-        aux_taps = aux_fuse_taps([_with_ones(m.data) for m in aux_maps], weights)
+        taps += aux_fuse_taps([_with_ones(m.data) for m in aux_maps], weights)
     if isinstance(sample, TrainingSample):
         index = {n: i for i, n in enumerate(vocabulary(config.n_categories))}
         query_idx = np.array([index[q] for q in sample.queries], dtype=int)
@@ -344,8 +336,7 @@ def prepare_sample(sample, config: ExperimentConfig) -> SampleStatic:
         query_idx = np.zeros(0, dtype=int)
         targets = np.zeros((len(boxes), 0))
     return SampleStatic(
-        primary_taps=primary_taps,
-        aux_taps=aux_taps,
+        taps=taps,
         epos=positional_embedding_matrix(boxes, config.d_total),
         query_idx=query_idx,
         targets=targets,
@@ -357,7 +348,7 @@ def prepare_sample(sample, config: ExperimentConfig) -> SampleStatic:
 @dataclass
 class _ForwardCache:
     mix: np.ndarray | None  # the primary mix as (out, in + 1)
-    aux_mixes: list[np.ndarray] | None
+    blocks: list[tuple[str, np.ndarray]]  # per tap block: the group that trains its kernel, the kernel
     connector: Connector
     features: np.ndarray
     hidden: np.ndarray  # the connector's tanh activations
@@ -365,21 +356,20 @@ class _ForwardCache:
 
 
 def _forward(params: ModelParams, s: SampleStatic, config: ExperimentConfig) -> _ForwardCache:
-    """Pooled features as contractions of the sample's taps with effective
-    kernels, then the connector.  No feature map is built."""
+    """Pooled features as each tap block of the sample contracted with its
+    effective kernel, then the connector.  No feature map is built."""
     g = params.groups
-    parts = []
-    mix = aux_mixes = None
+    mix = None
+    blocks = []
     if config.use_primary:
         mix = _mix(g[GROUP_PRIMARY], "mix")
         if config.use_simplefp:
-            parts += simple_fp_pooled(s.primary_taps, mix, g[GROUP_SIMPLEFP])
+            blocks += [(GROUP_SIMPLEFP, k) for k in simple_fp_kernels(mix, g[GROUP_SIMPLEFP])]
         else:
-            parts.append(apply_taps(s.primary_taps, mix))
+            blocks.append((GROUP_PRIMARY, mix))
     if config.use_auxiliary:
-        aux_mixes = [_mix(g[GROUP_AUX], f"mix{i}") for i in range(4)]
-        parts.append(aux_fuse_pooled(s.aux_taps, aux_mixes))
-    features = np.concatenate(parts, axis=1) + s.epos
+        blocks += [(GROUP_AUX, _mix(g[GROUP_AUX], f"mix{i}")) for i in range(4)]
+    features = np.concatenate([apply_taps(t, k) for t, (_, k) in zip(s.taps, blocks)], axis=1) + s.epos
     if not np.isfinite(features).all():
         n, d = features.shape
         raise NonFiniteError(f"{n}x{d} region feature matrix contains non-finite values")
@@ -387,7 +377,7 @@ def _forward(params: ModelParams, s: SampleStatic, config: ExperimentConfig) -> 
         raise NonFiniteError("connector parameters must be finite")
     conn = params.connector
     tokens, hidden = connector_forward(conn, features, with_hidden=True)
-    return _ForwardCache(mix, aux_mixes, conn, features, hidden, tokens)
+    return _ForwardCache(mix, blocks, conn, features, hidden, tokens)
 
 
 def region_token_matrix(params: ModelParams, s: SampleStatic, config: ExperimentConfig) -> np.ndarray:
@@ -436,23 +426,29 @@ def loss_and_grads(
         dq = grads.vector[grads.spans[GROUP_NEW_VOCAB]].reshape(g[GROUP_NEW_VOCAB]["queries"].shape)
         np.add.at(dq, s.query_idx, d_logits.T @ cache.tokens)
 
-    fp_path = config.use_simplefp and GROUP_SIMPLEFP in trainable
-    aux_path = config.use_auxiliary and GROUP_AUX in trainable
-    if fp_path or aux_path or GROUP_CONNECTOR in trainable:
+    block_path = any(grp in trainable for grp, _ in cache.blocks)
+    if block_path or GROUP_CONNECTOR in trainable:
         d_tokens = d_logits @ queries
         conn_grads, d_feats = connector_backward(
-            cache.connector, cache.features, d_tokens, hidden=cache.hidden, input_grad=fp_path or aux_path
+            cache.connector, cache.features, d_tokens, hidden=cache.hidden, input_grad=block_path
         )
         if GROUP_CONNECTOR in trainable:
             grads.assign(GROUP_CONNECTOR, conn_grads)
-        if fp_path:
-            w = config.fp_channels
-            d_levels = [d_feats[:, k * w : (k + 1) * w] for k in range(4)]
-            d_fp = simple_fp_pooled_backward(s.primary_taps, cache.mix, g[GROUP_SIMPLEFP], d_levels)
+        # a block's kernel gradient is its columns of d_feats against its taps
+        d_kernels = {grp: [] for grp in trainable}
+        end = 0
+        for t, (grp, k) in zip(s.taps, cache.blocks):
+            start, end = end, end + k.shape[0]
+            if grp in trainable:
+                d_kernels[grp].append(d_feats[:, start:end].T @ t)
+        if d_kernels.get(GROUP_SIMPLEFP):
+            d_fp = simple_fp_kernels_backward(cache.mix, g[GROUP_SIMPLEFP], d_kernels[GROUP_SIMPLEFP])
             grads.assign(GROUP_SIMPLEFP, d_fp)
-        if aux_path:
-            d_mixes = aux_fuse_pooled_backward(s.aux_taps, cache.aux_mixes, d_feats[:, config.d_p :])
-            grads.assign(GROUP_AUX, {k: v for i, d in enumerate(d_mixes) for k, v in _mix_grads(d, f"mix{i}").items()})
+        if d_kernels.get(GROUP_AUX):
+            d_aux = {}
+            for i, d in enumerate(d_kernels[GROUP_AUX]):  # each (out, in + 1) mix as its weight and bias
+                d_aux[f"mix{i}_w"], d_aux[f"mix{i}_b"] = d[:, :-1, None, None], d[:, -1]
+            grads.assign(GROUP_AUX, d_aux)
     return loss, grads
 
 

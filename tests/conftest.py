@@ -35,8 +35,20 @@ def trained_default(default_config):
 
 
 @pytest.fixture(scope="session")
-def default_ablation(default_config):
-    """Every feature-stream variant at the default budget over seeds 7-11."""
-    from regionkit.experiments import run_ablations
+def default_ablation(default_config, trained_default):
+    """Every feature-stream variant at the default budget over seeds 7-11.
 
-    return run_ablations(default_config, n_seeds=5)
+    The hybrid row's seed-7 model is the default config's, so it is
+    ``trained_default`` rather than a second training run."""
+    from regionkit import experiments
+
+    train = experiments.train
+
+    def train_once(config, dataset=None):
+        if config == default_config and dataset is None:
+            return trained_default
+        return train(config, dataset)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "train", train_once)
+        return experiments.run_ablations(default_config, n_seeds=5)

@@ -27,11 +27,10 @@ from regionkit.metrics import COCO_IOU_THRESHOLDS, coco_map
 from regionkit.pyramid import (
     SimpleFPParams,
     aux_fuse,
-    aux_fuse_pooled,
     aux_fuse_size,
     aux_fuse_taps,
     simple_fp,
-    simple_fp_pooled,
+    simple_fp_kernels,
     simple_fp_sizes,
     simple_fp_taps,
 )
@@ -40,6 +39,7 @@ from regionkit.retrieval import Detection
 from regionkit.roialign import (
     Box,
     RoiConfig,
+    apply_taps,
     pooled_axis_weight_table,
     pooled_axis_weights,
     pooled_taps,
@@ -153,7 +153,8 @@ def test_criterion_04_reference_dimension_contract():
     )
 
     # the factored path the system runs: pooled taps of each map (with a
-    # ones channel for the mix bias) contracted with identity mixes
+    # ones channel for the mix bias) contracted with the effective kernels
+    # of identity mixes
     def with_ones(data):
         return np.concatenate([data, np.ones((1,) + data.shape[1:])])
 
@@ -164,10 +165,11 @@ def test_criterion_04_reference_dimension_contract():
           for part, attr in (("w", "weights"), ("b", "bias"))}
     fuse_size = aux_fuse_size([(m.height, m.width) for m in aux_maps])
     weights = pooled_axis_weight_table(simple_fp_sizes(h, h) + [fuse_size], boxes)
-    p_pri = np.concatenate(simple_fp_pooled(simple_fp_taps(with_ones(last.data), weights), identity_mix(512), fp),
+    pri_taps = simple_fp_taps(with_ones(last.data), weights)
+    aux_taps = aux_fuse_taps([with_ones(m.data) for m in aux_maps], weights)
+    p_pri = np.concatenate([apply_taps(t, k) for t, k in zip(pri_taps, simple_fp_kernels(identity_mix(512), fp))],
                            axis=1)
-    p_aux = aux_fuse_pooled(aux_fuse_taps([with_ones(m.data) for m in aux_maps], weights),
-                            [identity_mix(m.channels) for m in aux_maps])
+    p_aux = np.concatenate([apply_taps(t, identity_mix(m.channels)) for t, m in zip(aux_taps, aux_maps)], axis=1)
     factored_diff = max(float(np.max(np.abs(p_pri - f_pri))), float(np.max(np.abs(p_aux - f_aux))))
     factored_ok = p_pri.shape == (2, 2048) and p_aux.shape == (2, 3840) and factored_diff <= 1e-12
     _report(4, shape_ok and dims_ok and factored_ok,

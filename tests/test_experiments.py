@@ -84,6 +84,12 @@ def test_run_ablations_rows(tiny_config, tmp_path):
     assert (tmp_path / "abl" / "ablations.tsv").exists()
 
 
+def test_run_ablations_rejects_no_seeds(tiny_config, tmp_path):
+    with pytest.raises(ValueError, match="n_seeds must be >= 1, got 0"):
+        run_ablations(tiny_config, n_seeds=0, out_dir=tmp_path / "abl")
+    assert not (tmp_path / "abl").exists()
+
+
 def test_primary_only_with_aux_also_off_is_config_error(tiny_config):
     with pytest.raises(ValueError):
         tiny_config.replace(use_primary=False, use_auxiliary=False)
@@ -178,13 +184,18 @@ def test_cli_gradcheck_flags_apply_to_its_small_config(tmp_path, capsys):
         (["gradcheck", "--seed", "-1"], "seed must be >= 0, got -1"),
         (["train", "--config", "/nonexistent/config.json"], "No such file or directory"),
         (["train", "--stage1-lr", "inf"], "stage1_lr must be a finite positive number, got inf"),
+        (["bench", "--n-eval-scenes", "0"], "n_eval_scenes must be >= 1, got 0"),
+        (["ablate", "--n-seeds", "0"], "--n-seeds must be >= 1, got 0"),
+        (["gen", "--n-scenes", "-1", "--out", "scenes"], "--n-scenes must be >= 0, got -1"),
     ],
 )
-def test_cli_reports_a_rejected_config_in_one_line(argv, message, capsys):
+def test_cli_reports_a_rejected_config_in_one_line(argv, message, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where the commands' default output directories lie
     assert cli_main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("regionkit: error: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

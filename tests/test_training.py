@@ -91,6 +91,10 @@ def test_config_requires_a_stream(tiny_config):
          lambda cfg: ExperimentConfig.from_json({"encoder": {"distractor_intensity": -0.5}})),
         ("stage1_lr must be a finite positive number, got inf", lambda cfg: cfg.replace(stage1_lr=float("inf"))),
         ("stage2_lr must be a finite positive number, got inf", lambda cfg: cfg.replace(stage2_lr=float("inf"))),
+        ("n_eval_scenes must be >= 1, got 0", lambda cfg: cfg.replace(n_eval_scenes=0)),
+        ("rejection_fraction must lie in \\[0, 1\\], got 1.5", lambda cfg: cfg.replace(rejection_fraction=1.5)),
+        ("rejection_fraction .* got -0.1", lambda cfg: cfg.replace(rejection_fraction=-0.1)),
+        ("rejection_fraction .* got nan", lambda cfg: cfg.replace(rejection_fraction=float("nan"))),
     ],
 )
 def test_unusable_config_rejected_naming_field(tiny_config, field, build):
@@ -221,6 +225,8 @@ def test_params_json_rejects_malformed_groups(blob):
 # and a non-default pooling grid
 ORACLE_CASES = {
     **VARIANTS,
+    # one bare primary block before the four aux blocks
+    "hybrid_no_fp": {"use_simplefp": False},
     "primary_resolution_5": {"encoder": EncoderConfig(primary_resolution=5, aux_base_resolution=16)},
     "primary_resolution_9": {"encoder": EncoderConfig(primary_resolution=9, aux_base_resolution=16)},
     "aux_base_resolution_12": {"encoder": EncoderConfig(primary_resolution=8, aux_base_resolution=12)},
