@@ -131,6 +131,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_validate_transcript(args) -> int:
     """Validate a transcript file: one JSON-escaped response string per line."""
+    _check_count("--n-regions", args.n_regions, 1)
     path = Path(args.file)
     failures = 0
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):

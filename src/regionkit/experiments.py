@@ -96,6 +96,10 @@ def detections_for_scene(
 def evaluate_retrieval(
     params: ModelParams, eval_scenes: list[EvalScene], config: ExperimentConfig
 ) -> EvalReport:
+    """mAP of the retrieval head over the eval scenes; an empty scene list
+    has no AP and raises ValueError."""
+    if not eval_scenes:
+        raise ValueError("evaluate_retrieval needs at least one eval scene, got none")
     detections = {}
     ground_truth = {}
     for ev in eval_scenes:
@@ -216,6 +220,8 @@ def rejection_stats(
 
     Over held-out scenes, every category absent from a scene is queried;
     a query counts as a false positive when it yields any detection.
+    Scenes that hold every category give no query; with no query at all
+    there is no rate, and ValueError is raised.
     """
     eval_scenes = make_eval_scenes(config, n_scenes=n_scenes, salt=_EVAL_SEED_SALT + 1)
     names = vocabulary(config.n_categories)
@@ -231,17 +237,21 @@ def rejection_stats(
             n_queries += 1
             if name in fired:
                 n_fp += 1
+    if not n_queries:
+        raise ValueError(f"rejection_stats found no absent-category query in {len(eval_scenes)} eval scenes")
     return {
         "n_queries": float(n_queries),
         "false_positives": float(n_fp),
-        "fp_rate": n_fp / n_queries if n_queries else 0.0,
+        "fp_rate": n_fp / n_queries,
     }
 
 
 def counting_stats(
     params: ModelParams, config: ExperimentConfig, n_scenes: int = 50
 ) -> dict[str, float]:
-    """Detect-then-count accuracy on the noiseless proposal world."""
+    """Detect-then-count accuracy on the noiseless proposal world, over each
+    (scene, category present in it) query; with no such query there is no
+    accuracy, and ValueError is raised."""
     noiseless = ProposalSimConfig(jitter_sigma=0.0, drop_rate=0.0, clutter_rate=0.0,
                                   max_proposals=config.proposals.max_proposals)
     eval_scenes = make_eval_scenes(config, n_scenes=n_scenes, proposal_config=noiseless,
@@ -257,9 +267,11 @@ def counting_stats(
                 continue
             predicted.append(detect_then_count(scores[:, [q]], ev.proposals, name, config.threshold))
             true.append(true_count)
+    if not true:
+        raise ValueError(f"counting_stats found no category present in {len(eval_scenes)} eval scenes to count")
     return {
         "n_queries": float(len(true)),
-        "accuracy": counting_accuracy(predicted, true) if true else 0.0,
+        "accuracy": counting_accuracy(predicted, true),
     }
 
 

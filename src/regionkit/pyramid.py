@@ -23,9 +23,12 @@ training and evaluation run.  Per sample, :func:`simple_fp_taps` and
 input pixels each kernel tap reaches, weighted by pooling.  They take the
 boxes' pooling weights at the sizes they pool at (:func:`simple_fp_sizes`,
 :func:`aux_fuse_size`), which a caller computes in one pass for both
-(:func:`roialign.pooled_axis_weight_table`).  Each block of taps has an
-effective kernel built from the parameters: :func:`simple_fp_kernels` for
-the four levels, and for a fused map its own 1x1 mix.  A pooled level is
+(:func:`roialign.pooled_axis_weight_table`).  The pyramid's input is a
+mixed map, ``mix @ raw``; its (C, J) mix does not train, so
+:func:`simple_fp_fold` folds it into the taps once, leaving taps of the
+mixed map.  Each block of taps has an effective kernel built from the
+parameters that do train: :func:`simple_fp_kernels` for the four folded
+levels, and for a fused map its own 1x1 mix.  A pooled level is
 ``roialign.apply_taps(taps, kernel)``, and a kernel's gradient is the
 transposed product ``d_pooled.T @ taps``, which
 :func:`simple_fp_kernels_backward` takes back to the branch arrays.  The
@@ -61,6 +64,7 @@ __all__ = [
     "aux_fuse_backward",
     "simple_fp_sizes",
     "simple_fp_taps",
+    "simple_fp_fold",
     "simple_fp_kernels",
     "simple_fp_kernels_backward",
     "aux_fuse_size",
@@ -202,9 +206,9 @@ def simple_fp_taps(raw: np.ndarray, weights: dict) -> list[np.ndarray]:
     ``weights`` maps each size of :func:`simple_fp_sizes` to the boxes'
     per-axis pooling weights (:func:`roialign.pooled_axis_weight_table`).
 
-    Level l pools to ``apply_taps(taps[l], kernels[l])`` with the kernels of
-    :func:`simple_fp_kernels`.  The columns are (tap_y, tap_x, channel)
-    products, then the level's bias columns:
+    Level l pools to ``apply_taps(simple_fp_fold(taps, mix)[l], kernels[l])``
+    with the kernels of :func:`simple_fp_kernels`.  The columns are (tap_y,
+    tap_x, channel) products, then the level's bias columns:
 
     * ``down``: 3 x 3 taps at index 2y + t of the zero-padded map, then
       the row sum S that carries the branch bias;
@@ -236,25 +240,48 @@ def simple_fp_taps(raw: np.ndarray, weights: dict) -> list[np.ndarray]:
     return levels
 
 
+# per level of simple_fp_taps: the bias columns after the (tap, channel) columns
+_BIAS_COLUMNS = (1, 1, 1, 5)
+
+
+def simple_fp_fold(levels: list[np.ndarray], mix: np.ndarray) -> list[np.ndarray]:
+    """Taps of :func:`simple_fp`'s levels on the mixed map ``mix @ raw``, from
+    :func:`simple_fp_taps` of ``raw``.
+
+    Each level's (N, T * J) tap columns, as (N, T, J) @ mix.T, become
+    (N, T * C) columns of the (C, J) ``mix``'s output channels; the bias
+    columns are kept.  A mix with a bias has it as its last column and acts
+    on a ``raw`` with a ones channel.  Each box's row is folded on its own,
+    as :func:`roialign.apply_taps` contracts it.
+    """
+    folded = []
+    for taps, n_bias in zip(levels, _BIAS_COLUMNS):
+        n, width = taps.shape
+        mixed = taps[:, : width - n_bias].reshape(n, -1, mix.shape[1]) @ mix.T
+        folded.append(np.concatenate([mixed.reshape(n, -1), taps[:, width - n_bias :]], axis=1))
+    return folded
+
+
 def _tap_major(w: np.ndarray) -> np.ndarray:
     """(O, C, kh, kw) kernel as (O, kh, kw, C), the taps' column order."""
     return w.transpose(0, 2, 3, 1)
 
 
-def simple_fp_kernels(mix: np.ndarray, fp: dict[str, np.ndarray]) -> list[np.ndarray]:
-    """Effective (O, K) kernels of :func:`simple_fp`'s four levels on the
-    (C, J) input ``mix``: level l pools to ``apply_taps(taps[l], kernels[l])``
-    for the taps of :func:`simple_fp_taps`.  ``fp`` holds the branch arrays
-    by name (``down_w``, ``down_b``, ...)."""
+def simple_fp_kernels(fp: dict[str, np.ndarray]) -> list[np.ndarray]:
+    """Effective (O, K) kernels of :func:`simple_fp`'s four levels: level l
+    pools to ``apply_taps(taps[l], kernels[l])`` for the folded taps of
+    :func:`simple_fp_fold`.  ``fp`` holds the branch arrays by name
+    (``down_w``, ``down_b``, ...); they alone build the kernels, the input
+    mix being in the taps."""
     o = fp["same_b"].shape[0]
     bias = {b: fp[f"{b}_b"][:, None] for b in ("down", "same", "up2", "up4_b")}
-    down = (_tap_major(fp["down_w"]) @ mix).reshape(o, -1)
-    same = fp["same_w"][:, :, 0, 0] @ mix
-    up2 = (_tap_major(fp["up2_w"]) @ mix).reshape(o, -1)
-    mid = _tap_major(fp["up4_a_w"]) @ mix  # (F, a, b, J)
+    down = _tap_major(fp["down_w"]).reshape(o, -1)
+    same = fp["same_w"][:, :, 0, 0]
+    up2 = _tap_major(fp["up2_w"]).reshape(o, -1)
+    mid = _tap_major(fp["up4_a_w"])  # (F, a, b, C)
     outer = _tap_major(fp["up4_b_w"]).reshape(4 * o, -1)  # rows (o, c, d)
     up4 = (outer @ mid.reshape(mid.shape[0], -1)).reshape(o, 2, 2, 2, 2, -1)
-    up4 = up4.transpose(0, 3, 1, 4, 2, 5).reshape(o, -1)  # columns (a, c, b, d, J)
+    up4 = up4.transpose(0, 3, 1, 4, 2, 5).reshape(o, -1)  # columns (a, c, b, d, C)
     mid_bias = (outer @ fp["up4_a_b"]).reshape(o, 4)  # columns (c, d)
     return [
         np.concatenate([down, bias["down"]], axis=1),
@@ -264,17 +291,14 @@ def simple_fp_kernels(mix: np.ndarray, fp: dict[str, np.ndarray]) -> list[np.nda
     ]
 
 
-def simple_fp_kernels_backward(
-    mix: np.ndarray, fp: dict[str, np.ndarray], d_kernels: list[np.ndarray]
-) -> dict[str, np.ndarray]:
+def simple_fp_kernels_backward(fp: dict[str, np.ndarray], d_kernels: list[np.ndarray]) -> dict[str, np.ndarray]:
     """Adjoint of :func:`simple_fp_kernels` in the branch arrays for
-    gradients on its four kernels: {``down_w``: ..., ``down_b``: ..., ...}.
-    The input ``mix`` is held fixed."""
-    mid = _tap_major(fp["up4_a_w"]) @ mix  # (F, a, b, J), as in the forward
+    gradients on its four kernels: {``down_w``: ..., ``down_b``: ..., ...}."""
     d_down, d_same, d_up2, d_up4 = d_kernels
     o = fp["same_w"].shape[0]
     grads = {"down_b": d_down[:, -1], "same_b": d_same[:, -1], "up2_b": d_up2[:, -1]}
 
+    mid = _tap_major(fp["up4_a_w"])  # (F, a, b, C)
     outer = _tap_major(fp["up4_b_w"]).reshape(4 * o, -1)
     d_up4, d_mid_bias, grads["up4_b_b"] = d_up4[:, :-5], d_up4[:, -5:-1].reshape(-1), d_up4[:, -1]
     d_prod = d_up4.reshape(o, 2, 2, 2, 2, -1).transpose(0, 2, 4, 1, 3, 5).reshape(4 * o, -1)
@@ -282,11 +306,11 @@ def simple_fp_kernels_backward(
     grads["up4_b_w"] = d_outer.reshape(o, 2, 2, -1).transpose(0, 3, 1, 2)
     grads["up4_a_b"] = outer.T @ d_mid_bias
 
-    # each branch's effective kernel is its tap-major weights times the mix
+    # each branch's effective kernel is its weights in tap-major order
     d_branch = {"down": d_down[:, :-1], "same": d_same[:, :-1], "up2": d_up2[:, :-1], "up4_a": outer.T @ d_prod}
     for branch, d_k in d_branch.items():
         n_out, _, kh, kw = fp[f"{branch}_w"].shape
-        grads[f"{branch}_w"] = (d_k.reshape(n_out, kh, kw, -1) @ mix.T).transpose(0, 3, 1, 2)
+        grads[f"{branch}_w"] = d_k.reshape(n_out, kh, kw, -1).transpose(0, 3, 1, 2)
     return grads
 
 

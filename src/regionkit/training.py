@@ -22,12 +22,19 @@ per-(region, query) binary cross-entropy against the synthetic-world
 assignment targets, summed over pairs.  The optimizer is plain gradient
 descent so every gradient stays auditable, and everything is deterministic
 given the config seed.  All groups share one parameter vector, each a
-slice of it, so a step updates each trainable group with one slice
-operation and never touches a frozen one.
+slice of it, and a step updates the slice from the first group a stage
+trains to the last with one operation; a frozen group inside that slice
+has a zero gradient, so no step changes it.
+
+A step does only the work a step can change.  The primary mix never
+trains, so :func:`train` folds it into each sample's primary taps once per
+run; a group frozen for a stage has constant kernels, so its blocks become
+feature columns once per stage; and one gradient buffer serves a stage.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import math
@@ -41,6 +48,7 @@ from .pyramid import (
     SimpleFPParams,
     aux_fuse_size,
     aux_fuse_taps,
+    simple_fp_fold,
     simple_fp_kernels,
     simple_fp_kernels_backward,
     simple_fp_sizes,
@@ -293,6 +301,10 @@ class SampleStatic:
     taps with it off, then the four blocks of :func:`pyramid.aux_fuse_taps`
     of the auxiliary maps.  A stream that is off has no blocks.  Every map
     carries a ones channel for its mix bias.
+
+    The taps are of the raw maps, so a sample serves any parameters.  A
+    forward first folds the primary mix into them (:func:`_fold`); a
+    training run does that once per sample and keeps only the folded form.
     """
 
     taps: list[np.ndarray]
@@ -346,30 +358,82 @@ def prepare_sample(sample, config: ExperimentConfig) -> SampleStatic:
 # ------------------------------------------------------------- forward
 
 @dataclass
+class _Folded:
+    """A prepared sample with the work of its frozen parameters done.
+
+    ``parts`` are the region feature's parts in order, each (group, arrays):
+    the tap blocks whose kernels that group's parameters build, or, with
+    group None, feature columns that no parameter a step trains can change.
+    """
+
+    parts: list[tuple[str | None, list[np.ndarray]]]
+    epos: np.ndarray
+    query_idx: np.ndarray
+    targets: np.ndarray
+
+
+def _kernels(params: ModelParams, group: str) -> list[np.ndarray]:
+    """Effective kernels of a group's tap blocks, in block order."""
+    g = params.groups[group]
+    if group == GROUP_SIMPLEFP:
+        return simple_fp_kernels(g)
+    return [_mix(g, f"mix{i}") for i in range(4)]
+
+
+def _fold(params: ModelParams, s: SampleStatic, config: ExperimentConfig) -> _Folded:
+    """``s`` with the primary mix, which never trains, folded in: the SimpleFP
+    taps become taps of the mixed map (:func:`pyramid.simple_fp_fold`), and
+    with SimpleFP off the map's own taps become its feature columns."""
+    taps = s.taps
+    parts = []
+    if config.use_primary:
+        mix = _mix(params.groups[GROUP_PRIMARY], "mix")
+        if config.use_simplefp:
+            parts.append((GROUP_SIMPLEFP, simple_fp_fold(taps[:4], mix)))
+            taps = taps[4:]
+        else:
+            parts.append((None, [apply_taps(taps[0], mix)]))
+            taps = taps[1:]
+    if config.use_auxiliary:
+        parts.append((GROUP_AUX, taps))
+    return _Folded(parts, s.epos, s.query_idx, s.targets)
+
+
+def _freeze(params: ModelParams, f: _Folded, live: frozenset) -> _Folded:
+    """``f`` with the tap blocks of every group outside ``live`` turned into
+    their feature columns: within a stage, a frozen group's kernels are
+    constant."""
+    parts = [
+        (grp, arrays) if grp is None or grp in live
+        else (None, [apply_taps(t, k) for t, k in zip(arrays, _kernels(params, grp))])
+        for grp, arrays in f.parts
+    ]
+    return dataclasses.replace(f, parts=parts)
+
+
+@dataclass
 class _ForwardCache:
-    mix: np.ndarray | None  # the primary mix as (out, in + 1)
-    blocks: list[tuple[str, np.ndarray]]  # per tap block: the group that trains its kernel, the kernel
+    # per part with tap blocks: its group, taps, kernels and first feature column
+    live: list[tuple[str, list[np.ndarray], list[np.ndarray], int]]
     connector: Connector
     features: np.ndarray
     hidden: np.ndarray  # the connector's tanh activations
     tokens: np.ndarray
 
 
-def _forward(params: ModelParams, s: SampleStatic, config: ExperimentConfig) -> _ForwardCache:
-    """Pooled features as each tap block of the sample contracted with its
-    effective kernel, then the connector.  No feature map is built."""
-    g = params.groups
-    mix = None
-    blocks = []
-    if config.use_primary:
-        mix = _mix(g[GROUP_PRIMARY], "mix")
-        if config.use_simplefp:
-            blocks += [(GROUP_SIMPLEFP, k) for k in simple_fp_kernels(mix, g[GROUP_SIMPLEFP])]
-        else:
-            blocks.append((GROUP_PRIMARY, mix))
-    if config.use_auxiliary:
-        blocks += [(GROUP_AUX, _mix(g[GROUP_AUX], f"mix{i}")) for i in range(4)]
-    features = np.concatenate([apply_taps(t, k) for t, (_, k) in zip(s.taps, blocks)], axis=1) + s.epos
+def _forward(params: ModelParams, f: _Folded) -> _ForwardCache:
+    """Pooled features as each tap block contracted with its effective
+    kernel, beside the feature columns, then the connector.  No feature map
+    is built."""
+    columns, live, width = [], [], 0
+    for grp, arrays in f.parts:
+        if grp is not None:
+            kernels = _kernels(params, grp)
+            live.append((grp, arrays, kernels, width))
+            arrays = [apply_taps(t, k) for t, k in zip(arrays, kernels)]
+        columns += arrays
+        width += sum(a.shape[1] for a in arrays)
+    features = np.concatenate(columns, axis=1) + f.epos
     if not np.isfinite(features).all():
         n, d = features.shape
         raise NonFiniteError(f"{n}x{d} region feature matrix contains non-finite values")
@@ -377,12 +441,12 @@ def _forward(params: ModelParams, s: SampleStatic, config: ExperimentConfig) -> 
         raise NonFiniteError("connector parameters must be finite")
     conn = params.connector
     tokens, hidden = connector_forward(conn, features, with_hidden=True)
-    return _ForwardCache(mix, blocks, conn, features, hidden, tokens)
+    return _ForwardCache(live, conn, features, hidden, tokens)
 
 
 def region_token_matrix(params: ModelParams, s: SampleStatic, config: ExperimentConfig) -> np.ndarray:
     """Token-space embeddings for every proposal of a prepared sample."""
-    return _forward(params, s, config).tokens
+    return _forward(params, _fold(params, s, config)).tokens
 
 
 def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -393,25 +457,35 @@ def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 def loss_and_grads(
     params: ModelParams,
-    s: SampleStatic,
+    s: SampleStatic | _Folded,
     config: ExperimentConfig,
     trainable: frozenset | set = frozenset(),
+    out: ModelParams | None = None,
 ) -> tuple[float, ModelParams]:
     """Loss on one sample plus analytic gradients for the requested groups.
 
     The loss is binary cross-entropy per (region, query) pair, summed over
-    all pairs of the sample.  The gradient has the layout of ``params``;
+    all pairs of the sample.  ``s`` is a prepared sample, or one that
+    :func:`train` has folded.  The gradient has the layout of ``params``;
     a group that was not requested, or has no path into this config's
     loss, is exactly zero.  The primary encoder never trains
     (:class:`FreezeSchedule`) and has a path, so requesting it raises.
+
+    ``out`` is a gradient buffer to write into and return in place of a new
+    one: the slice of every requested group is overwritten, and every other
+    slice is left as it was.
     """
     if GROUP_PRIMARY in trainable:
         raise ValueError(f"{GROUP_PRIMARY} never trains: no gradient is computed for it")
-    grads = params.zeros_like()
+    grads = params.zeros_like() if out is None else out
     if s.query_idx.size == 0:
+        for grp in trainable:
+            grads.vector[grads.spans[grp]] = 0.0
         return 0.0, grads
+    if isinstance(s, SampleStatic):
+        s = _fold(params, s, config)
     g = params.groups
-    cache = _forward(params, s, config)
+    cache = _forward(params, s)
     queries = g[GROUP_NEW_VOCAB]["queries"][s.query_idx]
     logits = cache.tokens @ queries.T
     loss = float(np.sum(bce_with_logits(logits, s.targets)))
@@ -424,9 +498,13 @@ def loss_and_grads(
     if GROUP_NEW_VOCAB in trainable:
         # the group is this one array
         dq = grads.vector[grads.spans[GROUP_NEW_VOCAB]].reshape(g[GROUP_NEW_VOCAB]["queries"].shape)
+        dq[...] = 0.0
         np.add.at(dq, s.query_idx, d_logits.T @ cache.tokens)
 
-    block_path = any(grp in trainable for grp, _ in cache.blocks)
+    live = {grp for grp, *_ in cache.live}
+    for grp in trainable - live - {GROUP_CONNECTOR, GROUP_NEW_VOCAB}:  # no path into the loss
+        grads.vector[grads.spans[grp]] = 0.0
+    block_path = bool(live & trainable)
     if block_path or GROUP_CONNECTOR in trainable:
         d_tokens = d_logits @ queries
         conn_grads, d_feats = connector_backward(
@@ -435,20 +513,20 @@ def loss_and_grads(
         if GROUP_CONNECTOR in trainable:
             grads.assign(GROUP_CONNECTOR, conn_grads)
         # a block's kernel gradient is its columns of d_feats against its taps
-        d_kernels = {grp: [] for grp in trainable}
-        end = 0
-        for t, (grp, k) in zip(s.taps, cache.blocks):
-            start, end = end, end + k.shape[0]
-            if grp in trainable:
-                d_kernels[grp].append(d_feats[:, start:end].T @ t)
-        if d_kernels.get(GROUP_SIMPLEFP):
-            d_fp = simple_fp_kernels_backward(cache.mix, g[GROUP_SIMPLEFP], d_kernels[GROUP_SIMPLEFP])
-            grads.assign(GROUP_SIMPLEFP, d_fp)
-        if d_kernels.get(GROUP_AUX):
-            d_aux = {}
-            for i, d in enumerate(d_kernels[GROUP_AUX]):  # each (out, in + 1) mix as its weight and bias
-                d_aux[f"mix{i}_w"], d_aux[f"mix{i}_b"] = d[:, :-1, None, None], d[:, -1]
-            grads.assign(GROUP_AUX, d_aux)
+        for grp, taps, kernels, end in cache.live:
+            if grp not in trainable:
+                continue
+            d_kernels = []
+            for t, k in zip(taps, kernels):
+                start, end = end, end + k.shape[0]
+                d_kernels.append(d_feats[:, start:end].T @ t)
+            if grp == GROUP_SIMPLEFP:
+                grads.assign(GROUP_SIMPLEFP, simple_fp_kernels_backward(g[GROUP_SIMPLEFP], d_kernels))
+            else:  # each (out, in + 1) aux mix as its weight and bias
+                d_aux = {}
+                for i, d in enumerate(d_kernels):
+                    d_aux[f"mix{i}_w"], d_aux[f"mix{i}_b"] = d[:, :-1, None, None], d[:, -1]
+                grads.assign(GROUP_AUX, d_aux)
     return loss, grads
 
 
@@ -486,10 +564,11 @@ def train(
     """
     if dataset is None:
         dataset = seeded_training_set(config)
-    statics = [prepare_sample(sample, config) for sample in dataset]
-    if not statics:
+    if not dataset:
         raise ValueError("train needs at least one training sample")
     params = init_model_params(config)
+    # the primary mix never trains: fold it in as each sample is prepared
+    statics = [_fold(params, prepare_sample(sample, config), config) for sample in dataset]
     schedule = FreezeSchedule.from_config(config)
     log = TrainingLog()
     log.checksums["init"] = params.checksums()
@@ -497,19 +576,22 @@ def train(
     step_counter = 0
     for stage, steps, lr in config.stages:
         trainable = schedule.trainable(stage)
-        # frozen groups lie outside every span, so no step touches them
-        spans = [params.spans[grp] for grp in sorted(trainable)]
+        samples = [_freeze(params, f, trainable) for f in statics]
+        grads = params.zeros_like()
+        # one slice from the first trained group to the last: a group inside
+        # it that does not train has a zero gradient, so the update keeps it
+        spans = [params.spans[grp] for grp in trainable]
+        span = slice(min(sp.start for sp in spans), max(sp.stop for sp in spans))
         for _ in range(steps):
-            s = statics[step_counter % len(statics)]
+            s = samples[step_counter % len(samples)]
             step_counter += 1
             try:
-                loss, grads = loss_and_grads(params, s, config, trainable)
+                loss, _ = loss_and_grads(params, s, config, trainable, out=grads)
             except NonFiniteError as exc:
                 raise TrainingDivergence(stage, step_counter, cause=str(exc)) from exc
             if not np.isfinite(loss):
                 raise TrainingDivergence(stage, step_counter, loss)
-            for span in spans:
-                params.vector[span] -= lr * grads.vector[span]
+            params.vector[span] -= lr * grads.vector[span]
             log.losses[f"stage{stage}"].append(loss)
         log.checksums[f"after_stage{stage}"] = params.checksums()
     return params, log
@@ -541,9 +623,10 @@ def grad_check(config: ExperimentConfig) -> GradCheckReport:
     """
     if config.d_llm > 64:
         raise ValueError("grad_check is meant for small dimensions (<= 64)")
-    # samples are drawn in sequence, so this is the first sample train() sees
-    s = prepare_sample(seeded_training_set(config.replace(n_train_scenes=1))[0], config)
     params = init_model_params(config)
+    # samples are drawn in sequence, so this is the first sample train() sees;
+    # the primary mix is not checked, so it is folded in once
+    s = _fold(params, prepare_sample(seeded_training_set(config.replace(n_train_scenes=1))[0], config), config)
 
     check_groups = FreezeSchedule.from_config(config).stage2
     _, analytic = loss_and_grads(params, s, config, check_groups)

@@ -30,6 +30,7 @@ from regionkit.pyramid import (
     aux_fuse_size,
     aux_fuse_taps,
     simple_fp,
+    simple_fp_fold,
     simple_fp_kernels,
     simple_fp_sizes,
     simple_fp_taps,
@@ -153,8 +154,8 @@ def test_criterion_04_reference_dimension_contract():
     )
 
     # the factored path the system runs: pooled taps of each map (with a
-    # ones channel for the mix bias) contracted with the effective kernels
-    # of identity mixes
+    # ones channel for the mix bias), an identity primary mix folded into
+    # the pyramid's taps, contracted with the effective kernels
     def with_ones(data):
         return np.concatenate([data, np.ones((1,) + data.shape[1:])])
 
@@ -167,8 +168,8 @@ def test_criterion_04_reference_dimension_contract():
     weights = pooled_axis_weight_table(simple_fp_sizes(h, h) + [fuse_size], boxes)
     pri_taps = simple_fp_taps(with_ones(last.data), weights)
     aux_taps = aux_fuse_taps([with_ones(m.data) for m in aux_maps], weights)
-    p_pri = np.concatenate([apply_taps(t, k) for t, k in zip(pri_taps, simple_fp_kernels(identity_mix(512), fp))],
-                           axis=1)
+    pri_taps = simple_fp_fold(pri_taps, identity_mix(512))
+    p_pri = np.concatenate([apply_taps(t, k) for t, k in zip(pri_taps, simple_fp_kernels(fp))], axis=1)
     p_aux = np.concatenate([apply_taps(t, identity_mix(m.channels)) for t, m in zip(aux_taps, aux_maps)], axis=1)
     factored_diff = max(float(np.max(np.abs(p_pri - f_pri))), float(np.max(np.abs(p_aux - f_aux))))
     factored_ok = p_pri.shape == (2, 2048) and p_aux.shape == (2, 3840) and factored_diff <= 1e-12

@@ -9,6 +9,7 @@ from regionkit.cli import CONFIG_FLAGS
 from regionkit.cli import main as cli_main
 from regionkit.config import ExperimentConfig
 from regionkit.experiments import (
+    counting_stats,
     evaluate_retrieval,
     make_eval_scenes,
     recall_ceiling_check,
@@ -93,6 +94,24 @@ def test_run_ablations_rejects_no_seeds(tiny_config, tmp_path):
 def test_primary_only_with_aux_also_off_is_config_error(tiny_config):
     with pytest.raises(ValueError):
         tiny_config.replace(use_primary=False, use_auxiliary=False)
+
+
+@pytest.mark.parametrize(
+    "changes, evaluate, message",
+    [
+        ({}, lambda params, cfg: evaluate_retrieval(params, [], cfg), "at least one eval scene, got none"),
+        # every scene holds its one category, so no category is absent
+        ({"world": SceneConfig(n_categories=1, min_objects=1, max_objects=2), "fp_channels": 1}, rejection_stats,
+         "no absent-category query in 100 eval scenes"),
+        # no scene has an object, so the noiseless world has no proposal either
+        ({"world": SceneConfig(n_categories=4, min_objects=0, max_objects=0)}, counting_stats,
+         "no category present in 0 eval scenes"),
+    ],
+)
+def test_an_eval_with_nothing_to_measure_raises(tiny_config, changes, evaluate, message):
+    cfg = tiny_config.replace(**changes)
+    with pytest.raises(ValueError, match=message):
+        evaluate(init_model_params(cfg), cfg)
 
 
 def test_rejection_stats_shape(tiny_config):
@@ -187,6 +206,8 @@ def test_cli_gradcheck_flags_apply_to_its_small_config(tmp_path, capsys):
         (["bench", "--n-eval-scenes", "0"], "n_eval_scenes must be >= 1, got 0"),
         (["ablate", "--n-seeds", "0"], "--n-seeds must be >= 1, got 0"),
         (["gen", "--n-scenes", "-1", "--out", "scenes"], "--n-scenes must be >= 0, got -1"),
+        (["validate-transcript", "transcript.jsonl", "--n-regions", "0"], "--n-regions must be >= 1, got 0"),
+        (["validate-transcript", "transcript.jsonl", "--n-regions", "-1"], "--n-regions must be >= 1, got -1"),
     ],
 )
 def test_cli_reports_a_rejected_config_in_one_line(argv, message, capsys, tmp_path, monkeypatch):

@@ -16,7 +16,7 @@ from regionkit.gridops import Kernel, conv2d, conv2d_backward
 from regionkit.pyramid import SimpleFPParams, aux_fuse, aux_fuse_backward, simple_fp, simple_fp_backward
 from regionkit.regionenc import Connector, connector_backward, connector_forward, positional_embedding_matrix
 from regionkit.roialign import RoiConfig, pooled_weights, roi_align_pooled
-from regionkit.simworld import EncoderConfig, SceneConfig, make_training_set, toy_encode
+from regionkit.simworld import EncoderConfig, ProposalSimConfig, SceneConfig, make_training_set, toy_encode
 from regionkit.training import (
     GROUP_AUX,
     GROUP_CONNECTOR,
@@ -95,6 +95,8 @@ def test_config_requires_a_stream(tiny_config):
         ("rejection_fraction must lie in \\[0, 1\\], got 1.5", lambda cfg: cfg.replace(rejection_fraction=1.5)),
         ("rejection_fraction .* got -0.1", lambda cfg: cfg.replace(rejection_fraction=-0.1)),
         ("rejection_fraction .* got nan", lambda cfg: cfg.replace(rejection_fraction=float("nan"))),
+        ("proposals.drop_rate must be < 1 when proposals.clutter_rate is 0",
+         lambda cfg: cfg.replace(proposals=ProposalSimConfig(drop_rate=1.0, clutter_rate=0.0))),
     ],
 )
 def test_unusable_config_rejected_naming_field(tiny_config, field, build):
@@ -303,7 +305,7 @@ def test_training_forward_equals_oracle_composition(tiny_config, variant):
         sample = make_training_set(1, 0.5, seed=seed, scene_config=cfg.world, proposal_config=cfg.proposals)[0]
         s = prepare_sample(sample, cfg)
         loss, features, want = dense_oracle(params, sample, s, cfg)
-        assert_rel_close(training._forward(params, s, cfg).features, features, "features")
+        assert_rel_close(training._forward(params, training._fold(params, s, cfg)).features, features, "features")
         got_loss, got = loss_and_grads(params, s, cfg, frozenset(want))
         assert abs(got_loss - loss) <= 1e-12 * abs(loss)
         for group in set(got.groups) - set(want):

@@ -1,11 +1,15 @@
-"""The fused parameter update and the one-pass pooling weights against the
-code they replaced.
+"""The cached, fused training step and the one-pass pooling weights against
+the code they replaced.
 
 ``oracle_train`` is ``training.train`` as it was before the parameters
-became one vector, kept verbatim but for how it reads the gradient: it
-updates each array of each requested group on its own (``p -= lr * d``).
-The fused ``train``, one slice update per trainable group, must give
-bitwise the same losses and checksums.
+became one vector and before a run cached its frozen work, kept verbatim
+but for how it reads the gradient.  Every step hands ``loss_and_grads`` the
+sample as prepared, so the primary mix is folded and every frozen block
+contracted again at each step; each step gets a fresh gradient, and each
+array of each requested group is updated on its own (``p -= lr * d``).
+``train``, which folds once per run, turns frozen blocks into feature
+columns once per stage, reuses one gradient buffer per stage and updates
+one slice, must give bitwise the same losses and checksums.
 
 ``prepare_sample`` pools at every size from one pooling-weight pass; each
 size's weights must be byte for byte those of a pass of its own.
@@ -18,7 +22,7 @@ from regionkit import training
 from regionkit.config import ExperimentConfig
 from regionkit.gridops import NonFiniteError
 from regionkit.roialign import pooled_axis_weights
-from regionkit.simworld import EncoderConfig, make_training_set
+from regionkit.simworld import EncoderConfig, SceneConfig, make_training_set
 from regionkit.training import (
     FreezeSchedule,
     TrainingDivergence,
@@ -34,6 +38,7 @@ VARIANTS = {
     "primary_only": {"use_auxiliary": False},
     "primary_only_no_fp": {"use_auxiliary": False, "use_simplefp": False},
     "auxiliary_only": {"use_primary": False, "use_simplefp": False},
+    "hybrid_no_fp": {"use_simplefp": False},
 }
 
 
@@ -85,6 +90,54 @@ def test_fused_update_equals_per_array_update(tiny_config, variant):
 
 def test_fused_update_equals_per_array_update_at_default(default_config, trained_default):
     assert_same_run(trained_default, oracle_train(default_config))
+
+
+def test_reused_gradient_buffer_on_samples_without_queries(tiny_config):
+    """A sample with no queries has a zero gradient: the step before it must
+    not leak through the reused buffer."""
+    cfg = tiny_config.replace(
+        world=SceneConfig(n_categories=4, min_objects=0, max_objects=2), rejection_fraction=0.0, n_train_scenes=40
+    )
+    dataset = seeded_training_set(cfg)
+    assert sum(not sample.queries for sample in dataset) >= 10
+    assert_same_run(training.train(cfg, dataset), oracle_train(cfg, dataset))
+
+
+def test_frozen_work_runs_once_per_run_or_stage(tiny_config, monkeypatch):
+    """The primary mix is folded into each sample once per run, and no step
+    builds a mix it does not train: stage-1 steps build none, stage-2 steps
+    only the four aux mixes."""
+    folds = 0
+    in_step = False
+    step_mixes = []
+
+    def counting_fold(*args, _original=training.simple_fp_fold):
+        nonlocal folds
+        folds += 1
+        return _original(*args)
+
+    def counting_step(*args, _original=training.loss_and_grads, **kwargs):
+        nonlocal in_step
+        step_mixes.append([])
+        in_step = True
+        try:
+            return _original(*args, **kwargs)
+        finally:
+            in_step = False
+
+    def counting_mix(group, name, _original=training._mix):
+        if in_step:
+            step_mixes[-1].append(name)
+        return _original(group, name)
+
+    monkeypatch.setattr(training, "simple_fp_fold", counting_fold)
+    monkeypatch.setattr(training, "loss_and_grads", counting_step)
+    monkeypatch.setattr(training, "_mix", counting_mix)
+    training.train(tiny_config)
+    assert folds == tiny_config.n_train_scenes
+    assert step_mixes == (
+        [[]] * tiny_config.stage1_steps + [[f"mix{i}" for i in range(4)]] * tiny_config.stage2_steps
+    )
 
 
 ENCODERS = {
