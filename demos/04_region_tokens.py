@@ -1,10 +1,10 @@
 """From a synthetic scene to region tokens, scores and detections.
 
 Runs the path the system runs, at desk scale: render a scene with the toy
-dual encoders and pool both streams into per-proposal taps
-(``prepare_sample``), turn the taps into one region token per proposal
-(``region_token_matrix``: pyramid and fused-map features, box positional
-embeddings, connector), score every token against every category query
+dual encoders, apply the frozen primary mix and pool both streams into
+per-proposal taps (``prepare_sample``), turn the taps into one region
+token per proposal (``region_token_matrix``: pyramid and fused-map
+features, box positional embeddings, connector), score every token against every category query
 (``score_matrix``) and keep the pairs above the threshold
 (``decode_detections``).  The model here is freshly initialized, so its
 scores sit near one half; ``08_train_and_benchmark.py`` trains one.
@@ -25,13 +25,13 @@ def main():
     proposals = simulate_opn(scene, config.proposals, seed=5)
     print(f"{len(proposals)} proposals, top score {proposals[0].score:.2f}")
 
-    sample = prepare_sample(EvalScene(scene, proposals), config)
-    widths = [t.shape[1] for t in sample.taps]
-    print(f"pooled taps: {len(widths)} blocks (4 pyramid levels, then 4 auxiliary maps) of widths {widths}")
+    params = init_model_params(config)
+    sample = prepare_sample(params, EvalScene(scene, proposals), config)
+    for group, blocks in sample.parts:
+        print(f"pooled taps of {group}: {len(blocks)} blocks of widths {[t.shape[1] for t in blocks]}")
     print(f"hybrid feature length: {config.d_p} primary + {config.d_a} auxiliary = {config.d_total}")
 
-    params = init_model_params(config)
-    tokens = region_token_matrix(params, sample, config)
+    tokens = region_token_matrix(params, sample)
     print("region tokens:", tokens.shape[0], "x", tokens.shape[1])
 
     queries = params.groups[GROUP_NEW_VOCAB]["queries"]

@@ -76,11 +76,12 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.rejection_fraction <= 1.0:
             raise ValueError(f"rejection_fraction must lie in [0, 1], got {self.rejection_fraction}")
-        if self.proposals.drop_rate == 1.0 and self.proposals.clutter_rate == 0.0:
-            raise ValueError(
-                "proposals.drop_rate must be < 1 when proposals.clutter_rate is 0: "
-                "otherwise no scene ever has a proposal"
-            )
+        if self.proposals.clutter_rate == 0.0:
+            # without clutter, every proposal is of an object that survives the drop
+            for need, unmet in (("proposals.drop_rate must be < 1", self.proposals.drop_rate == 1.0),
+                                ("world.max_objects must be >= 1", self.world.max_objects == 0)):
+                if unmet:
+                    raise ValueError(f"{need} when proposals.clutter_rate is 0: otherwise no scene ever has a proposal")
         if self.use_simplefp and self.encoder.primary_resolution < 4:
             raise ValueError(
                 "encoder.primary_resolution must be >= 4 with use_simplefp: the stride-2 branch needs a 4x4 map"

@@ -80,7 +80,7 @@ def make_eval_scenes(
 
 def _scene_scores(params: ModelParams, ev: EvalScene, config: ExperimentConfig) -> np.ndarray:
     """(proposals x categories) scores of every region against every category."""
-    tokens = region_token_matrix(params, prepare_sample(ev, config), config)
+    tokens = region_token_matrix(params, prepare_sample(params, ev, config))
     return score_matrix(tokens, params.groups[GROUP_NEW_VOCAB]["queries"])
 
 

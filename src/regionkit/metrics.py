@@ -183,11 +183,12 @@ def coco_map(
 
 
 def counting_accuracy(predicted: list[int], true: list[int]) -> float:
-    """Fraction of exact count matches over paired lists."""
+    """Fraction of exact count matches over paired lists; empty lists have
+    no accuracy and raise ValueError."""
     if len(predicted) != len(true):
         raise ValueError("count lists must have equal length")
     if not predicted:
-        return 0.0
+        raise ValueError("no counts: accuracy needs at least one pair")
     hits = sum(1 for p, t in zip(predicted, true) if int(p) == int(t))
     return hits / len(predicted)
 

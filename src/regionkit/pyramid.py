@@ -19,16 +19,16 @@ adjoints.
 Because every step from a raw map to a mean-pooled region feature is
 linear, the pooled levels also have a factored form, which is what
 training and evaluation run.  Per sample, :func:`simple_fp_taps` and
-:func:`aux_fuse_taps` pool the raw maps into a few "taps" per box: which
+:func:`aux_fuse_taps` pool their input maps into a few "taps" per box: which
 input pixels each kernel tap reaches, weighted by pooling.  They take the
 boxes' pooling weights at the sizes they pool at (:func:`simple_fp_sizes`,
 :func:`aux_fuse_size`), which a caller computes in one pass for both
-(:func:`roialign.pooled_axis_weight_table`).  The pyramid's input is a
-mixed map, ``mix @ raw``; its (C, J) mix does not train, so
-:func:`simple_fp_fold` folds it into the taps once, leaving taps of the
-mixed map.  Each block of taps has an effective kernel built from the
-parameters that do train: :func:`simple_fp_kernels` for the four folded
-levels, and for a fused map its own 1x1 mix.  A pooled level is
+(:func:`roialign.pooled_axis_weight_table`).  The pyramid's input is the
+primary encoder's output, a map whose mix does not train, so the taps are
+of that map; the fused maps' mixes train, so their taps are of the
+unmixed maps with a ones channel for the mix bias.  Each block of taps has an effective kernel built from the
+parameters that do train: :func:`simple_fp_kernels` for the four levels,
+and for a fused map its own 1x1 mix.  A pooled level is
 ``roialign.apply_taps(taps, kernel)``, and a kernel's gradient is the
 transposed product ``d_pooled.T @ taps``, which
 :func:`simple_fp_kernels_backward` takes back to the branch arrays.  The
@@ -64,7 +64,6 @@ __all__ = [
     "aux_fuse_backward",
     "simple_fp_sizes",
     "simple_fp_taps",
-    "simple_fp_fold",
     "simple_fp_kernels",
     "simple_fp_kernels_backward",
     "aux_fuse_size",
@@ -197,18 +196,19 @@ def simple_fp_sizes(height: int, width: int) -> list[tuple[int, int]]:
 
 
 def simple_fp_taps(raw: np.ndarray, weights: dict) -> list[np.ndarray]:
-    """Pooled taps of :func:`simple_fp`'s four levels, one (N, K) array each.
+    """Pooled taps of :func:`simple_fp`'s four levels on the (C, H, W) map
+    ``raw``, one (N, K) array each.
 
-    ``raw`` is the (J, H, W) map the pyramid's (C, J) input mix acts on;
-    a caller whose mix has a bias appends a ones channel to it.  The zero
-    padding of the ``down`` branch pads that channel with zeros too, so it
-    doubles as the mask that keeps the bias out of the padding.
     ``weights`` maps each size of :func:`simple_fp_sizes` to the boxes'
     per-axis pooling weights (:func:`roialign.pooled_axis_weight_table`).
+    A caller whose 1x1 input mix trains, and so acts on the taps rather
+    than on the map, appends a ones channel to ``raw`` for the mix bias;
+    the zero padding of the ``down`` branch pads that channel with zeros
+    too, so it doubles as the mask that keeps the bias out of the padding.
 
-    Level l pools to ``apply_taps(simple_fp_fold(taps, mix)[l], kernels[l])``
-    with the kernels of :func:`simple_fp_kernels`.  The columns are (tap_y,
-    tap_x, channel) products, then the level's bias columns:
+    Level l pools to ``apply_taps(taps[l], kernels[l])`` with the kernels
+    of :func:`simple_fp_kernels`.  The columns are (tap_y, tap_x, channel)
+    products, then the level's bias columns:
 
     * ``down``: 3 x 3 taps at index 2y + t of the zero-padded map, then
       the row sum S that carries the branch bias;
@@ -240,28 +240,6 @@ def simple_fp_taps(raw: np.ndarray, weights: dict) -> list[np.ndarray]:
     return levels
 
 
-# per level of simple_fp_taps: the bias columns after the (tap, channel) columns
-_BIAS_COLUMNS = (1, 1, 1, 5)
-
-
-def simple_fp_fold(levels: list[np.ndarray], mix: np.ndarray) -> list[np.ndarray]:
-    """Taps of :func:`simple_fp`'s levels on the mixed map ``mix @ raw``, from
-    :func:`simple_fp_taps` of ``raw``.
-
-    Each level's (N, T * J) tap columns, as (N, T, J) @ mix.T, become
-    (N, T * C) columns of the (C, J) ``mix``'s output channels; the bias
-    columns are kept.  A mix with a bias has it as its last column and acts
-    on a ``raw`` with a ones channel.  Each box's row is folded on its own,
-    as :func:`roialign.apply_taps` contracts it.
-    """
-    folded = []
-    for taps, n_bias in zip(levels, _BIAS_COLUMNS):
-        n, width = taps.shape
-        mixed = taps[:, : width - n_bias].reshape(n, -1, mix.shape[1]) @ mix.T
-        folded.append(np.concatenate([mixed.reshape(n, -1), taps[:, width - n_bias :]], axis=1))
-    return folded
-
-
 def _tap_major(w: np.ndarray) -> np.ndarray:
     """(O, C, kh, kw) kernel as (O, kh, kw, C), the taps' column order."""
     return w.transpose(0, 2, 3, 1)
@@ -269,10 +247,9 @@ def _tap_major(w: np.ndarray) -> np.ndarray:
 
 def simple_fp_kernels(fp: dict[str, np.ndarray]) -> list[np.ndarray]:
     """Effective (O, K) kernels of :func:`simple_fp`'s four levels: level l
-    pools to ``apply_taps(taps[l], kernels[l])`` for the folded taps of
-    :func:`simple_fp_fold`.  ``fp`` holds the branch arrays by name
-    (``down_w``, ``down_b``, ...); they alone build the kernels, the input
-    mix being in the taps."""
+    pools to ``apply_taps(taps[l], kernels[l])`` for the taps of
+    :func:`simple_fp_taps`.  ``fp`` holds the branch arrays by name
+    (``down_w``, ``down_b``, ...)."""
     o = fp["same_b"].shape[0]
     bias = {b: fp[f"{b}_b"][:, None] for b in ("down", "same", "up2", "up4_b")}
     down = _tap_major(fp["down_w"]).reshape(o, -1)

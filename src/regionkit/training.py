@@ -5,7 +5,8 @@ audited exactly:
 
 * ``primary_encoder`` — a 1x1 channel-mixing kernel on the primary map,
   identity-initialized; never trained (it stands in for the pretrained
-  primary tower), so no gradient is ever computed for it.
+  primary tower), so :func:`prepare_sample` applies it once per sample and
+  no gradient is ever computed for it.
 * ``aux_encoder`` — per-level 1x1 kernels on the auxiliary maps,
   identity-initialized; frozen in stage 1, unfrozen in stage 2.
 * ``simplefp`` — the pyramid branch kernels; trained in both stages.
@@ -27,9 +28,10 @@ trains to the last with one operation; a frozen group inside that slice
 has a zero gradient, so no step changes it.
 
 A step does only the work a step can change.  The primary mix never
-trains, so :func:`train` folds it into each sample's primary taps once per
-run; a group frozen for a stage has constant kernels, so its blocks become
-feature columns once per stage; and one gradient buffer serves a stage.
+trains, so :func:`prepare_sample` applies it to the rendered map once, as
+the frozen encoder's output; a group frozen for a stage has constant
+kernels, so its blocks become feature columns once per stage; and one
+gradient buffer serves a stage.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .pyramid import (
     SimpleFPParams,
     aux_fuse_size,
     aux_fuse_taps,
-    simple_fp_fold,
     simple_fp_kernels,
     simple_fp_kernels_backward,
     simple_fp_sizes,
@@ -276,14 +277,14 @@ def init_model_params(config: ExperimentConfig, rng: np.random.Generator | None 
 
 
 def _with_ones(data: np.ndarray) -> np.ndarray:
-    """A (C, H, W) map with a constant-one channel appended, so that taps
-    of it carry a 1x1 mix's bias (:func:`_mix`)."""
+    """A (C, H, W) map with a constant-one channel appended, so that a 1x1
+    mix (:func:`_mix`) of it, or of its taps, carries the mix's bias."""
     return np.concatenate([data, np.ones((1,) + data.shape[1:])])
 
 
 def _mix(group: dict[str, np.ndarray], name: str) -> np.ndarray:
     """A 1x1 mix kernel as (out, in + 1), its bias the last column: it acts
-    on taps of a map with a ones channel appended."""
+    on a map with a ones channel appended, or on taps of one."""
     return np.concatenate([group[f"{name}_w"][:, :, 0, 0], group[f"{name}_b"][:, None]], axis=1)
 
 
@@ -291,34 +292,32 @@ def _mix(group: dict[str, np.ndarray], name: str) -> np.ndarray:
 
 @dataclass
 class SampleStatic:
-    """Everything about one sample that does not depend on the parameters:
-    the pooled taps of its rendered maps, positional embeddings, query
-    indices, and targets.
+    """One sample as the frozen encoder leaves it: everything about it that
+    no parameter a step trains can change.
 
-    ``taps`` holds one (N, K) block per part of the region feature, in
-    the feature's order: the four levels of :func:`pyramid.simple_fp_taps`
-    of the primary map with SimpleFP on, or the map's own (N, J) pooled
-    taps with it off, then the four blocks of :func:`pyramid.aux_fuse_taps`
-    of the auxiliary maps.  A stream that is off has no blocks.  Every map
-    carries a ones channel for its mix bias.
-
-    The taps are of the raw maps, so a sample serves any parameters.  A
-    forward first folds the primary mix into them (:func:`_fold`); a
-    training run does that once per sample and keeps only the folded form.
+    ``parts`` are the region feature's parts in order, each (group, arrays):
+    the tap blocks whose kernels that group's parameters build, or, with
+    group None, feature columns.  With SimpleFP on, the primary part is the
+    four levels of :func:`pyramid.simple_fp_taps` of the mixed primary map
+    (group ``simplefp``); with it off, that map's own pooled columns.  Then
+    the four blocks of :func:`pyramid.aux_fuse_taps` of the auxiliary maps,
+    each with a ones channel for its mix bias (group ``aux_encoder``).  A
+    stream that is off has no part.
     """
 
-    taps: list[np.ndarray]
+    parts: list[tuple[str | None, list[np.ndarray]]]
     epos: np.ndarray
     query_idx: np.ndarray
     targets: np.ndarray
 
 
-def prepare_sample(sample, config: ExperimentConfig) -> SampleStatic:
-    """Render one scene with its proposals and pool the maps into taps.
+def prepare_sample(params: ModelParams, sample, config: ExperimentConfig) -> SampleStatic:
+    """Render one scene with its proposals, mix the primary map with the
+    primary encoder's frozen (C, C + 1) mix, and pool the maps into parts.
 
     ``sample`` is a :class:`TrainingSample`, or any scene-with-proposals
     (``.scene``, ``.proposals``) such as an eval scene, which has no
-    queries or targets.  The pooling weights of every size the taps pool
+    queries or targets.  The pooling weights of every size the parts pool
     at come from one pass.
     """
     last_map, aux_maps = toy_encode(sample.scene, config.encoder)
@@ -330,16 +329,17 @@ def prepare_sample(sample, config: ExperimentConfig) -> SampleStatic:
     if config.use_auxiliary:
         sizes.append(aux_fuse_size([(m.height, m.width) for m in aux_maps]))
     weights = pooled_axis_weight_table(sizes, boxes, config.roi)
-    taps = []
+    parts = []
     if config.use_primary:
-        raw = _with_ones(last_map.data)
+        mix = _mix(params.groups[GROUP_PRIMARY], "mix")
+        mixed = (mix @ _with_ones(last_map.data).reshape(mix.shape[1], -1)).reshape(-1, h, w)
         if config.use_simplefp:
-            taps += simple_fp_taps(raw, weights)
+            parts.append((GROUP_SIMPLEFP, simple_fp_taps(mixed, weights)))
         else:
             a_y, a_x = weights[h, w]
-            taps.append(pooled_taps(raw, a_y[:, None], a_x[:, None]))
+            parts.append((None, [pooled_taps(mixed, a_y[:, None], a_x[:, None])]))
     if config.use_auxiliary:
-        taps += aux_fuse_taps([_with_ones(m.data) for m in aux_maps], weights)
+        parts.append((GROUP_AUX, aux_fuse_taps([_with_ones(m.data) for m in aux_maps], weights)))
     if isinstance(sample, TrainingSample):
         index = {n: i for i, n in enumerate(vocabulary(config.n_categories))}
         query_idx = np.array([index[q] for q in sample.queries], dtype=int)
@@ -348,7 +348,7 @@ def prepare_sample(sample, config: ExperimentConfig) -> SampleStatic:
         query_idx = np.zeros(0, dtype=int)
         targets = np.zeros((len(boxes), 0))
     return SampleStatic(
-        taps=taps,
+        parts=parts,
         epos=positional_embedding_matrix(boxes, config.d_total),
         query_idx=query_idx,
         targets=targets,
@@ -356,21 +356,6 @@ def prepare_sample(sample, config: ExperimentConfig) -> SampleStatic:
 
 
 # ------------------------------------------------------------- forward
-
-@dataclass
-class _Folded:
-    """A prepared sample with the work of its frozen parameters done.
-
-    ``parts`` are the region feature's parts in order, each (group, arrays):
-    the tap blocks whose kernels that group's parameters build, or, with
-    group None, feature columns that no parameter a step trains can change.
-    """
-
-    parts: list[tuple[str | None, list[np.ndarray]]]
-    epos: np.ndarray
-    query_idx: np.ndarray
-    targets: np.ndarray
-
 
 def _kernels(params: ModelParams, group: str) -> list[np.ndarray]:
     """Effective kernels of a group's tap blocks, in block order."""
@@ -380,35 +365,16 @@ def _kernels(params: ModelParams, group: str) -> list[np.ndarray]:
     return [_mix(g, f"mix{i}") for i in range(4)]
 
 
-def _fold(params: ModelParams, s: SampleStatic, config: ExperimentConfig) -> _Folded:
-    """``s`` with the primary mix, which never trains, folded in: the SimpleFP
-    taps become taps of the mixed map (:func:`pyramid.simple_fp_fold`), and
-    with SimpleFP off the map's own taps become its feature columns."""
-    taps = s.taps
-    parts = []
-    if config.use_primary:
-        mix = _mix(params.groups[GROUP_PRIMARY], "mix")
-        if config.use_simplefp:
-            parts.append((GROUP_SIMPLEFP, simple_fp_fold(taps[:4], mix)))
-            taps = taps[4:]
-        else:
-            parts.append((None, [apply_taps(taps[0], mix)]))
-            taps = taps[1:]
-    if config.use_auxiliary:
-        parts.append((GROUP_AUX, taps))
-    return _Folded(parts, s.epos, s.query_idx, s.targets)
-
-
-def _freeze(params: ModelParams, f: _Folded, live: frozenset) -> _Folded:
-    """``f`` with the tap blocks of every group outside ``live`` turned into
+def _freeze(params: ModelParams, s: SampleStatic, live: frozenset) -> SampleStatic:
+    """``s`` with the tap blocks of every group outside ``live`` turned into
     their feature columns: within a stage, a frozen group's kernels are
     constant."""
     parts = [
         (grp, arrays) if grp is None or grp in live
         else (None, [apply_taps(t, k) for t, k in zip(arrays, _kernels(params, grp))])
-        for grp, arrays in f.parts
+        for grp, arrays in s.parts
     ]
-    return dataclasses.replace(f, parts=parts)
+    return dataclasses.replace(s, parts=parts)
 
 
 @dataclass
@@ -421,19 +387,19 @@ class _ForwardCache:
     tokens: np.ndarray
 
 
-def _forward(params: ModelParams, f: _Folded) -> _ForwardCache:
+def _forward(params: ModelParams, s: SampleStatic) -> _ForwardCache:
     """Pooled features as each tap block contracted with its effective
     kernel, beside the feature columns, then the connector.  No feature map
     is built."""
     columns, live, width = [], [], 0
-    for grp, arrays in f.parts:
+    for grp, arrays in s.parts:
         if grp is not None:
             kernels = _kernels(params, grp)
             live.append((grp, arrays, kernels, width))
             arrays = [apply_taps(t, k) for t, k in zip(arrays, kernels)]
         columns += arrays
         width += sum(a.shape[1] for a in arrays)
-    features = np.concatenate(columns, axis=1) + f.epos
+    features = np.concatenate(columns, axis=1) + s.epos
     if not np.isfinite(features).all():
         n, d = features.shape
         raise NonFiniteError(f"{n}x{d} region feature matrix contains non-finite values")
@@ -444,9 +410,9 @@ def _forward(params: ModelParams, f: _Folded) -> _ForwardCache:
     return _ForwardCache(live, conn, features, hidden, tokens)
 
 
-def region_token_matrix(params: ModelParams, s: SampleStatic, config: ExperimentConfig) -> np.ndarray:
+def region_token_matrix(params: ModelParams, s: SampleStatic) -> np.ndarray:
     """Token-space embeddings for every proposal of a prepared sample."""
-    return _forward(params, _fold(params, s, config)).tokens
+    return _forward(params, s).tokens
 
 
 def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -457,16 +423,14 @@ def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 def loss_and_grads(
     params: ModelParams,
-    s: SampleStatic | _Folded,
-    config: ExperimentConfig,
+    s: SampleStatic,
     trainable: frozenset | set = frozenset(),
     out: ModelParams | None = None,
 ) -> tuple[float, ModelParams]:
     """Loss on one sample plus analytic gradients for the requested groups.
 
     The loss is binary cross-entropy per (region, query) pair, summed over
-    all pairs of the sample.  ``s`` is a prepared sample, or one that
-    :func:`train` has folded.  The gradient has the layout of ``params``;
+    all pairs of the sample.  The gradient has the layout of ``params``;
     a group that was not requested, or has no path into this config's
     loss, is exactly zero.  The primary encoder never trains
     (:class:`FreezeSchedule`) and has a path, so requesting it raises.
@@ -482,8 +446,6 @@ def loss_and_grads(
         for grp in trainable:
             grads.vector[grads.spans[grp]] = 0.0
         return 0.0, grads
-    if isinstance(s, SampleStatic):
-        s = _fold(params, s, config)
     g = params.groups
     cache = _forward(params, s)
     queries = g[GROUP_NEW_VOCAB]["queries"][s.query_idx]
@@ -567,8 +529,7 @@ def train(
     if not dataset:
         raise ValueError("train needs at least one training sample")
     params = init_model_params(config)
-    # the primary mix never trains: fold it in as each sample is prepared
-    statics = [_fold(params, prepare_sample(sample, config), config) for sample in dataset]
+    statics = [prepare_sample(params, sample, config) for sample in dataset]
     schedule = FreezeSchedule.from_config(config)
     log = TrainingLog()
     log.checksums["init"] = params.checksums()
@@ -576,7 +537,7 @@ def train(
     step_counter = 0
     for stage, steps, lr in config.stages:
         trainable = schedule.trainable(stage)
-        samples = [_freeze(params, f, trainable) for f in statics]
+        samples = [_freeze(params, s, trainable) for s in statics]
         grads = params.zeros_like()
         # one slice from the first trained group to the last: a group inside
         # it that does not train has a zero gradient, so the update keeps it
@@ -586,7 +547,7 @@ def train(
             s = samples[step_counter % len(samples)]
             step_counter += 1
             try:
-                loss, _ = loss_and_grads(params, s, config, trainable, out=grads)
+                loss, _ = loss_and_grads(params, s, trainable, out=grads)
             except NonFiniteError as exc:
                 raise TrainingDivergence(stage, step_counter, cause=str(exc)) from exc
             if not np.isfinite(loss):
@@ -624,12 +585,11 @@ def grad_check(config: ExperimentConfig) -> GradCheckReport:
     if config.d_llm > 64:
         raise ValueError("grad_check is meant for small dimensions (<= 64)")
     params = init_model_params(config)
-    # samples are drawn in sequence, so this is the first sample train() sees;
-    # the primary mix is not checked, so it is folded in once
-    s = _fold(params, prepare_sample(seeded_training_set(config.replace(n_train_scenes=1))[0], config), config)
+    # samples are drawn in sequence, so this is the first sample train() sees
+    s = prepare_sample(params, seeded_training_set(config.replace(n_train_scenes=1))[0], config)
 
     check_groups = FreezeSchedule.from_config(config).stage2
-    _, analytic = loss_and_grads(params, s, config, check_groups)
+    _, analytic = loss_and_grads(params, s, check_groups)
 
     step = 1e-5
     report: dict[str, dict] = {}
@@ -640,9 +600,9 @@ def grad_check(config: ExperimentConfig) -> GradCheckReport:
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + step
-                up, _ = loss_and_grads(params, s, config)
+                up, _ = loss_and_grads(params, s)
                 flat[i] = orig - step
-                down, _ = loss_and_grads(params, s, config)
+                down, _ = loss_and_grads(params, s)
                 flat[i] = orig
                 numeric = (up - down) / (2 * step)
                 a = analytic.groups[grp][name].ravel()[i]

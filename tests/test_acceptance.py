@@ -30,7 +30,6 @@ from regionkit.pyramid import (
     aux_fuse_size,
     aux_fuse_taps,
     simple_fp,
-    simple_fp_fold,
     simple_fp_kernels,
     simple_fp_sizes,
     simple_fp_taps,
@@ -153,9 +152,10 @@ def test_criterion_04_reference_dimension_contract():
         and all(row.shape == (5888,) for row in f_hybrid)
     )
 
-    # the factored path the system runs: pooled taps of each map (with a
-    # ones channel for the mix bias), an identity primary mix folded into
-    # the pyramid's taps, contracted with the effective kernels
+    # the factored path the system runs: pooled taps of the primary map,
+    # which the paper-scale identity primary mix leaves as it is, and of
+    # each aux map with a ones channel for its mix bias, contracted with
+    # the effective kernels
     def with_ones(data):
         return np.concatenate([data, np.ones((1,) + data.shape[1:])])
 
@@ -166,9 +166,8 @@ def test_criterion_04_reference_dimension_contract():
           for part, attr in (("w", "weights"), ("b", "bias"))}
     fuse_size = aux_fuse_size([(m.height, m.width) for m in aux_maps])
     weights = pooled_axis_weight_table(simple_fp_sizes(h, h) + [fuse_size], boxes)
-    pri_taps = simple_fp_taps(with_ones(last.data), weights)
+    pri_taps = simple_fp_taps(last.data, weights)
     aux_taps = aux_fuse_taps([with_ones(m.data) for m in aux_maps], weights)
-    pri_taps = simple_fp_fold(pri_taps, identity_mix(512))
     p_pri = np.concatenate([apply_taps(t, k) for t, k in zip(pri_taps, simple_fp_kernels(fp))], axis=1)
     p_aux = np.concatenate([apply_taps(t, identity_mix(m.channels)) for t, m in zip(aux_taps, aux_maps)], axis=1)
     factored_diff = max(float(np.max(np.abs(p_pri - f_pri))), float(np.max(np.abs(p_aux - f_aux))))

@@ -5,7 +5,8 @@ patches ``FeatureMap.__post_init__`` and ``Kernel.__post_init__``, and its
 ``pooled_weights`` hook reads ``.nbytes`` of the returned array.  The
 workloads pace their reference slices by wrapping
 ``training.loss_and_grads``, which ``train`` must call through the module
-attribute, once per step.  A change that breaks one of these fails here
+attribute, once per step.  The workloads' own calls into regionkit run
+here too, at a tiny budget.  A change that breaks one of these fails here
 rather than in a benchmark run.
 """
 
@@ -18,8 +19,10 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import spans  # noqa: E402
+import workloads  # noqa: E402
+from reference import Reference  # noqa: E402
 
-from regionkit import training  # noqa: E402
+from regionkit import experiments, training  # noqa: E402
 from regionkit.gridops import FeatureMap, Kernel  # noqa: E402
 from regionkit.roialign import Box, pooled_weights  # noqa: E402
 
@@ -56,3 +59,14 @@ def test_train_calls_the_wrapped_step_functions_once_per_step(tiny_config, monke
     training.train(tiny_config)
     steps = tiny_config.stage1_steps + tiny_config.stage2_steps
     assert calls == {"loss_and_grads": steps, "connector_backward": steps}
+
+
+def test_workloads_train_and_serve_with_no_failed_check(tiny_config):
+    failures = []
+    checks = workloads.Checks(failures.append)
+    ref = Reference(enabled=False)
+    params, _, _ = workloads.train_checked(tiny_config, None, checks, ref)
+    scenes = experiments.make_eval_scenes(tiny_config, n_scenes=5)
+    assert len(scenes) == 5
+    workloads.serve(params, tiny_config, scenes, checks, ref)
+    assert checks.attempted > 0 and failures == [] and checks.failed == 0

@@ -197,6 +197,12 @@ def test_cli_gradcheck_flags_apply_to_its_small_config(tmp_path, capsys):
     assert (config["seed"], config["rejection_fraction"], config["d_llm"]) == (4, 1.0, 8)
 
 
+# config files that construct no config: a scene without objects or clutter has no proposal
+REJECTED_CONFIG_FILES = {
+    "no_proposals.json": {"world": {"min_objects": 0, "max_objects": 0}, "proposals": {"clutter_rate": 0.0}},
+}
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -208,9 +214,15 @@ def test_cli_gradcheck_flags_apply_to_its_small_config(tmp_path, capsys):
         (["gen", "--n-scenes", "-1", "--out", "scenes"], "--n-scenes must be >= 0, got -1"),
         (["validate-transcript", "transcript.jsonl", "--n-regions", "0"], "--n-regions must be >= 1, got 0"),
         (["validate-transcript", "transcript.jsonl", "--n-regions", "-1"], "--n-regions must be >= 1, got -1"),
+        (["bench", "--config", "no_proposals.json"],
+         "world.max_objects must be >= 1 when proposals.clutter_rate is 0"),
     ],
 )
-def test_cli_reports_a_rejected_config_in_one_line(argv, message, capsys, tmp_path, monkeypatch):
+def test_cli_reports_a_rejected_config_in_one_line(argv, message, capsys, tmp_path, tmp_path_factory, monkeypatch):
+    configs = tmp_path_factory.mktemp("configs")  # outside the directory that must stay empty
+    for name, doc in REJECTED_CONFIG_FILES.items():
+        (configs / name).write_text(json.dumps(doc))
+    argv = [str(configs / arg) if arg in REJECTED_CONFIG_FILES else arg for arg in argv]
     monkeypatch.chdir(tmp_path)  # where the commands' default output directories lie
     assert cli_main(argv) == 2
     err = capsys.readouterr().err

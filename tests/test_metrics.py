@@ -234,6 +234,8 @@ def test_counting_accuracy_cases():
     assert counting_accuracy([1, 2, 3, 5], [1, 2, 3, 4]) == 0.75
     with pytest.raises(ValueError):
         counting_accuracy([1], [1, 2])
+    with pytest.raises(ValueError, match="no counts"):
+        counting_accuracy([], [])
 
 
 # ------------------------------------------------------------- box recall

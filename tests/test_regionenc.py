@@ -152,11 +152,11 @@ def test_zero_features_fuse_to_positional_embedding(tiny_config):
                 arr[...] = 0.0
     sample = make_training_set(1, 0.0, seed=5, scene_config=tiny_config.world,
                                proposal_config=tiny_config.proposals)[0]
-    s = prepare_sample(sample, tiny_config)
+    s = prepare_sample(params, sample, tiny_config)
     np.testing.assert_array_equal(s.epos, positional_embedding_matrix(list(sample.proposals), tiny_config.d_total))
     c = params.groups[GROUP_CONNECTOR]
     expected = connector_forward(Connector(c["w1"], c["b1"], c["w2"], c["b2"]), s.epos)
-    np.testing.assert_array_equal(region_token_matrix(params, s, tiny_config), expected)
+    np.testing.assert_array_equal(region_token_matrix(params, s), expected)
 
 
 def test_fuse_reference_scale_dimension():
@@ -292,8 +292,8 @@ def test_region_tokens_deterministic_and_equivariant(tiny_config):
     sample = make_training_set(1, 0.0, seed=8, scene_config=tiny_config.world,
                                proposal_config=tiny_config.proposals)[0]
     assert len(sample.proposals) >= 3
-    tokens = region_token_matrix(params, prepare_sample(sample, tiny_config), tiny_config)
-    again = region_token_matrix(params, prepare_sample(sample, tiny_config), tiny_config)
+    tokens = region_token_matrix(params, prepare_sample(params, sample, tiny_config))
+    again = region_token_matrix(params, prepare_sample(params, sample, tiny_config))
     np.testing.assert_array_equal(tokens, again)
 
     perm = np.random.default_rng(8).permutation(len(sample.proposals))
@@ -301,5 +301,5 @@ def test_region_tokens_deterministic_and_equivariant(tiny_config):
     permuted_sample = dataclasses.replace(
         sample, proposals=tuple(sample.proposals[i] for i in perm), targets=sample.targets[perm]
     )
-    permuted = region_token_matrix(params, prepare_sample(permuted_sample, tiny_config), tiny_config)
+    permuted = region_token_matrix(params, prepare_sample(params, permuted_sample, tiny_config))
     np.testing.assert_array_equal(permuted, tokens[perm])

@@ -97,6 +97,9 @@ def test_config_requires_a_stream(tiny_config):
         ("rejection_fraction .* got nan", lambda cfg: cfg.replace(rejection_fraction=float("nan"))),
         ("proposals.drop_rate must be < 1 when proposals.clutter_rate is 0",
          lambda cfg: cfg.replace(proposals=ProposalSimConfig(drop_rate=1.0, clutter_rate=0.0))),
+        ("world.max_objects must be >= 1 when proposals.clutter_rate is 0",
+         lambda cfg: ExperimentConfig.from_json(
+             {"world": {"min_objects": 0, "max_objects": 0}, "proposals": {"clutter_rate": 0.0}})),
     ],
 )
 def test_unusable_config_rejected_naming_field(tiny_config, field, build):
@@ -303,10 +306,10 @@ def test_training_forward_equals_oracle_composition(tiny_config, variant):
             arr += rng.normal(0.0, 0.1, size=arr.shape)
     for seed in (5, 6):
         sample = make_training_set(1, 0.5, seed=seed, scene_config=cfg.world, proposal_config=cfg.proposals)[0]
-        s = prepare_sample(sample, cfg)
+        s = prepare_sample(params, sample, cfg)
         loss, features, want = dense_oracle(params, sample, s, cfg)
-        assert_rel_close(training._forward(params, training._fold(params, s, cfg)).features, features, "features")
-        got_loss, got = loss_and_grads(params, s, cfg, frozenset(want))
+        assert_rel_close(training._forward(params, s).features, features, "features")
+        got_loss, got = loss_and_grads(params, s, frozenset(want))
         assert abs(got_loss - loss) <= 1e-12 * abs(loss)
         for group in set(got.groups) - set(want):
             assert not got.vector[got.spans[group]].any(), f"unrequested group {group} is not zero"
@@ -435,9 +438,10 @@ def test_grad_check_variant_configs(tiny_config):
 
 
 def test_loss_and_grads_rejects_the_primary_encoder(tiny_config):
-    s = prepare_sample(training.seeded_training_set(tiny_config)[0], tiny_config)
+    params = init_model_params(tiny_config)
+    s = prepare_sample(params, training.seeded_training_set(tiny_config)[0], tiny_config)
     with pytest.raises(ValueError, match=GROUP_PRIMARY):
-        loss_and_grads(init_model_params(tiny_config), s, tiny_config, {GROUP_PRIMARY})
+        loss_and_grads(params, s, {GROUP_PRIMARY})
 
 
 def test_grad_check_rejects_large_dims(default_config):

@@ -3,13 +3,13 @@ the code they replaced.
 
 ``oracle_train`` is ``training.train`` as it was before the parameters
 became one vector and before a run cached its frozen work, kept verbatim
-but for how it reads the gradient.  Every step hands ``loss_and_grads`` the
-sample as prepared, so the primary mix is folded and every frozen block
-contracted again at each step; each step gets a fresh gradient, and each
-array of each requested group is updated on its own (``p -= lr * d``).
-``train``, which folds once per run, turns frozen blocks into feature
-columns once per stage, reuses one gradient buffer per stage and updates
-one slice, must give bitwise the same losses and checksums.
+but for how it reads the gradient.  Each sample is prepared with the run's
+initial parameters, and every step hands ``loss_and_grads`` the sample as
+prepared, so every frozen block is contracted again at each step; each
+step gets a fresh gradient, and each array of each requested group is
+updated on its own (``p -= lr * d``).  ``train``, which turns frozen blocks
+into feature columns once per stage, reuses one gradient buffer per stage
+and updates one slice, must give bitwise the same losses and checksums.
 
 ``prepare_sample`` pools at every size from one pooling-weight pass; each
 size's weights must be byte for byte those of a pass of its own.
@@ -45,10 +45,10 @@ VARIANTS = {
 def oracle_train(config, dataset=None):
     if dataset is None:
         dataset = seeded_training_set(config)
-    statics = [prepare_sample(sample, config) for sample in dataset]
-    if not statics:
+    if not dataset:
         raise ValueError("train needs at least one training sample")
     params = init_model_params(config)
+    statics = [prepare_sample(params, sample, config) for sample in dataset]
     schedule = FreezeSchedule.from_config(config)
     log = TrainingLog()
     log.checksums["init"] = params.checksums()
@@ -60,7 +60,7 @@ def oracle_train(config, dataset=None):
             s = statics[step_counter % len(statics)]
             step_counter += 1
             try:
-                loss, grads = loss_and_grads(params, s, config, trainable)
+                loss, grads = loss_and_grads(params, s, trainable)
             except NonFiniteError as exc:
                 raise TrainingDivergence(stage, step_counter, cause=str(exc)) from exc
             if not np.isfinite(loss):
@@ -104,17 +104,12 @@ def test_reused_gradient_buffer_on_samples_without_queries(tiny_config):
 
 
 def test_frozen_work_runs_once_per_run_or_stage(tiny_config, monkeypatch):
-    """The primary mix is folded into each sample once per run, and no step
-    builds a mix it does not train: stage-1 steps build none, stage-2 steps
-    only the four aux mixes."""
-    folds = 0
+    """The primary mix is built once per sample per run, outside every step,
+    and no step builds a mix it does not train: stage-1 steps build none,
+    stage-2 steps only the four aux mixes."""
+    primary_mixes = 0
     in_step = False
     step_mixes = []
-
-    def counting_fold(*args, _original=training.simple_fp_fold):
-        nonlocal folds
-        folds += 1
-        return _original(*args)
 
     def counting_step(*args, _original=training.loss_and_grads, **kwargs):
         nonlocal in_step
@@ -126,15 +121,16 @@ def test_frozen_work_runs_once_per_run_or_stage(tiny_config, monkeypatch):
             in_step = False
 
     def counting_mix(group, name, _original=training._mix):
+        nonlocal primary_mixes
+        primary_mixes += name == "mix"
         if in_step:
             step_mixes[-1].append(name)
         return _original(group, name)
 
-    monkeypatch.setattr(training, "simple_fp_fold", counting_fold)
     monkeypatch.setattr(training, "loss_and_grads", counting_step)
     monkeypatch.setattr(training, "_mix", counting_mix)
     training.train(tiny_config)
-    assert folds == tiny_config.n_train_scenes
+    assert primary_mixes == tiny_config.n_train_scenes
     assert step_mixes == (
         [[]] * tiny_config.stage1_steps + [[f"mix{i}" for i in range(4)]] * tiny_config.stage2_steps
     )
@@ -173,7 +169,7 @@ def test_one_pass_pooling_weights_equal_per_size_weights(monkeypatch, encoder, v
     one_pass = training.pooled_axis_weight_table
     monkeypatch.setattr(training, "pooled_axis_weight_table", recording)
     sample = make_training_set(1, 0.5, seed=5, scene_config=cfg.world, proposal_config=cfg.proposals)[0]
-    prepare_sample(sample, cfg)
+    prepare_sample(init_model_params(cfg), sample, cfg)
     assert len(tables) == 1
     boxes, roi, table = tables[0]
     assert set(table) == expected_sizes(cfg)
