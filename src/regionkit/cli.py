@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig
-from .experiments import run_ablations, run_benchmark, write_artifacts
+from .experiments import make_eval_scenes, run_ablations, run_benchmark, write_artifacts
 from .simworld import generate_scene, scenes_to_json, simulate_opn
 from .tokenproto import ParseError, parse_grounded
 from .training import grad_check, train
@@ -64,6 +64,15 @@ def _add_config_flags(p: argparse.ArgumentParser):
 def _check_count(flag: str, value: int, least: int) -> None:
     if value < least:
         raise _ConfigError(f"{flag} must be >= {least}, got {value}")
+
+
+def _check_eval_scenes(cfg: ExperimentConfig, n_seeds: int = 1) -> None:
+    """Refuse, before any training, a config that by chance draws no eval
+    scene with a proposal at one of the seeds a command evaluates."""
+    for seed in range(cfg.seed, cfg.seed + n_seeds):
+        if not make_eval_scenes(cfg.replace(seed=seed)):
+            raise _ConfigError(f"seed {seed} draws no eval scene with a proposal; raise proposals.clutter_rate "
+                               "or world.max_objects, or lower proposals.drop_rate")
 
 
 def cmd_gen(args) -> int:
@@ -113,6 +122,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _load_config(args)
+    _check_eval_scenes(cfg)
     result = run_benchmark(cfg, out_dir=args.out or "runs/bench")
     print(result.tsv(), end="")
     gap = result.retrieval.ap_mean - result.baseline.ap_mean
@@ -123,6 +133,7 @@ def cmd_bench(args) -> int:
 def cmd_ablate(args) -> int:
     _check_count("--n-seeds", args.n_seeds, 1)
     cfg = _load_config(args)
+    _check_eval_scenes(cfg, args.n_seeds)
     rows = run_ablations(cfg, n_seeds=args.n_seeds, out_dir=args.out or "runs/ablate")
     for row in rows:
         print(f"{row.variant:<20}\tap_mean={row.ap_mean:.4f}")

@@ -26,14 +26,14 @@ boxes' pooling weights at the sizes they pool at (:func:`simple_fp_sizes`,
 (:func:`roialign.pooled_axis_weight_table`).  The pyramid's input is the
 primary encoder's output, a map whose mix does not train, so the taps are
 of that map; the fused maps' mixes train, so their taps are of the
-unmixed maps with a ones channel for the mix bias.  Each block of taps has an effective kernel built from the
-parameters that do train: :func:`simple_fp_kernels` for the four levels,
-and for a fused map its own 1x1 mix.  A pooled level is
-``roialign.apply_taps(taps, kernel)``, and a kernel's gradient is the
-transposed product ``d_pooled.T @ taps``, which
-:func:`simple_fp_kernels_backward` takes back to the branch arrays.  The
-dense functions above are the oracle these are tested against; the
-branch wiring and the fuse rule are stated only in this module.
+unmixed maps with a ones channel for the mix bias.  A pooled level is
+``roialign.apply_taps(taps, kernel)`` with an effective kernel: a fused
+map's 1x1 mix, or :func:`simple_fp_kernels` for the four levels, of which
+only up4's is not a branch's own kernel.  A kernel's gradient is the
+transposed product ``d_pooled.T @ taps``; :func:`simple_fp_kernels_backward`
+takes up4's back to its two branches.  The dense functions above are the
+oracle these are tested against; the branch wiring and the fuse rule are
+stated only in this module.
 """
 
 from __future__ import annotations
@@ -240,55 +240,39 @@ def simple_fp_taps(raw: np.ndarray, weights: dict) -> list[np.ndarray]:
     return levels
 
 
-def _tap_major(w: np.ndarray) -> np.ndarray:
-    """(O, C, kh, kw) kernel as (O, kh, kw, C), the taps' column order."""
-    return w.transpose(0, 2, 3, 1)
-
-
-def simple_fp_kernels(fp: dict[str, np.ndarray]) -> list[np.ndarray]:
+def simple_fp_kernels(kernel) -> list[np.ndarray]:
     """Effective (O, K) kernels of :func:`simple_fp`'s four levels: level l
     pools to ``apply_taps(taps[l], kernels[l])`` for the taps of
-    :func:`simple_fp_taps`.  ``fp`` holds the branch arrays by name
-    (``down_w``, ``down_b``, ...)."""
-    o = fp["same_b"].shape[0]
-    bias = {b: fp[f"{b}_b"][:, None] for b in ("down", "same", "up2", "up4_b")}
-    down = _tap_major(fp["down_w"]).reshape(o, -1)
-    same = fp["same_w"][:, :, 0, 0]
-    up2 = _tap_major(fp["up2_w"]).reshape(o, -1)
-    mid = _tap_major(fp["up4_a_w"])  # (F, a, b, C)
-    outer = _tap_major(fp["up4_b_w"]).reshape(4 * o, -1)  # rows (o, c, d)
-    up4 = (outer @ mid.reshape(mid.shape[0], -1)).reshape(o, 2, 2, 2, 2, -1)
-    up4 = up4.transpose(0, 3, 1, 4, 2, 5).reshape(o, -1)  # columns (a, c, b, d, C)
-    mid_bias = (outer @ fp["up4_a_b"]).reshape(o, 4)  # columns (c, d)
-    return [
-        np.concatenate([down, bias["down"]], axis=1),
-        np.concatenate([same, bias["same"]], axis=1),
-        np.concatenate([up2, bias["up2"]], axis=1),
-        np.concatenate([up4, mid_bias, bias["up4_b"]], axis=1),
-    ]
+    :func:`simple_fp_taps`.  ``kernel(branch)`` is a branch's (O, kh * kw *
+    C + 1) block: tap-major (kh, kw, C) weights, then the bias.  Those of
+    ``down``, ``same`` and ``up2`` are their levels' kernels; ``up4``'s is
+    built from the ``up4_a`` and ``up4_b`` blocks."""
+    mid, up4_b = kernel("up4_a"), kernel("up4_b")  # (F, (a, b, C) + 1), (O, (c, d, F) + 1)
+    o = up4_b.shape[0]
+    outer = up4_b[:, :-1].reshape(4 * o, -1)  # rows (o, c, d)
+    # columns (a, c, b, d, C), then (c, d) for up4_a's bias, then up4_b's bias
+    up4 = np.empty((o, 4 * mid.shape[1] + 1))
+    prod = (outer @ mid[:, :-1]).reshape(o, 2, 2, 2, 2, -1)  # (o, c, d, a, b, C)
+    up4[:, :-5].reshape(prod.shape)[...] = prod.transpose(0, 3, 1, 4, 2, 5)
+    up4[:, -5:-1] = (outer @ mid[:, -1]).reshape(o, 4)
+    up4[:, -1] = up4_b[:, -1]
+    return [kernel("down"), kernel("same"), kernel("up2"), up4]
 
 
-def simple_fp_kernels_backward(fp: dict[str, np.ndarray], d_kernels: list[np.ndarray]) -> dict[str, np.ndarray]:
-    """Adjoint of :func:`simple_fp_kernels` in the branch arrays for
-    gradients on its four kernels: {``down_w``: ..., ``down_b``: ..., ...}."""
-    d_down, d_same, d_up2, d_up4 = d_kernels
-    o = fp["same_w"].shape[0]
-    grads = {"down_b": d_down[:, -1], "same_b": d_same[:, -1], "up2_b": d_up2[:, -1]}
-
-    mid = _tap_major(fp["up4_a_w"])  # (F, a, b, C)
-    outer = _tap_major(fp["up4_b_w"]).reshape(4 * o, -1)
-    d_up4, d_mid_bias, grads["up4_b_b"] = d_up4[:, :-5], d_up4[:, -5:-1].reshape(-1), d_up4[:, -1]
-    d_prod = d_up4.reshape(o, 2, 2, 2, 2, -1).transpose(0, 2, 4, 1, 3, 5).reshape(4 * o, -1)
-    d_outer = d_prod @ mid.reshape(mid.shape[0], -1).T + np.outer(d_mid_bias, fp["up4_a_b"])
-    grads["up4_b_w"] = d_outer.reshape(o, 2, 2, -1).transpose(0, 3, 1, 2)
-    grads["up4_a_b"] = outer.T @ d_mid_bias
-
-    # each branch's effective kernel is its weights in tap-major order
-    d_branch = {"down": d_down[:, :-1], "same": d_same[:, :-1], "up2": d_up2[:, :-1], "up4_a": outer.T @ d_prod}
-    for branch, d_k in d_branch.items():
-        n_out, _, kh, kw = fp[f"{branch}_w"].shape
-        grads[f"{branch}_w"] = d_k.reshape(n_out, kh, kw, -1).transpose(0, 3, 1, 2)
-    return grads
+def simple_fp_kernels_backward(kernel, d_up4: np.ndarray, grad) -> None:
+    """Adjoint of :func:`simple_fp_kernels` for a gradient ``d_up4`` on the
+    up4 kernel, written into the blocks ``grad("up4_a")`` and
+    ``grad("up4_b")``; the other three kernels are blocks themselves."""
+    mid, up4_b = kernel("up4_a"), kernel("up4_b")
+    o = up4_b.shape[0]
+    outer = up4_b[:, :-1].reshape(4 * o, -1)
+    d_mid_bias = d_up4[:, -5:-1].reshape(-1)
+    d_prod = d_up4[:, :-5].reshape(o, 2, 2, 2, 2, -1).transpose(0, 2, 4, 1, 3, 5).reshape(4 * o, -1)
+    d_mid, d_up4_b = grad("up4_a"), grad("up4_b")
+    d_up4_b[:, :-1] = (d_prod @ mid[:, :-1].T + np.outer(d_mid_bias, mid[:, -1])).reshape(o, -1)
+    d_up4_b[:, -1] = d_up4[:, -1]
+    d_mid[:, :-1] = outer.T @ d_prod
+    d_mid[:, -1] = outer.T @ d_mid_bias
 
 
 def aux_fuse_taps(raw_maps: list[np.ndarray], weights: dict) -> list[np.ndarray]:

@@ -110,13 +110,15 @@ def connector_backward(
     upstream: np.ndarray,
     hidden: np.ndarray | None = None,
     input_grad: bool = True,
+    out: dict[str, np.ndarray] | None = None,
 ) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
     """Analytic gradients of :func:`connector_forward`.
 
     Returns ({"w1", "b1", "w2", "b2"}, d_input) for an upstream gradient of
     the same shape as the forward output.  ``hidden`` is the forward's tanh
     activations on this input, recomputed when not given; d_input is None
-    without ``input_grad``.
+    without ``input_grad``.  Given ``out``, four arrays by the same names,
+    the gradients are written into and returned as those.
     """
     f = np.atleast_2d(f_hybrid)
     g = np.atleast_2d(upstream)
@@ -126,11 +128,12 @@ def connector_backward(
         raise ValueError("upstream gradient shape does not match forward output")
     if hidden is None:
         hidden = np.tanh(f @ conn.w1.T + conn.b1)
-    d_w2 = g.T @ hidden
-    d_b2 = g.sum(axis=0)
+    out = out or {}
+    d_w2 = np.matmul(g.T, hidden, out=out.get("w2"))
+    d_b2 = g.sum(axis=0, out=out.get("b2"))
     d_hidden = g @ conn.w2
     d_pre = d_hidden * (1.0 - hidden**2)
-    d_w1 = d_pre.T @ f
-    d_b1 = d_pre.sum(axis=0)
+    d_w1 = np.matmul(d_pre.T, f, out=out.get("w1"))
+    d_b1 = d_pre.sum(axis=0, out=out.get("b1"))
     grads = {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}
     return grads, (d_pre @ conn.w1 if input_grad else None)

@@ -30,8 +30,10 @@ has a zero gradient, so no step changes it.
 A step does only the work a step can change.  The primary mix never
 trains, so :func:`prepare_sample` applies it to the rendered map once, as
 the frozen encoder's output; a group frozen for a stage has constant
-kernels, so its blocks become feature columns once per stage; and one
-gradient buffer serves a stage.
+kernels, so its blocks become feature columns once per stage; one
+gradient buffer serves a stage; and each kernel is stored as the block a
+step multiplies (:class:`ModelParams`), so a step reads its kernels and
+writes their gradients in place.
 """
 
 from __future__ import annotations
@@ -105,10 +107,14 @@ class ModelParams:
     """All trainable state: one contiguous float64 vector, seen as named
     arrays in named groups.
 
-    ``groups[group][name]`` is a view into ``vector``; the arrays follow
-    each other in bundle order, so each group is one slice of the vector,
-    ``spans[group]``.  An in-place update of the vector is an update of
-    the named arrays, and the other way round.
+    ``groups[group][name]`` is a view into ``vector``; each group is one
+    slice of it, ``spans[group]``, holding its arrays in bundle order but
+    for a kernel ``<x>_w`` (O, C, kh, kw) and its bias ``<x>_b`` (O,).
+    Those are one C-contiguous (O, kh * kw * C + 1) block, :meth:`kernel`,
+    each row the tap-major (kh, kw, C) weights, then the bias: the
+    effective kernel ``roialign.apply_taps`` multiplies.  An in-place
+    update of the vector is an update of the named arrays, and the other
+    way round.
     """
 
     def __init__(self, groups: dict[str, dict[str, np.ndarray]]):
@@ -121,24 +127,41 @@ class ModelParams:
             end += size
         self.vector = np.empty(end)
         for g, arrs in groups.items():
-            self.assign(g, arrs)
+            for k, view in self.groups[g].items():
+                view[...] = arrs[k]
 
     @functools.cached_property
+    def _views(self) -> tuple[dict, dict]:
+        """({group: {name: view}} in bundle order, {group: {x: kernel block}})."""
+        views, blocks = {}, {}
+        for g, shapes in self._layout.items():
+            weights = {k for k, s in shapes.items() if k.endswith("_w") and len(s) == 4
+                       and shapes.get(k[:-2] + "_b") == s[:1]}
+            biases = {k[:-2] + "_b" for k in weights}
+            placed, blocks[g], start = {}, {}, self.spans[g].start
+            for k, shape in shapes.items():
+                if k in weights:
+                    o, c, kh, kw = shape
+                    block = self.vector[start : start + o * (kh * kw * c + 1)].reshape(o, kh * kw * c + 1)
+                    blocks[g][k[:-2]] = block
+                    placed[k] = block[:, :-1].reshape(o, kh, kw, c).transpose(0, 3, 1, 2)
+                    placed[k[:-2] + "_b"] = block[:, -1]
+                    start += block.size
+                elif k not in biases:
+                    placed[k] = self.vector[start : start + math.prod(shape)].reshape(shape)
+                    start += placed[k].size
+            views[g] = {k: placed[k] for k in shapes}
+        return views, blocks
+
+    @property
     def groups(self) -> dict[str, dict[str, np.ndarray]]:
         """{group: {name: view into the vector}}, in bundle order."""
-        views: dict[str, dict[str, np.ndarray]] = {}
-        for g, shapes in self._layout.items():
-            start = self.spans[g].start
-            views[g] = {}
-            for k, shape in shapes.items():
-                views[g][k] = self.vector[start : start + math.prod(shape)].reshape(shape)
-                start += views[g][k].size
-        return views
+        return self._views[0]
 
-    def assign(self, group: str, arrays: dict[str, np.ndarray]) -> None:
-        """Copy ``arrays``, by name and shaped as the group's, into the
-        group's slice of the vector in one call."""
-        np.concatenate([arrays[k] for k in self._layout[group]], axis=None, out=self.vector[self.spans[group]])
+    def kernel(self, group: str, x: str) -> np.ndarray:
+        """The (O, kh * kw * C + 1) block that stores ``<x>_w`` and ``<x>_b``
+        of ``group``, a C-contiguous slice of the vector."""
+        return self._views[1][group][x]
 
     def zeros_like(self) -> "ModelParams":
         """All-zero parameters of the same layout, e.g. a gradient."""
@@ -278,14 +301,8 @@ def init_model_params(config: ExperimentConfig, rng: np.random.Generator | None 
 
 def _with_ones(data: np.ndarray) -> np.ndarray:
     """A (C, H, W) map with a constant-one channel appended, so that a 1x1
-    mix (:func:`_mix`) of it, or of its taps, carries the mix's bias."""
+    mix's (C', C + 1) kernel block acts on it, or on its taps, bias and all."""
     return np.concatenate([data, np.ones((1,) + data.shape[1:])])
-
-
-def _mix(group: dict[str, np.ndarray], name: str) -> np.ndarray:
-    """A 1x1 mix kernel as (out, in + 1), its bias the last column: it acts
-    on a map with a ones channel appended, or on taps of one."""
-    return np.concatenate([group[f"{name}_w"][:, :, 0, 0], group[f"{name}_b"][:, None]], axis=1)
 
 
 # ---------------------------------------------------------- sample prep
@@ -313,7 +330,8 @@ class SampleStatic:
 
 def prepare_sample(params: ModelParams, sample, config: ExperimentConfig) -> SampleStatic:
     """Render one scene with its proposals, mix the primary map with the
-    primary encoder's frozen (C, C + 1) mix, and pool the maps into parts.
+    primary encoder's frozen (C, C + 1) kernel block, and pool the maps
+    into parts.
 
     ``sample`` is a :class:`TrainingSample`, or any scene-with-proposals
     (``.scene``, ``.proposals``) such as an eval scene, which has no
@@ -331,7 +349,7 @@ def prepare_sample(params: ModelParams, sample, config: ExperimentConfig) -> Sam
     weights = pooled_axis_weight_table(sizes, boxes, config.roi)
     parts = []
     if config.use_primary:
-        mix = _mix(params.groups[GROUP_PRIMARY], "mix")
+        mix = params.kernel(GROUP_PRIMARY, "mix")
         mixed = (mix @ _with_ones(last_map.data).reshape(mix.shape[1], -1)).reshape(-1, h, w)
         if config.use_simplefp:
             parts.append((GROUP_SIMPLEFP, simple_fp_taps(mixed, weights)))
@@ -357,12 +375,15 @@ def prepare_sample(params: ModelParams, sample, config: ExperimentConfig) -> Sam
 
 # ------------------------------------------------------------- forward
 
+# the kernel blocks of a group's tap blocks in block order: SimpleFP's up4 has none
+_BLOCKS = {GROUP_AUX: ("mix0", "mix1", "mix2", "mix3"), GROUP_SIMPLEFP: ("down", "same", "up2")}
+
+
 def _kernels(params: ModelParams, group: str) -> list[np.ndarray]:
     """Effective kernels of a group's tap blocks, in block order."""
-    g = params.groups[group]
     if group == GROUP_SIMPLEFP:
-        return simple_fp_kernels(g)
-    return [_mix(g, f"mix{i}") for i in range(4)]
+        return simple_fp_kernels(functools.partial(params.kernel, group))
+    return [params.kernel(group, x) for x in _BLOCKS[group]]
 
 
 def _freeze(params: ModelParams, s: SampleStatic, live: frozenset) -> SampleStatic:
@@ -446,9 +467,8 @@ def loss_and_grads(
         for grp in trainable:
             grads.vector[grads.spans[grp]] = 0.0
         return 0.0, grads
-    g = params.groups
     cache = _forward(params, s)
-    queries = g[GROUP_NEW_VOCAB]["queries"][s.query_idx]
+    queries = params.groups[GROUP_NEW_VOCAB]["queries"][s.query_idx]
     logits = cache.tokens @ queries.T
     loss = float(np.sum(bce_with_logits(logits, s.targets)))
     if not trainable:
@@ -458,8 +478,7 @@ def loss_and_grads(
     d_logits = probs - s.targets
 
     if GROUP_NEW_VOCAB in trainable:
-        # the group is this one array
-        dq = grads.vector[grads.spans[GROUP_NEW_VOCAB]].reshape(g[GROUP_NEW_VOCAB]["queries"].shape)
+        dq = grads.groups[GROUP_NEW_VOCAB]["queries"]
         dq[...] = 0.0
         np.add.at(dq, s.query_idx, d_logits.T @ cache.tokens)
 
@@ -469,26 +488,23 @@ def loss_and_grads(
     block_path = bool(live & trainable)
     if block_path or GROUP_CONNECTOR in trainable:
         d_tokens = d_logits @ queries
-        conn_grads, d_feats = connector_backward(
-            cache.connector, cache.features, d_tokens, hidden=cache.hidden, input_grad=block_path
+        _, d_feats = connector_backward(
+            cache.connector, cache.features, d_tokens, hidden=cache.hidden, input_grad=block_path,
+            out=grads.groups[GROUP_CONNECTOR] if GROUP_CONNECTOR in trainable else None,
         )
-        if GROUP_CONNECTOR in trainable:
-            grads.assign(GROUP_CONNECTOR, conn_grads)
-        # a block's kernel gradient is its columns of d_feats against its taps
+        # a block's kernel gradient is its columns of d_feats against its taps,
+        # written into the gradient's block of that kernel
         for grp, taps, kernels, end in cache.live:
             if grp not in trainable:
                 continue
-            d_kernels = []
-            for t, k in zip(taps, kernels):
+            targets = [grads.kernel(grp, x) for x in _BLOCKS[grp]] + [None]
+            for t, k, target in zip(taps, kernels, targets):
                 start, end = end, end + k.shape[0]
-                d_kernels.append(d_feats[:, start:end].T @ t)
-            if grp == GROUP_SIMPLEFP:
-                grads.assign(GROUP_SIMPLEFP, simple_fp_kernels_backward(g[GROUP_SIMPLEFP], d_kernels))
-            else:  # each (out, in + 1) aux mix as its weight and bias
-                d_aux = {}
-                for i, d in enumerate(d_kernels):
-                    d_aux[f"mix{i}_w"], d_aux[f"mix{i}_b"] = d[:, :-1, None, None], d[:, -1]
-                grads.assign(GROUP_AUX, d_aux)
+                d_kernel = np.matmul(d_feats[:, start:end].T, t, out=target)
+            if grp == GROUP_SIMPLEFP:  # the last, up4's, has no block
+                simple_fp_kernels_backward(
+                    functools.partial(params.kernel, grp), d_kernel, functools.partial(grads.kernel, grp)
+                )
     return loss, grads
 
 
@@ -592,22 +608,21 @@ def grad_check(config: ExperimentConfig) -> GradCheckReport:
     _, analytic = loss_and_grads(params, s, check_groups)
 
     step = 1e-5
+    flat = params.vector
     report: dict[str, dict] = {}
     for grp in sorted(check_groups):
         worst = 0.0
-        for name, arr in params.groups[grp].items():
-            flat = arr.ravel()
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + step
-                up, _ = loss_and_grads(params, s)
-                flat[i] = orig - step
-                down, _ = loss_and_grads(params, s)
-                flat[i] = orig
-                numeric = (up - down) / (2 * step)
-                a = analytic.groups[grp][name].ravel()[i]
-                rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-5)
-                worst = max(worst, rel)
-        n_checked = sum(arr.size for arr in params.groups[grp].values())
-        report[grp] = {"max_rel_error": worst, "entries_checked": n_checked}
+        span = params.spans[grp]
+        for i in range(span.start, span.stop):
+            orig = flat[i]
+            flat[i] = orig + step
+            up, _ = loss_and_grads(params, s)
+            flat[i] = orig - step
+            down, _ = loss_and_grads(params, s)
+            flat[i] = orig
+            numeric = (up - down) / (2 * step)
+            a = analytic.vector[i]
+            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-5)
+            worst = max(worst, rel)
+        report[grp] = {"max_rel_error": worst, "entries_checked": span.stop - span.start}
     return GradCheckReport(per_group=report, frozen_zero=[GROUP_ORIG_VOCAB])

@@ -6,6 +6,7 @@ criteria share the session-scoped default seed-7 run and the default
 five-seed ablation.
 """
 
+import functools
 import itertools
 import time
 
@@ -54,6 +55,8 @@ from regionkit.training import (
     GROUP_NEW_VOCAB,
     GROUP_ORIG_VOCAB,
     GROUP_PRIMARY,
+    GROUP_SIMPLEFP,
+    ModelParams,
     grad_check,
     init_model_params,
 )
@@ -162,13 +165,15 @@ def test_criterion_04_reference_dimension_contract():
     def identity_mix(c):
         return np.eye(c, c + 1)
 
-    fp = {f"{b}_{part}": getattr(k, attr) for b, k in params.kernels.items()
-          for part, attr in (("w", "weights"), ("b", "bias"))}
+    # the branch arrays stored as the trainer stores them, each kernel one block
+    fp = ModelParams({GROUP_SIMPLEFP: {f"{b}_{part}": getattr(k, attr) for b, k in params.kernels.items()
+                                       for part, attr in (("w", "weights"), ("b", "bias"))}})
     fuse_size = aux_fuse_size([(m.height, m.width) for m in aux_maps])
     weights = pooled_axis_weight_table(simple_fp_sizes(h, h) + [fuse_size], boxes)
     pri_taps = simple_fp_taps(last.data, weights)
     aux_taps = aux_fuse_taps([with_ones(m.data) for m in aux_maps], weights)
-    p_pri = np.concatenate([apply_taps(t, k) for t, k in zip(pri_taps, simple_fp_kernels(fp))], axis=1)
+    kernels = simple_fp_kernels(functools.partial(fp.kernel, GROUP_SIMPLEFP))
+    p_pri = np.concatenate([apply_taps(t, k) for t, k in zip(pri_taps, kernels)], axis=1)
     p_aux = np.concatenate([apply_taps(t, identity_mix(m.channels)) for t, m in zip(aux_taps, aux_maps)], axis=1)
     factored_diff = max(float(np.max(np.abs(p_pri - f_pri))), float(np.max(np.abs(p_aux - f_aux))))
     factored_ok = p_pri.shape == (2, 2048) and p_aux.shape == (2, 3840) and factored_diff <= 1e-12

@@ -197,9 +197,13 @@ def test_cli_gradcheck_flags_apply_to_its_small_config(tmp_path, capsys):
     assert (config["seed"], config["rejection_fraction"], config["d_llm"]) == (4, 1.0, 8)
 
 
-# config files that construct no config: a scene without objects or clutter has no proposal
+# config files a command refuses: a scene without objects or clutter has no
+# proposal, so the first constructs no config; the second constructs, but at
+# seeds 6 and 7 every eval scene drawn is without a proposal (seed 5 has one)
 REJECTED_CONFIG_FILES = {
     "no_proposals.json": {"world": {"min_objects": 0, "max_objects": 0}, "proposals": {"clutter_rate": 0.0}},
+    "empty_eval.json": {"world": {"min_objects": 0, "max_objects": 1},
+                        "proposals": {"clutter_rate": 0.0, "drop_rate": 0.99}},
 }
 
 
@@ -216,6 +220,10 @@ REJECTED_CONFIG_FILES = {
         (["validate-transcript", "transcript.jsonl", "--n-regions", "-1"], "--n-regions must be >= 1, got -1"),
         (["bench", "--config", "no_proposals.json"],
          "world.max_objects must be >= 1 when proposals.clutter_rate is 0"),
+        (["bench", "--config", "empty_eval.json"], "seed 7 draws no eval scene with a proposal; raise "
+         "proposals.clutter_rate or world.max_objects, or lower proposals.drop_rate"),
+        (["ablate", "--config", "empty_eval.json", "--seed", "5", "--n-seeds", "2"],
+         "seed 6 draws no eval scene with a proposal"),
     ],
 )
 def test_cli_reports_a_rejected_config_in_one_line(argv, message, capsys, tmp_path, tmp_path_factory, monkeypatch):

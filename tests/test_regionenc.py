@@ -240,10 +240,11 @@ def test_connector_gradcheck_wide_configuration():
     assert worst < 1e-4
 
 
-def oracle_connector_backward(conn, f_hybrid, upstream, hidden=None, input_grad=True):
+def oracle_connector_backward(conn, f_hybrid, upstream, hidden=None, input_grad=True, out=None):
     """The backward before it took the forward's activations: it recomputes
     the tanh layer and always returns the input gradient.  ``hidden`` and
-    ``input_grad`` are accepted and ignored."""
+    ``input_grad`` are accepted and ignored; the gradients are copied into
+    ``out``'s arrays, and those returned, when it is given."""
     f = np.atleast_2d(f_hybrid)
     g = np.atleast_2d(upstream)
     hidden = np.tanh(f @ conn.w1.T + conn.b1)
@@ -254,7 +255,12 @@ def oracle_connector_backward(conn, f_hybrid, upstream, hidden=None, input_grad=
     d_w1 = d_pre.T @ f
     d_b1 = d_pre.sum(axis=0)
     d_f = d_pre @ conn.w1
-    return {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}, d_f
+    grads = {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}
+    if out is not None:
+        for name, d in grads.items():
+            out[name][...] = d
+        grads = out
+    return grads, d_f
 
 
 def test_connector_backward_with_forward_activations_matches_recompute_bitwise():
@@ -269,6 +275,23 @@ def test_connector_backward_with_forward_activations_matches_recompute_bitwise()
     for name in want:
         assert grads[name].tobytes() == want[name].tobytes()
     assert connector_backward(conn, x, upstream, hidden=hidden, input_grad=False)[1] is None
+
+
+def test_connector_backward_writes_its_gradients_into_out():
+    rng = np.random.default_rng(10)
+    conn = Connector.seeded(7, 5, rng, hidden_dim=6)
+    x, upstream = rng.normal(size=(4, 7)), rng.normal(size=(4, 5))
+    want, want_d_in = connector_backward(conn, x, upstream)
+    buffer = np.full(sum(d.size for d in want.values()), np.nan)
+    out, start = {}, 0
+    for name, d in want.items():
+        out[name] = buffer[start : start + d.size].reshape(d.shape)
+        start += d.size
+    grads, d_in = connector_backward(conn, x, upstream, out=out)
+    assert d_in.tobytes() == want_d_in.tobytes()
+    for name, d in want.items():
+        assert grads[name] is out[name] and out[name].tobytes() == d.tobytes()
+    assert buffer.tobytes() == np.concatenate([d.ravel() for d in want.values()]).tobytes()
 
 
 def test_trained_parameters_equal_under_recomputing_backward(default_config, trained_default, monkeypatch):

@@ -1,5 +1,6 @@
 """Trainer: freeze schedule, determinism, gradients, divergence handling."""
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -174,11 +175,35 @@ def test_params_are_views_into_one_vector(tiny_config):
         span = params.spans[group]
         assert span.start == ends[-1]
         ends.append(span.stop)
-        flat = np.concatenate([arr.ravel() for arr in arrs.values()])
-        assert flat.tobytes() == params.vector[span].tobytes()
         for arr in arrs.values():
             assert np.shares_memory(arr, params.vector)
     assert ends[-1] == params.vector.size
+    # the named views partition each span: each view's index, written through
+    # it, fills exactly as many entries of the span as the view has
+    marked = init_model_params(tiny_config)
+    for group, arrs in marked.groups.items():
+        for i, arr in enumerate(arrs.values()):
+            arr[...] = i
+        counts = np.bincount(marked.vector[marked.spans[group]].astype(int), minlength=len(arrs))
+        assert counts.tolist() == [arr.size for arr in arrs.values()], group
+    # each kernel and its bias are one C-contiguous slice of the span:
+    # tap-major weights, then the bias, row by row
+    kernels = {g: [k[:-2] for k, a in arrs.items() if k.endswith("_w") and a.ndim == 4]
+               for g, arrs in params.groups.items()}
+    assert kernels == {
+        GROUP_PRIMARY: ["mix"], GROUP_AUX: [f"mix{i}" for i in range(4)],
+        GROUP_SIMPLEFP: ["down", "same", "up2", "up4_a", "up4_b"], GROUP_CONNECTOR: [],
+        GROUP_NEW_VOCAB: [], GROUP_ORIG_VOCAB: [],
+    }
+    for group, names in kernels.items():
+        span = params.spans[group]
+        for x in names:
+            block, w, b = params.kernel(group, x), params.groups[group][f"{x}_w"], params.groups[group][f"{x}_b"]
+            start = (block.__array_interface__["data"][0] - params.vector.__array_interface__["data"][0]) // 8
+            assert np.shares_memory(block, params.vector) and block.flags.c_contiguous
+            assert span.start <= start and start + block.size <= span.stop
+            want = np.concatenate([w.transpose(0, 2, 3, 1).reshape(w.shape[0], -1), b[:, None]], axis=1)
+            assert block.tobytes() == want.tobytes(), (group, x)
     before = {k: arr.copy() for k, arr in params.groups[GROUP_CONNECTOR].items()}
     params.vector[params.spans[GROUP_CONNECTOR]] += 1.0
     for k, arr in params.groups[GROUP_CONNECTOR].items():
@@ -193,6 +218,17 @@ def test_params_json_round_trip(tiny_config):
     params = init_model_params(tiny_config)
     back = ModelParams.from_json(params.to_json())
     assert back.checksums() == params.checksums()
+
+
+def test_default_bundle_bytes_are_fixed():
+    """The bundle is the named arrays in bundle order, however the vector
+    stores them: the default initial bundle hashes as it always has, and
+    loading it restores the vector byte for byte."""
+    params = init_model_params(ExperimentConfig())
+    bundle = params.to_json()
+    digest = hashlib.sha256(json.dumps(bundle).encode()).hexdigest()
+    assert digest == "24fca4c653526d0c7affafc20848ab55435e70747d967f529d3c9f30a647a121"
+    assert ModelParams.from_json(bundle).vector.tobytes() == params.vector.tobytes()
 
 
 _MALFORMED_ARRAYS = {

@@ -11,6 +11,16 @@ updated on its own (``p -= lr * d``).  ``train``, which turns frozen blocks
 into feature columns once per stage, reuses one gradient buffer per stage
 and updates one slice, must give bitwise the same losses and checksums.
 
+``oracle_loss_and_grads`` is ``training.loss_and_grads`` as it was
+before each kernel and its bias became one block of the parameter vector,
+kept verbatim but for returning its gradient as named arrays: every step
+builds each effective kernel from the named (O, C, kh, kw) arrays with
+``_mix`` and ``simple_fp_kernels``, takes each kernel gradient back to
+them with ``simple_fp_kernels_backward``, and copies every gradient into
+the buffer.  ``loss_and_grads``, which reads and writes the blocks in
+place, must give the same loss repr and the same bytes in every named
+gradient array.
+
 ``prepare_sample`` pools at every size from one pooling-weight pass; each
 size's weights must be byte for byte those of a pass of its own.
 """
@@ -21,9 +31,15 @@ import pytest
 from regionkit import training
 from regionkit.config import ExperimentConfig
 from regionkit.gridops import NonFiniteError
-from regionkit.roialign import pooled_axis_weights
+from regionkit.regionenc import connector_backward, connector_forward
+from regionkit.roialign import apply_taps, pooled_axis_weights
 from regionkit.simworld import EncoderConfig, SceneConfig, make_training_set
 from regionkit.training import (
+    GROUP_AUX,
+    GROUP_CONNECTOR,
+    GROUP_NEW_VOCAB,
+    GROUP_PRIMARY,
+    GROUP_SIMPLEFP,
     FreezeSchedule,
     TrainingDivergence,
     TrainingLog,
@@ -75,6 +91,165 @@ def oracle_train(config, dataset=None):
     return params, log
 
 
+def _mix(group, name):
+    return np.concatenate([group[f"{name}_w"][:, :, 0, 0], group[f"{name}_b"][:, None]], axis=1)
+
+
+def _tap_major(w):
+    return w.transpose(0, 2, 3, 1)
+
+
+def oracle_simple_fp_kernels(fp):
+    o = fp["same_b"].shape[0]
+    bias = {b: fp[f"{b}_b"][:, None] for b in ("down", "same", "up2", "up4_b")}
+    down = _tap_major(fp["down_w"]).reshape(o, -1)
+    same = fp["same_w"][:, :, 0, 0]
+    up2 = _tap_major(fp["up2_w"]).reshape(o, -1)
+    mid = _tap_major(fp["up4_a_w"])  # (F, a, b, C)
+    outer = _tap_major(fp["up4_b_w"]).reshape(4 * o, -1)  # rows (o, c, d)
+    up4 = (outer @ mid.reshape(mid.shape[0], -1)).reshape(o, 2, 2, 2, 2, -1)
+    up4 = up4.transpose(0, 3, 1, 4, 2, 5).reshape(o, -1)  # columns (a, c, b, d, C)
+    mid_bias = (outer @ fp["up4_a_b"]).reshape(o, 4)  # columns (c, d)
+    return [
+        np.concatenate([down, bias["down"]], axis=1),
+        np.concatenate([same, bias["same"]], axis=1),
+        np.concatenate([up2, bias["up2"]], axis=1),
+        np.concatenate([up4, mid_bias, bias["up4_b"]], axis=1),
+    ]
+
+
+def oracle_simple_fp_kernels_backward(fp, d_kernels):
+    d_down, d_same, d_up2, d_up4 = d_kernels
+    o = fp["same_w"].shape[0]
+    grads = {"down_b": d_down[:, -1], "same_b": d_same[:, -1], "up2_b": d_up2[:, -1]}
+
+    mid = _tap_major(fp["up4_a_w"])  # (F, a, b, C)
+    outer = _tap_major(fp["up4_b_w"]).reshape(4 * o, -1)
+    d_up4, d_mid_bias, grads["up4_b_b"] = d_up4[:, :-5], d_up4[:, -5:-1].reshape(-1), d_up4[:, -1]
+    d_prod = d_up4.reshape(o, 2, 2, 2, 2, -1).transpose(0, 2, 4, 1, 3, 5).reshape(4 * o, -1)
+    d_outer = d_prod @ mid.reshape(mid.shape[0], -1).T + np.outer(d_mid_bias, fp["up4_a_b"])
+    grads["up4_b_w"] = d_outer.reshape(o, 2, 2, -1).transpose(0, 3, 1, 2)
+    grads["up4_a_b"] = outer.T @ d_mid_bias
+
+    # each branch's effective kernel is its weights in tap-major order
+    d_branch = {"down": d_down[:, :-1], "same": d_same[:, :-1], "up2": d_up2[:, :-1], "up4_a": outer.T @ d_prod}
+    for branch, d_k in d_branch.items():
+        n_out, _, kh, kw = fp[f"{branch}_w"].shape
+        grads[f"{branch}_w"] = d_k.reshape(n_out, kh, kw, -1).transpose(0, 3, 1, 2)
+    return grads
+
+
+def _oracle_kernels(params, group):
+    g = params.groups[group]
+    if group == GROUP_SIMPLEFP:
+        return oracle_simple_fp_kernels(g)
+    return [_mix(g, f"mix{i}") for i in range(4)]
+
+
+def oracle_loss_and_grads(params, s, trainable):
+    """(loss, {group: {name: gradient}}) for every group of ``params``."""
+    # assign as it was: each requested group's arrays by name, all others zero
+    grads = {grp: {k: np.zeros_like(a) for k, a in arrs.items()} for grp, arrs in params.groups.items()}
+
+    def assign(group, arrays):
+        for k in grads[group]:
+            grads[group][k] = np.asarray(arrays[k]).reshape(grads[group][k].shape)
+
+    if s.query_idx.size == 0:
+        return 0.0, grads
+    g = params.groups
+    columns, cache_live, width = [], [], 0
+    for grp, arrays in s.parts:
+        if grp is not None:
+            kernels = _oracle_kernels(params, grp)
+            cache_live.append((grp, arrays, kernels, width))
+            arrays = [apply_taps(t, k) for t, k in zip(arrays, kernels)]
+        columns += arrays
+        width += sum(a.shape[1] for a in arrays)
+    features = np.concatenate(columns, axis=1) + s.epos
+    conn = params.connector
+    tokens, hidden = connector_forward(conn, features, with_hidden=True)
+    queries = g[GROUP_NEW_VOCAB]["queries"][s.query_idx]
+    logits = tokens @ queries.T
+    loss = float(np.sum(training.bce_with_logits(logits, s.targets)))
+    if not trainable:
+        return loss, grads
+
+    probs = 1.0 / (1.0 + np.exp(-logits))
+    d_logits = probs - s.targets
+
+    if GROUP_NEW_VOCAB in trainable:
+        dq = np.zeros_like(g[GROUP_NEW_VOCAB]["queries"])
+        np.add.at(dq, s.query_idx, d_logits.T @ tokens)
+        assign(GROUP_NEW_VOCAB, {"queries": dq})
+
+    live = {grp for grp, *_ in cache_live}
+    block_path = bool(live & trainable)
+    if block_path or GROUP_CONNECTOR in trainable:
+        d_tokens = d_logits @ queries
+        conn_grads, d_feats = connector_backward(conn, features, d_tokens, hidden=hidden, input_grad=block_path)
+        if GROUP_CONNECTOR in trainable:
+            assign(GROUP_CONNECTOR, conn_grads)
+        for grp, taps, kernels, end in cache_live:
+            if grp not in trainable:
+                continue
+            d_kernels = []
+            for t, k in zip(taps, kernels):
+                start, end = end, end + k.shape[0]
+                d_kernels.append(d_feats[:, start:end].T @ t)
+            if grp == GROUP_SIMPLEFP:
+                assign(GROUP_SIMPLEFP, oracle_simple_fp_kernels_backward(g[GROUP_SIMPLEFP], d_kernels))
+            else:  # each (out, in + 1) aux mix as its weight and bias
+                d_aux = {}
+                for i, d in enumerate(d_kernels):
+                    d_aux[f"mix{i}_w"], d_aux[f"mix{i}_b"] = d[:, :-1, None, None], d[:, -1]
+                assign(GROUP_AUX, d_aux)
+    return loss, grads
+
+
+def assert_same_step(params, s, trainable):
+    loss, grads = loss_and_grads(params, s, trainable)
+    want_loss, want = oracle_loss_and_grads(params, s, trainable)
+    assert repr(loss) == repr(want_loss)
+    assert set(grads.groups) == set(want)
+    for grp, arrs in want.items():
+        assert list(grads.groups[grp]) == list(arrs), grp
+        for name, d in arrs.items():
+            got = grads.groups[grp][name]
+            assert got.shape == d.shape and np.ascontiguousarray(got).tobytes() == d.tobytes(), (grp, name)
+
+
+def perturbed_params(config):
+    """The initial parameters with the aux mixes moved off identity, so their
+    weights and biases all reach the loss."""
+    params = init_model_params(config)
+    rng = np.random.default_rng(11)
+    for arr in params.groups[GROUP_AUX].values():
+        arr += rng.normal(0.0, 0.1, size=arr.shape)
+    return params
+
+
+def test_step_in_place_equals_step_through_named_arrays_at_default(default_config):
+    params = perturbed_params(default_config)
+    samples = seeded_training_set(default_config)[:60]
+    schedule = FreezeSchedule.from_config(default_config)
+    for sample in samples:
+        s = prepare_sample(params, sample, default_config)
+        for stage in (1, 2):
+            assert_same_step(params, s, schedule.trainable(stage))
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_step_in_place_equals_step_through_named_arrays(tiny_config, variant):
+    cfg = tiny_config.replace(**VARIANTS[variant])
+    params = perturbed_params(cfg)
+    schedule = FreezeSchedule.from_config(cfg)
+    for sample in seeded_training_set(cfg):
+        s = prepare_sample(params, sample, cfg)
+        for stage in (1, 2):
+            assert_same_step(params, s, schedule.trainable(stage))
+
+
 def assert_same_run(got, want):
     (got_params, got_log), (want_params, want_log) = got, want
     assert repr(got_log.losses) == repr(want_log.losses)
@@ -104,36 +279,47 @@ def test_reused_gradient_buffer_on_samples_without_queries(tiny_config):
 
 
 def test_frozen_work_runs_once_per_run_or_stage(tiny_config, monkeypatch):
-    """The primary mix is built once per sample per run, outside every step,
-    and no step builds a mix it does not train: stage-1 steps build none,
-    stage-2 steps only the four aux mixes."""
-    primary_mixes = 0
+    """The primary mix is read once per sample per run, outside every step,
+    and no step reads a mix it does not train: stage-1 steps read none,
+    stage-2 steps only the four aux mixes.  Every kernel a step applies is
+    a view of the parameter vector, but for SimpleFP's up4: the one kernel
+    a step builds."""
+    primary_reads = 0
     in_step = False
-    step_mixes = []
+    step_mixes, step_views, vectors = [], [], []
 
-    def counting_step(*args, _original=training.loss_and_grads, **kwargs):
+    def counting_step(params, *args, _original=training.loss_and_grads, **kwargs):
         nonlocal in_step
-        step_mixes.append([])
+        step_mixes.append(set())
+        step_views.append([])
+        vectors.append(params.vector)
         in_step = True
         try:
-            return _original(*args, **kwargs)
+            return _original(params, *args, **kwargs)
         finally:
             in_step = False
 
-    def counting_mix(group, name, _original=training._mix):
-        nonlocal primary_mixes
-        primary_mixes += name == "mix"
+    def counting_kernel(self, group, x, _original=training.ModelParams.kernel):
+        nonlocal primary_reads
+        primary_reads += (group, x) == (GROUP_PRIMARY, "mix")
+        if in_step and group in (GROUP_PRIMARY, GROUP_AUX):
+            step_mixes[-1].add(x)
+        return _original(self, group, x)
+
+    def recording_apply(taps, kernel, _original=training.apply_taps):
         if in_step:
-            step_mixes[-1].append(name)
-        return _original(group, name)
+            step_views[-1].append(np.shares_memory(kernel, vectors[-1]))
+        return _original(taps, kernel)
 
     monkeypatch.setattr(training, "loss_and_grads", counting_step)
-    monkeypatch.setattr(training, "_mix", counting_mix)
+    monkeypatch.setattr(training.ModelParams, "kernel", counting_kernel)
+    monkeypatch.setattr(training, "apply_taps", recording_apply)
     training.train(tiny_config)
-    assert primary_mixes == tiny_config.n_train_scenes
-    assert step_mixes == (
-        [[]] * tiny_config.stage1_steps + [[f"mix{i}" for i in range(4)]] * tiny_config.stage2_steps
-    )
+    stage1, stage2 = tiny_config.stage1_steps, tiny_config.stage2_steps
+    assert primary_reads == tiny_config.n_train_scenes
+    assert step_mixes == [set()] * stage1 + [{f"mix{i}" for i in range(4)}] * stage2
+    # SimpleFP's four levels, then in stage 2 the four aux mixes
+    assert step_views == [[True, True, True, False]] * stage1 + [[True, True, True, False] + [True] * 4] * stage2
 
 
 ENCODERS = {
