@@ -84,30 +84,32 @@ class EvalReport:
         return "\t".join(f"{v:.6f}" for v in cols)
 
 
-def _match(
-    dets: list[tuple[int, Box, float]],
-    gts: dict[int, list[Box]],
-    thr: float,
-) -> tuple[np.ndarray, int]:
-    """Greedy matching for one category; returns (tp flags in rank order, n_gt)."""
-    n_gt = sum(len(v) for v in gts.values())
+def _match(dets: list[tuple[int, Box, float]], gts: dict[int, list[Box]]) -> dict[float, np.ndarray]:
+    """Greedy matching for one category at every COCO IoU threshold: {thr:
+    tp flags in rank order}.  Each (detection, ground truth) IoU is computed
+    once; a pair below the lowest threshold can match at none, nor stop a
+    better pair from matching, so it is dropped."""
     order = sorted(range(len(dets)), key=lambda i: (-dets[i][2], i))
-    matched: dict[int, set[int]] = {img: set() for img in gts}
-    tp = np.zeros(len(dets))
-    for rank, i in enumerate(order):
+    lowest = min(COCO_IOU_THRESHOLDS)
+    ranked = []
+    for i in order:
         img, box, _conf = dets[i]
-        candidates = gts.get(img, [])
-        best_iou, best_j = 0.0, -1
-        for j, g in enumerate(candidates):
-            if j in matched.get(img, set()):
-                continue
-            v = iou(box, g)
-            if v > best_iou:
-                best_iou, best_j = v, j
-        if best_j >= 0 and best_iou >= thr:
-            matched[img].add(best_j)
-            tp[rank] = 1.0
-    return tp, n_gt
+        ious = ((j, iou(box, g)) for j, g in enumerate(gts.get(img, [])))
+        ranked.append((img, [(j, v) for j, v in ious if v >= lowest]))
+    tp_by_thr = {}
+    for thr in COCO_IOU_THRESHOLDS:
+        matched: dict[int, set[int]] = {img: set() for img in gts}
+        tp = np.zeros(len(dets))
+        for rank, (img, candidates) in enumerate(ranked):
+            best_iou, best_j = 0.0, -1
+            for j, v in candidates:
+                if v > best_iou and j not in matched[img]:
+                    best_iou, best_j = v, j
+            if best_j >= 0 and best_iou >= thr:
+                matched[img].add(best_j)
+                tp[rank] = 1.0
+        tp_by_thr[thr] = tp
+    return tp_by_thr
 
 
 def _interpolated_ap(tp: np.ndarray, n_gt: int) -> float:
@@ -166,7 +168,7 @@ def coco_map(
             for d in img_dets
             if d.label == cat
         ]
-        tp_by_thr = {thr: _match(dets, gts, thr)[0] for thr in COCO_IOU_THRESHOLDS}
+        tp_by_thr = _match(dets, gts)
         ap_by_cat_thr[cat] = {thr: _interpolated_ap(tp, n_gt) for thr, tp in tp_by_thr.items()}
         recall_by_cat[cat] = float(tp_by_thr[0.5].sum()) / n_gt if n_gt else 0.0
 

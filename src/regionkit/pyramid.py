@@ -26,14 +26,13 @@ boxes' pooling weights at the sizes they pool at (:func:`simple_fp_sizes`,
 (:func:`roialign.pooled_axis_weight_table`).  The pyramid's input is the
 primary encoder's output, a map whose mix does not train, so the taps are
 of that map; the fused maps' mixes train, so their taps are of the
-unmixed maps with a ones channel for the mix bias.  A pooled level is
-``roialign.apply_taps(taps, kernel)`` with an effective kernel: a fused
-map's 1x1 mix, or :func:`simple_fp_kernels` for the four levels, of which
-only up4's is not a branch's own kernel.  A kernel's gradient is the
-transposed product ``d_pooled.T @ taps``; :func:`simple_fp_kernels_backward`
-takes up4's back to its two branches.  The dense functions above are the
-oracle these are tested against; the branch wiring and the fuse rule are
-stated only in this module.
+unmixed maps with a ones channel for the mix bias.  Every tap block is
+what one kernel multiplies, ``roialign.apply_taps(taps, kernel)``: a fused
+map's 1x1 mix, or a pyramid branch's own kernel.  The two branches of up4
+chain: ``up4_b``'s taps are ``up4_a``'s output followed by a bias column.
+A kernel's gradient is the transposed product ``d_out.T @ taps``.  The
+dense functions above are the oracle these are tested against; the branch
+wiring and the fuse rule are stated only in this module.
 """
 
 from __future__ import annotations
@@ -57,6 +56,7 @@ from .gridops import (
 from .roialign import pooled_taps
 
 __all__ = [
+    "BRANCHES",
     "SimpleFPParams",
     "simple_fp",
     "simple_fp_backward",
@@ -64,13 +64,12 @@ __all__ = [
     "aux_fuse_backward",
     "simple_fp_sizes",
     "simple_fp_taps",
-    "simple_fp_kernels",
-    "simple_fp_kernels_backward",
     "aux_fuse_size",
     "aux_fuse_taps",
 ]
 
-_BRANCHES = ("down", "same", "up2", "up4_a", "up4_b")
+# the pyramid's branches, in the order of its levels and of their taps
+BRANCHES = ("down", "same", "up2", "up4_a", "up4_b")
 
 
 @dataclass
@@ -80,7 +79,7 @@ class SimpleFPParams:
     kernels: dict[str, Kernel] = field(default_factory=dict)
 
     def __post_init__(self):
-        missing = [b for b in _BRANCHES if b not in self.kernels]
+        missing = [b for b in BRANCHES if b not in self.kernels]
         if missing:
             raise ValueError(f"missing pyramid branches: {missing}")
 
@@ -197,7 +196,7 @@ def simple_fp_sizes(height: int, width: int) -> list[tuple[int, int]]:
 
 def simple_fp_taps(raw: np.ndarray, weights: dict) -> list[np.ndarray]:
     """Pooled taps of :func:`simple_fp`'s four levels on the (C, H, W) map
-    ``raw``, one (N, K) array each.
+    ``raw``: one array per branch, in :data:`BRANCHES` order.
 
     ``weights`` maps each size of :func:`simple_fp_sizes` to the boxes'
     per-axis pooling weights (:func:`roialign.pooled_axis_weight_table`).
@@ -206,19 +205,24 @@ def simple_fp_taps(raw: np.ndarray, weights: dict) -> list[np.ndarray]:
     the zero padding of the ``down`` branch pads that channel with zeros
     too, so it doubles as the mask that keeps the bias out of the padding.
 
-    Level l pools to ``apply_taps(taps[l], kernels[l])`` with the kernels
-    of :func:`simple_fp_kernels`.  The columns are (tap_y, tap_x, channel)
-    products, then the level's bias columns:
+    Each array is what its branch's (O, kh * kw * C + 1) kernel block
+    multiplies: (tap_y, tap_x, channel) products, then the bias columns.
+    ``down``, ``same`` and ``up2`` pool to ``apply_taps(taps, kernel)``:
 
-    * ``down``: 3 x 3 taps at index 2y + t of the zero-padded map, then
-      the row sum S that carries the branch bias;
-    * ``same``: 1 tap, then S;
-    * ``up2``: 2 x 2 taps by output parity, then S;
-    * ``up4``: 4 x 4 taps at index 4y + 2a + c (a from ``up4_a``, c from
-      ``up4_b``), then the per-parity sums R[c, d] that carry ``up4_a``'s
-      bias, then S.
+    * ``down``: (N, 9 C + 1), 3 x 3 taps at index 2y + t of the zero-padded
+      map, then the row sum S that carries the branch bias;
+    * ``same``: (N, C + 1), 1 tap, then S;
+    * ``up2``: (N, 4 C + 1), 2 x 2 taps by output parity, then S.
+
+    up4 chains two branches, and its two arrays are what each reads.
+    ``up4_a``'s is an (N, 4, 4 C + 1) block with one row per output parity
+    (c, d) of ``up4_b``: the 2 x 2 (a, b) taps at index 4y + 2a + c, then
+    the parity sum R[c, d] that carries ``up4_a``'s bias.  ``up4_b``'s is
+    the (N, 1) column S, which follows ``up4_a``'s (N, 4, F) output
+    flattened per box: up4 pools to ``apply_taps([apply_taps(block,
+    up4_a) | S], up4_b)``.
     """
-    _, h, w = raw.shape
+    c, h, w = raw.shape
     if min(h, w) < 4:
         raise ValueError("input map must be at least 4x4 for the stride-2 branch")
     down, same, up2, up4 = (weights[size] for size in simple_fp_sizes(h, w))
@@ -233,46 +237,12 @@ def simple_fp_taps(raw: np.ndarray, weights: dict) -> list[np.ndarray]:
     taps = pooled_taps(raw, _deconv_gather(a_y, 2), _deconv_gather(a_x, 2))
     levels.append(np.concatenate([taps, _row_sums(a_y, a_x)], axis=1))
     a_y, a_x = up4
-    taps = pooled_taps(raw, _deconv_gather(a_y, 4), _deconv_gather(a_x, 4))
     n = a_y.shape[0]
+    taps = pooled_taps(raw, _deconv_gather(a_y, 4), _deconv_gather(a_x, 4)).reshape(n, 2, 2, 2, 2, c)
     parity = _deconv_gather(a_y, 2).sum(axis=2)[:, :, None] * _deconv_gather(a_x, 2).sum(axis=2)[:, None, :]
-    levels.append(np.concatenate([taps, parity.reshape(n, 4), _row_sums(a_y, a_x)], axis=1))
-    return levels
-
-
-def simple_fp_kernels(kernel) -> list[np.ndarray]:
-    """Effective (O, K) kernels of :func:`simple_fp`'s four levels: level l
-    pools to ``apply_taps(taps[l], kernels[l])`` for the taps of
-    :func:`simple_fp_taps`.  ``kernel(branch)`` is a branch's (O, kh * kw *
-    C + 1) block: tap-major (kh, kw, C) weights, then the bias.  Those of
-    ``down``, ``same`` and ``up2`` are their levels' kernels; ``up4``'s is
-    built from the ``up4_a`` and ``up4_b`` blocks."""
-    mid, up4_b = kernel("up4_a"), kernel("up4_b")  # (F, (a, b, C) + 1), (O, (c, d, F) + 1)
-    o = up4_b.shape[0]
-    outer = up4_b[:, :-1].reshape(4 * o, -1)  # rows (o, c, d)
-    # columns (a, c, b, d, C), then (c, d) for up4_a's bias, then up4_b's bias
-    up4 = np.empty((o, 4 * mid.shape[1] + 1))
-    prod = (outer @ mid[:, :-1]).reshape(o, 2, 2, 2, 2, -1)  # (o, c, d, a, b, C)
-    up4[:, :-5].reshape(prod.shape)[...] = prod.transpose(0, 3, 1, 4, 2, 5)
-    up4[:, -5:-1] = (outer @ mid[:, -1]).reshape(o, 4)
-    up4[:, -1] = up4_b[:, -1]
-    return [kernel("down"), kernel("same"), kernel("up2"), up4]
-
-
-def simple_fp_kernels_backward(kernel, d_up4: np.ndarray, grad) -> None:
-    """Adjoint of :func:`simple_fp_kernels` for a gradient ``d_up4`` on the
-    up4 kernel, written into the blocks ``grad("up4_a")`` and
-    ``grad("up4_b")``; the other three kernels are blocks themselves."""
-    mid, up4_b = kernel("up4_a"), kernel("up4_b")
-    o = up4_b.shape[0]
-    outer = up4_b[:, :-1].reshape(4 * o, -1)
-    d_mid_bias = d_up4[:, -5:-1].reshape(-1)
-    d_prod = d_up4[:, :-5].reshape(o, 2, 2, 2, 2, -1).transpose(0, 2, 4, 1, 3, 5).reshape(4 * o, -1)
-    d_mid, d_up4_b = grad("up4_a"), grad("up4_b")
-    d_up4_b[:, :-1] = (d_prod @ mid[:, :-1].T + np.outer(d_mid_bias, mid[:, -1])).reshape(o, -1)
-    d_up4_b[:, -1] = d_up4[:, -1]
-    d_mid[:, :-1] = outer.T @ d_prod
-    d_mid[:, -1] = outer.T @ d_mid_bias
+    # columns (a, c, b, d, C) to rows (c, d) of columns (a, b, C)
+    block = np.concatenate([taps.transpose(0, 2, 4, 1, 3, 5).reshape(n, 4, 4 * c), parity.reshape(n, 4, 1)], axis=2)
+    return levels + [block, _row_sums(a_y, a_x)]
 
 
 def aux_fuse_taps(raw_maps: list[np.ndarray], weights: dict) -> list[np.ndarray]:

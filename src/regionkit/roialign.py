@@ -255,12 +255,13 @@ def pooled_taps(map_data: np.ndarray, g_y: np.ndarray, g_x: np.ndarray) -> np.nd
 
 
 def apply_taps(taps: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """(N, O) features taps @ kernel.T for (N, K) taps and an (O, K) kernel.
+    """(N, O) features taps @ kernel.T for (N, K) taps and an (O, K) kernel,
+    or (N, R, O) for (N, R, K) taps.
 
-    A stacked product computes each box's row on its own; one (N, K) matrix
+    A stacked product computes each row on its own; one (N, K) matrix
     product may round a row differently depending on where it sits.
     """
-    return np.matmul(taps[:, None, :], kernel.T)[:, 0]
+    return np.matmul(taps[..., None, :], kernel.T)[..., 0, :]
 
 
 def roi_align_pooled(fmap: FeatureMap, boxes: list[Box], cfg: RoiConfig = RoiConfig()) -> np.ndarray:

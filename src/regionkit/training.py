@@ -33,7 +33,8 @@ the frozen encoder's output; a group frozen for a stage has constant
 kernels, so its blocks become feature columns once per stage; one
 gradient buffer serves a stage; and each kernel is stored as the block a
 step multiplies (:class:`ModelParams`), so a step reads its kernels and
-writes their gradients in place.
+writes their gradients in place and builds no kernel: SimpleFP's up4 runs
+as its two branches' blocks, one after the other.
 """
 
 from __future__ import annotations
@@ -49,11 +50,10 @@ import numpy as np
 from .config import ExperimentConfig
 from .gridops import NonFiniteError
 from .pyramid import (
+    BRANCHES,
     SimpleFPParams,
     aux_fuse_size,
     aux_fuse_taps,
-    simple_fp_kernels,
-    simple_fp_kernels_backward,
     simple_fp_sizes,
     simple_fp_taps,
 )
@@ -313,13 +313,15 @@ class SampleStatic:
     no parameter a step trains can change.
 
     ``parts`` are the region feature's parts in order, each (group, arrays):
-    the tap blocks whose kernels that group's parameters build, or, with
-    group None, feature columns.  With SimpleFP on, the primary part is the
-    four levels of :func:`pyramid.simple_fp_taps` of the mixed primary map
-    (group ``simplefp``); with it off, that map's own pooled columns.  Then
-    the four blocks of :func:`pyramid.aux_fuse_taps` of the auxiliary maps,
-    each with a ones channel for its mix bias (group ``aux_encoder``).  A
-    stream that is off has no part.
+    the tap blocks of that group's kernel blocks, one per block in order,
+    or, with group None, feature columns.  With SimpleFP
+    on, the primary part is the five arrays of :func:`pyramid.simple_fp_taps`
+    of the mixed primary map (group ``simplefp``): three levels, then up4's
+    (N, 4, K) ``up4_a`` block, whose output leads ``up4_b``'s taps, and the
+    row-sum column that ends them.  With it off, that map's own pooled
+    columns.  Then the four blocks of :func:`pyramid.aux_fuse_taps` of the
+    auxiliary maps, each with a ones channel for its mix bias (group
+    ``aux_encoder``).  A stream that is off has no part.
     """
 
     parts: list[tuple[str | None, list[np.ndarray]]]
@@ -375,15 +377,22 @@ def prepare_sample(params: ModelParams, sample, config: ExperimentConfig) -> Sam
 
 # ------------------------------------------------------------- forward
 
-# the kernel blocks of a group's tap blocks in block order: SimpleFP's up4 has none
-_BLOCKS = {GROUP_AUX: ("mix0", "mix1", "mix2", "mix3"), GROUP_SIMPLEFP: ("down", "same", "up2")}
+# the kernel blocks of a group, in the order of its tap blocks
+_BLOCKS = {GROUP_AUX: ("mix0", "mix1", "mix2", "mix3"), GROUP_SIMPLEFP: BRANCHES}
 
 
-def _kernels(params: ModelParams, group: str) -> list[np.ndarray]:
-    """Effective kernels of a group's tap blocks, in block order."""
-    if group == GROUP_SIMPLEFP:
-        return simple_fp_kernels(functools.partial(params.kernel, group))
-    return [params.kernel(group, x) for x in _BLOCKS[group]]
+def _apply(params: ModelParams, group: str, arrays: list[np.ndarray]) -> tuple[list, list]:
+    """(the taps each kernel block of ``group`` multiplies, the feature
+    columns): each block applied to its tap block.  A 3-D (N, R, K) tap
+    block is an inner branch: its (N, R, O) output, flattened per box and
+    followed by the next array, is the next block's taps."""
+    taps, columns = [], []
+    for t, x in zip(arrays, _BLOCKS[group]):
+        if taps and taps[-1].ndim == 3:
+            t = np.concatenate([columns.pop().reshape(len(t), -1), t], axis=1)
+        taps.append(t)
+        columns.append(apply_taps(t, params.kernel(group, x)))
+    return taps, columns
 
 
 def _freeze(params: ModelParams, s: SampleStatic, live: frozenset) -> SampleStatic:
@@ -391,8 +400,7 @@ def _freeze(params: ModelParams, s: SampleStatic, live: frozenset) -> SampleStat
     their feature columns: within a stage, a frozen group's kernels are
     constant."""
     parts = [
-        (grp, arrays) if grp is None or grp in live
-        else (None, [apply_taps(t, k) for t, k in zip(arrays, _kernels(params, grp))])
+        (grp, arrays) if grp is None or grp in live else (None, _apply(params, grp, arrays)[1])
         for grp, arrays in s.parts
     ]
     return dataclasses.replace(s, parts=parts)
@@ -400,8 +408,9 @@ def _freeze(params: ModelParams, s: SampleStatic, live: frozenset) -> SampleStat
 
 @dataclass
 class _ForwardCache:
-    # per part with tap blocks: its group, taps, kernels and first feature column
-    live: list[tuple[str, list[np.ndarray], list[np.ndarray], int]]
+    # per part with tap blocks: its group, the taps of each kernel block and
+    # its first feature column
+    live: list[tuple[str, list[np.ndarray], int]]
     connector: Connector
     features: np.ndarray
     hidden: np.ndarray  # the connector's tanh activations
@@ -409,15 +418,14 @@ class _ForwardCache:
 
 
 def _forward(params: ModelParams, s: SampleStatic) -> _ForwardCache:
-    """Pooled features as each tap block contracted with its effective
-    kernel, beside the feature columns, then the connector.  No feature map
-    is built."""
+    """Pooled features as each tap block contracted with its kernel block,
+    beside the feature columns, then the connector.  No feature map or
+    kernel is built."""
     columns, live, width = [], [], 0
     for grp, arrays in s.parts:
         if grp is not None:
-            kernels = _kernels(params, grp)
-            live.append((grp, arrays, kernels, width))
-            arrays = [apply_taps(t, k) for t, k in zip(arrays, kernels)]
+            taps, arrays = _apply(params, grp, arrays)
+            live.append((grp, taps, width))
         columns += arrays
         width += sum(a.shape[1] for a in arrays)
     features = np.concatenate(columns, axis=1) + s.epos
@@ -492,19 +500,23 @@ def loss_and_grads(
             cache.connector, cache.features, d_tokens, hidden=cache.hidden, input_grad=block_path,
             out=grads.groups[GROUP_CONNECTOR] if GROUP_CONNECTOR in trainable else None,
         )
-        # a block's kernel gradient is its columns of d_feats against its taps,
-        # written into the gradient's block of that kernel
-        for grp, taps, kernels, end in cache.live:
+        # a block's kernel gradient is the gradient on its output against its
+        # taps, written into the gradient's block of that kernel; an inner
+        # branch's output gradient is that on the leading taps of the next block
+        for grp, taps, col in cache.live:
             if grp not in trainable:
                 continue
-            targets = [grads.kernel(grp, x) for x in _BLOCKS[grp]] + [None]
-            for t, k, target in zip(taps, kernels, targets):
-                start, end = end, end + k.shape[0]
-                d_kernel = np.matmul(d_feats[:, start:end].T, t, out=target)
-            if grp == GROUP_SIMPLEFP:  # the last, up4's, has no block
-                simple_fp_kernels_backward(
-                    functools.partial(params.kernel, grp), d_kernel, functools.partial(grads.kernel, grp)
-                )
+            names = _BLOCKS[grp]
+            for i, t in enumerate(taps):
+                d_kernel = grads.kernel(grp, names[i])
+                o = d_kernel.shape[0]
+                if t.ndim == 3:
+                    outer = params.kernel(grp, names[i + 1])
+                    d = (d_feats[:, col : col + outer.shape[0]] @ outer[:, : t.shape[1] * o]).reshape(-1, o)
+                    t = t.reshape(-1, t.shape[2])
+                else:
+                    d, col = d_feats[:, col : col + o], col + o
+                np.matmul(d.T, t, out=d_kernel)
     return loss, grads
 
 

@@ -31,7 +31,6 @@ from regionkit.pyramid import (
     aux_fuse_size,
     aux_fuse_taps,
     simple_fp,
-    simple_fp_kernels,
     simple_fp_sizes,
     simple_fp_taps,
 )
@@ -172,8 +171,14 @@ def test_criterion_04_reference_dimension_contract():
     weights = pooled_axis_weight_table(simple_fp_sizes(h, h) + [fuse_size], boxes)
     pri_taps = simple_fp_taps(last.data, weights)
     aux_taps = aux_fuse_taps([with_ones(m.data) for m in aux_maps], weights)
-    kernels = simple_fp_kernels(functools.partial(fp.kernel, GROUP_SIMPLEFP))
-    p_pri = np.concatenate([apply_taps(t, k) for t, k in zip(pri_taps, kernels)], axis=1)
+    # each branch's kernel block times its taps; up4_b's taps are up4_a's
+    # output per box, then the row-sum column
+    kernel = functools.partial(fp.kernel, GROUP_SIMPLEFP)
+    *level_taps, up4_block, up4_sum = pri_taps
+    pooled = [apply_taps(t, kernel(b)) for t, b in zip(level_taps, ("down", "same", "up2"))]
+    mid = apply_taps(up4_block, kernel("up4_a")).reshape(len(boxes), -1)
+    pooled.append(apply_taps(np.concatenate([mid, up4_sum], axis=1), kernel("up4_b")))
+    p_pri = np.concatenate(pooled, axis=1)
     p_aux = np.concatenate([apply_taps(t, identity_mix(m.channels)) for t, m in zip(aux_taps, aux_maps)], axis=1)
     factored_diff = max(float(np.max(np.abs(p_pri - f_pri))), float(np.max(np.abs(p_aux - f_aux))))
     factored_ok = p_pri.shape == (2, 2048) and p_aux.shape == (2, 3840) and factored_diff <= 1e-12

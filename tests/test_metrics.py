@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from naive_eval import naive_report
+from regionkit import metrics
 from regionkit.metrics import (
     COCO_IOU_THRESHOLDS,
     EvalReport,
@@ -224,6 +225,69 @@ def test_coco_map_matches_naive_on_random_multi_category():
         report = coco_map(det_map, gt)
         naive = naive_report(naive_in, gt)
         assert abs(report.ap_mean - naive["ap_mean"]) < 1e-9
+
+
+def oracle_match(dets, gts, thr):
+    """``metrics._match`` as it was: one threshold per call, every IoU
+    computed again at each."""
+    n_gt = sum(len(v) for v in gts.values())
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i][2], i))
+    matched = {img: set() for img in gts}
+    tp = np.zeros(len(dets))
+    for rank, i in enumerate(order):
+        img, box, _conf = dets[i]
+        candidates = gts.get(img, [])
+        best_iou, best_j = 0.0, -1
+        for j, g in enumerate(candidates):
+            if j in matched.get(img, set()):
+                continue
+            v = iou(box, g)
+            if v > best_iou:
+                best_iou, best_j = v, j
+        if best_j >= 0 and best_iou >= thr:
+            matched[img].add(best_j)
+            tp[rank] = 1.0
+    return tp, n_gt
+
+
+def test_coco_map_equals_matching_each_threshold_on_its_own(monkeypatch):
+    """One IoU pass for all ten thresholds gives reports equal to matching
+    each threshold with its own IoUs, with tied confidences, repeated boxes
+    and equal IoUs."""
+    rng = np.random.default_rng(17)
+    # exact binary fractions, so that IoUs tie exactly: boxes of one size a
+    # step apart (one between two others has equal IoUs with both), and
+    # half boxes (IoU 0.5 with the whole)
+    grid = [B(x, y, x + w, y + h) for x in (0.0, 0.125, 0.25, 0.375) for y in (0.0, 0.125)
+            for w in (0.5, 0.625) for h in (w, w / 2)]
+
+    def box():
+        if rng.uniform() < 0.7:
+            return grid[int(rng.integers(len(grid)))]
+        x1, y1 = rng.uniform(0, 0.5, size=2)
+        return B(x1, y1, x1 + rng.uniform(0.1, 0.5), y1 + rng.uniform(0.1, 0.5))
+
+    def cat():
+        return str(rng.choice(["a", "b"]))
+
+    cases = []
+    for _ in range(300):
+        gt = {img: [(cat(), box()) for _ in range(int(rng.integers(0, 5)))] for img in range(3)}
+        dets = {img: [D(box(), cat(), float(rng.choice([0.3, 0.5, 0.7]))) for _ in range(int(rng.integers(0, 7)))]
+                for img in range(3)}
+        cases.append((dets, gt))
+    # the middle detection ties between both truths, and which it takes
+    # decides the second at IoU 0.65 to 0.75; a half box has IoU 0.5
+    g1, g2, mid = B(0.0, 0.0, 0.5, 0.5), B(0.125, 0.0, 0.625, 0.5), B(0.0625, 0.0, 0.5625, 0.5)
+    cases.append(({0: [D(mid, "a", 0.9), D(g1, "a", 0.5)]}, {0: [("a", g1), ("a", g2)]}))
+    cases.append(({0: [D(B(0.0, 0.0, 0.5, 0.25), "a", 0.9)]}, {0: [("a", g1)]}))
+    got = [coco_map(dets, gt, categories=["a", "b"]) for dets, gt in cases]
+    monkeypatch.setattr(
+        metrics, "_match", lambda dets, gts: {thr: oracle_match(dets, gts, thr)[0] for thr in COCO_IOU_THRESHOLDS}
+    )
+    want = [coco_map(dets, gt, categories=["a", "b"]) for dets, gt in cases]
+    assert got == want
+    assert len({r.ap_mean for r in want}) > 20  # the cases reach many different reports
 
 
 # --------------------------------------------------------------- counting

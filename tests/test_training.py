@@ -355,6 +355,20 @@ def test_training_forward_equals_oracle_composition(tiny_config, variant):
                 assert_rel_close(got.groups[group][name], arr, f"{group}/{name}")
 
 
+@pytest.mark.parametrize("variant", sorted(ORACLE_CASES))
+def test_prepared_parts_pin_no_larger_array(tiny_config, variant):
+    """A run keeps every prepared sample, as prepared and with its frozen
+    blocks as feature columns: each array of its parts owns its memory or
+    views an array no larger than itself, so it keeps no bigger one alive."""
+    cfg = tiny_config.replace(**ORACLE_CASES[variant])
+    params = init_model_params(cfg)
+    for sample in make_training_set(3, 0.5, seed=5, scene_config=cfg.world, proposal_config=cfg.proposals):
+        s = prepare_sample(params, sample, cfg)
+        for grp, arrays in s.parts + training._freeze(params, s, frozenset()).parts:
+            for a in arrays:
+                assert a.base is None or a.base.nbytes <= a.nbytes, (grp, a.shape, a.base.shape)
+
+
 _DENSE_OPS = (
     "conv2d", "deconv2d", "bilinear_resize", "conv2d_backward", "deconv2d_backward",
     "bilinear_resize_grad", "pooled_apply",

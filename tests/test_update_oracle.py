@@ -17,9 +17,12 @@ kept verbatim but for returning its gradient as named arrays: every step
 builds each effective kernel from the named (O, C, kh, kw) arrays with
 ``_mix`` and ``simple_fp_kernels``, takes each kernel gradient back to
 them with ``simple_fp_kernels_backward``, and copies every gradient into
-the buffer.  ``loss_and_grads``, which reads and writes the blocks in
-place, must give the same loss repr and the same bytes in every named
-gradient array.
+the buffer.  SimpleFP's up4 level is one built kernel there, fed up4's
+taps in the single-block order of that time (``built_up4_taps``).
+``loss_and_grads``, which reads and writes the blocks in place and runs
+up4 as its two stored blocks, must give the same loss repr and the same
+bytes in every named gradient array without SimpleFP; with it the
+summation order differs, and they must agree to 1e-12 relative.
 
 ``prepare_sample`` pools at every size from one pooling-weight pass; each
 size's weights must be byte for byte those of a pass of its own.
@@ -139,6 +142,16 @@ def oracle_simple_fp_kernels_backward(fp, d_kernels):
     return grads
 
 
+def built_up4_taps(levels):
+    """SimpleFP's four tap blocks as the built up4 kernel reads them, from
+    the five of ``simple_fp_taps``: up4's columns (a, c, b, d, C), then the
+    parity sums R[c, d], then the row sum S."""
+    down, same, up2, block, total = levels
+    n = len(block)
+    taps = block[:, :, :-1].reshape(n, 2, 2, 2, 2, -1).transpose(0, 3, 1, 4, 2, 5).reshape(n, -1)
+    return [down, same, up2, np.concatenate([taps, block[:, :, -1], total], axis=1)]
+
+
 def _oracle_kernels(params, group):
     g = params.groups[group]
     if group == GROUP_SIMPLEFP:
@@ -160,6 +173,8 @@ def oracle_loss_and_grads(params, s, trainable):
     g = params.groups
     columns, cache_live, width = [], [], 0
     for grp, arrays in s.parts:
+        if grp == GROUP_SIMPLEFP:
+            arrays = built_up4_taps(arrays)
         if grp is not None:
             kernels = _oracle_kernels(params, grp)
             cache_live.append((grp, arrays, kernels, width))
@@ -207,16 +222,25 @@ def oracle_loss_and_grads(params, s, trainable):
     return loss, grads
 
 
-def assert_same_step(params, s, trainable):
+def assert_same_step(params, s, trainable, exact):
+    """Bitwise equal when ``exact``, else within 1e-12 of each array's (and
+    the loss's) largest magnitude."""
     loss, grads = loss_and_grads(params, s, trainable)
     want_loss, want = oracle_loss_and_grads(params, s, trainable)
-    assert repr(loss) == repr(want_loss)
+    if exact:
+        assert repr(loss) == repr(want_loss)
+    else:
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
     assert set(grads.groups) == set(want)
     for grp, arrs in want.items():
         assert list(grads.groups[grp]) == list(arrs), grp
         for name, d in arrs.items():
             got = grads.groups[grp][name]
-            assert got.shape == d.shape and np.ascontiguousarray(got).tobytes() == d.tobytes(), (grp, name)
+            assert got.shape == d.shape, (grp, name)
+            if exact:
+                assert np.ascontiguousarray(got).tobytes() == d.tobytes(), (grp, name)
+            else:
+                assert np.max(np.abs(got - d), initial=0.0) <= 1e-12 * np.max(np.abs(d), initial=0.0), (grp, name)
 
 
 def perturbed_params(config):
@@ -236,7 +260,7 @@ def test_step_in_place_equals_step_through_named_arrays_at_default(default_confi
     for sample in samples:
         s = prepare_sample(params, sample, default_config)
         for stage in (1, 2):
-            assert_same_step(params, s, schedule.trainable(stage))
+            assert_same_step(params, s, schedule.trainable(stage), exact=False)
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
@@ -247,7 +271,7 @@ def test_step_in_place_equals_step_through_named_arrays(tiny_config, variant):
     for sample in seeded_training_set(cfg):
         s = prepare_sample(params, sample, cfg)
         for stage in (1, 2):
-            assert_same_step(params, s, schedule.trainable(stage))
+            assert_same_step(params, s, schedule.trainable(stage), exact=not cfg.use_simplefp)
 
 
 def assert_same_run(got, want):
@@ -282,8 +306,7 @@ def test_frozen_work_runs_once_per_run_or_stage(tiny_config, monkeypatch):
     """The primary mix is read once per sample per run, outside every step,
     and no step reads a mix it does not train: stage-1 steps read none,
     stage-2 steps only the four aux mixes.  Every kernel a step applies is
-    a view of the parameter vector, but for SimpleFP's up4: the one kernel
-    a step builds."""
+    a view of the parameter vector: no step builds a kernel."""
     primary_reads = 0
     in_step = False
     step_mixes, step_views, vectors = [], [], []
@@ -318,8 +341,8 @@ def test_frozen_work_runs_once_per_run_or_stage(tiny_config, monkeypatch):
     stage1, stage2 = tiny_config.stage1_steps, tiny_config.stage2_steps
     assert primary_reads == tiny_config.n_train_scenes
     assert step_mixes == [set()] * stage1 + [{f"mix{i}" for i in range(4)}] * stage2
-    # SimpleFP's four levels, then in stage 2 the four aux mixes
-    assert step_views == [[True, True, True, False]] * stage1 + [[True, True, True, False] + [True] * 4] * stage2
+    # SimpleFP's five branches, then in stage 2 the four aux mixes
+    assert step_views == [[True] * 5] * stage1 + [[True] * 9] * stage2
 
 
 ENCODERS = {
