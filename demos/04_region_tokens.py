@@ -27,9 +27,10 @@ def main():
 
     params = init_model_params(config)
     sample = prepare_sample(params, EvalScene(scene, proposals), config)
-    for group, blocks in sample.parts:  # SimpleFP's up4_a block has one row of taps per output parity
+    # SimpleFP's up4_a block has one row of taps per output parity; the four aux maps' blocks are stacked
+    for group, blocks in sample.parts:
         shapes = " ".join("x".join(map(str, t.shape[1:])) for t in blocks)
-        print(f"pooled taps of {group}: {len(blocks)} blocks, per proposal {shapes}")
+        print(f"pooled taps of {group}, per proposal: {shapes}")
     print(f"hybrid feature length: {config.d_p} primary + {config.d_a} auxiliary = {config.d_total}")
 
     tokens = region_token_matrix(params, sample)

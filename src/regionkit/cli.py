@@ -38,8 +38,8 @@ CONFIG_FLAGS = (
 
 
 class _ConfigError(Exception):
-    """A config file or flag that cannot be used: :func:`main` reports it
-    in one line, before the command writes anything."""
+    """A config file, flag or input file that cannot be used: :func:`main`
+    reports it in one line, before the command writes anything."""
 
 
 def _load_config(args, default: ExperimentConfig = ExperimentConfig()) -> ExperimentConfig:
@@ -143,9 +143,12 @@ def cmd_ablate(args) -> int:
 def cmd_validate_transcript(args) -> int:
     """Validate a transcript file: one JSON-escaped response string per line."""
     _check_count("--n-regions", args.n_regions, 1)
-    path = Path(args.file)
+    try:
+        lines = Path(args.file).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _ConfigError(f"cannot read transcript {args.file}: {exc}") from exc
     failures = 0
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
         try:

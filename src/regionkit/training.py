@@ -29,17 +29,16 @@ has a zero gradient, so no step changes it.
 
 A step does only the work a step can change.  The primary mix never
 trains, so :func:`prepare_sample` applies it to the rendered map once, as
-the frozen encoder's output; a group frozen for a stage has constant
-kernels, so its blocks become feature columns once per stage; one
-gradient buffer serves a stage; and each kernel is stored as the block a
-step multiplies (:class:`ModelParams`), so a step reads its kernels and
-writes their gradients in place and builds no kernel: SimpleFP's up4 runs
-as its two branches' blocks, one after the other.
+the frozen encoder's output.  Each kernel is stored as the block a step
+multiplies (:class:`ModelParams`).  At each stage's start every sample is
+bound once: a group the stage freezes has constant kernels, so its blocks
+become feature columns, and each block that trains becomes one product
+over views of the vector, of the stage's gradient buffer and of a scratch
+all samples share.  A step runs that fixed list of in-place products.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
 import math
@@ -58,7 +57,7 @@ from .pyramid import (
     simple_fp_taps,
 )
 from .regionenc import Connector, connector_backward, connector_forward, positional_embedding_matrix
-from .roialign import apply_taps, pooled_axis_weight_table, pooled_taps
+from .roialign import pooled_axis_weight_table, pooled_taps
 from .simworld import TrainingSample, make_training_set, toy_encode, vocabulary
 
 __all__ = [
@@ -126,6 +125,7 @@ class ModelParams:
             self.spans[g] = slice(end, end + size)
             end += size
         self.vector = np.empty(end)
+        self._frames: dict = {}  # what region_token_matrix binds each sample to, reused (``_bind``)
         for g, arrs in groups.items():
             for k, view in self.groups[g].items():
                 view[...] = arrs[k]
@@ -166,7 +166,7 @@ class ModelParams:
     def zeros_like(self) -> "ModelParams":
         """All-zero parameters of the same layout, e.g. a gradient."""
         out = ModelParams.__new__(ModelParams)
-        out._layout, out.spans, out.vector = self._layout, self.spans, np.zeros(self.vector.size)
+        out._layout, out.spans, out.vector, out._frames = self._layout, self.spans, np.zeros(self.vector.size), {}
         return out
 
     @functools.cached_property
@@ -320,8 +320,8 @@ class SampleStatic:
     (N, 4, K) ``up4_a`` block, whose output leads ``up4_b``'s taps, and the
     row-sum column that ends them.  With it off, that map's own pooled
     columns.  Then the four blocks of :func:`pyramid.aux_fuse_taps` of the
-    auxiliary maps, each with a ones channel for its mix bias (group
-    ``aux_encoder``).  A stream that is off has no part.
+    auxiliary maps, with a ones channel for the mix bias, stacked as one
+    (N, 4, J) block (group ``aux_encoder``).  A stream that is off has none.
     """
 
     parts: list[tuple[str | None, list[np.ndarray]]]
@@ -359,7 +359,7 @@ def prepare_sample(params: ModelParams, sample, config: ExperimentConfig) -> Sam
             a_y, a_x = weights[h, w]
             parts.append((None, [pooled_taps(mixed, a_y[:, None], a_x[:, None])]))
     if config.use_auxiliary:
-        parts.append((GROUP_AUX, aux_fuse_taps([_with_ones(m.data) for m in aux_maps], weights)))
+        parts.append((GROUP_AUX, [np.stack(aux_fuse_taps([_with_ones(m.data) for m in aux_maps], weights), axis=1)]))
     if isinstance(sample, TrainingSample):
         index = {n: i for i, n in enumerate(vocabulary(config.n_categories))}
         query_idx = np.array([index[q] for q in sample.queries], dtype=int)
@@ -377,71 +377,118 @@ def prepare_sample(params: ModelParams, sample, config: ExperimentConfig) -> Sam
 
 # ------------------------------------------------------------- forward
 
-# the kernel blocks of a group, in the order of its tap blocks
-_BLOCKS = {GROUP_AUX: ("mix0", "mix1", "mix2", "mix3"), GROUP_SIMPLEFP: BRANCHES}
+def _kernels(p: ModelParams, group: str) -> list[np.ndarray]:
+    """The kernel blocks of ``group`` in the order of its tap blocks; the
+    four aux mixes are one (4, O, J) block, their span of the vector."""
+    if group == GROUP_AUX:
+        return [p.vector[p.spans[group]].reshape(-1, *p.kernel(group, "mix0").shape)]
+    return [p.kernel(group, x) for x in BRANCHES]
 
 
-def _apply(params: ModelParams, group: str, arrays: list[np.ndarray]) -> tuple[list, list]:
-    """(the taps each kernel block of ``group`` multiplies, the feature
-    columns): each block applied to its tap block.  A 3-D (N, R, K) tap
-    block is an inner branch: its (N, R, O) output, flattened per box and
-    followed by the next array, is the next block's taps."""
-    taps, columns = [], []
-    for t, x in zip(arrays, _BLOCKS[group]):
-        if taps and taps[-1].ndim == 3:
-            t = np.concatenate([columns.pop().reshape(len(t), -1), t], axis=1)
-        taps.append(t)
-        columns.append(apply_taps(t, params.kernel(group, x)))
-    return taps, columns
+def _scratch(params: ModelParams, n: int, width: int) -> list[np.ndarray]:
+    """What a bound step on up to ``n`` boxes writes: the features, their
+    gradient, up4_b's taps [mid | S] and the gradient on mid."""
+    k = params.kernel(GROUP_SIMPLEFP, "up4_b").shape[1]
+    return [np.empty(shape) for shape in ((n, width), (n, width), (n, k), (n, k - 1))]
 
 
-def _freeze(params: ModelParams, s: SampleStatic, live: frozenset) -> SampleStatic:
-    """``s`` with the tap blocks of every group outside ``live`` turned into
-    their feature columns: within a stage, a frozen group's kernels are
-    constant."""
-    parts = [
-        (grp, arrays) if grp is None or grp in live else (None, _apply(params, grp, arrays)[1])
-        for grp, arrays in s.parts
-    ]
-    return dataclasses.replace(s, parts=parts)
-
-
-@dataclass
-class _ForwardCache:
-    # per part with tap blocks: its group, the taps of each kernel block and
-    # its first feature column
-    live: list[tuple[str, list[np.ndarray], int]]
-    connector: Connector
-    features: np.ndarray
-    hidden: np.ndarray  # the connector's tanh activations
-    tokens: np.ndarray
-
-
-def _forward(params: ModelParams, s: SampleStatic) -> _ForwardCache:
-    """Pooled features as each tap block contracted with its kernel block,
-    beside the feature columns, then the connector.  No feature map or
-    kernel is built."""
-    columns, live, width = [], [], 0
+def _frame(params: ModelParams, s: SampleStatic, trainable: frozenset, out: ModelParams | None, scratch) -> tuple:
+    """What the samples of ``len(s.epos)`` boxes bound alike share: their
+    rows of ``scratch`` (or of a new one) and, per part, its columns, per
+    tap block (the kernel block transposed, its output, the block of
+    ``out`` or None, the gradient on the output as its product reads it),
+    and the products no tap block varies.  An inner branch, whose (N, R, K)
+    rows share one kernel, writes mid, which the next array ends."""
+    x, d_x, mid, d_mid = (a[: len(s.epos)] for a in scratch or _scratch(params, *s.epos.shape))
+    n, parts, col = len(x), [], 0
     for grp, arrays in s.parts:
-        if grp is not None:
-            taps, arrays = _apply(params, grp, arrays)
-            live.append((grp, taps, width))
-        columns += arrays
-        width += sum(a.shape[1] for a in arrays)
-    features = np.concatenate(columns, axis=1) + s.epos
-    if not np.isfinite(features).all():
-        n, d = features.shape
+        start, blocks, forward, backward, inner = col, [], [], [], False
+        kernels = [] if grp is None else _kernels(params, grp)
+        d_kernels = _kernels(out, grp) if grp in trainable else [None] * len(kernels)
+        for t, k, dk in zip(arrays, kernels, d_kernels):
+            if k.ndim < t.ndim:
+                blocks.append((k.T, mid[:, :-1].reshape(n, t.shape[1], 1, -1), dk, d_mid.reshape(-1, len(k)).T))
+                inner = True
+                continue
+            w, rows = k.size // k.shape[-1], t.shape[1:-1]
+            y, d_y = x[:, col : col + w].reshape(n, *rows, 1, -1), d_x[:, col : col + w].reshape(n, *rows, -1)
+            col += w
+            if inner:  # this array is S: it is copied in after mid, and the product reads no tap block
+                blocks.append((None, mid[:, -1:], None, None))
+                forward.append((np.matmul, mid[:, None, :], k.T, y))
+                backward += [(np.matmul, d_y.T, mid, dk), (np.matmul, d_y, k[:, :-1], d_mid)]
+            else:
+                blocks.append((k.swapaxes(-1, -2), y, dk, d_y.transpose(*range(1, d_y.ndim), 0)))
+        col += 0 if kernels else sum(a.shape[1] for a in arrays)
+        parts.append((x[:, start:col], blocks, forward, backward))
+    return x, d_x, parts
+
+
+@dataclass(slots=True)
+class _Bound:
+    """A sample bound for steps that train ``trainable``: ``forward`` fills
+    ``features``, ``backward`` writes each trained kernel gradient from
+    ``d_features``; each is a fixed list of calls ``f(a, b, c)``."""
+
+    params: ModelParams
+    out: ModelParams | None
+    trainable: frozenset
+    features: np.ndarray
+    d_features: np.ndarray
+    static: SampleStatic
+    forward: list[tuple]
+    backward: list[tuple]
+
+
+def _bind(params: ModelParams, s: SampleStatic, trainable: frozenset = frozenset(),
+          out: ModelParams | None = None, frames: dict | None = None) -> _Bound:
+    """``s`` bound for steps that write the gradient of the ``trainable``
+    groups into ``out``.  ``frames`` holds what a stage's samples share: a
+    :func:`_frame` per box count and parts, and at 0 the :func:`_scratch`
+    they slice, else each has its own.
+
+    A frozen group's blocks are applied here, once, into feature columns.
+    Each trained block is one product into its output and one into its
+    gradient block, each summed as the block on its own is.
+    """
+    frames, key = {} if frames is None else frames, (len(s.epos), *(grp for grp, _ in s.parts))
+    x, d_x, parts = frames[key] = frames.get(key) or _frame(params, s, trainable, out, frames.get(0))
+    bound = _Bound(params, out, trainable, x, d_x, s, [], [])
+    for (grp, arrays), (cols, blocks, forward, backward) in zip(s.parts, parts):
+        ops, grads, live = [], list(backward), grp in trainable
+        for t, (k, y, dk, d_y) in zip(arrays, blocks):
+            ops.append((np.copyto, y, t, "no") if k is None else (np.matmul, t[..., None, :], k, y))
+            if live and k is not None:  # a kernel that all rows of a block share sums over them
+                t = t.reshape(-1, t.shape[-1]) if k.ndim < t.ndim else t if t.ndim == 2 else t.swapaxes(0, 1)
+                grads.append((np.matmul, d_y, t, dk))
+        if live:
+            bound.forward += ops + forward
+            bound.backward += grads
+        else:
+            for f, a, b, c in ops + forward:
+                f(a, b, c)
+            bound.forward.append((np.copyto, cols, cols.copy() if ops else np.concatenate(arrays, axis=1), "no"))
+    bound.forward.append((np.add, x, s.epos, x))
+    return bound
+
+
+def _tokens(b: _Bound) -> tuple[np.ndarray, np.ndarray]:
+    """Run ``b``'s forward: (tokens, the connector's tanh activations)."""
+    for f, a, c, d in b.forward:
+        f(a, c, d)
+    if not np.isfinite(b.features).all():
+        n, d = b.features.shape
         raise NonFiniteError(f"{n}x{d} region feature matrix contains non-finite values")
-    if not np.isfinite(params.vector[params.spans[GROUP_CONNECTOR]]).all():
+    if not np.isfinite(b.params.vector[b.params.spans[GROUP_CONNECTOR]]).all():
         raise NonFiniteError("connector parameters must be finite")
-    conn = params.connector
-    tokens, hidden = connector_forward(conn, features, with_hidden=True)
-    return _ForwardCache(live, conn, features, hidden, tokens)
+    return connector_forward(b.params.connector, b.features, with_hidden=True)
 
 
 def region_token_matrix(params: ModelParams, s: SampleStatic) -> np.ndarray:
-    """Token-space embeddings for every proposal of a prepared sample."""
-    return _forward(params, s).tokens
+    """Token-space embeddings for every proposal of a prepared sample: the
+    rows permute with the proposals, bitwise, and a box alone in a scene
+    gets its row to 1e-12 relative, not bitwise (a one-row BLAS path)."""
+    return _tokens(_bind(params, s, frames=params._frames))[0]
 
 
 def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -466,57 +513,44 @@ def loss_and_grads(
 
     ``out`` is a gradient buffer to write into and return in place of a new
     one: the slice of every requested group is overwritten, and every other
-    slice is left as it was.
+    slice is left as it was.  ``s`` may be bound for a stage by :func:`train`;
+    then it needs the ``params``, ``out`` and ``trainable`` it was bound to.
     """
     if GROUP_PRIMARY in trainable:
         raise ValueError(f"{GROUP_PRIMARY} never trains: no gradient is computed for it")
-    grads = params.zeros_like() if out is None else out
-    if s.query_idx.size == 0:
+    if not isinstance(s, _Bound):
+        s = _bind(params, s, frozenset(trainable), params.zeros_like() if out is None else out)
+    elif params is not s.params or out is not s.out or trainable != s.trainable:
+        name = "params" if params is not s.params else "out" if out is not s.out else "trainable"
+        raise ValueError(f"a bound sample needs the {name} it was bound to")
+    grads, query_idx, targets = s.out, s.static.query_idx, s.static.targets
+    if query_idx.size == 0:
         for grp in trainable:
             grads.vector[grads.spans[grp]] = 0.0
         return 0.0, grads
-    cache = _forward(params, s)
-    queries = params.groups[GROUP_NEW_VOCAB]["queries"][s.query_idx]
-    logits = cache.tokens @ queries.T
-    loss = float(np.sum(bce_with_logits(logits, s.targets)))
+    tokens, hidden = _tokens(s)
+    queries = params.groups[GROUP_NEW_VOCAB]["queries"][query_idx]
+    logits = tokens @ queries.T
+    loss = float(bce_with_logits(logits, targets).sum())
     if not trainable:
         return loss, grads
-
-    probs = 1.0 / (1.0 + np.exp(-logits))
-    d_logits = probs - s.targets
-
+    d_logits = 1.0 / (1.0 + np.exp(-logits)) - targets
     if GROUP_NEW_VOCAB in trainable:
         dq = grads.groups[GROUP_NEW_VOCAB]["queries"]
         dq[...] = 0.0
-        np.add.at(dq, s.query_idx, d_logits.T @ cache.tokens)
-
-    live = {grp for grp, *_ in cache.live}
-    for grp in trainable - live - {GROUP_CONNECTOR, GROUP_NEW_VOCAB}:  # no path into the loss
+        np.add.at(dq, query_idx, d_logits.T @ tokens)
+    for grp in trainable - {g for g, _ in s.static.parts} - {GROUP_CONNECTOR, GROUP_NEW_VOCAB}:  # no path into the loss
         grads.vector[grads.spans[grp]] = 0.0
-    block_path = bool(live & trainable)
-    if block_path or GROUP_CONNECTOR in trainable:
+    if s.backward or GROUP_CONNECTOR in trainable:
         d_tokens = d_logits @ queries
-        _, d_feats = connector_backward(
-            cache.connector, cache.features, d_tokens, hidden=cache.hidden, input_grad=block_path,
+        _, d_features = connector_backward(
+            params.connector, s.features, d_tokens, hidden=hidden, input_grad=bool(s.backward),
             out=grads.groups[GROUP_CONNECTOR] if GROUP_CONNECTOR in trainable else None,
         )
-        # a block's kernel gradient is the gradient on its output against its
-        # taps, written into the gradient's block of that kernel; an inner
-        # branch's output gradient is that on the leading taps of the next block
-        for grp, taps, col in cache.live:
-            if grp not in trainable:
-                continue
-            names = _BLOCKS[grp]
-            for i, t in enumerate(taps):
-                d_kernel = grads.kernel(grp, names[i])
-                o = d_kernel.shape[0]
-                if t.ndim == 3:
-                    outer = params.kernel(grp, names[i + 1])
-                    d = (d_feats[:, col : col + outer.shape[0]] @ outer[:, : t.shape[1] * o]).reshape(-1, o)
-                    t = t.reshape(-1, t.shape[2])
-                else:
-                    d, col = d_feats[:, col : col + o], col + o
-                np.matmul(d.T, t, out=d_kernel)
+        if s.backward:
+            np.copyto(s.d_features, d_features)
+        for f, a, b, c in s.backward:
+            f(a, b, c)
     return loss, grads
 
 
@@ -565,12 +599,15 @@ def train(
     step_counter = 0
     for stage, steps, lr in config.stages:
         trainable = schedule.trainable(stage)
-        samples = [_freeze(params, s, trainable) for s in statics]
         grads = params.zeros_like()
+        samples = None  # the previous stage's bindings go before this stage's are made
+        frames = {0: _scratch(params, max(len(s.epos) for s in statics), config.d_total)}
+        samples = [_bind(params, s, trainable, grads, frames) for s in statics]
         # one slice from the first trained group to the last: a group inside
         # it that does not train has a zero gradient, so the update keeps it
         spans = [params.spans[grp] for grp in trainable]
         span = slice(min(sp.start for sp in spans), max(sp.stop for sp in spans))
+        vector, grad, update = params.vector[span], grads.vector[span], np.empty(span.stop - span.start)
         for _ in range(steps):
             s = samples[step_counter % len(samples)]
             step_counter += 1
@@ -578,9 +615,9 @@ def train(
                 loss, _ = loss_and_grads(params, s, trainable, out=grads)
             except NonFiniteError as exc:
                 raise TrainingDivergence(stage, step_counter, cause=str(exc)) from exc
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise TrainingDivergence(stage, step_counter, loss)
-            params.vector[span] -= lr * grads.vector[span]
+            vector -= np.multiply(grad, lr, out=update)
             log.losses[f"stage{stage}"].append(loss)
         log.checksums[f"after_stage{stage}"] = params.checksums()
     return params, log

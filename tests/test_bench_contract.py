@@ -5,7 +5,9 @@ patches ``FeatureMap.__post_init__`` and ``Kernel.__post_init__``, and its
 ``pooled_weights`` hook reads ``.nbytes`` of the returned array.  The
 workloads pace their reference slices by wrapping
 ``training.loss_and_grads``, which ``train`` must call through the module
-attribute, once per step.  The workloads' own calls into regionkit run
+attribute, once per step; the trace times the connector through
+``training.connector_forward`` and ``training.connector_backward``, which
+a step must call the same way, once each.  The workloads' own calls into regionkit run
 here too, at a tiny budget.  A change that breaks one of these fails here
 rather than in a benchmark run.
 """
@@ -47,7 +49,7 @@ def test_pooled_weights_returns_ndarray():
 
 
 def test_train_calls_the_wrapped_step_functions_once_per_step(tiny_config, monkeypatch):
-    calls = {"loss_and_grads": 0, "connector_backward": 0}
+    calls = {"loss_and_grads": 0, "connector_forward": 0, "connector_backward": 0}
     for name in calls:
         original = getattr(training, name)
 
@@ -58,7 +60,7 @@ def test_train_calls_the_wrapped_step_functions_once_per_step(tiny_config, monke
         monkeypatch.setattr(training, name, counting)
     training.train(tiny_config)
     steps = tiny_config.stage1_steps + tiny_config.stage2_steps
-    assert calls == {"loss_and_grads": steps, "connector_backward": steps}
+    assert calls == {"loss_and_grads": steps, "connector_forward": steps, "connector_backward": steps}
 
 
 def test_workloads_train_and_serve_with_no_failed_check(tiny_config):

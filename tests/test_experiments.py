@@ -265,6 +265,17 @@ def test_cli_validate_transcript(tmp_path, capsys):
     assert cli_main(["validate-transcript", str(good), "--n-regions", "11"]) == 0
 
 
+@pytest.mark.parametrize("name", ["missing.jsonl", "a_directory", "binary.jsonl"])
+def test_cli_validate_transcript_reports_an_unreadable_file_in_one_line(name, tmp_path, capsys):
+    (tmp_path / "a_directory").mkdir()
+    (tmp_path / "binary.jsonl").write_bytes(b"\xff\xfe\x00")
+    path = tmp_path / name
+    assert cli_main(["validate-transcript", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"regionkit: error: cannot read transcript {path}: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
 def test_cli_flag_overrides(tmp_path):
     """Every override flag, set once, lands in the run's manifest."""
     values = {

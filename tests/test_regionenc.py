@@ -14,6 +14,7 @@ from regionkit.regionenc import (
 )
 from regionkit.roialign import Box, RoiConfig, pooled_apply, pooled_weights, roi_align_pooled
 from regionkit import baseline, training
+from regionkit.experiments import EvalScene, make_eval_scenes
 from regionkit.simworld import make_training_set
 from regionkit.training import GROUP_CONNECTOR, init_model_params, prepare_sample, region_token_matrix
 
@@ -326,3 +327,17 @@ def test_region_tokens_deterministic_and_equivariant(tiny_config):
     )
     permuted = region_token_matrix(params, prepare_sample(params, permuted_sample, tiny_config))
     np.testing.assert_array_equal(permuted, tokens[perm])
+
+
+def test_one_proposal_scene_token_agrees_to_1e12(default_config):
+    """A box alone in a scene gets its region token to 1e-12 relative of
+    its row among the scene's other proposals.  Not bitwise: the
+    connector's products take another BLAS path for a single row."""
+    params = init_model_params(default_config)
+    for scene in make_eval_scenes(default_config)[:20]:
+        tokens = region_token_matrix(params, prepare_sample(params, scene, default_config))
+        for i, box in enumerate(scene.proposals[:3]):
+            alone = prepare_sample(params, EvalScene(scene.scene, [box]), default_config)
+            row = region_token_matrix(params, alone)
+            assert row.shape == (1, tokens.shape[1])
+            assert np.max(np.abs(row[0] - tokens[i])) <= 1e-12 * np.max(np.abs(tokens[i]))

@@ -344,7 +344,9 @@ def test_training_forward_equals_oracle_composition(tiny_config, variant):
         sample = make_training_set(1, 0.5, seed=seed, scene_config=cfg.world, proposal_config=cfg.proposals)[0]
         s = prepare_sample(params, sample, cfg)
         loss, features, want = dense_oracle(params, sample, s, cfg)
-        assert_rel_close(training._forward(params, s).features, features, "features")
+        bound = training._bind(params, s)
+        training._tokens(bound)
+        assert_rel_close(bound.features, features, "features")
         got_loss, got = loss_and_grads(params, s, frozenset(want))
         assert abs(got_loss - loss) <= 1e-12 * abs(loss)
         for group in set(got.groups) - set(want):
@@ -357,16 +359,27 @@ def test_training_forward_equals_oracle_composition(tiny_config, variant):
 
 @pytest.mark.parametrize("variant", sorted(ORACLE_CASES))
 def test_prepared_parts_pin_no_larger_array(tiny_config, variant):
-    """A run keeps every prepared sample, as prepared and with its frozen
-    blocks as feature columns: each array of its parts owns its memory or
-    views an array no larger than itself, so it keeps no bigger one alive."""
+    """A run keeps every prepared sample, as prepared and bound for a stage,
+    with its frozen blocks as feature columns: each array of its parts owns
+    its memory or views an array no larger than itself, and each array its
+    binding holds owns its memory or views the sample, the stage's scratch,
+    the parameters or their gradient, so neither keeps a bigger one alive."""
     cfg = tiny_config.replace(**ORACLE_CASES[variant])
     params = init_model_params(cfg)
     for sample in make_training_set(3, 0.5, seed=5, scene_config=cfg.world, proposal_config=cfg.proposals):
         s = prepare_sample(params, sample, cfg)
-        for grp, arrays in s.parts + training._freeze(params, s, frozenset()).parts:
+        for grp, arrays in s.parts:
             for a in arrays:
                 assert a.base is None or a.base.nbytes <= a.nbytes, (grp, a.shape, a.base.shape)
+        kept = [a for _, arrays in s.parts for a in arrays] + [s.epos]
+        for trainable in (frozenset(), FreezeSchedule.from_config(cfg).stage2):
+            out, scratch = params.zeros_like(), training._scratch(params, len(s.epos), cfg.d_total)
+            bound = training._bind(params, s, trainable, out, {0: scratch})
+            owners = kept + scratch + [params.vector, out.vector]
+            for f, *args in bound.forward + bound.backward:
+                for a in args:
+                    if isinstance(a, np.ndarray):
+                        assert a.base is None or any(np.shares_memory(a, o) for o in owners), (f, a.shape)
 
 
 _DENSE_OPS = (

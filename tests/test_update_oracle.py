@@ -24,9 +24,23 @@ up4 as its two stored blocks, must give the same loss repr and the same
 bytes in every named gradient array without SimpleFP; with it the
 summation order differs, and they must agree to 1e-12 relative.
 
+``forward_loss_and_grads`` is ``training.loss_and_grads`` as it was
+before a stage bound each sample once, kept verbatim: every step applies
+each kernel block to its taps on its own, concatenates the columns, adds
+the positional embedding and gathers up4_b's taps anew.  The bound step,
+which runs a fixed list of products into views bound at the stage's
+start, must give the same loss repr and the same bytes in every trained
+group's gradient.
+
+The oracles read the four aux tap blocks one by one, as ``prepare_sample``
+stored them before it stacked them (``unstacked``).
+
 ``prepare_sample`` pools at every size from one pooling-weight pass; each
 size's weights must be byte for byte those of a pass of its own.
 """
+
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -34,7 +48,8 @@ import pytest
 from regionkit import training
 from regionkit.config import ExperimentConfig
 from regionkit.gridops import NonFiniteError
-from regionkit.regionenc import connector_backward, connector_forward
+from regionkit.pyramid import BRANCHES
+from regionkit.regionenc import Connector, connector_backward, connector_forward
 from regionkit.roialign import apply_taps, pooled_axis_weights
 from regionkit.simworld import EncoderConfig, SceneConfig, make_training_set
 from regionkit.training import (
@@ -44,6 +59,8 @@ from regionkit.training import (
     GROUP_PRIMARY,
     GROUP_SIMPLEFP,
     FreezeSchedule,
+    ModelParams,
+    SampleStatic,
     TrainingDivergence,
     TrainingLog,
     init_model_params,
@@ -152,6 +169,12 @@ def built_up4_taps(levels):
     return [down, same, up2, np.concatenate([taps, block[:, :, -1], total], axis=1)]
 
 
+def unstacked(s):
+    """``s`` with its (N, 4, J) aux tap block as the four (N, J) blocks."""
+    parts = [(grp, list(a[0].transpose(1, 0, 2)) if grp == GROUP_AUX else a) for grp, a in s.parts]
+    return dataclasses.replace(s, parts=parts)
+
+
 def _oracle_kernels(params, group):
     g = params.groups[group]
     if group == GROUP_SIMPLEFP:
@@ -172,7 +195,7 @@ def oracle_loss_and_grads(params, s, trainable):
         return 0.0, grads
     g = params.groups
     columns, cache_live, width = [], [], 0
-    for grp, arrays in s.parts:
+    for grp, arrays in unstacked(s).parts:
         if grp == GROUP_SIMPLEFP:
             arrays = built_up4_taps(arrays)
         if grp is not None:
@@ -219,6 +242,131 @@ def oracle_loss_and_grads(params, s, trainable):
                 for i, d in enumerate(d_kernels):
                     d_aux[f"mix{i}_w"], d_aux[f"mix{i}_b"] = d[:, :-1, None, None], d[:, -1]
                 assign(GROUP_AUX, d_aux)
+    return loss, grads
+
+
+# ``training.loss_and_grads`` as it was before a stage bound its samples,
+# verbatim: every call applies each block with ``apply_taps``, concatenates
+# the columns and gathers the taps of up4_b anew
+
+# the kernel blocks of a group, in the order of its tap blocks
+_BLOCKS = {GROUP_AUX: ("mix0", "mix1", "mix2", "mix3"), GROUP_SIMPLEFP: BRANCHES}
+
+
+def _apply(params: ModelParams, group: str, arrays: list[np.ndarray]) -> tuple[list, list]:
+    """(the taps each kernel block of ``group`` multiplies, the feature
+    columns): each block applied to its tap block.  A 3-D (N, R, K) tap
+    block is an inner branch: its (N, R, O) output, flattened per box and
+    followed by the next array, is the next block's taps."""
+    taps, columns = [], []
+    for t, x in zip(arrays, _BLOCKS[group]):
+        if taps and taps[-1].ndim == 3:
+            t = np.concatenate([columns.pop().reshape(len(t), -1), t], axis=1)
+        taps.append(t)
+        columns.append(apply_taps(t, params.kernel(group, x)))
+    return taps, columns
+
+
+@dataclass
+class _ForwardCache:
+    # per part with tap blocks: its group, the taps of each kernel block and
+    # its first feature column
+    live: list[tuple[str, list[np.ndarray], int]]
+    connector: Connector
+    features: np.ndarray
+    hidden: np.ndarray  # the connector's tanh activations
+    tokens: np.ndarray
+
+
+def _forward(params: ModelParams, s: SampleStatic) -> _ForwardCache:
+    """Pooled features as each tap block contracted with its kernel block,
+    beside the feature columns, then the connector.  No feature map or
+    kernel is built."""
+    columns, live, width = [], [], 0
+    for grp, arrays in s.parts:
+        if grp is not None:
+            taps, arrays = _apply(params, grp, arrays)
+            live.append((grp, taps, width))
+        columns += arrays
+        width += sum(a.shape[1] for a in arrays)
+    features = np.concatenate(columns, axis=1) + s.epos
+    if not np.isfinite(features).all():
+        n, d = features.shape
+        raise NonFiniteError(f"{n}x{d} region feature matrix contains non-finite values")
+    if not np.isfinite(params.vector[params.spans[GROUP_CONNECTOR]]).all():
+        raise NonFiniteError("connector parameters must be finite")
+    conn = params.connector
+    tokens, hidden = connector_forward(conn, features, with_hidden=True)
+    return _ForwardCache(live, conn, features, hidden, tokens)
+
+
+def forward_loss_and_grads(
+    params: ModelParams,
+    s: SampleStatic,
+    trainable: frozenset | set = frozenset(),
+    out: ModelParams | None = None,
+) -> tuple[float, ModelParams]:
+    """Loss on one sample plus analytic gradients for the requested groups.
+
+    The loss is binary cross-entropy per (region, query) pair, summed over
+    all pairs of the sample.  The gradient has the layout of ``params``;
+    a group that was not requested, or has no path into this config's
+    loss, is exactly zero.  The primary encoder never trains
+    (:class:`FreezeSchedule`) and has a path, so requesting it raises.
+
+    ``out`` is a gradient buffer to write into and return in place of a new
+    one: the slice of every requested group is overwritten, and every other
+    slice is left as it was.
+    """
+    if GROUP_PRIMARY in trainable:
+        raise ValueError(f"{GROUP_PRIMARY} never trains: no gradient is computed for it")
+    grads = params.zeros_like() if out is None else out
+    if s.query_idx.size == 0:
+        for grp in trainable:
+            grads.vector[grads.spans[grp]] = 0.0
+        return 0.0, grads
+    cache = _forward(params, s)
+    queries = params.groups[GROUP_NEW_VOCAB]["queries"][s.query_idx]
+    logits = cache.tokens @ queries.T
+    loss = float(np.sum(training.bce_with_logits(logits, s.targets)))
+    if not trainable:
+        return loss, grads
+
+    probs = 1.0 / (1.0 + np.exp(-logits))
+    d_logits = probs - s.targets
+
+    if GROUP_NEW_VOCAB in trainable:
+        dq = grads.groups[GROUP_NEW_VOCAB]["queries"]
+        dq[...] = 0.0
+        np.add.at(dq, s.query_idx, d_logits.T @ cache.tokens)
+
+    live = {grp for grp, *_ in cache.live}
+    for grp in trainable - live - {GROUP_CONNECTOR, GROUP_NEW_VOCAB}:  # no path into the loss
+        grads.vector[grads.spans[grp]] = 0.0
+    block_path = bool(live & trainable)
+    if block_path or GROUP_CONNECTOR in trainable:
+        d_tokens = d_logits @ queries
+        _, d_feats = connector_backward(
+            cache.connector, cache.features, d_tokens, hidden=cache.hidden, input_grad=block_path,
+            out=grads.groups[GROUP_CONNECTOR] if GROUP_CONNECTOR in trainable else None,
+        )
+        # a block's kernel gradient is the gradient on its output against its
+        # taps, written into the gradient's block of that kernel; an inner
+        # branch's output gradient is that on the leading taps of the next block
+        for grp, taps, col in cache.live:
+            if grp not in trainable:
+                continue
+            names = _BLOCKS[grp]
+            for i, t in enumerate(taps):
+                d_kernel = grads.kernel(grp, names[i])
+                o = d_kernel.shape[0]
+                if t.ndim == 3:
+                    outer = params.kernel(grp, names[i + 1])
+                    d = (d_feats[:, col : col + outer.shape[0]] @ outer[:, : t.shape[1] * o]).reshape(-1, o)
+                    t = t.reshape(-1, t.shape[2])
+                else:
+                    d, col = d_feats[:, col : col + o], col + o
+                np.matmul(d.T, t, out=d_kernel)
     return loss, grads
 
 
@@ -304,18 +452,18 @@ def test_reused_gradient_buffer_on_samples_without_queries(tiny_config):
 
 def test_frozen_work_runs_once_per_run_or_stage(tiny_config, monkeypatch):
     """The primary mix is read once per sample per run, outside every step,
-    and no step reads a mix it does not train: stage-1 steps read none,
-    stage-2 steps only the four aux mixes.  Every kernel a step applies is
-    a view of the parameter vector: no step builds a kernel."""
+    and each stage binds each sample once, reading every kernel then: no
+    step reads a kernel.  Every kernel a bound step multiplies is a view of
+    the parameter vector, and none is one a stage does not train: stage 1
+    multiplies SimpleFP's five blocks, stage 2 those and the four aux mixes
+    as one stacked view of their span."""
     primary_reads = 0
     in_step = False
-    step_mixes, step_views, vectors = [], [], []
+    step_reads, bound_kernels = [], []
 
     def counting_step(params, *args, _original=training.loss_and_grads, **kwargs):
         nonlocal in_step
-        step_mixes.append(set())
-        step_views.append([])
-        vectors.append(params.vector)
+        step_reads.append(0)
         in_step = True
         try:
             return _original(params, *args, **kwargs)
@@ -325,24 +473,73 @@ def test_frozen_work_runs_once_per_run_or_stage(tiny_config, monkeypatch):
     def counting_kernel(self, group, x, _original=training.ModelParams.kernel):
         nonlocal primary_reads
         primary_reads += (group, x) == (GROUP_PRIMARY, "mix")
-        if in_step and group in (GROUP_PRIMARY, GROUP_AUX):
-            step_mixes[-1].add(x)
+        if in_step:
+            step_reads[-1] += 1
         return _original(self, group, x)
 
-    def recording_apply(taps, kernel, _original=training.apply_taps):
-        if in_step:
-            step_views[-1].append(np.shares_memory(kernel, vectors[-1]))
-        return _original(taps, kernel)
+    def recording_bind(params, s, trainable, *args, _original=training._bind):
+        bound = _original(params, s, trainable, *args)
+        kernels = [op[2] for op in bound.forward if op[0] is np.matmul]
+        groups = [[g for g, span in params.spans.items() if np.shares_memory(k, params.vector[span])] for k in kernels]
+        bound_kernels.append((trainable, [g[0] if len(g) == 1 else g for g in groups]))
+        return bound
 
     monkeypatch.setattr(training, "loss_and_grads", counting_step)
     monkeypatch.setattr(training.ModelParams, "kernel", counting_kernel)
-    monkeypatch.setattr(training, "apply_taps", recording_apply)
+    monkeypatch.setattr(training, "_bind", recording_bind)
     training.train(tiny_config)
     stage1, stage2 = tiny_config.stage1_steps, tiny_config.stage2_steps
+    schedule = FreezeSchedule.from_config(tiny_config)
     assert primary_reads == tiny_config.n_train_scenes
-    assert step_mixes == [set()] * stage1 + [{f"mix{i}" for i in range(4)}] * stage2
-    # SimpleFP's five branches, then in stage 2 the four aux mixes
-    assert step_views == [[True] * 5] * stage1 + [[True] * 9] * stage2
+    assert step_reads == [0] * (stage1 + stage2)
+    assert bound_kernels == (
+        [(schedule.stage1, [GROUP_SIMPLEFP] * 5)] * tiny_config.n_train_scenes
+        + [(schedule.stage2, [GROUP_SIMPLEFP] * 5 + [GROUP_AUX])] * tiny_config.n_train_scenes
+    )
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_bound_step_equals_unbound_forward_step(default_config, variant):
+    """Every sample of the seed-7 training set, bound for each stage to one
+    gradient buffer and one scratch as ``train`` binds them, gives the loss
+    repr and the gradient bytes of ``forward_loss_and_grads`` in every
+    trained group."""
+    cfg = default_config.replace(**VARIANTS[variant])
+    params = perturbed_params(cfg)
+    statics = [prepare_sample(params, sample, cfg) for sample in seeded_training_set(cfg)]
+    scratch = training._scratch(params, max(len(s.epos) for s in statics), cfg.d_total)
+    for stage in (1, 2):
+        trainable = FreezeSchedule.from_config(cfg).trainable(stage)
+        out = params.zeros_like()
+        frames = {0: scratch}
+        bound = [training._bind(params, s, trainable, out, frames) for s in statics]
+        for i, (s, b) in enumerate(zip(statics, bound)):
+            loss, grads = loss_and_grads(params, b, trainable, out)
+            want_loss, want = forward_loss_and_grads(params, unstacked(s), trainable)
+            assert repr(loss) == repr(want_loss), (stage, i)
+            for grp in trainable:
+                got, expected = grads.vector[grads.spans[grp]], want.vector[want.spans[grp]]
+                assert got.tobytes() == expected.tobytes(), (stage, i, grp)
+
+
+def test_bound_sample_refuses_other_params_or_out(tiny_config):
+    """A bound sample reads and writes the views it was bound to, so it
+    refuses any other parameters, gradient buffer or trained groups."""
+    params = init_model_params(tiny_config)
+    s = prepare_sample(params, seeded_training_set(tiny_config)[0], tiny_config)
+    schedule = FreezeSchedule.from_config(tiny_config)
+    out = params.zeros_like()
+    bound = training._bind(params, s, schedule.stage1, out)
+    with pytest.raises(ValueError, match="params it was bound to"):
+        loss_and_grads(init_model_params(tiny_config), bound, schedule.stage1, out)
+    for other in (params.zeros_like(), None):
+        with pytest.raises(ValueError, match="out it was bound to"):
+            loss_and_grads(params, bound, schedule.stage1, other)
+    with pytest.raises(ValueError, match="trainable it was bound to"):
+        loss_and_grads(params, bound, schedule.stage2, out)
+    want = loss_and_grads(params, s, schedule.stage1)
+    loss, grads = loss_and_grads(params, bound, set(schedule.stage1), out)
+    assert grads is out and repr(loss) == repr(want[0]) and out.vector.tobytes() == want[1].vector.tobytes()
 
 
 ENCODERS = {
