@@ -30,7 +30,6 @@ __all__ = [
     "decode_detections",
     "detect_then_count",
     "grounded_to_detections",
-    "detections_to_json",
     "emit_grounded_summary",
 ]
 
@@ -116,19 +115,6 @@ def grounded_to_detections(resp: GroundedResponse, proposals: list[Box]) -> list
                 raise ValueError(f"region index {idx} out of range for {len(proposals)} proposals")
             out.append(Detection(box=proposals[idx], label=node.phrase, confidence=1.0, source_region=idx))
     return out
-
-
-def detections_to_json(detections: list[Detection], image_id: int) -> list[dict]:
-    """COCO-result-style records: normalized [x, y, w, h] boxes plus score."""
-    return [
-        {
-            "image_id": image_id,
-            "category": d.label,
-            "bbox": [d.box.x1, d.box.y1, d.box.width, d.box.height],
-            "score": d.confidence,
-        }
-        for d in detections
-    ]
 
 
 def emit_grounded_summary(detections: list[Detection]) -> str:

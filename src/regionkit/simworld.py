@@ -28,7 +28,7 @@ import numpy as np
 
 from .gridops import FeatureMap
 from .metrics import iou
-from .roialign import Box, is_json_number
+from .roialign import Box
 
 __all__ = [
     "CATEGORY_WORDS",
@@ -43,7 +43,6 @@ __all__ = [
     "simulate_opn",
     "make_training_set",
     "scenes_to_json",
-    "scenes_from_json",
 ]
 
 CATEGORY_WORDS = ("ball", "block", "tree", "car", "person", "sign", "lamp", "bird")
@@ -419,7 +418,12 @@ def make_training_set(
 # ----------------------------------------------------------- persistence
 
 def scenes_to_json(scenes: list[Scene], proposals: dict[int, list[Box]] | None = None) -> dict:
-    """COCO-like record: a list of images with objects, plus optional proposals."""
+    """COCO-like record: a list of images with objects, plus optional proposals.
+
+    A scene file is written, never read back: every command draws its
+    scenes from the config seed, so ``regionkit gen``'s file is a function
+    of the config its manifest records.
+    """
     out = {
         "images": [
             {
@@ -437,98 +441,3 @@ def scenes_to_json(scenes: list[Scene], proposals: dict[int, list[Box]] | None =
     if proposals is not None:
         out["proposals"] = {str(k): [b.to_json() for b in v] for k, v in proposals.items()}
     return out
-
-
-def _json_field(rec: dict, key: str, kind: type, where: str, default=None):
-    """``rec[key]`` checked to be a ``kind`` (``float``: any finite number);
-    ``default`` when absent, unless that is None."""
-    if key not in rec:
-        if default is None:
-            raise ValueError(f"{where} has no {key!r}")
-        return default
-    value = rec[key]
-    if not (is_json_number(value) if kind is float else type(value) is kind):
-        want = "a finite number" if kind is float else kind.__name__
-        raise ValueError(f"{where}.{key} must be {want}, got {value!r}")
-    return value
-
-
-def scenes_from_json(obj: dict) -> tuple[list[Scene], dict[int, list[Box]]]:
-    """Inverse of :func:`scenes_to_json`.
-
-    Malformed input (not an object, a missing ``images``/``id``/``objects``/
-    ``category``/``bbox``, a value of the wrong type, a bbox that is not
-    four numbers, or a box that :class:`Box` rejects) raises ValueError
-    naming where it is.  So does a scene that :func:`toy_encode` could not
-    render: ``n_categories`` or ``clutter_density`` out of
-    :class:`SceneConfig`'s range, a negative ``seed``, or a category
-    outside the scene's vocabulary.  Image ids are unique, and every
-    proposal list belongs to an image.
-    """
-    if not isinstance(obj, dict):
-        raise ValueError("a scene file must be a JSON object")
-    scenes = []
-    index_of: dict[int, int] = {}
-    for k, rec in enumerate(_json_field(obj, "images", list, "scene file")):
-        where = f"images[{k}]"
-        if not isinstance(rec, dict):
-            raise ValueError(f"{where} must be an object")
-        image_id = _json_field(rec, "id", int, where)
-        if image_id in index_of:
-            raise ValueError(f"{where}.id {image_id} repeats images[{index_of[image_id]}]")
-        index_of[image_id] = k
-        n_categories = _json_field(rec, "n_categories", int, where, 8)
-        clutter_density = _json_field(rec, "clutter_density", float, where, 0.0)
-        try:
-            SceneConfig(n_categories=n_categories, clutter_density=clutter_density)
-        except ValueError as exc:
-            raise ValueError(f"{where}.{exc}") from None
-        seed = _json_field(rec, "seed", int, where, image_id)
-        if seed < 0:
-            raise ValueError(f"{where}.seed must be >= 0 (it defaults to the id), got {seed}")
-        names = set(vocabulary(n_categories))
-        objects = []
-        for j, o in enumerate(_json_field(rec, "objects", list, where)):
-            at = f"{where}.objects[{j}]"
-            if not isinstance(o, dict):
-                raise ValueError(f"{at} must be an object")
-            category = _json_field(o, "category", str, at)
-            if category not in names:
-                raise ValueError(f"{at}.category {category!r} is not one of the scene's {n_categories} categories")
-            bbox = _json_field(o, "bbox", list, at)
-            if len(bbox) != 4 or not all(is_json_number(v) for v in bbox):
-                raise ValueError(f"{at}.bbox must be 4 finite numbers [x, y, w, h], got {bbox!r}")
-            x, y, w, h = map(float, bbox)
-            try:
-                objects.append((category, Box(x, y, x + w, y + h, label=category)))
-            except ValueError as exc:
-                raise ValueError(f"{at}.bbox: {exc}") from None
-        scenes.append(
-            Scene(
-                image_id=image_id,
-                objects=tuple(objects),
-                clutter_density=clutter_density,
-                seed=seed,
-                n_categories=n_categories,
-            )
-        )
-    proposals = {}
-    for key, boxes in _json_field(obj, "proposals", dict, "scene file", {}).items():
-        where = f"proposals[{key!r}]"
-        try:
-            image_id = int(key)
-        except ValueError:
-            raise ValueError(f"{where}: the key must be an image id") from None
-        if image_id not in index_of:
-            raise ValueError(f"{where}: no image has id {image_id}")
-        if image_id in proposals:
-            raise ValueError(f"{where}: a second proposal list for image {image_id}")
-        if not isinstance(boxes, list):
-            raise ValueError(f"{where} must be a list of boxes")
-        proposals[image_id] = []
-        for i, b in enumerate(boxes):
-            try:
-                proposals[image_id].append(Box.from_json(b))
-            except ValueError as exc:
-                raise ValueError(f"{where}[{i}]: {exc}") from None
-    return scenes, proposals

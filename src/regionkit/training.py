@@ -195,17 +195,39 @@ class ModelParams:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ModelParams":
-        """Inverse of :meth:`to_json`; malformed input raises ValueError
-        naming the group and array."""
+    def from_json(cls, obj: dict, config: ExperimentConfig) -> "ModelParams":
+        """Inverse of :meth:`to_json` for ``config``'s model.  The bundle must
+        have the layout of :func:`init_model_params`: the same groups and
+        arrays, in the same order, of the same shapes.  Anything else, or a
+        malformed array, raises ValueError naming the group and array."""
         if not isinstance(obj, dict):
             raise ValueError("a parameter bundle must be an object of groups")
-        groups = {}
-        for g, arrs in obj.items():
+        params = init_model_params(config)
+        _same_names(list(obj), list(params._layout), "group ")
+        for g, shapes in params._layout.items():
+            arrs = obj[g]
             if not isinstance(arrs, dict):
                 raise ValueError(f"parameter group {g!r} must be an object of arrays")
-            groups[g] = {k: _array_from_json(spec, f"{g}/{k}") for k, spec in arrs.items()}
-        return cls(groups)
+            _same_names(list(arrs), list(shapes), f"array {g}/")
+            for k, shape in shapes.items():
+                data = _array_from_json(arrs[k], f"{g}/{k}")
+                if data.shape != shape:
+                    raise ValueError(f"array {g}/{k}: shape {list(data.shape)} is not the model's {list(shape)}")
+                params.groups[g][k][...] = data
+        return params
+
+
+def _same_names(got: list, want: list, what: str) -> None:
+    """Refuse a bundle whose names at one level are not ``want``, in order."""
+    for name in want:
+        if name not in got:
+            raise ValueError(f"the bundle has no {what}{name}")
+    for name in got:
+        if name not in want:
+            raise ValueError(f"the bundle's {what}{name} is not in the model")
+    for name, expected in zip(got, want):
+        if name != expected:
+            raise ValueError(f"the bundle's {what}{name} is out of order: the model's order is {', '.join(want)}")
 
 
 def _array_from_json(spec, name: str) -> np.ndarray:

@@ -168,6 +168,21 @@ def test_cli_gen_writes_scene_json(tmp_path, capsys):
     assert set(blob["proposals"].keys()) == {str(im["id"]) for im in blob["images"]}
 
 
+def test_cli_gen_is_a_function_of_its_config(tmp_path, tiny_config, capsys):
+    """Nothing reads a scene file back: ``gen`` writes the same bytes for
+    one config, and the config its manifest records draws them again."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(tiny_config.dumps())
+    for run in ("a", "b"):
+        assert cli_main(["gen", "--config", str(cfg_path), "--n-scenes", "4", "--out", str(tmp_path / run)]) == 0
+    scenes = (tmp_path / "a" / "scenes.json").read_bytes()
+    assert (tmp_path / "b" / "scenes.json").read_bytes() == scenes
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    cfg_path.write_text(json.dumps(manifest["config"]))
+    assert cli_main(["gen", "--config", str(cfg_path), "--n-scenes", "4", "--out", str(tmp_path / "c")]) == 0
+    assert (tmp_path / "c" / "scenes.json").read_bytes() == scenes
+
+
 def test_cli_train_and_bench_with_config_file(tmp_path, tiny_config, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(tiny_config.replace(stage1_steps=5, stage2_steps=2, n_train_scenes=3,

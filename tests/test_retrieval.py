@@ -7,7 +7,6 @@ from regionkit.retrieval import (
     Detection,
     decode_detections,
     detect_then_count,
-    detections_to_json,
     emit_grounded_summary,
     grounded_to_detections,
     score_matrix,
@@ -160,17 +159,6 @@ def test_grounded_out_of_range_region():
 
 
 # ------------------------------------------------------------- interfaces
-
-def test_detections_serialize_coco_style():
-    d = Detection(box=Box(0.1, 0.2, 0.5, 0.6), label="car", confidence=0.75, source_region=3)
-    rec = detections_to_json([d], image_id=9)[0]
-    assert rec == {
-        "image_id": 9,
-        "category": "car",
-        "bbox": [0.1, 0.2, pytest.approx(0.4), pytest.approx(0.4)],
-        "score": 0.75,
-    }
-
 
 def test_template_emitter_round_trips_through_parser():
     props = boxes(6)

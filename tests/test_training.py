@@ -216,7 +216,7 @@ def test_params_are_views_into_one_vector(tiny_config):
 
 def test_params_json_round_trip(tiny_config):
     params = init_model_params(tiny_config)
-    back = ModelParams.from_json(params.to_json())
+    back = ModelParams.from_json(params.to_json(), tiny_config)
     assert back.checksums() == params.checksums()
 
 
@@ -224,11 +224,12 @@ def test_default_bundle_bytes_are_fixed():
     """The bundle is the named arrays in bundle order, however the vector
     stores them: the default initial bundle hashes as it always has, and
     loading it restores the vector byte for byte."""
-    params = init_model_params(ExperimentConfig())
+    config = ExperimentConfig()
+    params = init_model_params(config)
     bundle = params.to_json()
     digest = hashlib.sha256(json.dumps(bundle).encode()).hexdigest()
     assert digest == "24fca4c653526d0c7affafc20848ab55435e70747d967f529d3c9f30a647a121"
-    assert ModelParams.from_json(bundle).vector.tobytes() == params.vector.tobytes()
+    assert ModelParams.from_json(bundle, config).vector.tobytes() == params.vector.tobytes()
 
 
 _MALFORMED_ARRAYS = {
@@ -253,13 +254,48 @@ def test_params_json_rejects_malformed_arrays(tiny_config, data, fault):
     name = data.draw(st.sampled_from(sorted(blob[group])))
     blob[group][name] = _MALFORMED_ARRAYS[fault](blob[group][name])
     with pytest.raises(ValueError, match=f"{group}/{name}"):
-        ModelParams.from_json(blob)
+        ModelParams.from_json(blob, tiny_config)
 
 
 @pytest.mark.parametrize("blob", [[], "bundle", {"connector": []}, {"connector": None}])
-def test_params_json_rejects_malformed_groups(blob):
+def test_params_json_rejects_malformed_groups(tiny_config, blob):
     with pytest.raises(ValueError):
-        ModelParams.from_json(blob)
+        ModelParams.from_json(blob, tiny_config)
+
+
+def _swap_first_groups(blob):
+    first, second, *rest = blob.items()
+    return dict([second, first, *rest])
+
+
+def _edit_connector(**arrays):
+    """A fault that sets the connector's ``arrays``, dropping those given as None."""
+    def edit(blob):
+        arrs = {**blob[GROUP_CONNECTOR], **arrays}
+        return {**blob, GROUP_CONNECTOR: {k: v for k, v in arrs.items() if v is not None}}
+    return edit
+
+
+# each fault edits a valid bundle of the model; the error names where it is
+_OFF_LAYOUT_BUNDLES = {
+    "missing group": (lambda blob: {g: a for g, a in blob.items() if g != GROUP_CONNECTOR}, "group connector"),
+    "extra group": (lambda blob: {**blob, "decoder": {}}, "group decoder"),
+    "group not an object": (lambda blob: {**blob, GROUP_CONNECTOR: []}, "group 'connector'"),
+    "swapped group order": (_swap_first_groups, f"group {GROUP_AUX}"),
+    "missing array": (_edit_connector(b2=None), "connector/b2"),
+    "extra array": (_edit_connector(w3={"shape": [0], "data": []}), "connector/w3"),
+    "wrong shape": (_edit_connector(w1={"shape": [2, 2], "data": [0.0] * 4}), "connector/w1"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_OFF_LAYOUT_BUNDLES))
+def test_params_json_rejects_a_bundle_off_the_model_layout(tiny_config, fault):
+    """A bundle loads only into the model of its config: groups, arrays,
+    their order and every shape are those of ``init_model_params``."""
+    edit, where = _OFF_LAYOUT_BUNDLES[fault]
+    blob = edit(init_model_params(tiny_config).to_json())
+    with pytest.raises(ValueError, match=re.escape(where)):
+        ModelParams.from_json(blob, tiny_config)
 
 
 # the factored forward against the dense maps: every variant, odd map sizes
@@ -472,6 +508,33 @@ def test_divergence_raises_with_diagnostic(tiny_config):
     assert "loss" not in str(err)
 
 
+def test_infinite_connector_bias_is_caught_before_the_loss(tiny_config, monkeypatch):
+    """tanh saturates, so an infinite connector bias leaves the tokens, and
+    so the loss, finite: only the check on the connector parameters sees it."""
+    params = init_model_params(tiny_config)
+    connector = params.connector  # built on views of the vector, as training's is, before the update
+    params.groups[GROUP_CONNECTOR]["b1"][0] = np.inf
+    sample = prepare_sample(params, training.seeded_training_set(tiny_config)[0], tiny_config)
+    trainable, grads = FreezeSchedule.from_config(tiny_config).trainable(1), params.zeros_like()
+    bound = training._bind(params, sample, trainable, grads)
+    with pytest.raises(gridops.NonFiniteError, match="connector parameters must be finite"):
+        loss_and_grads(params, bound, trainable, out=grads)
+    assert np.isfinite(connector_forward(connector, bound.features)).all()
+
+    init = training.init_model_params
+
+    def with_infinite_bias(config, rng=None):
+        p = init(config, rng)
+        _ = p.connector  # built while finite, so the check of every step is what fails
+        p.groups[GROUP_CONNECTOR]["b1"][0] = np.inf
+        return p
+
+    monkeypatch.setattr(training, "init_model_params", with_infinite_bias)
+    with pytest.raises(TrainingDivergence, match="connector parameters must be finite") as exc_info:
+        train(tiny_config)
+    assert (exc_info.value.stage, exc_info.value.step, exc_info.value.loss) == (1, 1, None)
+
+
 def test_log_shapes(tiny_config):
     _, log = train(tiny_config)
     assert len(log.losses["stage1"]) == tiny_config.stage1_steps
@@ -613,7 +676,7 @@ def test_config_json_range_errors_name_field(doc, field):
 
 
 def test_config_json_float_field_rejects_int_beyond_float():
-    # the same number check as scenes_from_json and Box.from_json
+    # a number is finite as a float: an int this large is not
     with pytest.raises(ValueError, match="stage1_lr must be a finite number"):
         ExperimentConfig.from_json({"stage1_lr": 10**400})
 
