@@ -35,10 +35,15 @@ RECALL_POINTS = np.array([i / 100.0 for i in range(101)])
 
 def iou(a: Box, b: Box) -> float:
     """Intersection over union of two boxes; 0 when the union is empty."""
-    ix = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
-    iy = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
+    ax1, ay1, ax2, ay2, bx1, by1, bx2, by2 = a.x1, a.y1, a.x2, a.y2, b.x1, b.y1, b.x2, b.y2
+    # min and max written out as the builtins pick; an axis that does not
+    # overlap gives 0, as max(0, ...) there would
+    ix = (bx2 if bx2 < ax2 else ax2) - (bx1 if bx1 > ax1 else ax1)
+    iy = (by2 if by2 < ay2 else ay2) - (by1 if by1 > ay1 else ay1)
+    if ix <= 0.0 or iy <= 0.0:
+        return 0.0
     inter = ix * iy
-    union = a.area + b.area - inter
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
     return inter / union if union > 0 else 0.0
 
 
@@ -121,10 +126,12 @@ def _interpolated_ap(tp: np.ndarray, n_gt: int) -> float:
     cum_fp = np.cumsum(1.0 - tp)
     recall = cum_tp / n_gt
     precision = cum_tp / (cum_tp + cum_fp)
+    # the max precision at recall >= r is the envelope (a running max from
+    # the right) at the first rank that reaches r, and 0 past the last rank
+    envelope = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
     ap = 0.0
-    for r in RECALL_POINTS:
-        mask = recall >= r
-        ap += precision[mask].max() if mask.any() else 0.0
+    for p in envelope[np.searchsorted(recall, RECALL_POINTS, side="left")].tolist():
+        ap += p
     return ap / len(RECALL_POINTS)
 
 

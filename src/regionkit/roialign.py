@@ -69,17 +69,20 @@ class Box:
 
     def __post_init__(self):
         for name in ("x1", "y1", "x2", "y2"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v):
-                raise ValueError(f"box coordinate {name} is not finite")
-            object.__setattr__(self, name, min(1.0, max(0.0, v)))
+            v = getattr(self, name)
+            if type(v) is not float or not 0.0 < v < 1.0:  # else float() and the clamp return v itself
+                v = float(v)
+                if not math.isfinite(v):
+                    raise ValueError(f"box coordinate {name} is not finite")
+                object.__setattr__(self, name, min(1.0, max(0.0, v)))
         if self.x1 > self.x2 or self.y1 > self.y2:
             raise ValueError("box corners out of order (x1 <= x2 and y1 <= y2 required)")
         if self.score is not None:
             s = float(self.score)
             if not (0.0 <= s <= 1.0):
                 raise ValueError("box score must lie in [0, 1]")
-            object.__setattr__(self, "score", s)
+            if s is not self.score:
+                object.__setattr__(self, "score", s)
 
     @property
     def width(self) -> float:

@@ -18,11 +18,22 @@ The split mirrors a semantics-rich global encoder paired with a
 detail-specialist tower: either stream alone is handicapped, together they
 are complementary.  All randomness flows from explicit seeds; everything
 here is replayable bit for bit.
+
+Draw order is part of that contract.  Each scene and each proposal list
+has its own generator, dropped after the call, so drawing its doubles in
+blocks past the last one used changes nothing.  Those doubles replay
+per-value ``rng.choice(n, p=uniform)`` (one double searched in the CDF
+``choice`` builds) and ``rng.uniform(lo, hi)`` (``lo + (hi - lo) * u``) bit
+for bit; ``tests/world_oracle.py`` keeps the per-value generator as the
+oracle the tests compare against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -52,6 +63,10 @@ MAX_CATEGORIES = 256
 #: The highest clutter density.  A scene draws Poisson(8 * density)
 #: distractors; at 10 their ~80 smudges cover about a third of the image.
 MAX_CLUTTER_DENSITY = 10.0
+#: The highest proposal clutter rate.  A proposal list draws its
+#: Poisson(clutter_rate) clutter boxes before ``max_proposals`` truncates
+#: it; at 1000 that is ten times the default ``max_proposals``.
+MAX_CLUTTER_RATE = 1000.0
 #: The highest encoder resolution.  A render paints every category at each
 #: resolution; at 512 the largest paint (256 categories x 512^2 float64) is
 #: 512 MiB.
@@ -94,6 +109,8 @@ class SceneConfig:
             raise ValueError(f"min_size {self.min_size} exceeds max_size {self.max_size}")
         if self.max_size > 1.0:
             raise ValueError(f"max_size must be <= 1, got {self.max_size}")
+        if not 0.0 <= self.max_overlap <= 1.0:
+            raise ValueError(f"max_overlap must lie in [0, 1], got {self.max_overlap}")
         if not 0 <= self.clutter_density <= MAX_CLUTTER_DENSITY:
             raise ValueError(f"clutter_density must lie in [0, {MAX_CLUTTER_DENSITY}], got {self.clutter_density}")
 
@@ -154,8 +171,8 @@ class ProposalSimConfig:
             raise ValueError("jitter_sigma must be >= 0")
         if not (0.0 <= self.drop_rate <= 1.0):
             raise ValueError("drop_rate must lie in [0, 1]")
-        if self.clutter_rate < 0:
-            raise ValueError("clutter_rate must be >= 0")
+        if not 0.0 <= self.clutter_rate <= MAX_CLUTTER_RATE:
+            raise ValueError(f"clutter_rate must lie in [0, {MAX_CLUTTER_RATE}], got {self.clutter_rate}")
         if self.max_proposals < 1:
             raise ValueError("max_proposals must be >= 1")
 
@@ -180,6 +197,14 @@ class Scene:
         return tuple(present)
 
 
+@lru_cache(maxsize=MAX_CATEGORIES)
+def _uniform_cdf(n: int) -> tuple[float, ...]:
+    """The CDF that ``rng.choice(n, p=np.full(n, 1 / n))`` searches, built as
+    it builds it; ``bisect_right`` finds the index its ``searchsorted`` does."""
+    cdf = np.full(n, 1.0 / n).cumsum()
+    return tuple((cdf / cdf[-1]).tolist())
+
+
 def generate_scene(seed: int, config: SceneConfig = SceneConfig()) -> Scene:
     """Sample one scene, deterministic in the seed.
 
@@ -188,17 +213,20 @@ def generate_scene(seed: int, config: SceneConfig = SceneConfig()) -> Scene:
     """
     rng = np.random.default_rng(seed)
     names = config.categories
-    n = config.n_categories
     n_obj = int(rng.integers(config.min_objects, config.max_objects + 1))
+    # rng.choice and rng.uniform read one double each (see the module
+    # docstring): the generator's doubles in turn, drawn 64 at a time
+    draw = chain.from_iterable(iter(lambda: rng.random(64).tolist(), None)).__next__
+    cdf = _uniform_cdf(config.n_categories)
+    lo, span = config.min_size, config.max_size - config.min_size
     objects: list[tuple[str, Box]] = []
     for _ in range(n_obj):
-        # an explicit uniform p: choice without p draws differently
-        cat = names[int(rng.choice(n, p=np.full(n, 1.0 / n)))]
+        cat = names[bisect_right(cdf, draw())]
         for _attempt in range(50):
-            w = float(rng.uniform(config.min_size, config.max_size))
-            h = float(rng.uniform(config.min_size, config.max_size))
-            x1 = float(rng.uniform(0.0, 1.0 - w))
-            y1 = float(rng.uniform(0.0, 1.0 - h))
+            w = lo + span * draw()
+            h = lo + span * draw()
+            x1 = (1.0 - w) * draw()
+            y1 = (1.0 - h) * draw()
             box = Box(x1, y1, x1 + w, y1 + h, label=cat)
             if all(iou(box, b) <= config.max_overlap for _, b in objects):
                 objects.append((cat, box))
@@ -318,23 +346,25 @@ def simulate_opn(scene: Scene, cfg: ProposalSimConfig = ProposalSimConfig(), see
     rng = np.random.default_rng(seed)
     proposals: list[Box] = []
     for _, box in scene.objects:
-        drop = rng.uniform() < cfg.drop_rate
+        drop = rng.random() < cfg.drop_rate  # the double rng.uniform() returns
         jitter = rng.normal(0.0, cfg.jitter_sigma, size=4) if cfg.jitter_sigma > 0 else np.zeros(4)
         if drop:
             continue
-        x1, y1, x2, y2 = np.clip(
-            [box.x1 + jitter[0], box.y1 + jitter[1], box.x2 + jitter[2], box.y2 + jitter[3]], 0.0, 1.0
-        )
-        x1, x2 = sorted((x1, x2))
-        y1, y2 = sorted((y1, y2))
-        score = float(np.exp(-10.0 * np.linalg.norm(jitter)))
-        proposals.append(Box(float(x1), float(y1), float(x2), float(y2), score=score))
-    for _ in range(int(rng.poisson(cfg.clutter_rate))):
-        w = float(rng.uniform(0.05, 0.30))
-        h = float(rng.uniform(0.05, 0.30))
-        x1 = float(rng.uniform(0.0, 1.0 - w))
-        y1 = float(rng.uniform(0.0, 1.0 - h))
-        proposals.append(Box(x1, y1, x1 + w, y1 + h, score=float(rng.uniform(0.0, 0.3))))
+        dx1, dy1, dx2, dy2 = jitter.tolist()
+        # Box clamps to [0, 1], and clamping commutes with ordering a pair
+        x1, x2 = sorted((box.x1 + dx1, box.x2 + dx2))
+        y1, y2 = sorted((box.y1 + dy1, box.y2 + dy2))
+        # np.linalg.norm of a 1-D vector is this square root
+        score = float(np.exp(-10.0 * np.sqrt(jitter.dot(jitter))))
+        proposals.append(Box(x1, y1, x2, y2, score=score))
+    # each clutter box is five rng.uniform draws: w, h, x1, y1, score
+    n_clutter = int(rng.poisson(cfg.clutter_rate))
+    for uw, uh, ux, uy, us in rng.random((n_clutter, 5)).tolist():
+        w = 0.05 + (0.30 - 0.05) * uw
+        h = 0.05 + (0.30 - 0.05) * uh
+        x1 = (1.0 - w) * ux
+        y1 = (1.0 - h) * uy
+        proposals.append(Box(x1, y1, x1 + w, y1 + h, score=0.3 * us))
     proposals.sort(key=lambda b: -b.score)
     return proposals[: cfg.max_proposals]
 
@@ -364,13 +394,12 @@ def assignment_targets(proposals: list[Box], scene: Scene, queries: list[str]) -
     overlaps a same-category ground-truth box with IoU above
     ``TARGET_IOU_THRESHOLD``."""
     targets = np.zeros((len(proposals), len(queries)))
-    for q, name in enumerate(queries):
-        gt = scene.boxes_of(name)
-        if not gt:
-            continue
-        for i, p in enumerate(proposals):
-            if any(iou(p, g) > TARGET_IOU_THRESHOLD for g in gt):
-                targets[i, q] = 1.0
+    for name, g in scene.objects:
+        columns = [q for q, query in enumerate(queries) if query == name]
+        if columns:
+            for i, p in enumerate(proposals):
+                if iou(p, g) > TARGET_IOU_THRESHOLD:
+                    targets[i, columns] = 1.0
     return targets
 
 

@@ -7,9 +7,10 @@ workloads pace their reference slices by wrapping
 ``training.loss_and_grads``, which ``train`` must call through the module
 attribute, once per step; the trace times the connector through
 ``training.connector_forward`` and ``training.connector_backward``, which
-a step must call the same way, once each.  The workloads' own calls into regionkit run
-here too, at a tiny budget.  A change that breaks one of these fails here
-rather than in a benchmark run.
+a step must call the same way, once each.  ``train_hybrid``'s set-up must
+draw the dataset and eval scenes that ``regionkit train`` draws.  The
+workloads' own calls into regionkit run here too, at a tiny budget.  A
+change that breaks one of these fails here rather than in a benchmark run.
 """
 
 import importlib
@@ -72,3 +73,15 @@ def test_workloads_train_and_serve_with_no_failed_check(tiny_config):
     assert len(scenes) == 5
     workloads.serve(params, tiny_config, scenes, checks, ref)
     assert checks.attempted > 0 and failures == [] and checks.failed == 0
+
+
+def test_train_workload_sets_up_what_train_draws():
+    """``train_hybrid`` times ``regionkit train`` only if its set-up draws
+    the dataset ``train`` draws for itself, and the eval scenes of its
+    config."""
+    setup = workloads.TrainWorkload().setup(5, workloads.Checks(print))
+    cfg, dataset, scenes = setup.state
+    expected = training.seeded_training_set(cfg)
+    assert repr(dataset) == repr(expected)
+    assert [s.targets.tobytes() for s in dataset] == [s.targets.tobytes() for s in expected]
+    assert repr(scenes) == repr(experiments.make_eval_scenes(cfg))

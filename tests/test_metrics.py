@@ -101,6 +101,35 @@ def test_ap_monotone_in_threshold():
         assert b <= a + 1e-12
 
 
+def _interpolated_ap_per_point(tp: np.ndarray, n_gt: int) -> float:
+    """The oracle: at each recall point, the max precision over the ranks
+    that reach it, summed left to right."""
+    if n_gt == 0:
+        return 0.0
+    if len(tp) == 0:
+        return 0.0
+    cum_tp = np.cumsum(tp)
+    cum_fp = np.cumsum(1.0 - tp)
+    recall = cum_tp / n_gt
+    precision = cum_tp / (cum_tp + cum_fp)
+    ap = 0.0
+    for r in metrics.RECALL_POINTS:
+        mask = recall >= r
+        ap += precision[mask].max() if mask.any() else 0.0
+    return ap / len(metrics.RECALL_POINTS)
+
+
+def test_interpolated_ap_equals_the_per_point_oracle():
+    rng = np.random.default_rng(19)
+    cases = [(np.zeros(0), 3), (np.ones(4), 0), (np.zeros(5), 2), (np.ones(3), 3), (np.ones(1), 100)]
+    for _ in range(2000):
+        tp = (rng.random(int(rng.integers(1, 60))) < rng.random()).astype(float)
+        cases.append((tp, int(tp.sum()) + int(rng.integers(0, 8))))
+    for tp, n_gt in cases:
+        got, want = metrics._interpolated_ap(tp, n_gt), _interpolated_ap_per_point(tp, n_gt)
+        assert float.hex(float(got)) == float.hex(float(want)), (tp, n_gt)
+
+
 # ----------------------------------------------------------------- reports
 
 def _scene_records():

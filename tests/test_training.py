@@ -98,6 +98,12 @@ def test_config_requires_a_stream(tiny_config):
         ("rejection_fraction .* got nan", lambda cfg: cfg.replace(rejection_fraction=float("nan"))),
         ("proposals.drop_rate must be < 1 when proposals.clutter_rate is 0",
          lambda cfg: cfg.replace(proposals=ProposalSimConfig(drop_rate=1.0, clutter_rate=0.0))),
+        ("proposals.clutter_rate must lie in \\[0, 1000.0\\], got 10000000.0",
+         lambda cfg: ExperimentConfig.from_json({"proposals": {"clutter_rate": 1e7}})),
+        ("proposals.clutter_rate .* got 1e\\+300",
+         lambda cfg: ExperimentConfig.from_json({"proposals": {"clutter_rate": 1e300}})),
+        ("world.max_overlap must lie in \\[0, 1\\], got -1.0",
+         lambda cfg: ExperimentConfig.from_json({"world": {"max_overlap": -1.0}})),
         ("world.max_objects must be >= 1 when proposals.clutter_rate is 0",
          lambda cfg: ExperimentConfig.from_json(
              {"world": {"min_objects": 0, "max_objects": 0}, "proposals": {"clutter_rate": 0.0}})),
