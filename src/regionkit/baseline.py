@@ -26,7 +26,7 @@ from .metrics import EvalReport, coco_map
 from .regionenc import Connector, connector_backward, connector_forward
 from .retrieval import Detection, logistic
 from .roialign import Box
-from .simworld import Scene, toy_encode, vocabulary
+from .simworld import Scene, reused_canvas, toy_encode, vocabulary
 from .training import TrainingDivergence, bce_with_logits, seeded_training_set
 
 __all__ = ["BaselineHead", "init_baseline", "train_baseline", "decode_baseline", "regression_baseline_eval"]
@@ -78,7 +78,7 @@ def grid_pool(map_data: np.ndarray, grid: int) -> np.ndarray:
 
 
 def scene_feature(scene: Scene, config: ExperimentConfig) -> np.ndarray:
-    last_map, _ = toy_encode(scene, config.encoder)
+    last_map, _ = toy_encode(scene, config.encoder, reused_canvas(scene.n_categories, config.encoder))
     return grid_pool(last_map.data, POOL)
 
 

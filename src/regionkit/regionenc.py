@@ -117,8 +117,9 @@ def connector_backward(
     Returns ({"w1", "b1", "w2", "b2"}, d_input) for an upstream gradient of
     the same shape as the forward output.  ``hidden`` is the forward's tanh
     activations on this input, recomputed when not given; d_input is None
-    without ``input_grad``.  Given ``out``, four arrays by the same names,
-    the gradients are written into and returned as those.
+    without ``input_grad``.  Given ``out``, arrays by the same names, each
+    gradient it names (and d_input, at ``"input"``) is written into and
+    returned as its array.
     """
     f = np.atleast_2d(f_hybrid)
     g = np.atleast_2d(upstream)
@@ -136,4 +137,4 @@ def connector_backward(
     d_w1 = np.matmul(d_pre.T, f, out=out.get("w1"))
     d_b1 = d_pre.sum(axis=0, out=out.get("b1"))
     grads = {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}
-    return grads, (d_pre @ conn.w1 if input_grad else None)
+    return grads, (np.matmul(d_pre, conn.w1, out=out.get("input")) if input_grad else None)

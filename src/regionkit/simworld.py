@@ -50,6 +50,8 @@ __all__ = [
     "Scene",
     "TrainingSample",
     "generate_scene",
+    "Canvas",
+    "reused_canvas",
     "toy_encode",
     "simulate_opn",
     "make_training_set",
@@ -63,6 +65,10 @@ MAX_CATEGORIES = 256
 #: The highest clutter density.  A scene draws Poisson(8 * density)
 #: distractors; at 10 their ~80 smudges cover about a third of the image.
 MAX_CLUTTER_DENSITY = 10.0
+#: The most objects a scene may hold.  A draw tests each placement against
+#: every object placed, up to 50 tries an object, so its time grows with
+#: the square of the count: at 256, about 0.1 s a scene at the default sizes.
+MAX_OBJECTS = 256
 #: The highest proposal clutter rate.  A proposal list draws its
 #: Poisson(clutter_rate) clutter boxes before ``max_proposals`` truncates
 #: it; at 1000 that is ten times the default ``max_proposals``.
@@ -101,6 +107,8 @@ class SceneConfig:
             raise ValueError(f"n_categories must be <= {MAX_CATEGORIES}, got {self.n_categories}")
         if self.min_objects < 0:
             raise ValueError(f"min_objects must be >= 0, got {self.min_objects}")
+        if self.max_objects > MAX_OBJECTS:
+            raise ValueError(f"max_objects must be <= {MAX_OBJECTS}, got {self.max_objects}")
         if self.min_objects > self.max_objects:
             raise ValueError(f"min_objects {self.min_objects} exceeds max_objects {self.max_objects}")
         if not self.min_size > 0.0:
@@ -249,20 +257,67 @@ def _axis_coverage(lo: np.ndarray, hi: np.ndarray, res: int) -> np.ndarray:
     return np.maximum(np.minimum(hi[..., None], edges[1:]) - np.maximum(lo[..., None], edges[:-1]), 0.0) * res
 
 
-def _blur3(img: np.ndarray) -> np.ndarray:
-    """3x3 binomial blur with zero padding, applied to every (H, W) slice
-    of a (C, H, W) stack at once."""
-    c, h, w = img.shape
-    pad = np.zeros((c, h + 2, w + 2))
-    pad[:, 1:-1, 1:-1] = img
-    out = np.zeros_like(img)
-    weights = {(-1, -1): 1, (-1, 0): 2, (-1, 1): 1, (0, -1): 2, (0, 0): 4, (0, 1): 2, (1, -1): 1, (1, 0): 2, (1, 1): 1}
-    for (dy, dx), wt in weights.items():
-        out += wt * pad[:, 1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
-    return out / 16.0
+_BLUR_WEIGHTS = {
+    (-1, -1): 1, (-1, 0): 2, (-1, 1): 1, (0, -1): 2, (0, 0): 4, (0, 1): 2, (1, -1): 1, (1, 0): 2, (1, 1): 1,
+}
 
 
-def toy_encode(scene: Scene, enc: EncoderConfig = EncoderConfig()) -> tuple[FeatureMap, list[FeatureMap]]:
+class Canvas:
+    """The buffers :func:`toy_encode` renders into, for one category count
+    and encoder config.  A render overwrites every value it reads back, so
+    a canvas carries buffers from scene to scene, never a scene's values.
+
+    ``primary`` and ``aux`` are the output maps, each (C + 1, H, W) with a
+    constant ones channel last, so that a 1x1 mix's (C', C + 1) kernel
+    block acts on a map, or on its taps, bias and all.  The other buffers
+    are the noise of all five maps, the paint and a plane per distinct
+    resolution, and the blur's zero-bordered input and its addend.
+    """
+
+    def __init__(self, n_categories: int, enc: EncoderConfig):
+        self.key = (n_categories, enc)
+        pr = enc.primary_resolution
+        self.aux_res = [enc.aux_base_resolution // (2**level) for level in range(4)]
+        shapes = [(enc.primary_channels(n_categories), pr, pr)]
+        shapes += [(EncoderConfig.aux_channels(n_categories), res, res) for res in self.aux_res]
+        maps = [np.empty((c + 1, h, w)) for c, h, w in shapes]
+        for m in maps:
+            m[-1] = 1.0
+        self.primary, self.aux = maps[0], maps[1:]
+        sizes = [c * h * w for c, h, w in shapes]
+        self.noise = np.empty(sum(sizes))
+        self.noise_of = [a.reshape(shape) for a, shape in zip(np.split(self.noise, np.cumsum(sizes)[:-1]), shapes)]
+        self.paint = {res: np.empty((n_categories, res, res)) for res in {pr, *self.aux_res}}
+        # per resolution: a box's coverage while painting, then the occupancy
+        self.plane = {res: np.empty((res, res)) for res in self.paint}
+        self.blur_in = np.zeros((n_categories, pr + 2, pr + 2))
+        self.blur_term = np.empty((n_categories, pr, pr))
+        ramp = (np.arange(pr) + 0.5) / pr
+        self.ramps = np.stack([np.tile(ramp, (pr, 1)), np.tile(ramp[:, None], (1, pr))])
+
+
+@lru_cache(maxsize=1)
+def reused_canvas(n_categories: int, enc: EncoderConfig) -> Canvas:
+    """The canvas of the last (category count, encoder config) asked for:
+    one slot, replaced when either changes."""
+    return Canvas(n_categories, enc)
+
+
+def _blur3(pad: np.ndarray, out: np.ndarray, term: np.ndarray) -> None:
+    """3x3 binomial blur of every (H, W) slice of the (C, H + 2, W + 2)
+    zero-bordered stack ``pad``, written into the (C, H, W) ``out``; each
+    weighted tap goes through ``term``."""
+    h, w = out.shape[1:]
+    out.fill(0.0)
+    for (dy, dx), wt in _BLUR_WEIGHTS.items():
+        np.multiply(pad[:, 1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w], wt, out=term)
+        out += term
+    out /= 16.0
+
+
+def toy_encode(
+    scene: Scene, enc: EncoderConfig = EncoderConfig(), canvas: Canvas | None = None
+) -> tuple[FeatureMap, list[FeatureMap]]:
     """Render a scene into (primary last map, four auxiliary maps).
 
     Deterministic in the scene seed: encoding the same scene twice yields
@@ -270,9 +325,19 @@ def toy_encode(scene: Scene, enc: EncoderConfig = EncoderConfig()) -> tuple[Feat
     boxes together: per box, the outer product of its row and column
     coverage, added into its category channel in box order (the objects,
     then the distractors at ``distractor_intensity``).
+
+    The maps view ``canvas`` (a :class:`Canvas` for the scene's category
+    count and ``enc``), and the next render into it overwrites them.  The
+    code is single-threaded: one render at a time may use a canvas.
+    Without one, a new canvas is made, so the maps returned are the
+    caller's alone.
     """
-    rng = np.random.default_rng([scene.seed, 0xE0C0DE])
     n_cat = scene.n_categories
+    if canvas is None:
+        canvas = Canvas(n_cat, enc)
+    elif canvas.key != (n_cat, enc):
+        raise ValueError("the canvas was made for another category count or encoder config")
+    rng = np.random.default_rng([scene.seed, 0xE0C0DE])
     cat_index = {name: i for i, name in enumerate(vocabulary(n_cat))}
 
     # distractor smudges shared by both streams
@@ -286,51 +351,54 @@ def toy_encode(scene: Scene, enc: EncoderConfig = EncoderConfig()) -> tuple[Feat
         y1 = float(rng.uniform(0.0, 1.0 - h))
         channels.append(int(rng.integers(n_cat)))
         boxes.append(Box(x1, y1, x1 + w, y1 + h))
+    # every map's noise, in map order: what rng.normal(0, sigma) draws per map
+    rng.standard_normal(out=canvas.noise)
+    canvas.noise *= enc.noise_sigma
     # (box, axis) edge pairs, the y axis first
     lo = np.array([(b.y1, b.x1) for b in boxes], dtype=np.float64).reshape(-1, 2)
     hi = np.array([(b.y2, b.x2) for b in boxes], dtype=np.float64).reshape(-1, 2)
     n_obj = len(scene.objects)
 
-    pr = enc.primary_resolution
-    aux_res = [enc.aux_base_resolution // (2**level) for level in range(4)]
-    painted = {}
-    for res in {pr, *aux_res}:
+    for res, sig in canvas.paint.items():
         rows, cols = _axis_coverage(lo, hi, res).transpose(1, 0, 2)
-        cover = rows[:, :, None] * cols[:, None, :]
-        cover[n_obj:] *= enc.distractor_intensity
-        sig = np.zeros((n_cat, res, res))
-        for c, box_cover in zip(channels, cover):
-            sig[c] += box_cover
-        painted[res] = sig
+        cover = canvas.plane[res]
+        sig.fill(0.0)
+        for k, (c, row, col) in enumerate(zip(channels, rows, cols)):
+            np.multiply(row[:, None], col, out=cover)
+            if k >= n_obj:
+                cover *= enc.distractor_intensity
+            sig[c] += cover
 
     # primary stream: blurred semantics at low resolution
-    c_pri = enc.primary_channels(n_cat)
-    primary = np.zeros((c_pri, pr, pr))
-    sig = painted[pr]
-    primary[:n_cat] = _blur3(sig)
-    primary[n_cat] = np.maximum(1.0 - sig.sum(axis=0), 0.0)
-    ramp = (np.arange(pr) + 0.5) / pr
-    primary[n_cat + 1] = np.tile(ramp, (pr, 1))
-    primary[n_cat + 2] = np.tile(ramp[:, None], (1, pr))
-    primary += rng.normal(0.0, enc.noise_sigma, size=primary.shape)
+    pr, primary = enc.primary_resolution, canvas.primary
+    sig = canvas.paint[pr]
+    canvas.blur_in[:, 1:-1, 1:-1] = sig
+    _blur3(canvas.blur_in, primary[:n_cat], canvas.blur_term)
+    background = primary[n_cat]
+    np.subtract(1.0, sig.sum(axis=0, out=background), out=background)
+    np.maximum(background, 0.0, out=background)
+    primary[n_cat + 1 : n_cat + 3] = canvas.ramps
+    primary[n_cat + 3 : -1] = 0.0
+    primary[:-1] += canvas.noise_of[0]
 
     # auxiliary stream: sharp paired-category textures plus edges, four scales
     n_groups = (n_cat + 1) // 2
-    aux_maps = []
-    for res in aux_res:
-        level_map = np.zeros((EncoderConfig.aux_channels(n_cat), res, res))
-        sig = painted[res]
+    for level_map, res, noise in zip(canvas.aux, canvas.aux_res, canvas.noise_of[1:]):
+        sig = canvas.paint[res]
         # category c joins texture c // 2: the even member first
-        level_map[:n_groups] += sig[0::2]
+        level_map[:n_groups] = sig[0::2]
         level_map[: n_cat // 2] += sig[1::2]
         # edge channels: central differences of the occupancy, zero on the border
-        occ = sig.sum(axis=0)
-        level_map[n_groups, 1:-1, :] = np.abs(occ[2:, :] - occ[:-2, :]) / 2.0
-        level_map[n_groups + 1, :, 1:-1] = np.abs(occ[:, 2:] - occ[:, :-2]) / 2.0
-        level_map += rng.normal(0.0, enc.noise_sigma, size=level_map.shape)
-        aux_maps.append(FeatureMap.from_array(level_map))
+        occ = sig.sum(axis=0, out=canvas.plane[res])
+        edges = level_map[n_groups : n_groups + 2]
+        edges[0, [0, -1]] = edges[1, :, [0, -1]] = 0.0
+        np.subtract(occ[2:, :], occ[:-2, :], out=edges[0, 1:-1, :])
+        np.subtract(occ[:, 2:], occ[:, :-2], out=edges[1, :, 1:-1])
+        np.abs(edges, out=edges)
+        edges /= 2.0
+        level_map[:-1] += noise
 
-    return FeatureMap.from_array(primary), aux_maps
+    return FeatureMap.from_array(primary[:-1]), [FeatureMap.from_array(m[:-1]) for m in canvas.aux]
 
 
 # ------------------------------------------------------------- proposals

@@ -58,7 +58,7 @@ from .pyramid import (
 )
 from .regionenc import Connector, connector_backward, connector_forward, positional_embedding_matrix
 from .roialign import pooled_axis_weight_table, pooled_taps
-from .simworld import TrainingSample, make_training_set, toy_encode, vocabulary
+from .simworld import TrainingSample, make_training_set, reused_canvas, toy_encode, vocabulary
 
 __all__ = [
     "GROUP_PRIMARY",
@@ -321,12 +321,6 @@ def init_model_params(config: ExperimentConfig, rng: np.random.Generator | None 
     return ModelParams(groups)
 
 
-def _with_ones(data: np.ndarray) -> np.ndarray:
-    """A (C, H, W) map with a constant-one channel appended, so that a 1x1
-    mix's (C', C + 1) kernel block acts on it, or on its taps, bias and all."""
-    return np.concatenate([data, np.ones((1,) + data.shape[1:])])
-
-
 # ---------------------------------------------------------- sample prep
 
 @dataclass
@@ -360,9 +354,12 @@ def prepare_sample(params: ModelParams, sample, config: ExperimentConfig) -> Sam
     ``sample`` is a :class:`TrainingSample`, or any scene-with-proposals
     (``.scene``, ``.proposals``) such as an eval scene, which has no
     queries or targets.  The pooling weights of every size the parts pool
-    at come from one pass.
+    at come from one pass.  The scene renders into the reused canvas
+    (:func:`simworld.reused_canvas`), whose maps end in the ones channel
+    that a kernel block's bias column reads; no part views it.
     """
-    last_map, aux_maps = toy_encode(sample.scene, config.encoder)
+    canvas = reused_canvas(sample.scene.n_categories, config.encoder)
+    last_map, aux_maps = toy_encode(sample.scene, config.encoder, canvas)
     boxes = list(sample.proposals)
     h, w = last_map.height, last_map.width
     sizes = []
@@ -374,14 +371,14 @@ def prepare_sample(params: ModelParams, sample, config: ExperimentConfig) -> Sam
     parts = []
     if config.use_primary:
         mix = params.kernel(GROUP_PRIMARY, "mix")
-        mixed = (mix @ _with_ones(last_map.data).reshape(mix.shape[1], -1)).reshape(-1, h, w)
+        mixed = (mix @ canvas.primary.reshape(mix.shape[1], -1)).reshape(-1, h, w)
         if config.use_simplefp:
             parts.append((GROUP_SIMPLEFP, simple_fp_taps(mixed, weights)))
         else:
             a_y, a_x = weights[h, w]
             parts.append((None, [pooled_taps(mixed, a_y[:, None], a_x[:, None])]))
     if config.use_auxiliary:
-        parts.append((GROUP_AUX, [np.stack(aux_fuse_taps([_with_ones(m.data) for m in aux_maps], weights), axis=1)]))
+        parts.append((GROUP_AUX, [np.stack(aux_fuse_taps(canvas.aux, weights), axis=1)]))
     if isinstance(sample, TrainingSample):
         index = {n: i for i, n in enumerate(vocabulary(config.n_categories))}
         query_idx = np.array([index[q] for q in sample.queries], dtype=int)
@@ -564,13 +561,11 @@ def loss_and_grads(
     for grp in trainable - {g for g, _ in s.static.parts} - {GROUP_CONNECTOR, GROUP_NEW_VOCAB}:  # no path into the loss
         grads.vector[grads.spans[grp]] = 0.0
     if s.backward or GROUP_CONNECTOR in trainable:
-        d_tokens = d_logits @ queries
-        _, d_features = connector_backward(
-            params.connector, s.features, d_tokens, hidden=hidden, input_grad=bool(s.backward),
-            out=grads.groups[GROUP_CONNECTOR] if GROUP_CONNECTOR in trainable else None,
+        into = dict(grads.groups[GROUP_CONNECTOR]) if GROUP_CONNECTOR in trainable else {}
+        into["input"] = s.d_features
+        connector_backward(
+            params.connector, s.features, d_logits @ queries, hidden=hidden, input_grad=bool(s.backward), out=into,
         )
-        if s.backward:
-            np.copyto(s.d_features, d_features)
         for f, a, b, c in s.backward:
             f(a, b, c)
     return loss, grads

@@ -244,8 +244,9 @@ def test_connector_gradcheck_wide_configuration():
 def oracle_connector_backward(conn, f_hybrid, upstream, hidden=None, input_grad=True, out=None):
     """The backward before it took the forward's activations: it recomputes
     the tanh layer and always returns the input gradient.  ``hidden`` and
-    ``input_grad`` are accepted and ignored; the gradients are copied into
-    ``out``'s arrays, and those returned, when it is given."""
+    ``input_grad`` are accepted and ignored; each gradient that ``out``
+    names (the input's at ``"input"``) is copied into its array, and that
+    array returned."""
     f = np.atleast_2d(f_hybrid)
     g = np.atleast_2d(upstream)
     hidden = np.tanh(f @ conn.w1.T + conn.b1)
@@ -256,12 +257,12 @@ def oracle_connector_backward(conn, f_hybrid, upstream, hidden=None, input_grad=
     d_w1 = d_pre.T @ f
     d_b1 = d_pre.sum(axis=0)
     d_f = d_pre @ conn.w1
-    grads = {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}
-    if out is not None:
-        for name, d in grads.items():
+    grads = {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2, "input": d_f}
+    for name, d in grads.items():
+        if name in (out or {}):
             out[name][...] = d
-        grads = out
-    return grads, d_f
+            grads[name] = out[name]
+    return grads, grads.pop("input")
 
 
 def test_connector_backward_with_forward_activations_matches_recompute_bitwise():
@@ -293,6 +294,25 @@ def test_connector_backward_writes_its_gradients_into_out():
     for name, d in want.items():
         assert grads[name] is out[name] and out[name].tobytes() == d.tobytes()
     assert buffer.tobytes() == np.concatenate([d.ravel() for d in want.values()]).tobytes()
+
+
+def test_connector_backward_writes_the_input_gradient_into_out():
+    """``out["input"]`` receives the input gradient, alone or beside the
+    parameter gradients; a gradient ``out`` does not name is a new array."""
+    rng = np.random.default_rng(11)
+    conn = Connector.seeded(7, 5, rng, hidden_dim=6)
+    x, upstream = rng.normal(size=(4, 7)), rng.normal(size=(4, 5))
+    want, want_d_in = connector_backward(conn, x, upstream)
+    for names in ((), ("w1", "b2")):
+        out = {name: np.full_like(want[name], np.nan) for name in names}
+        out["input"] = np.full_like(want_d_in, np.nan)
+        grads, d_in = connector_backward(conn, x, upstream, out=out)
+        assert d_in is out["input"] and d_in.tobytes() == want_d_in.tobytes()
+        for name, d in want.items():
+            assert (grads[name] is out.get(name)) == (name in names) and grads[name].tobytes() == d.tobytes()
+        oracle_grads, oracle_d_in = oracle_connector_backward(conn, x, upstream, out=out)
+        assert oracle_d_in is out["input"] and all((oracle_grads[n] is out.get(n)) == (n in names) for n in want)
+    assert connector_backward(conn, x, upstream, input_grad=False, out=out)[1] is None
 
 
 def test_trained_parameters_equal_under_recomputing_backward(default_config, trained_default, monkeypatch):

@@ -4,14 +4,17 @@ The functions below are ``simworld``'s renderer as it was before painting
 was batched, kept verbatim as the oracle: ``toy_encode`` (renamed
 ``oracle_toy_encode``), ``_coverage``, the per-slice ``_blur3`` and
 ``_edge_maps``.  The batched ``toy_encode`` must give bitwise the same
-maps.
+maps, whether it renders into a new canvas or into one it reuses.
 """
 
 import numpy as np
+import pytest
 
 from regionkit.gridops import FeatureMap
 from regionkit.roialign import Box
-from regionkit.simworld import EncoderConfig, Scene, SceneConfig, generate_scene, toy_encode, vocabulary
+from regionkit.simworld import (
+    Canvas, EncoderConfig, Scene, SceneConfig, generate_scene, reused_canvas, toy_encode, vocabulary,
+)
 
 
 def _coverage(box: Box, res: int) -> np.ndarray:
@@ -147,3 +150,73 @@ def test_batched_render_matches_per_box_oracle_bitwise():
             for got, want in zip(aux, want_aux):
                 _assert_bitwise(got.data, want.data)
     assert rendered_distractors
+
+
+# ------------------------------------------------------------- the canvas
+
+# a render into a canvas overwrites every value it returns: consecutive
+# renders go from many boxes to none, from padded primary channels to none
+# and back, and from one category count and resolution set to another and
+# back; at sigma 0 the scaled noise is +-0.0 where rng.normal gave +0.0
+_CANVAS_RUNS = [
+    (SceneConfig(n_categories=8, min_objects=8, max_objects=8, clutter_density=10.0), EncoderConfig()),
+    (SceneConfig(n_categories=8, min_objects=0, max_objects=0, clutter_density=0.0), EncoderConfig()),
+    (SceneConfig(n_categories=8, min_objects=0, max_objects=3, clutter_density=0.5), EncoderConfig()),
+    (SceneConfig(n_categories=5, min_objects=0, max_objects=8, clutter_density=2.0),
+     EncoderConfig(primary_resolution=9, aux_base_resolution=40)),
+    (SceneConfig(n_categories=11, min_objects=0, max_objects=2, clutter_density=0.05),
+     EncoderConfig(primary_resolution=9, aux_base_resolution=40, noise_sigma=0.0)),
+    (SceneConfig(n_categories=8, min_objects=1, max_objects=8, clutter_density=0.05), EncoderConfig()),
+]
+
+
+def _canvas_scenes():
+    for k, (world, enc) in enumerate(_CANVAS_RUNS):
+        for seed in range(6):
+            yield generate_scene(500 * k + seed, world), enc
+
+
+def _assert_maps_equal(maps, want) -> None:
+    (primary, aux), (want_primary, want_aux) = maps, want
+    _assert_bitwise(primary.data, want_primary.data)
+    assert len(aux) == len(want_aux) == 4
+    for got, w in zip(aux, want_aux):
+        _assert_bitwise(got.data, w.data)
+
+
+def test_consecutive_renders_into_one_canvas_match_oracle_bitwise():
+    """Each render into a reused canvas, the slot's or one held across the
+    scenes of a config, is bitwise the oracle's; the slot keeps its canvas
+    while the config stays and replaces it when the config changes."""
+    box_counts, held, last = set(), {}, None
+    for scene, enc in _canvas_scenes():
+        key = (scene.n_categories, enc)
+        slot = reused_canvas(*key)
+        assert slot is reused_canvas(*key) and slot.key == key
+        assert last is None or (slot is last) == (key == last.key)
+        last = slot
+        canvas = held.setdefault(key, Canvas(*key))
+        want = oracle_toy_encode(scene, enc)
+        _assert_maps_equal(toy_encode(scene, enc, slot), want)
+        _assert_maps_equal(toy_encode(scene, enc, canvas), want)
+        for m in [canvas.primary, *canvas.aux, slot.primary, *slot.aux]:
+            assert np.all(m[-1] == 1.0)
+        n_distract = np.random.default_rng([scene.seed, 0xE0C0DE]).poisson(scene.clutter_density * 8)
+        box_counts.add(len(scene.objects) + n_distract)
+    assert 0 in box_counts and max(box_counts) > 16
+    with pytest.raises(ValueError, match="canvas"):
+        toy_encode(scene, EncoderConfig(primary_resolution=8), canvas)
+
+
+def test_maps_rendered_without_a_canvas_are_the_callers():
+    """A render with no canvas returns maps that no later render writes."""
+    scenes = [scene for scene, enc in _canvas_scenes() if enc == EncoderConfig() and scene.n_categories == 8]
+    first = toy_encode(scenes[0])
+    kept = [m.data.copy() for m in [first[0], *first[1]]]
+    for scene in scenes[1:]:
+        again = toy_encode(scene)
+        into_slot = toy_encode(scene, EncoderConfig(), reused_canvas(8, EncoderConfig()))
+        for m in [first[0], *first[1]]:
+            assert not any(np.shares_memory(m.data, o.data) for o in [*again[1], again[0], *into_slot[1], into_slot[0]])
+    for m, k in zip([first[0], *first[1]], kept):
+        _assert_bitwise(m.data, k)

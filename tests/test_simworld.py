@@ -68,7 +68,8 @@ def test_encode_deterministic():
     pa, auxa = toy_encode(scene)
     pb, auxb = toy_encode(scene)
     np.testing.assert_array_equal(pa.data, pb.data)
-    for a, b in zip(auxa, auxb):
+    for a, b in zip([pa, *auxa], [pb, *auxb]):
+        assert not np.shares_memory(a.data, b.data)  # two renders, not one compared with itself
         np.testing.assert_array_equal(a.data, b.data)
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,10 @@ def test_config_requires_a_stream(tiny_config):
          lambda cfg: ExperimentConfig.from_json({"proposals": {"clutter_rate": 1e300}})),
         ("world.max_overlap must lie in \\[0, 1\\], got -1.0",
          lambda cfg: ExperimentConfig.from_json({"world": {"max_overlap": -1.0}})),
+        ("max_objects must be <= 256, got 257", lambda cfg: cfg.replace(world=SceneConfig(max_objects=257))),
+        ("max_objects must be <= 256, got 1000000000.0", lambda cfg: cfg.replace(world=SceneConfig(max_objects=1e9))),
+        ("world.max_objects must be <= 256, got 1000000000",
+         lambda cfg: ExperimentConfig.from_json({"world": {"max_objects": 10**9}})),
         ("world.max_objects must be >= 1 when proposals.clutter_rate is 0",
          lambda cfg: ExperimentConfig.from_json(
              {"world": {"min_objects": 0, "max_objects": 0}, "proposals": {"clutter_rate": 0.0}})),
@@ -422,6 +427,24 @@ def test_prepared_parts_pin_no_larger_array(tiny_config, variant):
                 for a in args:
                     if isinstance(a, np.ndarray):
                         assert a.base is None or any(np.shares_memory(a, o) for o in owners), (f, a.shape)
+
+
+def test_prepare_sample_allocates_at_most_512_kib(default_config):
+    """After one warm-up, preparing a default-config sample renders into the
+    reused canvas: the most it holds at once of new memory stays under
+    512 KiB (a render's own buffers are ~1 MiB)."""
+    params = init_model_params(default_config)
+    samples = make_training_set(6, 0.5, seed=3, scene_config=default_config.world,
+                                proposal_config=default_config.proposals)
+    prepare_sample(params, samples[0], default_config)
+    for sample in samples[1:]:
+        tracemalloc.start()
+        try:
+            prepare_sample(params, sample, default_config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 512 * 1024, peak
 
 
 _DENSE_OPS = (
