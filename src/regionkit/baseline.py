@@ -22,11 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
+from .gridops import check_finite
 from .metrics import EvalReport, coco_map
 from .regionenc import Connector, connector_backward, connector_forward
 from .retrieval import Detection, logistic
 from .roialign import Box
-from .simworld import Scene, reused_canvas, toy_encode, vocabulary
+from .simworld import Scene, render, reused_canvas, vocabulary
 from .training import TrainingDivergence, bce_with_logits, seeded_training_set
 
 __all__ = ["BaselineHead", "init_baseline", "train_baseline", "decode_baseline", "regression_baseline_eval"]
@@ -78,8 +79,8 @@ def grid_pool(map_data: np.ndarray, grid: int) -> np.ndarray:
 
 
 def scene_feature(scene: Scene, config: ExperimentConfig) -> np.ndarray:
-    last_map, _ = toy_encode(scene, config.encoder, reused_canvas(scene.n_categories, config.encoder))
-    return grid_pool(last_map.data, POOL)
+    canvas = render(scene, config.encoder, reused_canvas(scene.n_categories, config.encoder))
+    return grid_pool(check_finite(canvas.primary[:-1], "the primary map"), POOL)
 
 
 def _slot_targets(scene: Scene, n_slots: int, n_categories: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

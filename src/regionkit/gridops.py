@@ -28,6 +28,7 @@ import numpy as np
 __all__ = [
     "FeatureMap",
     "NonFiniteError",
+    "check_finite",
     "Kernel",
     "bilinear_resize",
     "resize_matrix",
@@ -50,6 +51,13 @@ class NonFiniteError(ValueError):
     """A feature map or connector was built from values that are not all finite."""
 
 
+def check_finite(data: np.ndarray, what: str) -> np.ndarray:
+    """``data``, once it holds only finite values; else NonFiniteError naming ``what``."""
+    if not np.isfinite(data).all():
+        raise NonFiniteError(f"{what} contains non-finite values")
+    return data
+
+
 @dataclass
 class FeatureMap:
     """A dense C x H x W grid of finite real values, row-major in (c, y, x)."""
@@ -62,11 +70,8 @@ class FeatureMap:
     def __post_init__(self):
         if self.channels < 1 or self.height < 1 or self.width < 1:
             raise ValueError("FeatureMap dimensions must be positive")
-        self.data = _as_grid(self.data, self.channels, self.height, self.width)
-        if not np.all(np.isfinite(self.data)):
-            raise NonFiniteError(
-                f"{self.channels}x{self.height}x{self.width} FeatureMap contains non-finite values"
-            )
+        shape = (self.channels, self.height, self.width)
+        self.data = check_finite(_as_grid(self.data, *shape), "x".join(map(str, shape)) + " FeatureMap")
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "FeatureMap":

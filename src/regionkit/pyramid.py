@@ -38,6 +38,7 @@ wiring and the fuse rule are stated only in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -182,6 +183,21 @@ def _deconv_gather(a: np.ndarray, stride: int) -> np.ndarray:
     return a.reshape(a.shape[0], -1, stride).transpose(0, 2, 1)
 
 
+@lru_cache(maxsize=4)
+def _zero_bordered(shape: tuple[int, int, int]) -> np.ndarray:
+    """A buffer for a (C, H, W) map whose one-cell border stays zero; each user overwrites the inside."""
+    return np.zeros((shape[0], shape[1] + 2, shape[2] + 2))
+
+
+@lru_cache(maxsize=8)
+def _stacked_resize(sizes: tuple[int, ...], target: int) -> np.ndarray:
+    """(target, sum(sizes)) matrix: the resize matrix of each size to
+    ``target``, side by side; the block of ``target`` itself is the identity."""
+    mat = np.hstack([resize_matrix(size, target) for size in sizes])
+    mat.flags.writeable = False
+    return mat
+
+
 def _row_sums(a_y: np.ndarray, a_x: np.ndarray) -> np.ndarray:
     """(N, 1) total pooling weight per box: what a constant bias pools to."""
     return (a_y.sum(axis=1) * a_x.sum(axis=1))[:, None]
@@ -228,7 +244,8 @@ def simple_fp_taps(raw: np.ndarray, weights: dict) -> list[np.ndarray]:
     down, same, up2, up4 = (weights[size] for size in simple_fp_sizes(h, w))
     levels = []
     a_y, a_x = down
-    padded = np.pad(raw, ((0, 0), (1, 1), (1, 1)))
+    padded = _zero_bordered(raw.shape)
+    padded[:, 1:-1, 1:-1] = raw
     taps = pooled_taps(padded, _conv_gather(a_y, 3, 2, h + 2), _conv_gather(a_x, 3, 2, w + 2))
     levels.append(np.concatenate([taps, _row_sums(a_y, a_x)], axis=1))
     a_y, a_x = same
@@ -251,17 +268,16 @@ def aux_fuse_taps(raw_maps: list[np.ndarray], weights: dict) -> list[np.ndarray]
 
     ``weights`` maps the fused size (:func:`aux_fuse_size`) to the boxes'
     per-axis pooling weights (:func:`roialign.pooled_axis_weight_table`).
-    The resize is folded into those weights, box by box.  Map l's part of
-    the fused feature is ``apply_taps(taps[l], mix)`` for its (O, J) 1x1
-    mix, whose bias is the last column when the map has a ones channel.
+    The resize is folded into those weights, by one product per axis with
+    the stacked resize matrices (:func:`_stacked_resize`).  Map l's part of
+    the fused feature is ``apply_taps(taps[l], mix)`` for its 1x1 mix.
     """
-    sizes = [m.shape[1:] for m in raw_maps]
-    th, tw = aux_fuse_size(sizes)
+    heights, widths = zip(*(m.shape[1:] for m in raw_maps))
+    th, tw = aux_fuse_size(list(zip(heights, widths)))
     a_y, a_x = weights[th, tw]
-    taps = []
-    for m, (h, w) in zip(raw_maps, sizes):
-        g_y, g_x = a_y[:, None], a_x[:, None]
-        if (h, w) != (th, tw):
-            g_y, g_x = g_y @ resize_matrix(h, th), g_x @ resize_matrix(w, tw)
-        taps.append(pooled_taps(m, g_y, g_x))
+    g_y, g_x = a_y @ _stacked_resize(heights, th), a_x @ _stacked_resize(widths, tw)
+    taps, y0, x0 = [], 0, 0
+    for m, h, w in zip(raw_maps, heights, widths):
+        taps.append(pooled_taps(m, g_y[:, None, y0 : y0 + h], g_x[:, None, x0 : x0 + w]))
+        y0, x0 = y0 + h, x0 + w
     return taps

@@ -13,10 +13,11 @@ samples form a separable grid, so that functional is rank 1 per box: the
 outer product of one weight vector per axis (:func:`pooled_axis_weights`;
 :func:`pooled_axis_weight_table` computes them at several map sizes in one
 pass).
-:func:`pooled_weights` is that outer product as an (N, H * W) matrix, and
-:func:`pooled_taps` contracts a map with per-axis tap weights box by box
-and :func:`apply_taps` applies a kernel to the taps, which is how the
-training forward pools without building any level map.
+:func:`pooled_weights` is that outer product as an (N, H * W) matrix.
+:func:`pooled_taps` contracts a map with per-axis tap weights, the y axis
+in one 2-D product over all (box, tap) rows, and a box's row does not
+depend on its position; :func:`apply_taps` applies a kernel to the taps,
+which is how the training forward pools without building any level map.
 """
 
 from __future__ import annotations
@@ -247,12 +248,13 @@ def pooled_taps(map_data: np.ndarray, g_y: np.ndarray, g_x: np.ndarray) -> np.nd
     """(N, T_y * T_x * C) taps[n, (ty, tx, c)] = sum_{y, x} g_y[n, ty, y] g_x[n, tx, x] map[c, y, x].
 
     ``map_data`` is (C, H, W), ``g_y`` is (N, T_y, H) and ``g_x`` is
-    (N, T_x, W).  Every product is batched over the box axis, so a box's
-    row does not depend on where it sits among the boxes.
+    (N, T_x, W).  The y contraction is one 2-D product over all (box, tap)
+    rows, the x contraction is batched over the box axis, and neither sums
+    across rows: a box's row does not depend on where it sits among them.
     """
     c, h, w = map_data.shape
     n, t_y, t_x = g_y.shape[0], g_y.shape[1], g_x.shape[1]
-    rows = np.matmul(g_y, map_data.transpose(1, 0, 2).reshape(h, c * w))  # (N, T_y, C * W)
+    rows = g_y.reshape(n * t_y, h) @ map_data.transpose(1, 0, 2).reshape(h, c * w)  # (N * T_y, C * W)
     taps = np.matmul(rows.reshape(n, t_y * c, w), g_x.transpose(0, 2, 1))  # (N, T_y * C, T_x)
     return taps.reshape(n, t_y, c, t_x).transpose(0, 1, 3, 2).reshape(n, -1)
 

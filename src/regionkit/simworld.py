@@ -52,6 +52,7 @@ __all__ = [
     "generate_scene",
     "Canvas",
     "reused_canvas",
+    "render",
     "toy_encode",
     "simulate_opn",
     "make_training_set",
@@ -250,20 +251,13 @@ def generate_scene(seed: int, config: SceneConfig = SceneConfig()) -> Scene:
 
 # ------------------------------------------------------------- rendering
 
-def _axis_coverage(lo: np.ndarray, hi: np.ndarray, res: int) -> np.ndarray:
-    """Fraction of each of ``res`` grid rows (or columns) that the edge
-    pairs (lo, hi) cover, in [0, 1]: shape ``lo.shape + (res,)``."""
-    edges = np.arange(res + 1) / res
-    return np.maximum(np.minimum(hi[..., None], edges[1:]) - np.maximum(lo[..., None], edges[:-1]), 0.0) * res
-
-
 _BLUR_WEIGHTS = {
     (-1, -1): 1, (-1, 0): 2, (-1, 1): 1, (0, -1): 2, (0, 0): 4, (0, 1): 2, (1, -1): 1, (1, 0): 2, (1, 1): 1,
 }
 
 
 class Canvas:
-    """The buffers :func:`toy_encode` renders into, for one category count
+    """The buffers :func:`render` renders into, for one category count
     and encoder config.  A render overwrites every value it reads back, so
     a canvas carries buffers from scene to scene, never a scene's values.
 
@@ -271,11 +265,12 @@ class Canvas:
     constant ones channel last, so that a 1x1 mix's (C', C + 1) kernel
     block acts on a map, or on its taps, bias and all.  The other buffers
     are the noise of all five maps, the paint and a plane per distinct
-    resolution, and the blur's zero-bordered input and its addend.
+    resolution, the blur's zero-bordered input and its addend, and the cells.
     """
 
     def __init__(self, n_categories: int, enc: EncoderConfig):
         self.key = (n_categories, enc)
+        self.cat_index = {name: i for i, name in enumerate(vocabulary(n_categories))}
         pr = enc.primary_resolution
         self.aux_res = [enc.aux_base_resolution // (2**level) for level in range(4)]
         shapes = [(enc.primary_channels(n_categories), pr, pr)]
@@ -290,6 +285,9 @@ class Canvas:
         self.paint = {res: np.empty((n_categories, res, res)) for res in {pr, *self.aux_res}}
         # per resolution: a box's coverage while painting, then the occupancy
         self.plane = {res: np.empty((res, res)) for res in self.paint}
+        # (low, high) edges of every cell, and the size of its grid
+        self.cell_edges = np.hstack([(e[:-1], e[1:]) for e in (np.arange(res + 1) / res for res in self.paint)])
+        self.cell_res = np.concatenate([np.full(res, float(res)) for res in self.paint])
         self.blur_in = np.zeros((n_categories, pr + 2, pr + 2))
         self.blur_term = np.empty((n_categories, pr, pr))
         ramp = (np.arange(pr) + 0.5) / pr
@@ -315,35 +313,27 @@ def _blur3(pad: np.ndarray, out: np.ndarray, term: np.ndarray) -> None:
     out /= 16.0
 
 
-def toy_encode(
-    scene: Scene, enc: EncoderConfig = EncoderConfig(), canvas: Canvas | None = None
-) -> tuple[FeatureMap, list[FeatureMap]]:
-    """Render a scene into (primary last map, four auxiliary maps).
+def render(scene: Scene, enc: EncoderConfig, canvas: Canvas) -> Canvas:
+    """Render a scene into ``canvas`` (for its category count and ``enc``)
+    and return it: its ``primary`` last map and four ``aux`` maps, until the
+    next render into it.  One render at a time may use a canvas.
 
-    Deterministic in the scene seed: encoding the same scene twice yields
-    bitwise-identical maps.  Each distinct resolution is painted once, all
-    boxes together: per box, the outer product of its row and column
-    coverage, added into its category channel in box order (the objects,
-    then the distractors at ``distractor_intensity``).
-
-    The maps view ``canvas`` (a :class:`Canvas` for the scene's category
-    count and ``enc``), and the next render into it overwrites them.  The
-    code is single-threaded: one render at a time may use a canvas.
-    Without one, a new canvas is made, so the maps returned are the
-    caller's alone.
+    Deterministic in the scene seed: the maps are a function of the scene.
+    Every box's row and column coverage at every paint resolution comes
+    from one pass over the canvas's cells.  Each resolution is painted
+    once: per box, the outer product of its row and column coverage, added
+    into its category channel in box order (the objects, then the
+    distractors at ``distractor_intensity``).
     """
     n_cat = scene.n_categories
-    if canvas is None:
-        canvas = Canvas(n_cat, enc)
-    elif canvas.key != (n_cat, enc):
+    if canvas.key != (n_cat, enc):
         raise ValueError("the canvas was made for another category count or encoder config")
     rng = np.random.default_rng([scene.seed, 0xE0C0DE])
-    cat_index = {name: i for i, name in enumerate(vocabulary(n_cat))}
 
     # distractor smudges shared by both streams
     n_distract = int(rng.poisson(scene.clutter_density * 8))
     boxes = [box for _, box in scene.objects]
-    channels = [cat_index[cat] for cat, _ in scene.objects]
+    channels = [canvas.cat_index[cat] for cat, _ in scene.objects]
     for _ in range(n_distract):
         w = float(rng.uniform(0.03, 0.10))
         h = float(rng.uniform(0.03, 0.10))
@@ -358,9 +348,15 @@ def toy_encode(
     lo = np.array([(b.y1, b.x1) for b in boxes], dtype=np.float64).reshape(-1, 2)
     hi = np.array([(b.y2, b.x2) for b in boxes], dtype=np.float64).reshape(-1, 2)
     n_obj = len(scene.objects)
+    # the fraction of each cell's row (or column) that each edge pair covers
+    cell_lo, cell_hi = canvas.cell_edges
+    coverage = np.maximum(np.minimum(hi[..., None], cell_hi) - np.maximum(lo[..., None], cell_lo), 0.0)
+    coverage *= canvas.cell_res
 
+    start = 0
     for res, sig in canvas.paint.items():
-        rows, cols = _axis_coverage(lo, hi, res).transpose(1, 0, 2)
+        rows, cols = coverage[:, :, start : start + res].transpose(1, 0, 2)
+        start += res
         cover = canvas.plane[res]
         sig.fill(0.0)
         for k, (c, row, col) in enumerate(zip(channels, rows, cols)):
@@ -398,7 +394,17 @@ def toy_encode(
         edges /= 2.0
         level_map[:-1] += noise
 
-    return FeatureMap.from_array(primary[:-1]), [FeatureMap.from_array(m[:-1]) for m in canvas.aux]
+    return canvas
+
+
+def toy_encode(
+    scene: Scene, enc: EncoderConfig = EncoderConfig(), canvas: Canvas | None = None
+) -> tuple[FeatureMap, list[FeatureMap]]:
+    """:func:`render` as (primary last map, four auxiliary maps), checked
+    :class:`FeatureMap` views without the ones channels.  Without a canvas,
+    a new one is made, so the maps returned are the caller's alone."""
+    canvas = render(scene, enc, Canvas(scene.n_categories, enc) if canvas is None else canvas)
+    return FeatureMap.from_array(canvas.primary[:-1]), [FeatureMap.from_array(m[:-1]) for m in canvas.aux]
 
 
 # ------------------------------------------------------------- proposals

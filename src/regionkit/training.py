@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ExperimentConfig
-from .gridops import NonFiniteError
+from .gridops import NonFiniteError, check_finite
 from .pyramid import (
     BRANCHES,
     SimpleFPParams,
@@ -58,7 +58,7 @@ from .pyramid import (
 )
 from .regionenc import Connector, connector_backward, connector_forward, positional_embedding_matrix
 from .roialign import pooled_axis_weight_table, pooled_taps
-from .simworld import TrainingSample, make_training_set, reused_canvas, toy_encode, vocabulary
+from .simworld import TrainingSample, make_training_set, render, reused_canvas, vocabulary
 
 __all__ = [
     "GROUP_PRIMARY",
@@ -356,17 +356,17 @@ def prepare_sample(params: ModelParams, sample, config: ExperimentConfig) -> Sam
     queries or targets.  The pooling weights of every size the parts pool
     at come from one pass.  The scene renders into the reused canvas
     (:func:`simworld.reused_canvas`), whose maps end in the ones channel
-    that a kernel block's bias column reads; no part views it.
-    """
-    canvas = reused_canvas(sample.scene.n_categories, config.encoder)
-    last_map, aux_maps = toy_encode(sample.scene, config.encoder, canvas)
+    that a kernel block's bias column reads; no part views it.  Each map
+    pooled is checked finite."""
+    canvas = render(sample.scene, config.encoder, reused_canvas(sample.scene.n_categories, config.encoder))
     boxes = list(sample.proposals)
-    h, w = last_map.height, last_map.width
+    h, w = canvas.primary.shape[1:]
     sizes = []
     if config.use_primary:
+        check_finite(canvas.primary, "the primary map")
         sizes += simple_fp_sizes(h, w) if config.use_simplefp else [(h, w)]
     if config.use_auxiliary:
-        sizes.append(aux_fuse_size([(m.height, m.width) for m in aux_maps]))
+        sizes.append(aux_fuse_size([check_finite(m, "an auxiliary map").shape[1:] for m in canvas.aux]))
     weights = pooled_axis_weight_table(sizes, boxes, config.roi)
     parts = []
     if config.use_primary:

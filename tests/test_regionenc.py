@@ -349,6 +349,32 @@ def test_region_tokens_deterministic_and_equivariant(tiny_config):
     np.testing.assert_array_equal(permuted, tokens[perm])
 
 
+def test_default_scenes_parts_and_tokens_permute_with_their_proposals(default_config):
+    """Over default eval scenes of 2 to 14 proposals, permuting the
+    proposals permutes every prepared part and the token rows, bitwise: the
+    pooling's 2-D product over all (box, tap) rows keeps a box's row
+    independent of where the box sits."""
+    params = init_model_params(default_config)
+    rng = np.random.default_rng(22)
+    checked = set()
+    for k, full in enumerate(make_eval_scenes(default_config, n_scenes=80)):
+        # the first 2, 3, ..., 14 proposals in turn, as many as the scene has
+        scene = EvalScene(full.scene, full.proposals[: 2 + k % 13])
+        n = len(scene.proposals)
+        perm = rng.permutation(n)
+        if list(perm) == sorted(perm):
+            perm = perm[::-1]
+        static = prepare_sample(params, scene, default_config)
+        tokens = region_token_matrix(params, static)
+        permuted = prepare_sample(params, EvalScene(scene.scene, [scene.proposals[i] for i in perm]), default_config)
+        for (_, arrays), (_, permuted_arrays) in zip(static.parts, permuted.parts, strict=True):
+            for a, b in zip(arrays, permuted_arrays, strict=True):
+                assert a[perm].tobytes() == b.tobytes()
+        assert region_token_matrix(params, permuted).tobytes() == tokens[perm].tobytes()
+        checked.add((scene.scene.seed, n))
+    assert len(checked) >= 50 and min(n for _, n in checked) == 2 and max(n for _, n in checked) == 14
+
+
 def test_one_proposal_scene_token_agrees_to_1e12(default_config):
     """A box alone in a scene gets its region token to 1e-12 relative of
     its row among the scene's other proposals.  Not bitwise: the

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from regionkit import experiments, gridops, pyramid, roialign, training
+from regionkit import baseline, experiments, gridops, pyramid, roialign, simworld, training
 from regionkit.config import ExperimentConfig
 from regionkit.experiments import evaluate_retrieval, make_eval_scenes
 from regionkit.gridops import Kernel, conv2d, conv2d_backward
@@ -535,6 +535,30 @@ def test_divergence_raises_with_diagnostic(tiny_config):
     assert err.loss is None
     assert "region feature matrix contains non-finite values" in str(err)
     assert "loss" not in str(err)
+
+
+@pytest.mark.parametrize("level", [None, 0, 2])
+def test_non_finite_rendered_map_is_caught_before_pooling(tiny_config, monkeypatch, level):
+    """``prepare_sample`` checks every map it pools and
+    ``baseline.scene_feature`` the primary map, the one it reads."""
+    render = simworld.render
+
+    def poisoned(scene, enc, canvas):
+        render(scene, enc, canvas)
+        (canvas.primary if level is None else canvas.aux[level])[0, 1, 1] = np.nan  # the next render overwrites it
+        return canvas
+
+    monkeypatch.setattr(training, "render", poisoned)
+    monkeypatch.setattr(baseline, "render", poisoned)
+    scene = make_eval_scenes(tiny_config)[0]
+    what = "the primary map" if level is None else "an auxiliary map"
+    with pytest.raises(gridops.NonFiniteError, match=what):
+        prepare_sample(init_model_params(tiny_config), scene, tiny_config)
+    if level is None:
+        with pytest.raises(gridops.NonFiniteError, match=what):
+            baseline.scene_feature(scene.scene, tiny_config)
+    else:
+        assert np.isfinite(baseline.scene_feature(scene.scene, tiny_config)).all()
 
 
 def test_infinite_connector_bias_is_caught_before_the_loss(tiny_config, monkeypatch):
