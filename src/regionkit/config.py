@@ -2,12 +2,12 @@
 
 One frozen dataclass carries everything a run needs: the synthetic world,
 the proposal simulator, model dimensions, the two-stage step budgets and
-learning rates, the decode threshold, and the ablation switches.  Feature
-dimensions are derived, not stored: the primary region feature is
-4 * fp_channels through the pyramid (or the raw primary channel count when
-the pyramid is switched off) and the auxiliary region feature is the sum
-of the four auxiliary level widths.  Their total must be divisible by 8 so
-the box positional embedding can be formed.
+learning rates, the decode threshold, and the stream variant, a name in
+:data:`STREAMS`.  Feature dimensions are derived, not stored: the primary
+region feature is 4 * fp_channels through the pyramid (or the raw primary
+channel count in a variant without it) and the auxiliary region feature is
+the sum of the four auxiliary level widths.  Their total must be divisible
+by 8 so the box positional embedding can be formed.
 
 Configs round-trip through JSON; the schema is documented in the README.
 """
@@ -23,7 +23,19 @@ from dataclasses import dataclass, field
 from .roialign import RoiConfig, is_json_number
 from .simworld import EncoderConfig, ProposalSimConfig, SceneConfig
 
-__all__ = ["ExperimentConfig"]
+__all__ = ["ExperimentConfig", "STREAMS", "Streams"]
+
+
+# the encoder streams each variant's region feature draws on; simplefp, the
+# pyramid, runs on the primary map
+Streams = typing.NamedTuple("Streams", [("primary", bool), ("simplefp", bool), ("auxiliary", bool)])
+STREAMS = {
+    "hybrid": Streams(primary=True, simplefp=True, auxiliary=True),
+    "hybrid_no_fp": Streams(primary=True, simplefp=False, auxiliary=True),
+    "primary_only": Streams(primary=True, simplefp=True, auxiliary=False),
+    "primary_only_no_fp": Streams(primary=True, simplefp=False, auxiliary=False),
+    "auxiliary_only": Streams(primary=False, simplefp=False, auxiliary=True),
+}
 
 
 @dataclass(frozen=True)
@@ -46,11 +58,11 @@ class ExperimentConfig:
     threshold: float = 0.5
     n_eval_scenes: int = 30
 
-    use_primary: bool = True
-    use_auxiliary: bool = True
-    use_simplefp: bool = True
+    streams: str = "hybrid"
 
     def __post_init__(self):
+        if self.streams not in STREAMS:
+            raise ValueError(f"streams must be one of {', '.join(STREAMS)}, got {self.streams!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("stage1_lr", "stage2_lr"):
@@ -62,13 +74,6 @@ class ExperimentConfig:
         for name in ("fp_channels", "d_llm"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not (self.use_primary or self.use_auxiliary):
-            raise ValueError("at least one of use_primary/use_auxiliary must be enabled")
-        if self.use_simplefp and not self.use_primary:
-            raise ValueError(
-                "use_simplefp needs use_primary: the pyramid runs on the primary map "
-                "(an auxiliary-only model is use_primary=False, use_simplefp=False)"
-            )
         if not (0.0 < self.threshold < 1.0):
             raise ValueError("threshold must lie in (0, 1)")
         for name in ("n_train_scenes", "n_eval_scenes"):
@@ -82,9 +87,9 @@ class ExperimentConfig:
                                 ("world.max_objects must be >= 1", self.world.max_objects == 0)):
                 if unmet:
                     raise ValueError(f"{need} when proposals.clutter_rate is 0: otherwise no scene ever has a proposal")
-        if self.use_simplefp and self.encoder.primary_resolution < 4:
+        if self.uses.simplefp and self.encoder.primary_resolution < 4:
             raise ValueError(
-                "encoder.primary_resolution must be >= 4 with use_simplefp: the stride-2 branch needs a 4x4 map"
+                f"encoder.primary_resolution must be >= 4 with streams {self.streams}: the stride-2 branch needs a 4x4 map"
             )
         if self.d_total % 8 != 0:
             raise ValueError(
@@ -101,18 +106,21 @@ class ExperimentConfig:
         return EncoderConfig.primary_channels(self.n_categories)
 
     @property
+    def uses(self) -> Streams:
+        """The streams of this config's variant."""
+        return STREAMS[self.streams]
+
+    @property
     def d_p(self) -> int:
-        """Primary region feature dimension under the current switches."""
-        if self.use_simplefp:
+        """Primary region feature dimension of this config's variant."""
+        if self.uses.simplefp:
             return 4 * self.fp_channels
-        return self.primary_channels if self.use_primary else 0
+        return self.primary_channels if self.uses.primary else 0
 
     @property
     def d_a(self) -> int:
-        """Auxiliary region feature dimension under the current switches."""
-        if not self.use_auxiliary:
-            return 0
-        return EncoderConfig.aux_total_dim(self.n_categories)
+        """Auxiliary region feature dimension of this config's variant."""
+        return EncoderConfig.aux_total_dim(self.n_categories) if self.uses.auxiliary else 0
 
     @property
     def d_total(self) -> int:
@@ -175,7 +183,7 @@ def _from_json(cls, obj, section: str = ""):
 
 
 def _json_value(value, hint, name: str):
-    """Check one JSON value against a field's type: int, float or bool."""
+    """Check one JSON value against a field's type: int, float, bool or str."""
     if hint is float:
         ok = is_json_number(value)
         want = "a finite number"

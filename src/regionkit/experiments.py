@@ -3,8 +3,8 @@
 ``run_benchmark`` trains the retrieval head and the coordinate-regression
 baseline under the same budget, evaluates both on a held-out seeded scene
 set, and writes a JSON report plus a one-line-per-model TSV.
-``run_ablations`` trains the feature-stream variants (hybrid, primary-only
-with and without the pyramid, auxiliary-only) across several seeds and
+``run_ablations`` trains four stream variants (hybrid, primary-only with
+and without the pyramid, auxiliary-only) across several seeds and
 tabulates their mean AP.  ``rejection_stats`` and ``counting_stats``
 measure absent-category false positives and detect-then-count accuracy.
 
@@ -32,6 +32,7 @@ from .training import (
     TrainingLog,
     prepare_sample,
     region_token_matrix,
+    seeded_training_set,
     train,
 )
 
@@ -164,12 +165,7 @@ def run_benchmark(config: ExperimentConfig, out_dir: str | Path | None = None) -
 
 # -------------------------------------------------------------- ablations
 
-_VARIANTS = (
-    ("hybrid", {"use_primary": True, "use_auxiliary": True, "use_simplefp": True}),
-    ("primary_only", {"use_primary": True, "use_auxiliary": False, "use_simplefp": True}),
-    ("primary_only_no_fp", {"use_primary": True, "use_auxiliary": False, "use_simplefp": False}),
-    ("auxiliary_only", {"use_primary": False, "use_auxiliary": True, "use_simplefp": False}),
-)
+_VARIANTS = ("hybrid", "primary_only", "primary_only_no_fp", "auxiliary_only")
 
 
 @dataclass
@@ -185,18 +181,17 @@ class AblationRow:
 def run_ablations(
     config: ExperimentConfig, n_seeds: int = 5, out_dir: str | Path | None = None
 ) -> list[AblationRow]:
-    """Train every feature-stream variant across seeds with one shared budget."""
+    """Train the compared stream variants across seeds with one shared budget and data per seed."""
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    rows = []
-    for name, switches in _VARIANTS:
-        aps = []
-        for offset in range(n_seeds):
-            variant_cfg = config.replace(seed=config.seed + offset, **switches)
-            params, _ = train(variant_cfg)
-            eval_scenes = make_eval_scenes(variant_cfg)
-            aps.append(evaluate_retrieval(params, eval_scenes, variant_cfg).ap_mean)
-        rows.append(AblationRow(variant=name, ap_per_seed=aps))
+    rows = [AblationRow(variant=name, ap_per_seed=[]) for name in _VARIANTS]
+    for offset in range(n_seeds):
+        seed_cfg = config.replace(seed=config.seed + offset)
+        dataset, eval_scenes = seeded_training_set(seed_cfg), make_eval_scenes(seed_cfg)
+        for row in rows:
+            variant_cfg = seed_cfg.replace(streams=row.variant)
+            params, _ = train(variant_cfg, dataset)
+            row.ap_per_seed.append(evaluate_retrieval(params, eval_scenes, variant_cfg).ap_mean)
     if out_dir is not None:
         table = {r.variant: {"ap_mean": r.ap_mean, "ap_per_seed": r.ap_per_seed} for r in rows}
         tsv = "variant\tap_mean\t" + "\t".join(f"seed+{k}" for k in range(n_seeds)) + "\n"

@@ -10,10 +10,10 @@ rounding anywhere.  Samples falling outside the map clamp to the edge.
 ``roi_align`` produces the C x P x P bin grid; ``roi_align_pooled`` means
 over the bins, which equals a fixed linear functional of the map.  The
 samples form a separable grid, so that functional is rank 1 per box: the
-outer product of one weight vector per axis (:func:`pooled_axis_weights`;
-:func:`pooled_axis_weight_table` computes them at several map sizes in one
-pass).
-:func:`pooled_weights` is that outer product as an (N, H * W) matrix.
+outer product of one weight vector per axis.
+:func:`pooled_axis_weight_table` computes those vectors at one or several
+map sizes in one pass, and :func:`pooled_weights` is their outer product
+at one size as an (N, H * W) matrix.
 :func:`pooled_taps` contracts a map with per-axis tap weights, the y axis
 in one 2-D product over all (box, tap) rows, and a box's row does not
 depend on its position; :func:`apply_taps` applies a kernel to the taps,
@@ -34,7 +34,6 @@ __all__ = [
     "RoiConfig",
     "roi_align",
     "roi_align_pooled",
-    "pooled_axis_weights",
     "pooled_axis_weight_table",
     "pooled_weights",
     "pooled_apply",
@@ -192,24 +191,14 @@ def _axis_pool_weights(lo: np.ndarray, hi: np.ndarray, sizes: np.ndarray, cfg: R
     return sums / i0.shape[1]
 
 
-def pooled_axis_weights(
-    height: int, width: int, boxes: list[Box], cfg: RoiConfig = RoiConfig()
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis pooling weights (a_y (N, height), a_x (N, width)).
-
-    Box n pools a map as sum_{y, x} a_y[n, y] * a_x[n, x] * map[c, y, x].
-    Both axes come from one pass: the y rows of all boxes, then the x rows.
-    """
-    return pooled_axis_weight_table([(height, width)], boxes, cfg)[height, width]
-
-
 def pooled_axis_weight_table(
     sizes: list[tuple[int, int]], boxes: list[Box], cfg: RoiConfig = RoiConfig()
 ) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
-    """:func:`pooled_axis_weights` at every (height, width) in ``sizes``,
-    keyed by size, from one pass: per distinct size, the y rows of all
-    boxes, then the x rows.  A row's weights do not depend on where it
-    sits, so each entry is bitwise the per-size result."""
+    """Per-axis pooling weights (a_y (N, h), a_x (N, w)) at every (h, w) in
+    ``sizes``, keyed by size: box n pools a map as sum_{y, x} a_y[n, y] *
+    a_x[n, x] * map[c, y, x].  One pass computes all: per distinct size, the
+    y rows of all boxes, then the x rows.  A row's weights do not depend on
+    where it sits, so each entry is bitwise that of a table of its size alone."""
     if not boxes:
         raise ValueError("at least one box is required")
     n = len(boxes)
@@ -234,7 +223,7 @@ def pooled_weights(height: int, width: int, boxes: list[Box], cfg: RoiConfig = R
     weight, so the pooled vector is this fixed linear functional of the map:
     per box, the outer product of the per-axis weights.
     """
-    a_y, a_x = pooled_axis_weights(height, width, boxes, cfg)
+    a_y, a_x = pooled_axis_weight_table([(height, width)], boxes, cfg)[height, width]
     return (a_y[:, :, None] * a_x[:, None, :]).reshape(len(boxes), height * width)
 
 

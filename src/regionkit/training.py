@@ -262,10 +262,10 @@ class FreezeSchedule:
     @classmethod
     def from_config(cls, config: ExperimentConfig) -> "FreezeSchedule":
         base = {GROUP_CONNECTOR, GROUP_NEW_VOCAB}
-        if config.use_simplefp:
+        if config.uses.simplefp:
             base.add(GROUP_SIMPLEFP)
         stage2 = set(base)
-        if config.use_auxiliary:
+        if config.uses.auxiliary:
             stage2.add(GROUP_AUX)
         return cls(frozenset(base), frozenset(stage2))
 
@@ -334,10 +334,10 @@ class SampleStatic:
     on, the primary part is the five arrays of :func:`pyramid.simple_fp_taps`
     of the mixed primary map (group ``simplefp``): three levels, then up4's
     (N, 4, K) ``up4_a`` block, whose output leads ``up4_b``'s taps, and the
-    row-sum column that ends them.  With it off, that map's own pooled
+    row-sum column that ends them.  Without it, that map's own pooled
     columns.  Then the four blocks of :func:`pyramid.aux_fuse_taps` of the
     auxiliary maps, with a ones channel for the mix bias, stacked as one
-    (N, 4, J) block (group ``aux_encoder``).  A stream that is off has none.
+    (N, 4, J) block (group ``aux_encoder``).  A stream left out has none.
     """
 
     parts: list[tuple[str | None, list[np.ndarray]]]
@@ -362,22 +362,22 @@ def prepare_sample(params: ModelParams, sample, config: ExperimentConfig) -> Sam
     boxes = list(sample.proposals)
     h, w = canvas.primary.shape[1:]
     sizes = []
-    if config.use_primary:
+    if config.uses.primary:
         check_finite(canvas.primary, "the primary map")
-        sizes += simple_fp_sizes(h, w) if config.use_simplefp else [(h, w)]
-    if config.use_auxiliary:
+        sizes += simple_fp_sizes(h, w) if config.uses.simplefp else [(h, w)]
+    if config.uses.auxiliary:
         sizes.append(aux_fuse_size([check_finite(m, "an auxiliary map").shape[1:] for m in canvas.aux]))
     weights = pooled_axis_weight_table(sizes, boxes, config.roi)
     parts = []
-    if config.use_primary:
+    if config.uses.primary:
         mix = params.kernel(GROUP_PRIMARY, "mix")
         mixed = (mix @ canvas.primary.reshape(mix.shape[1], -1)).reshape(-1, h, w)
-        if config.use_simplefp:
+        if config.uses.simplefp:
             parts.append((GROUP_SIMPLEFP, simple_fp_taps(mixed, weights)))
         else:
             a_y, a_x = weights[h, w]
             parts.append((None, [pooled_taps(mixed, a_y[:, None], a_x[:, None])]))
-    if config.use_auxiliary:
+    if config.uses.auxiliary:
         parts.append((GROUP_AUX, [np.stack(aux_fuse_taps(canvas.aux, weights), axis=1)]))
     if isinstance(sample, TrainingSample):
         index = {n: i for i, n in enumerate(vocabulary(config.n_categories))}

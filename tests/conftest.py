@@ -38,14 +38,15 @@ def trained_default(default_config):
 def default_ablation(default_config, trained_default):
     """Every feature-stream variant at the default budget over seeds 7-11.
 
-    The hybrid row's seed-7 model is the default config's, so it is
-    ``trained_default`` rather than a second training run."""
+    The hybrid row's seed-7 model is the default config's, trained on the
+    set ``train`` would draw for it, so it is ``trained_default`` rather
+    than a second training run."""
     from regionkit import experiments
 
     train = experiments.train
 
     def train_once(config, dataset=None):
-        if config == default_config and dataset is None:
+        if config == default_config:
             return trained_default
         return train(config, dataset)
 

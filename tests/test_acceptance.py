@@ -41,7 +41,6 @@ from regionkit.roialign import (
     RoiConfig,
     apply_taps,
     pooled_axis_weight_table,
-    pooled_axis_weights,
     pooled_taps,
     roi_align,
     roi_align_pooled,
@@ -79,13 +78,13 @@ def test_criterion_01_roialign_oracle_equivalence():
         got = roi_align(FeatureMap.from_array(data), box, cfg).data
         worst = max(worst, float(np.max(np.abs(got - want))))
         # the per-axis path the system pools with, against the oracle's bin mean
-        a_y, a_x = pooled_axis_weights(8, 8, [box], cfg)
+        a_y, a_x = pooled_axis_weight_table([(8, 8)], [box], cfg)[8, 8]
         pooled = pooled_taps(data, a_y[:, None], a_x[:, None])[0]
         worst_pooled = max(worst_pooled, float(np.max(np.abs(pooled - want.mean(axis=(1, 2))))))
     elapsed = time.time() - start
     _report(1, worst < 1e-9 and worst_pooled < 1e-9 and elapsed < 5.0,
             f"200 random cases, max |diff| vs naive oracle {worst:.2e} (roi_align), "
-            f"{worst_pooled:.2e} (pooled_axis_weights + pooled_taps), {elapsed:.1f}s")
+            f"{worst_pooled:.2e} (pooled_axis_weight_table + pooled_taps), {elapsed:.1f}s")
 
 
 def test_criterion_02_gradient_verification():

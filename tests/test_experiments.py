@@ -1,10 +1,12 @@
 """Experiment harness and CLI surfaces, exercised on tiny budgets."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from regionkit import experiments, training
 from regionkit.cli import CONFIG_FLAGS
 from regionkit.cli import main as cli_main
 from regionkit.config import ExperimentConfig
@@ -78,10 +80,16 @@ def test_run_benchmark_writes_artifacts(tiny_config, tmp_path):
     assert result.tsv().startswith("model\t")
 
 
-def test_run_ablations_rows(tiny_config, tmp_path):
+def test_run_ablations_rows(tiny_config, tmp_path, monkeypatch):
+    draws = mock.Mock(wraps=training.seeded_training_set)
+    monkeypatch.setattr(training, "seeded_training_set", draws)
+    monkeypatch.setattr(experiments, "seeded_training_set", draws)
     rows = run_ablations(tiny_config.replace(stage1_steps=10, stage2_steps=0, n_train_scenes=4,
-                                             n_eval_scenes=3), n_seeds=1, out_dir=tmp_path / "abl")
+                                             n_eval_scenes=3), n_seeds=2, out_dir=tmp_path / "abl")
     assert [r.variant for r in rows] == ["hybrid", "primary_only", "primary_only_no_fp", "auxiliary_only"]
+    assert all(len(r.ap_per_seed) == 2 for r in rows)
+    # each seed draws its training set once, for every variant
+    assert [c.args[0].seed for c in draws.call_args_list] == [tiny_config.seed, tiny_config.seed + 1]
     assert (tmp_path / "abl" / "ablations.tsv").exists()
 
 
@@ -89,11 +97,6 @@ def test_run_ablations_rejects_no_seeds(tiny_config, tmp_path):
     with pytest.raises(ValueError, match="n_seeds must be >= 1, got 0"):
         run_ablations(tiny_config, n_seeds=0, out_dir=tmp_path / "abl")
     assert not (tmp_path / "abl").exists()
-
-
-def test_primary_only_with_aux_also_off_is_config_error(tiny_config):
-    with pytest.raises(ValueError):
-        tiny_config.replace(use_primary=False, use_auxiliary=False)
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from regionkit.training import init_model_params, prepare_sample
 
 def _configs(default_config, tiny_config):
     odd = dataclasses.replace(default_config, encoder=EncoderConfig(primary_resolution=9, aux_base_resolution=40))
-    no_fp = dataclasses.replace(default_config, use_simplefp=False)
+    no_fp = dataclasses.replace(default_config, streams="hybrid_no_fp")
     return {"default": default_config, "tiny": tiny_config, "odd_encoder": odd, "no_fp": no_fp,
             "default_again": default_config}
 

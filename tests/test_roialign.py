@@ -8,7 +8,7 @@ from regionkit.roialign import (
     Box,
     RoiConfig,
     pooled_apply,
-    pooled_axis_weights,
+    pooled_axis_weight_table,
     pooled_weights,
     roi_align,
     roi_align_pooled,
@@ -57,7 +57,7 @@ def oracle_roi_align(data: np.ndarray, box: Box, cfg: RoiConfig) -> np.ndarray:
 
 def single_axis_pool_weights(lo: np.ndarray, hi: np.ndarray, size: int, cfg: RoiConfig) -> np.ndarray:
     """(N, size) mean bilinear weights along one axis: the per-axis pass
-    ``pooled_axis_weights`` ran once per axis before it did both in one."""
+    ``pooled_axis_weight_table`` ran once per axis before it did both in one."""
     start = lo * size - 0.5
     bin_len = (hi - lo) * size / cfg.pool_size
     r = cfg.sampling_ratio
@@ -209,7 +209,7 @@ def test_one_pass_axis_weights_equal_two_single_axis_passes_bitwise():
     for h, w in [(3, 17), (17, 3), (8, 64), (64, 8), (1, 5), (9, 9), (33, 12)]:
         for cfg in (RoiConfig(), RoiConfig(pool_size=3, sampling_ratio=1), RoiConfig(pool_size=2, sampling_ratio=3)):
             boxes = [random_box(rng) for _ in range(int(rng.integers(1, 9)))]
-            a_y, a_x = pooled_axis_weights(h, w, boxes, cfg)
+            a_y, a_x = pooled_axis_weight_table([(h, w)], boxes, cfg)[h, w]
             want_y = single_axis_pool_weights(np.array([b.y1 for b in boxes]), np.array([b.y2 for b in boxes]), h, cfg)
             want_x = single_axis_pool_weights(np.array([b.x1 for b in boxes]), np.array([b.x2 for b in boxes]), w, cfg)
             assert a_y.shape == want_y.shape and a_y.tobytes() == want_y.tobytes()

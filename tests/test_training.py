@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from regionkit import baseline, experiments, gridops, pyramid, roialign, simworld, training
-from regionkit.config import ExperimentConfig
+from regionkit.config import STREAMS, ExperimentConfig
 from regionkit.experiments import evaluate_retrieval, make_eval_scenes
 from regionkit.gridops import Kernel, conv2d, conv2d_backward
 from regionkit.pyramid import SimpleFPParams, aux_fuse, aux_fuse_backward, simple_fp, simple_fp_backward
@@ -36,14 +36,6 @@ from regionkit.training import (
     train,
 )
 
-VARIANTS = {
-    "hybrid": {},
-    "primary_only": {"use_auxiliary": False},
-    "primary_only_no_fp": {"use_auxiliary": False, "use_simplefp": False},
-    "auxiliary_only": {"use_primary": False, "use_simplefp": False},
-}
-
-
 # --------------------------------------------------------------- schedule
 
 def test_schedule_defaults(tiny_config):
@@ -66,9 +58,9 @@ def test_config_has_no_primary_unfreeze_switch():
         ExperimentConfig.from_json({"unfreeze_primary": False})
 
 
-def test_config_requires_a_stream(tiny_config):
-    with pytest.raises(ValueError):
-        tiny_config.replace(use_primary=False, use_auxiliary=False)
+def test_config_has_no_stream_switches():
+    with pytest.raises(ValueError, match="unknown config field use_primary"):
+        ExperimentConfig.from_json({"use_primary": False})
 
 
 @pytest.mark.parametrize(
@@ -78,7 +70,8 @@ def test_config_requires_a_stream(tiny_config):
         ("aux_base_resolution", lambda cfg: cfg.replace(encoder=EncoderConfig(aux_base_resolution=4))),
         ("primary_resolution", lambda cfg: cfg.replace(encoder=EncoderConfig(primary_resolution=0))),
         ("encoder.primary_resolution", lambda cfg: cfg.replace(encoder=EncoderConfig(primary_resolution=3))),
-        ("use_simplefp", lambda cfg: cfg.replace(use_primary=False, use_simplefp=True)),
+        ("streams must be one of hybrid, .*, auxiliary_only, got 'fused'",
+         lambda cfg: ExperimentConfig.from_json({"streams": "fused"})),
         ("seed must be >= 0, got -1", lambda cfg: ExperimentConfig.from_json({"seed": -1})),
         ("noise_sigma .* got nan", lambda cfg: cfg.replace(encoder=EncoderConfig(noise_sigma=float("nan")))),
         ("noise_sigma .* got inf", lambda cfg: cfg.replace(encoder=EncoderConfig(noise_sigma=float("inf")))),
@@ -124,31 +117,33 @@ def test_unusable_config_rejected_naming_field(tiny_config, field, build):
     seed=st.integers(-3, 2**40),
     primary_resolution=st.integers(0, 10),
     aux_base_resolution=st.integers(4, 20),
-    switches=st.sampled_from(sorted(VARIANTS)),
+    streams=st.sampled_from(sorted(STREAMS)),
     n_train_scenes=st.integers(0, 3),
     n_categories=st.integers(0, 9),
     noise_sigma=st.floats(-0.1, 0.1) | st.sampled_from([float("nan"), float("inf"), -float("inf")]),
     distractor_intensity=st.floats(-0.5, 1.5) | st.sampled_from([float("nan"), float("inf"), -float("inf")]),
     clutter_density=st.floats(-0.5, 0.5),
 )
-@example(seed=3, primary_resolution=9, aux_base_resolution=16, switches="hybrid", n_train_scenes=2,
+@example(seed=3, primary_resolution=9, aux_base_resolution=16, streams="hybrid", n_train_scenes=2,
          n_categories=4, noise_sigma=0.01, distractor_intensity=0.3, clutter_density=0.05)
 # a negative seed is rejected at construction, not by numpy in train
-@example(seed=-1, primary_resolution=9, aux_base_resolution=16, switches="hybrid", n_train_scenes=2,
+@example(seed=-1, primary_resolution=9, aux_base_resolution=16, streams="hybrid", n_train_scenes=2,
          n_categories=4, noise_sigma=0.01, distractor_intensity=0.3, clutter_density=0.05)
-@example(seed=3, primary_resolution=4, aux_base_resolution=8, switches="primary_only", n_train_scenes=1,
+@example(seed=3, primary_resolution=4, aux_base_resolution=8, streams="primary_only", n_train_scenes=1,
          n_categories=1, noise_sigma=0.0, distractor_intensity=1.0, clutter_density=0.0)
-@example(seed=3, primary_resolution=1, aux_base_resolution=12, switches="auxiliary_only", n_train_scenes=1,
+@example(seed=3, primary_resolution=1, aux_base_resolution=12, streams="auxiliary_only", n_train_scenes=1,
          n_categories=8, noise_sigma=0.01, distractor_intensity=0.0, clutter_density=0.05)
-@example(seed=3, primary_resolution=8, aux_base_resolution=16, switches="primary_only", n_train_scenes=1,
+@example(seed=3, primary_resolution=3, aux_base_resolution=16, streams="hybrid_no_fp", n_train_scenes=1,
+         n_categories=4, noise_sigma=0.01, distractor_intensity=0.3, clutter_density=0.05)
+@example(seed=3, primary_resolution=8, aux_base_resolution=16, streams="primary_only", n_train_scenes=1,
          n_categories=0, noise_sigma=-0.01, distractor_intensity=0.3, clutter_density=-0.05)
 # non-finite encoder floats are rejected at construction, not in toy_encode
-@example(seed=3, primary_resolution=8, aux_base_resolution=16, switches="hybrid", n_train_scenes=1,
+@example(seed=3, primary_resolution=8, aux_base_resolution=16, streams="hybrid", n_train_scenes=1,
          n_categories=4, noise_sigma=float("nan"), distractor_intensity=0.3, clutter_density=0.05)
-@example(seed=3, primary_resolution=8, aux_base_resolution=16, switches="hybrid", n_train_scenes=1,
+@example(seed=3, primary_resolution=8, aux_base_resolution=16, streams="hybrid", n_train_scenes=1,
          n_categories=4, noise_sigma=0.01, distractor_intensity=float("nan"), clutter_density=0.5)
 def test_every_constructible_config_trains_and_evaluates(
-    tiny_config, seed, primary_resolution, aux_base_resolution, switches, n_train_scenes,
+    tiny_config, seed, primary_resolution, aux_base_resolution, streams, n_train_scenes,
     n_categories, noise_sigma, distractor_intensity, clutter_density,
 ):
     try:
@@ -159,7 +154,7 @@ def test_every_constructible_config_trains_and_evaluates(
         )
         cfg = tiny_config.replace(
             seed=seed, world=world, encoder=encoder, n_train_scenes=n_train_scenes, n_eval_scenes=2,
-            stage1_steps=3, stage2_steps=2, **VARIANTS[switches],
+            stage1_steps=3, stage2_steps=2, streams=streams,
         )
     except ValueError:
         return
@@ -312,9 +307,7 @@ def test_params_json_rejects_a_bundle_off_the_model_layout(tiny_config, fault):
 # the factored forward against the dense maps: every variant, odd map sizes
 # and a non-default pooling grid
 ORACLE_CASES = {
-    **VARIANTS,
-    # one bare primary block before the four aux blocks
-    "hybrid_no_fp": {"use_simplefp": False},
+    **{name: {"streams": name} for name in STREAMS},
     "primary_resolution_5": {"encoder": EncoderConfig(primary_resolution=5, aux_base_resolution=16)},
     "primary_resolution_9": {"encoder": EncoderConfig(primary_resolution=9, aux_base_resolution=16)},
     "aux_base_resolution_12": {"encoder": EncoderConfig(primary_resolution=8, aux_base_resolution=12)},
@@ -337,11 +330,11 @@ def dense_oracle(params, sample, s, cfg):
     last_map, aux_maps = toy_encode(sample.scene, cfg.encoder)
     boxes = list(sample.proposals)
     maps = []
-    if cfg.use_primary:
+    if cfg.uses.primary:
         mixed = conv2d(last_map, kernel(GROUP_PRIMARY, "mix"))
         fp = SimpleFPParams({b: kernel(GROUP_SIMPLEFP, b) for b in _BRANCHES})
-        maps += simple_fp(mixed, fp) if cfg.use_simplefp else [mixed]
-    if cfg.use_auxiliary:
+        maps += simple_fp(mixed, fp) if cfg.uses.simplefp else [mixed]
+    if cfg.uses.auxiliary:
         mixed_aux = [conv2d(m, kernel(GROUP_AUX, f"mix{i}")) for i, m in enumerate(aux_maps)]
         maps.append(aux_fuse(mixed_aux))
     pooled = [roi_align_pooled(m, boxes, cfg.roi) for m in maps]
@@ -359,10 +352,10 @@ def dense_oracle(params, sample, s, cfg):
         (d_feats[:, c0:c1].T @ pooled_weights(m.height, m.width, boxes, cfg.roi)).reshape(m.shape)
         for m, c0, c1 in zip(maps, cols[:-1], cols[1:])
     ]
-    if cfg.use_simplefp:
+    if cfg.uses.simplefp:
         branch_grads, _ = simple_fp_backward(mixed, fp, d_maps[:4])
         grads[GROUP_SIMPLEFP] = {f"{b}_{k}": d for b, ds in branch_grads.items() for k, d in zip("wb", ds)}
-    if cfg.use_auxiliary:
+    if cfg.uses.auxiliary:
         grads[GROUP_AUX] = {}
         for i, d in enumerate(aux_fuse_backward(mixed_aux, d_maps[-1])):
             d_w, d_b, _ = conv2d_backward(aux_maps[i], kernel(GROUP_AUX, f"mix{i}"), d)
@@ -605,13 +598,11 @@ def test_grad_check_all_groups_pass(tiny_config):
 
 
 def test_grad_check_variant_configs(tiny_config):
-    aux_only = tiny_config.replace(use_primary=False, use_simplefp=False)
-    report = grad_check(aux_only)
+    report = grad_check(tiny_config.replace(streams="auxiliary_only"))
     assert GROUP_SIMPLEFP not in report.per_group
     assert report.max_rel_error < 1e-4
 
-    no_fp = tiny_config.replace(use_auxiliary=False, use_simplefp=False)
-    report = grad_check(no_fp)
+    report = grad_check(tiny_config.replace(streams="primary_only_no_fp"))
     assert GROUP_AUX not in report.per_group
     assert report.max_rel_error < 1e-4
 
@@ -632,12 +623,25 @@ def test_grad_check_rejects_large_dims(default_config):
 
 def test_variant_dimension_bookkeeping(tiny_config):
     assert tiny_config.d_p == 8 and tiny_config.d_a == 16 and tiny_config.d_total == 24
-    primary_only = tiny_config.replace(use_auxiliary=False)
-    assert primary_only.d_total == 8
-    no_fp = tiny_config.replace(use_auxiliary=False, use_simplefp=False)
-    assert no_fp.d_total == tiny_config.primary_channels
-    aux_only = tiny_config.replace(use_primary=False, use_simplefp=False)
-    assert aux_only.d_total == 16
+    assert tiny_config.replace(streams="primary_only").d_total == 8
+    assert tiny_config.replace(streams="primary_only_no_fp").d_total == tiny_config.primary_channels
+    assert tiny_config.replace(streams="auxiliary_only").d_total == 16
+
+
+@pytest.mark.parametrize("streams", sorted(STREAMS))
+def test_stream_variant_sets_width_trained_groups_and_round_trips(tiny_config, streams):
+    """A variant's parts fill exactly ``d_total`` feature columns (one left
+    unwritten stays NaN, and the forward refuses it), they are of the groups
+    beyond the connector and the new vocabulary that it trains, and its
+    config survives JSON."""
+    cfg = tiny_config.replace(streams=streams)
+    params = init_model_params(cfg)
+    s = prepare_sample(params, training.seeded_training_set(cfg)[0], cfg)
+    scratch = [np.full(a.shape, np.nan) for a in training._scratch(params, len(s.epos), cfg.d_total)]
+    training._tokens(training._bind(params, s, frozenset(), None, {0: scratch}))
+    sched = FreezeSchedule.from_config(cfg)
+    assert {g for g, _ in s.parts} - {None} == (sched.stage1 | sched.stage2) - {GROUP_CONNECTOR, GROUP_NEW_VOCAB}
+    assert ExperimentConfig.loads(cfg.dumps()) == cfg
 
 
 def test_config_json_round_trip(tiny_config):

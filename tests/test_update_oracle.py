@@ -46,11 +46,11 @@ import numpy as np
 import pytest
 
 from regionkit import training
-from regionkit.config import ExperimentConfig
+from regionkit.config import STREAMS, ExperimentConfig
 from regionkit.gridops import NonFiniteError
 from regionkit.pyramid import BRANCHES
 from regionkit.regionenc import Connector, connector_backward, connector_forward
-from regionkit.roialign import apply_taps, pooled_axis_weights
+from regionkit.roialign import apply_taps, pooled_axis_weight_table
 from regionkit.simworld import EncoderConfig, SceneConfig, make_training_set
 from regionkit.training import (
     GROUP_AUX,
@@ -68,15 +68,6 @@ from regionkit.training import (
     prepare_sample,
     seeded_training_set,
 )
-
-VARIANTS = {
-    "hybrid": {},
-    "primary_only": {"use_auxiliary": False},
-    "primary_only_no_fp": {"use_auxiliary": False, "use_simplefp": False},
-    "auxiliary_only": {"use_primary": False, "use_simplefp": False},
-    "hybrid_no_fp": {"use_simplefp": False},
-}
-
 
 def oracle_train(config, dataset=None):
     if dataset is None:
@@ -411,15 +402,15 @@ def test_step_in_place_equals_step_through_named_arrays_at_default(default_confi
             assert_same_step(params, s, schedule.trainable(stage), exact=False)
 
 
-@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("variant", sorted(STREAMS))
 def test_step_in_place_equals_step_through_named_arrays(tiny_config, variant):
-    cfg = tiny_config.replace(**VARIANTS[variant])
+    cfg = tiny_config.replace(streams=variant)
     params = perturbed_params(cfg)
     schedule = FreezeSchedule.from_config(cfg)
     for sample in seeded_training_set(cfg):
         s = prepare_sample(params, sample, cfg)
         for stage in (1, 2):
-            assert_same_step(params, s, schedule.trainable(stage), exact=not cfg.use_simplefp)
+            assert_same_step(params, s, schedule.trainable(stage), exact=not cfg.uses.simplefp)
 
 
 def assert_same_run(got, want):
@@ -429,9 +420,9 @@ def assert_same_run(got, want):
     assert got_params.vector.tobytes() == want_params.vector.tobytes()
 
 
-@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("variant", sorted(STREAMS))
 def test_fused_update_equals_per_array_update(tiny_config, variant):
-    cfg = tiny_config.replace(**VARIANTS[variant])
+    cfg = tiny_config.replace(streams=variant)
     assert_same_run(training.train(cfg), oracle_train(cfg))
 
 
@@ -498,13 +489,13 @@ def test_frozen_work_runs_once_per_run_or_stage(tiny_config, monkeypatch):
     )
 
 
-@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("variant", sorted(STREAMS))
 def test_bound_step_equals_unbound_forward_step(default_config, variant):
     """Every sample of the seed-7 training set, bound for each stage to one
     gradient buffer and one scratch as ``train`` binds them, gives the loss
     repr and the gradient bytes of ``forward_loss_and_grads`` in every
     trained group."""
-    cfg = default_config.replace(**VARIANTS[variant])
+    cfg = default_config.replace(streams=variant)
     params = perturbed_params(cfg)
     statics = [prepare_sample(params, sample, cfg) for sample in seeded_training_set(cfg)]
     scratch = training._scratch(params, max(len(s.epos) for s in statics), cfg.d_total)
@@ -552,19 +543,19 @@ ENCODERS = {
 
 def expected_sizes(cfg):
     p, sizes = cfg.encoder.primary_resolution, set()
-    if cfg.use_simplefp:
+    if cfg.uses.simplefp:
         sizes |= {((p + 1) // 2,) * 2, (p, p), (2 * p, 2 * p), (4 * p, 4 * p)}
-    elif cfg.use_primary:
+    elif cfg.uses.primary:
         sizes.add((p, p))
-    if cfg.use_auxiliary:
+    if cfg.uses.auxiliary:
         sizes.add((cfg.encoder.aux_base_resolution,) * 2)
     return sizes
 
 
-@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("variant", sorted(STREAMS))
 @pytest.mark.parametrize("encoder", sorted(ENCODERS))
 def test_one_pass_pooling_weights_equal_per_size_weights(monkeypatch, encoder, variant):
-    cfg = ExperimentConfig(seed=7, encoder=ENCODERS[encoder], **VARIANTS[variant])
+    cfg = ExperimentConfig(seed=7, encoder=ENCODERS[encoder], streams=variant)
     tables = []
 
     def recording(sizes, boxes, roi):
@@ -580,6 +571,6 @@ def test_one_pass_pooling_weights_equal_per_size_weights(monkeypatch, encoder, v
     boxes, roi, table = tables[0]
     assert set(table) == expected_sizes(cfg)
     for (h, w), (a_y, a_x) in table.items():
-        want_y, want_x = pooled_axis_weights(h, w, boxes, roi)
+        want_y, want_x = pooled_axis_weight_table([(h, w)], boxes, roi)[h, w]
         assert a_y.shape == want_y.shape and a_y.tobytes() == want_y.tobytes(), (h, w)
         assert a_x.shape == want_x.shape and a_x.tobytes() == want_x.tobytes(), (h, w)
