@@ -256,7 +256,7 @@ def simple_fp_taps(raw: np.ndarray, weights: dict) -> list[np.ndarray]:
     a_y, a_x = up4
     n = a_y.shape[0]
     taps = pooled_taps(raw, _deconv_gather(a_y, 4), _deconv_gather(a_x, 4)).reshape(n, 2, 2, 2, 2, c)
-    parity = _deconv_gather(a_y, 2).sum(axis=2)[:, :, None] * _deconv_gather(a_x, 2).sum(axis=2)[:, None, :]
+    parity = a_y.reshape(n, -1, 2).sum(axis=1)[:, :, None] * a_x.reshape(n, -1, 2).sum(axis=1)[:, None, :]
     # columns (a, c, b, d, C) to rows (c, d) of columns (a, b, C)
     block = np.concatenate([taps.transpose(0, 2, 4, 1, 3, 5).reshape(n, 4, 4 * c), parity.reshape(n, 4, 1)], axis=2)
     return levels + [block, _row_sums(a_y, a_x)]

@@ -16,6 +16,7 @@ normalized coordinate scaled by 2*pi and w_i = 10000 ** (-2i / block).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +31,15 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=8)
+def _frequencies(dim: int) -> np.ndarray:
+    """The (dim / 8,) read-only w_i of a ``dim``-wide embedding."""
+    block = dim // 4
+    freqs = 10000.0 ** (-2.0 * np.arange(block // 2) / block)
+    freqs.flags.writeable = False
+    return freqs
+
+
 def positional_embedding_matrix(boxes: list[Box], dim: int) -> np.ndarray:
     """(N, dim) sine-cosine embeddings of the boxes' coordinates, one row per box.
 
@@ -37,8 +47,7 @@ def positional_embedding_matrix(boxes: list[Box], dim: int) -> np.ndarray:
     """
     if dim % 8 != 0:
         raise ValueError("embedding dimension must be divisible by 8")
-    block = dim // 4
-    freqs = 10000.0 ** (-2.0 * np.arange(block // 2) / block)
+    freqs = _frequencies(dim)
     coords = np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
     phase = (2.0 * np.pi * coords)[:, :, None] * freqs  # (N, 4, block / 2)
     out = np.empty(phase.shape + (2,))

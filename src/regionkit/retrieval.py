@@ -45,13 +45,12 @@ class Detection:
 
 
 def logistic(z: np.ndarray) -> np.ndarray:
-    """Elementwise 1 / (1 + exp(-z)), in a form that never overflows."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Elementwise 1 / (1 + exp(-z)), in a form that never overflows: with
+    e = exp(-|z|), 1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere.
+    ``min(z, -z)`` is -|z| but keeps a NaN's sign, which flows through."""
+    e = np.exp(np.minimum(z, -z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def score_matrix(token_embeddings: np.ndarray, query_embeddings: np.ndarray) -> np.ndarray:
@@ -81,13 +80,8 @@ def decode_detections(
     scores = np.atleast_2d(scores)
     if scores.shape != (len(proposals), len(labels)):
         raise ValueError("score matrix shape must be (n_proposals, n_labels)")
-    hits = []
-    for i in range(scores.shape[0]):
-        for q in range(scores.shape[1]):
-            s = float(scores[i, q])
-            if s > threshold:
-                hits.append((-s, i, q))
-    hits.sort()
+    rows, cols = np.nonzero(scores > threshold)
+    hits = sorted(zip((-scores[rows, cols]).tolist(), rows.tolist(), cols.tolist()))
     return [
         Detection(box=proposals[i], label=labels[q], confidence=-neg, source_region=i)
         for neg, i, q in hits

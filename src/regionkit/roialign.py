@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -131,27 +132,37 @@ class RoiConfig:
             raise ValueError("sampling_ratio must be >= 1")
 
 
-def _sample_coords(lo: np.ndarray, hi: np.ndarray, size: int | np.ndarray, cfg: RoiConfig) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _sample_unit(cfg: RoiConfig) -> np.ndarray:
+    """(P * ratio,) read-only sample positions in bin lengths from a box's
+    low edge: sample s of bin b sits at b + (s + 0.5) / ratio."""
+    r = cfg.sampling_ratio
+    unit = (np.arange(cfg.pool_size)[:, None] + (np.arange(r)[None, :] + 0.5) / r).ravel()
+    unit.flags.writeable = False
+    return unit
+
+
+def _sample_coords(
+    lo: np.ndarray, hi: np.ndarray, size: int | np.ndarray, last: int | np.ndarray, cfg: RoiConfig
+) -> np.ndarray:
     """(N, P * ratio) continuous array coordinates of the samples along one axis.
 
     lo/hi are (N,) box edges in normalized [0, 1]; ``size`` is the axis
-    length, one for all rows or an (N,) array of one per row.  Returned
-    coordinates are clamped to [0, size - 1].
+    length, one for all rows or an (N,) array of one per row, and ``last``
+    its last index, ``size - 1``, as a scalar or an (N, 1) column.
+    Returned coordinates are clamped to [0, last].
     """
     start = lo * size - 0.5
     bin_len = (hi - lo) * size / cfg.pool_size
-    r = cfg.sampling_ratio
-    # sample s of bin b sits at start + bin_len * (b + (s + 0.5) / r)
-    unit = (np.arange(cfg.pool_size)[:, None] + (np.arange(r)[None, :] + 0.5) / r).ravel()
-    coords = start[:, None] + unit[None, :] * bin_len[:, None]
-    return np.clip(coords, 0.0, np.reshape(size, (-1, 1)) - 1)
+    coords = start[:, None] + _sample_unit(cfg)[None, :] * bin_len[:, None]
+    return np.clip(coords, 0.0, last)
 
 
 def _axis_weights(
-    coords: np.ndarray, size: int | np.ndarray
+    coords: np.ndarray, last: int | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     lo = np.floor(coords).astype(int)
-    hi = np.minimum(lo + 1, size - 1)
+    hi = np.minimum(lo + 1, last)
     frac = coords - lo
     return lo, hi, 1.0 - frac, frac
 
@@ -163,10 +174,10 @@ def roi_align(fmap: FeatureMap, box: Box, cfg: RoiConfig = RoiConfig()) -> Featu
     regularly spaced points inside the bin.
     """
     p, r = cfg.pool_size, cfg.sampling_ratio
-    ys = _sample_coords(np.array([box.y1]), np.array([box.y2]), fmap.height, cfg)[0]
-    xs = _sample_coords(np.array([box.x1]), np.array([box.x2]), fmap.width, cfg)[0]
-    y0, y1, wy0, wy1 = _axis_weights(ys, fmap.height)
-    x0, x1, wx0, wx1 = _axis_weights(xs, fmap.width)
+    ys = _sample_coords(np.array([box.y1]), np.array([box.y2]), fmap.height, fmap.height - 1, cfg)[0]
+    xs = _sample_coords(np.array([box.x1]), np.array([box.x2]), fmap.width, fmap.width - 1, cfg)[0]
+    y0, y1, wy0, wy1 = _axis_weights(ys, fmap.height - 1)
+    x0, x1, wx0, wx1 = _axis_weights(xs, fmap.width - 1)
     d = fmap.data
     # samples: (C, P*r, P*r) via separable bilinear weights
     samples = (
@@ -179,15 +190,30 @@ def roi_align(fmap: FeatureMap, box: Box, cfg: RoiConfig = RoiConfig()) -> Featu
     return FeatureMap(fmap.channels, p, p, bins)
 
 
-def _axis_pool_weights(lo: np.ndarray, hi: np.ndarray, sizes: np.ndarray, cfg: RoiConfig) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _table_rows(sizes: tuple[tuple[int, int], ...], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """What a table of ``n`` boxes at ``sizes`` knows before it sees a box,
+    one row per (size, axis, box), each size's y rows then its x rows, row
+    k's cells following row k - 1's: (the (M,) axis size of each row, the
+    (M, 1) last index of each, the (M, 1) index of each row's first cell,
+    the cell count), read-only."""
+    size = np.repeat(np.ravel(sizes), n)
+    last = size[:, None] - 1
+    first = (np.cumsum(size) - size)[:, None]
+    for a in (size, last, first):
+        a.flags.writeable = False
+    return size, last, first, int(size.sum())
+
+
+def _axis_pool_weights(lo: np.ndarray, hi: np.ndarray, rows: tuple, cfg: RoiConfig) -> np.ndarray:
     """Mean bilinear weights of the P * ratio samples of each edge pair
-    (lo[k], hi[k]) along an axis of sizes[k] cells, flat: row k's cells
-    follow row k - 1's."""
-    i0, i1, w0, w1 = _axis_weights(_sample_coords(lo, hi, sizes, cfg), sizes[:, None])
-    start = (np.cumsum(sizes) - sizes)[:, None]
+    (lo[k], hi[k]) along an axis of ``rows``' k-th size (:func:`_table_rows`),
+    flat: row k's cells follow row k - 1's."""
+    size, last, first, total = rows
+    i0, i1, w0, w1 = _axis_weights(_sample_coords(lo, hi, size, last, cfg), last)
     # each row's weights sum in the same order wherever the row sits
-    cells = np.concatenate([(start + i0).ravel(), (start + i1).ravel()])
-    sums = np.bincount(cells, weights=np.concatenate([w0.ravel(), w1.ravel()]), minlength=int(sizes.sum()))
+    cells = np.concatenate([(first + i0).ravel(), (first + i1).ravel()])
+    sums = np.bincount(cells, weights=np.concatenate([w0.ravel(), w1.ravel()]), minlength=total)
     return sums / i0.shape[1]
 
 
@@ -198,14 +224,16 @@ def pooled_axis_weight_table(
     ``sizes``, keyed by size: box n pools a map as sum_{y, x} a_y[n, y] *
     a_x[n, x] * map[c, y, x].  One pass computes all: per distinct size, the
     y rows of all boxes, then the x rows.  A row's weights do not depend on
-    where it sits, so each entry is bitwise that of a table of its size alone."""
+    where it sits, so each entry is bitwise that of a table of its size alone.
+    The row sizes and offsets depend on the sizes and box count alone and
+    are built once for each (:func:`_table_rows`)."""
     if not boxes:
         raise ValueError("at least one box is required")
     n = len(boxes)
-    sizes = list(dict.fromkeys(sizes))
-    lo = np.array([b.y1 for b in boxes] + [b.x1 for b in boxes], dtype=np.float64)
-    hi = np.array([b.y2 for b in boxes] + [b.x2 for b in boxes], dtype=np.float64)
-    flat = _axis_pool_weights(np.tile(lo, len(sizes)), np.tile(hi, len(sizes)), np.repeat(np.ravel(sizes), n), cfg)
+    sizes = tuple(dict.fromkeys(sizes))
+    lo = np.array(([b.y1 for b in boxes] + [b.x1 for b in boxes]) * len(sizes), dtype=np.float64)
+    hi = np.array(([b.y2 for b in boxes] + [b.x2 for b in boxes]) * len(sizes), dtype=np.float64)
+    flat = _axis_pool_weights(lo, hi, _table_rows(sizes, n), cfg)
     table, start = {}, 0
     for h, w in sizes:
         a_y = flat[start : start + n * h].reshape(n, h)

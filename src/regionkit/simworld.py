@@ -263,9 +263,11 @@ class Canvas:
 
     ``primary`` and ``aux`` are the output maps, each (C + 1, H, W) with a
     constant ones channel last, so that a 1x1 mix's (C', C + 1) kernel
-    block acts on a map, or on its taps, bias and all.  The other buffers
-    are the noise of all five maps, the paint and a plane per distinct
-    resolution, the blur's zero-bordered input and its addend, and the cells.
+    block acts on a map, or on its taps, bias and all.  The five lie end to
+    end in one buffer, ``maps``, so one pass over it checks a render.  The
+    other buffers are the noise of all five maps, the paint and a plane per
+    distinct resolution, the blur's zero-bordered input and its addend, and
+    the cells.
     """
 
     def __init__(self, n_categories: int, enc: EncoderConfig):
@@ -275,13 +277,13 @@ class Canvas:
         self.aux_res = [enc.aux_base_resolution // (2**level) for level in range(4)]
         shapes = [(enc.primary_channels(n_categories), pr, pr)]
         shapes += [(EncoderConfig.aux_channels(n_categories), res, res) for res in self.aux_res]
-        maps = [np.empty((c + 1, h, w)) for c, h, w in shapes]
+        self.maps = np.empty(sum((c + 1) * h * w for c, h, w in shapes))
+        maps = _split(self.maps, [(c + 1, h, w) for c, h, w in shapes])
         for m in maps:
             m[-1] = 1.0
         self.primary, self.aux = maps[0], maps[1:]
-        sizes = [c * h * w for c, h, w in shapes]
-        self.noise = np.empty(sum(sizes))
-        self.noise_of = [a.reshape(shape) for a, shape in zip(np.split(self.noise, np.cumsum(sizes)[:-1]), shapes)]
+        self.noise = np.empty(sum(c * h * w for c, h, w in shapes))
+        self.noise_of = _split(self.noise, shapes)
         self.paint = {res: np.empty((n_categories, res, res)) for res in {pr, *self.aux_res}}
         # per resolution: a box's coverage while painting, then the occupancy
         self.plane = {res: np.empty((res, res)) for res in self.paint}
@@ -294,6 +296,12 @@ class Canvas:
         self.ramps = np.stack([np.tile(ramp, (pr, 1)), np.tile(ramp[:, None], (1, pr))])
 
 
+def _split(flat: np.ndarray, shapes: list[tuple[int, int, int]]) -> list[np.ndarray]:
+    """Views of ``flat``, end to end, one of each shape."""
+    sizes = [c * h * w for c, h, w in shapes]
+    return [a.reshape(shape) for a, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
+
+
 @lru_cache(maxsize=1)
 def reused_canvas(n_categories: int, enc: EncoderConfig) -> Canvas:
     """The canvas of the last (category count, encoder config) asked for:
@@ -303,13 +311,14 @@ def reused_canvas(n_categories: int, enc: EncoderConfig) -> Canvas:
 
 def _blur3(pad: np.ndarray, out: np.ndarray, term: np.ndarray) -> None:
     """3x3 binomial blur of every (H, W) slice of the (C, H + 2, W + 2)
-    zero-bordered stack ``pad``, written into the (C, H, W) ``out``; each
-    weighted tap goes through ``term``."""
+    zero-bordered stack ``pad``, written into the (C, H, W) ``out``; a tap
+    of weight 1 is added as it is (1 * x is x), each other goes through
+    ``term``."""
     h, w = out.shape[1:]
     out.fill(0.0)
     for (dy, dx), wt in _BLUR_WEIGHTS.items():
-        np.multiply(pad[:, 1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w], wt, out=term)
-        out += term
+        tap = pad[:, 1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
+        out += tap if wt == 1 else np.multiply(tap, wt, out=term)
     out /= 16.0
 
 
@@ -387,7 +396,7 @@ def render(scene: Scene, enc: EncoderConfig, canvas: Canvas) -> Canvas:
         # edge channels: central differences of the occupancy, zero on the border
         occ = sig.sum(axis=0, out=canvas.plane[res])
         edges = level_map[n_groups : n_groups + 2]
-        edges[0, [0, -1]] = edges[1, :, [0, -1]] = 0.0
+        edges[0, 0] = edges[0, -1] = edges[1, :, 0] = edges[1, :, -1] = 0.0
         np.subtract(occ[2:, :], occ[:-2, :], out=edges[0, 1:-1, :])
         np.subtract(occ[:, 2:], occ[:, :-2], out=edges[1, :, 1:-1])
         np.abs(edges, out=edges)

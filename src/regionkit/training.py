@@ -357,16 +357,23 @@ def prepare_sample(params: ModelParams, sample, config: ExperimentConfig) -> Sam
     at come from one pass.  The scene renders into the reused canvas
     (:func:`simworld.reused_canvas`), whose maps end in the ones channel
     that a kernel block's bias column reads; no part views it.  Each map
-    pooled is checked finite."""
+    pooled must be finite: one check covers the canvas's buffer of all
+    five, and only when it fails are the maps pooled checked one by one,
+    to name the one at fault."""
     canvas = render(sample.scene, config.encoder, reused_canvas(sample.scene.n_categories, config.encoder))
+    if not np.isfinite(canvas.maps).all():
+        if config.uses.primary:
+            check_finite(canvas.primary, "the primary map")
+        if config.uses.auxiliary:
+            for m in canvas.aux:
+                check_finite(m, "an auxiliary map")
     boxes = list(sample.proposals)
     h, w = canvas.primary.shape[1:]
     sizes = []
     if config.uses.primary:
-        check_finite(canvas.primary, "the primary map")
         sizes += simple_fp_sizes(h, w) if config.uses.simplefp else [(h, w)]
     if config.uses.auxiliary:
-        sizes.append(aux_fuse_size([check_finite(m, "an auxiliary map").shape[1:] for m in canvas.aux]))
+        sizes.append(aux_fuse_size([m.shape[1:] for m in canvas.aux]))
     weights = pooled_axis_weight_table(sizes, boxes, config.roi)
     parts = []
     if config.uses.primary:
@@ -468,7 +475,13 @@ def _bind(params: ModelParams, s: SampleStatic, trainable: frozenset = frozenset
 
     A frozen group's blocks are applied here, once, into feature columns.
     Each trained block is one product into its output and one into its
-    gradient block, each summed as the block on its own is.
+    gradient block, each summed as the block on its own is.  While some
+    group trains, the forward copies the frozen columns back in from a
+    saved copy, since the samples of a stage share the features it writes.
+    When nothing trains, the features are complete here: the frozen
+    columns and the positional embedding are written once, and the
+    forward is empty, so running it again changes nothing, until the next
+    binding that shares these features.
     """
     frames, key = {} if frames is None else frames, (len(s.epos), *(grp for grp, _ in s.parts))
     x, d_x, parts = frames[key] = frames.get(key) or _frame(params, s, trainable, out, frames.get(0))
@@ -486,8 +499,14 @@ def _bind(params: ModelParams, s: SampleStatic, trainable: frozenset = frozenset
         else:
             for f, a, b, c in ops + forward:
                 f(a, b, c)
-            bound.forward.append((np.copyto, cols, cols.copy() if ops else np.concatenate(arrays, axis=1), "no"))
-    bound.forward.append((np.add, x, s.epos, x))
+            if not ops:  # columns as prepared
+                np.concatenate(arrays, axis=1, out=cols)
+            if trainable:
+                bound.forward.append((np.copyto, cols, cols.copy(), "no"))
+    if trainable:
+        bound.forward.append((np.add, x, s.epos, x))
+    else:
+        x += s.epos
     return bound
 
 

@@ -172,6 +172,20 @@ def test_explicit_vocabulary_allows_absent_categories():
     assert "tree" not in report.per_category
 
 
+def test_category_named_twice_is_scored_twice():
+    """A vocabulary that names a category twice scores it each time, so the
+    macro averages weigh it double."""
+    gt = _scene_records()
+    dets = {0: [D(B(0.1, 0.1, 0.4, 0.4), "car", 0.9), D(B(0.2, 0.5, 0.5, 0.8), "dog", 0.8)],
+            1: [D(B(0.35, 0.3, 0.7, 0.7), "dog", 0.7)]}
+    once = coco_map(dets, gt, categories=["car", "dog"])
+    twice = coco_map(dets, gt, categories=["car", "dog", "car"])
+    assert twice.per_category == once.per_category
+    car, dog = once.per_category["car"], once.per_category["dog"]
+    assert car != dog
+    assert twice.ap_mean == pytest.approx((2 * car + dog) / 3, rel=1e-12)
+
+
 def test_report_invariants_enforced():
     with pytest.raises(ValueError):
         EvalReport(ap_per_iou={0.5: 0.4, 0.55: 0.6}, ap_mean=0.9, recall=0.5)
@@ -254,6 +268,53 @@ def test_coco_map_matches_naive_on_random_multi_category():
         report = coco_map(det_map, gt)
         naive = naive_report(naive_in, gt)
         assert abs(report.ap_mean - naive["ap_mean"]) < 1e-9
+
+
+def test_coco_map_matches_naive_with_absent_truths_and_unmatched_detections():
+    """Images without a category's truth, or without any, that still hold
+    detections of it; detections that overlap no truth, or too little to
+    match; several detections near one truth: all as the naive evaluator
+    counts them."""
+    rng = np.random.default_rng(31)
+    g1, g2 = B(0.1, 0.1, 0.4, 0.4), B(0.5, 0.5, 0.9, 0.8)
+    fixed_gt = {0: [("a", g1)], 1: [("b", g2)], 2: [], 3: [("a", g2), ("b", g1)]}
+    fixed_dets = {
+        0: [("a", B(0.3, 0.3, 0.6, 0.6), 0.9), ("b", g1, 0.8)],  # IoU 1/17 with its truth; no b truth here
+        1: [("a", g2, 0.95), ("b", B(0.52, 0.5, 0.9, 0.8), 0.6)],  # no a truth here
+        2: [("a", g1, 0.7), ("b", g2, 0.7)],  # an image with no truth at all
+        3: [("a", B(0.0, 0.85, 0.1, 0.95), 0.5), ("a", g2, 0.4), ("a", B(0.51, 0.5, 0.9, 0.8), 0.4)],
+    }
+    cases = [(fixed_dets, fixed_gt)]
+    for _ in range(60):
+        gt, dets = {}, {}
+        for img in range(5):
+            truths = []
+            for _ in range(int(rng.integers(0, 3))):
+                x1, y1 = rng.uniform(0, 0.6, size=2)
+                w, h = rng.uniform(0.1, 0.35, size=2)
+                truths.append((str(rng.choice(["a", "b"])), B(x1, y1, x1 + w, y1 + h)))
+            found = []
+            for _ in range(int(rng.integers(0, 5))):
+                if truths and rng.uniform() < 0.6:  # near a truth, perhaps under another label
+                    c, t = truths[int(rng.integers(len(truths)))]
+                    dx, dy = rng.normal(0.0, 0.04, size=2)
+                    box = B(max(0.0, t.x1 + dx), max(0.0, t.y1 + dy), min(1.0, t.x2 + dx), min(1.0, t.y2 + dy))
+                    c = c if rng.uniform() < 0.8 else str(rng.choice(["a", "b"]))
+                else:
+                    x1, y1 = rng.uniform(0, 0.9, size=2)
+                    box, c = B(x1, y1, x1 + 0.1, y1 + 0.1), str(rng.choice(["a", "b"]))
+                found.append((c, box, float(rng.choice([0.3, 0.6, 0.9]))))
+            gt[img], dets[img] = truths, found
+        if {c for recs in gt.values() for c, _ in recs} == {"a", "b"}:
+            cases.append((dets, gt))
+    assert len(cases) > 30
+    for dets, gt in cases:
+        report = coco_map({img: [D(b, c, s) for c, b, s in recs] for img, recs in dets.items()}, gt)
+        naive = naive_report(dets, gt)
+        assert abs(report.ap_mean - naive["ap_mean"]) < 1e-9
+        assert abs(report.recall - naive["recall"]) < 1e-9
+        for thr in COCO_IOU_THRESHOLDS:
+            assert abs(report.ap_per_iou[thr] - naive["ap_per_iou"][thr]) < 1e-9
 
 
 def oracle_match(dets, gts, thr):

@@ -114,11 +114,13 @@ _WORLDS = [
     for c in (0.0, 0.05, 0.5)
 ]
 # the default encoder shares 16 between the primary map and aux level 2;
-# 9 with base 40 shares none; 8 equals the default aux level 3
+# 9 with base 40 shares none; 8 equals the default aux level 3; base 8
+# makes aux level 3 a single cell, its own border on every side
 _ENCODERS = [
     EncoderConfig(),
     EncoderConfig(primary_resolution=9, aux_base_resolution=40),
     EncoderConfig(primary_resolution=8),
+    EncoderConfig(primary_resolution=4, aux_base_resolution=8),
 ]
 
 

@@ -1,4 +1,10 @@
-"""Retrieval scoring and decoding against enumeration oracles."""
+"""Retrieval scoring and decoding against enumeration oracles.
+
+``oracle_logistic`` and ``oracle_decode_detections`` are ``logistic`` and
+``decode_detections`` as they were before they became one ``np.where``
+and one ``np.nonzero`` over the scores, kept verbatim (but for the
+names): the production functions must give the same bytes.
+"""
 
 import numpy as np
 import pytest
@@ -9,6 +15,7 @@ from regionkit.retrieval import (
     detect_then_count,
     emit_grounded_summary,
     grounded_to_detections,
+    logistic,
     score_matrix,
 )
 from regionkit.roialign import Box
@@ -54,7 +61,82 @@ def test_score_dimension_mismatch():
         score_matrix(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0, 3.0]]))
 
 
+def oracle_logistic(z: np.ndarray) -> np.ndarray:
+    """Elementwise 1 / (1 + exp(-z)), in a form that never overflows."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_logistic_equals_the_masked_oracle_bytewise():
+    """Signed zeros, subnormal-range and overflow-range exponents, infinities
+    and NaNs of both signs, in (N, Q) blocks as ``score_matrix`` passes them."""
+    special = [0.0, -0.0, 1e-300, -1e-300, 709.0, -709.0, 710.0, -710.0, 745.0, -745.0, 746.0, -746.0,
+               np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 36.7, -36.7, 0.5, -0.5]
+    rng = np.random.default_rng(12)
+    grids = [np.array(special), np.array(special).reshape(2, -1), rng.normal(0.0, 30.0, size=(40, 8)),
+             np.zeros((0, 8)), np.array(special[:1])]
+    with np.errstate(all="ignore"):
+        for z in grids:
+            got, want = logistic(z), oracle_logistic(z)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
 # --------------------------------------------------------------- decoding
+
+def oracle_decode_detections(scores, proposals, labels, threshold=0.5):
+    """One detection per (region, category) score strictly above the threshold;
+    column q of ``scores`` belongs to category ``labels[q]``.
+
+    Output is ordered by confidence descending, ties broken by lower region
+    index then category order.
+    """
+    if not (0.0 < threshold < 1.0):
+        raise ValueError("threshold must lie in (0, 1)")
+    scores = np.atleast_2d(scores)
+    if scores.shape != (len(proposals), len(labels)):
+        raise ValueError("score matrix shape must be (n_proposals, n_labels)")
+    hits = []
+    for i in range(scores.shape[0]):
+        for q in range(scores.shape[1]):
+            s = float(scores[i, q])
+            if s > threshold:
+                hits.append((-s, i, q))
+    hits.sort()
+    return [
+        Detection(box=proposals[i], label=labels[q], confidence=-neg, source_region=i)
+        for neg, i, q in hits
+    ]
+
+
+def test_decode_equals_the_loop_oracle():
+    """Ties across regions and across categories, scores exactly at the
+    threshold, NaNs, and empty and one-row matrices decode as the loop did."""
+    rng = np.random.default_rng(21)
+    levels = np.array([0.25, 0.5, 0.5, 0.625, 0.75, 0.75, 0.875, 1.0, np.nan])
+    cases = []
+    for _ in range(200):
+        n, q = int(rng.integers(0, 9)), int(rng.integers(1, 6))
+        tied = rng.choice(levels, size=(n, q))  # exact binary fractions: many ties, many at 0.5
+        drawn = rng.uniform(size=(n, q))
+        cases.append((np.where(rng.uniform(size=(n, q)) < 0.7, tied, drawn), float(rng.choice([0.5, 0.75, 0.3]))))
+    cases.append((np.full((3, 4), 0.75), 0.75))  # every score exactly at the threshold
+    cases.append((np.array([0.9, 0.9, 0.6]), 0.5))  # one row of ties across categories
+    seen_ties = 0
+    for scores, threshold in cases:
+        props = boxes(np.atleast_2d(scores).shape[0])
+        labels = [f"c{k}" for k in range(np.atleast_2d(scores).shape[1])]
+        got = decode_detections(scores, props, labels, threshold)
+        want = oracle_decode_detections(scores, props, labels, threshold)
+        assert repr(got) == repr(want)
+        assert all(type(d.confidence) is float and type(d.source_region) is int for d in got)
+        confs = [d.confidence for d in want]
+        seen_ties += len(confs) - len(set(confs))
+    assert seen_ties > 100
 
 def test_all_below_threshold_rejects_everything():
     scores = np.full((3, 2), 0.4)

@@ -422,6 +422,28 @@ def test_prepared_parts_pin_no_larger_array(tiny_config, variant):
                         assert a.base is None or any(np.shares_memory(a, o) for o in owners), (f, a.shape)
 
 
+@pytest.mark.parametrize("variant", sorted(ORACLE_CASES))
+def test_untrained_forward_runs_twice_to_the_same_features(tiny_config, variant):
+    """With nothing trained, binding writes the features and the forward is
+    empty: running it twice gives the same bytes, which are those of a
+    binding that trains every group and computes them in its forward."""
+    cfg = tiny_config.replace(**ORACLE_CASES[variant])
+    params = init_model_params(cfg)
+    trains = FreezeSchedule.from_config(cfg).stage2
+    for sample in make_training_set(3, 0.5, seed=8, scene_config=cfg.world, proposal_config=cfg.proposals):
+        s = prepare_sample(params, sample, cfg)
+        bound = training._bind(params, s, frames=params._frames)
+        assert bound.forward == []
+        tokens = training._tokens(bound)[0].copy()
+        features = bound.features.copy()
+        again = training._tokens(bound)[0]
+        assert bound.features.tobytes() == features.tobytes() and again.tobytes() == tokens.tobytes()
+        live = training._bind(params, s, trains, params.zeros_like())
+        training._tokens(live)
+        assert live.features.tobytes() == features.tobytes()
+        assert training.region_token_matrix(params, s).tobytes() == tokens.tobytes()
+
+
 def test_prepare_sample_allocates_at_most_512_kib(default_config):
     """After one warm-up, preparing a default-config sample renders into the
     reused canvas: the most it holds at once of new memory stays under
