@@ -1,0 +1,104 @@
+"""Compare the benchmark's end-to-end metrics of a base commit and the working tree.
+
+For each seed, runs ``perfbench/run.py --trace 0`` once in a checkout of
+the base and once in the working tree, alternating which goes first, so
+that a drift of the machine falls on both sides alike.  Prints each
+end-to-end metric of ``BENCHMARK.json`` per pair, then per metric both
+medians, the base's inter-quartile spread and in how many pairs the
+working tree reads better (by the metric's own direction) or the same.
+Run from the root of a checkout:
+
+    python3 scripts/ab_bench.py --base HEAD~1 --workload train_hybrid --seeds 901-910 --seconds 50
+
+``--base`` makes a detached ``git worktree`` of the commit in a temporary
+directory and removes it at the end; ``--base-dir`` takes an existing
+checkout of the base instead.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def seeds(spec: str) -> list[int]:
+    """``901-910`` or ``1,2,5`` (or both, comma-separated)."""
+    out = []
+    for part in spec.split(","):
+        lo, _, hi = part.partition("-")
+        out += range(int(lo), int(hi or lo) + 1)
+    return out
+
+
+def run(checkout: Path, args, seed: int) -> dict[str, float] | None:
+    """One benchmark run's end-to-end metrics, or None if it failed."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(seed),
+           "--seconds", str(args.seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if lines else {}
+    if proc.returncode != 0 or not result.get("correct"):
+        print(f"  run failed in {checkout} (exit {proc.returncode}):\n{proc.stderr[-2000:]}", file=sys.stderr)
+        return None
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def better(name: str, base: float, change: float, directions: dict[str, str]) -> bool:
+    return change < base if directions[name] == "lower" else change > base
+
+
+def compare(base_dir: Path, args) -> int:
+    directions = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    pairs = []
+    for i, seed in enumerate(seeds(args.seeds)):
+        sides = [("base", base_dir), ("change", ROOT)]
+        got = {side: run(path, args, seed) for side, path in (sides if i % 2 == 0 else sides[::-1])}
+        if got["base"] is None or got["change"] is None:
+            return 1
+        pairs.append(got)
+        print(f"seed {seed} ({'base' if i % 2 == 0 else 'change'} first)")
+        for name in directions:
+            b, c = got["base"][name], got["change"][name]
+            print(f"  {name:14s} {b:12.6g} -> {c:12.6g}  {100 * (c - b) / b if b else 0.0:+7.2f}%")
+    print(f"\n{args.workload}, {len(pairs)} pairs: metric, base median (inter-quartile spread), "
+          f"change median, pairs where the change reads better / the same")
+    for name in directions:
+        b = [p["base"][name] for p in pairs]
+        c = [p["change"][name] for p in pairs]
+        q = statistics.quantiles(b, n=4) if len(b) > 1 else [b[0]] * 3
+        wins = sum(better(name, x, y, directions) for x, y in zip(b, c))
+        same = sum(x == y for x, y in zip(b, c))
+        print(f"  {name:14s} {statistics.median(b):12.6g} ({q[2] - q[0]:.4g})  {statistics.median(c):12.6g}"
+              f"  better {wins}/{len(pairs)}, same {same}/{len(pairs)}")
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    where = parser.add_mutually_exclusive_group(required=True)
+    where.add_argument("--base", help="the base commit, checked out as a temporary git worktree")
+    where.add_argument("--base-dir", type=Path, help="an existing checkout of the base")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, help="e.g. 901-910 or 1,2,5")
+    parser.add_argument("--seconds", type=float, default=50.0)
+    args = parser.parse_args(argv)
+    if args.base_dir is not None:
+        return compare(args.base_dir.resolve(), args)
+    with tempfile.TemporaryDirectory() as tmp:
+        worktree = Path(tmp) / "base"
+        subprocess.run(["git", "worktree", "add", "--detach", str(worktree), args.base], cwd=ROOT, check=True)
+        try:
+            return compare(worktree, args)
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force", str(worktree)], cwd=ROOT, check=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

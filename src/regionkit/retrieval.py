@@ -55,12 +55,15 @@ def logistic(z: np.ndarray) -> np.ndarray:
 
 def score_matrix(token_embeddings: np.ndarray, query_embeddings: np.ndarray) -> np.ndarray:
     """(N, Q) logistic scores of every region token (row of ``token_embeddings``)
-    against every category query (row of ``query_embeddings``); entries in [0, 1]."""
+    against every category query (row of ``query_embeddings``); entries in [0, 1].
+
+    The product is ``np.dot``: the same BLAS routine and bytes as ``@``,
+    without the ufunc dispatch, which is a third of a product this small."""
     t = np.atleast_2d(token_embeddings)
     q = np.atleast_2d(query_embeddings)
     if t.shape[1] != q.shape[1]:
         raise ValueError(f"token dim {t.shape[1]} does not match query dim {q.shape[1]}")
-    return logistic(t @ q.T)
+    return logistic(np.dot(t, q.T))
 
 
 def decode_detections(

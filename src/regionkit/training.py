@@ -34,7 +34,8 @@ multiplies (:class:`ModelParams`).  At each stage's start every sample is
 bound once: a group the stage freezes has constant kernels, so its blocks
 become feature columns, and each block that trains becomes one product
 over views of the vector, of the stage's gradient buffer and of a scratch
-all samples share.  A step runs that fixed list of in-place products.
+all samples share.  A step runs that fixed list of in-place products
+and reads every other view and buffer it writes from the binding.
 """
 
 from __future__ import annotations
@@ -454,7 +455,13 @@ def _frame(params: ModelParams, s: SampleStatic, trainable: frozenset, out: Mode
 class _Bound:
     """A sample bound for steps that train ``trainable``: ``forward`` fills
     ``features``, ``backward`` writes each trained kernel gradient from
-    ``d_features``; each is a fixed list of calls ``f(a, b, c)``."""
+    ``d_features``; each is a fixed list of calls ``f(a, b, c)``.  The rest
+    is what a step would otherwise look up or build: the query table,
+    its gradient when the queries train (else None) and whether the sample
+    repeats a query, the connector's ``out`` (its gradients, when it
+    trains, and ``d_features`` at ``"input"``; None when no gradient
+    reaches it) and the gradients of the trained groups with no path into
+    the loss, which every step zeroes."""
 
     params: ModelParams
     out: ModelParams | None
@@ -464,6 +471,11 @@ class _Bound:
     static: SampleStatic
     forward: list[tuple]
     backward: list[tuple]
+    queries: np.ndarray
+    d_queries: np.ndarray | None = None
+    repeats_a_query: bool = False
+    connector_out: dict | None = None
+    unreached: list[np.ndarray] = field(default_factory=list)
 
 
 def _bind(params: ModelParams, s: SampleStatic, trainable: frozenset = frozenset(),
@@ -481,11 +493,12 @@ def _bind(params: ModelParams, s: SampleStatic, trainable: frozenset = frozenset
     When nothing trains, the features are complete here: the frozen
     columns and the positional embedding are written once, and the
     forward is empty, so running it again changes nothing, until the next
-    binding that shares these features.
+    binding that shares these features.  What else a step reads is bound
+    here too (:class:`_Bound`).
     """
     frames, key = {} if frames is None else frames, (len(s.epos), *(grp for grp, _ in s.parts))
     x, d_x, parts = frames[key] = frames.get(key) or _frame(params, s, trainable, out, frames.get(0))
-    bound = _Bound(params, out, trainable, x, d_x, s, [], [])
+    bound = _Bound(params, out, trainable, x, d_x, s, [], [], params.groups[GROUP_NEW_VOCAB]["queries"])
     for (grp, arrays), (cols, blocks, forward, backward) in zip(s.parts, parts):
         ops, grads, live = [], list(backward), grp in trainable
         for t, (k, y, dk, d_y) in zip(arrays, blocks):
@@ -503,21 +516,36 @@ def _bind(params: ModelParams, s: SampleStatic, trainable: frozenset = frozenset
                 np.concatenate(arrays, axis=1, out=cols)
             if trainable:
                 bound.forward.append((np.copyto, cols, cols.copy(), "no"))
-    if trainable:
-        bound.forward.append((np.add, x, s.epos, x))
-    else:
+    if not trainable:
         x += s.epos
+        return bound
+    bound.forward.append((np.add, x, s.epos, x))
+    if GROUP_NEW_VOCAB in trainable:
+        bound.d_queries = out.groups[GROUP_NEW_VOCAB]["queries"]
+        bound.repeats_a_query = len(set(s.query_idx.tolist())) < s.query_idx.size
+    if bound.backward or GROUP_CONNECTOR in trainable:
+        bound.connector_out = dict(out.groups[GROUP_CONNECTOR]) if GROUP_CONNECTOR in trainable else {}
+        bound.connector_out["input"] = d_x
+    unreached = trainable - {grp for grp, _ in s.parts} - {GROUP_CONNECTOR, GROUP_NEW_VOCAB}
+    bound.unreached = [out.vector[out.spans[grp]] for grp in sorted(unreached)]
     return bound
+
+
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite.  A NaN or an infinity makes
+    the sum of squares non-finite, so only then, or when that sum
+    overflows, are the entries checked one by one."""
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
 
 
 def _tokens(b: _Bound) -> tuple[np.ndarray, np.ndarray]:
     """Run ``b``'s forward: (tokens, the connector's tanh activations)."""
     for f, a, c, d in b.forward:
         f(a, c, d)
-    if not np.isfinite(b.features).all():
+    if not _finite(b.features):
         n, d = b.features.shape
         raise NonFiniteError(f"{n}x{d} region feature matrix contains non-finite values")
-    if not np.isfinite(b.params.vector[b.params.spans[GROUP_CONNECTOR]]).all():
+    if not _finite(b.params.vector[b.params.spans[GROUP_CONNECTOR]]):
         raise NonFiniteError("connector parameters must be finite")
     return connector_forward(b.params.connector, b.features, with_hidden=True)
 
@@ -525,7 +553,9 @@ def _tokens(b: _Bound) -> tuple[np.ndarray, np.ndarray]:
 def region_token_matrix(params: ModelParams, s: SampleStatic) -> np.ndarray:
     """Token-space embeddings for every proposal of a prepared sample: the
     rows permute with the proposals, bitwise, and a box alone in a scene
-    gets its row to 1e-12 relative, not bitwise (a one-row BLAS path)."""
+    gets its row to 1e-12 relative, not bitwise: BLAS takes a one-row
+    product down another path, in the pooling's y contraction at a level
+    with one tap row and in the connector."""
     return _tokens(_bind(params, s, frames=params._frames))[0]
 
 
@@ -553,6 +583,11 @@ def loss_and_grads(
     one: the slice of every requested group is overwritten, and every other
     slice is left as it was.  ``s`` may be bound for a stage by :func:`train`;
     then it needs the ``params``, ``out`` and ``trainable`` it was bound to.
+    A step reads the views and the connector's ``out`` bound with it
+    (:class:`_Bound`), writes the query gradient straight into its rows
+    unless the sample repeats a query (then ``np.add.at`` sums the repeats
+    in order), and runs its 2-D products as ``np.dot``, which has the
+    bytes of ``@`` without its ufunc dispatch.
     """
     if GROUP_PRIMARY in trainable:
         raise ValueError(f"{GROUP_PRIMARY} never trains: no gradient is computed for it")
@@ -567,23 +602,25 @@ def loss_and_grads(
             grads.vector[grads.spans[grp]] = 0.0
         return 0.0, grads
     tokens, hidden = _tokens(s)
-    queries = params.groups[GROUP_NEW_VOCAB]["queries"][query_idx]
-    logits = tokens @ queries.T
+    queries = s.queries[query_idx]
+    logits = np.dot(tokens, queries.T)
     loss = float(bce_with_logits(logits, targets).sum())
     if not trainable:
         return loss, grads
     d_logits = 1.0 / (1.0 + np.exp(-logits)) - targets
-    if GROUP_NEW_VOCAB in trainable:
-        dq = grads.groups[GROUP_NEW_VOCAB]["queries"]
-        dq[...] = 0.0
-        np.add.at(dq, query_idx, d_logits.T @ tokens)
-    for grp in trainable - {g for g, _ in s.static.parts} - {GROUP_CONNECTOR, GROUP_NEW_VOCAB}:  # no path into the loss
-        grads.vector[grads.spans[grp]] = 0.0
-    if s.backward or GROUP_CONNECTOR in trainable:
-        into = dict(grads.groups[GROUP_CONNECTOR]) if GROUP_CONNECTOR in trainable else {}
-        into["input"] = s.d_features
+    if s.d_queries is not None:
+        d_queries = np.dot(d_logits.T, tokens)
+        s.d_queries.fill(0.0)
+        if s.repeats_a_query:
+            np.add.at(s.d_queries, query_idx, d_queries)
+        else:  # each row once: v is 0.0 + v, as BLAS sums each entry from +0.0, so none is -0.0
+            s.d_queries[query_idx] = d_queries
+    for d in s.unreached:  # no path into the loss
+        d.fill(0.0)
+    if s.connector_out is not None:
         connector_backward(
-            params.connector, s.features, d_logits @ queries, hidden=hidden, input_grad=bool(s.backward), out=into,
+            params.connector, s.features, np.dot(d_logits, queries), hidden=hidden, input_grad=bool(s.backward),
+            out=s.connector_out,
         )
         for f, a, b, c in s.backward:
             f(a, b, c)

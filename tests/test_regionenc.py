@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from regionkit.config import STREAMS
 from regionkit.gridops import FeatureMap
 from regionkit.regionenc import (
     Connector,
@@ -313,6 +314,56 @@ def test_connector_backward_writes_the_input_gradient_into_out():
         oracle_grads, oracle_d_in = oracle_connector_backward(conn, x, upstream, out=out)
         assert oracle_d_in is out["input"] and all((oracle_grads[n] is out.get(n)) == (n in names) for n in want)
     assert connector_backward(conn, x, upstream, input_grad=False, out=out)[1] is None
+
+
+def _route_shapes(configs):
+    """(N, Q, D, H, O, categories) of every product the retrieval head's
+    step and scoring meet under ``configs``, and the baseline head's
+    one-row connector: N from one proposal up, Q from one query up."""
+    shapes = set()
+    for cfg in configs:
+        for n in [*range(1, 21), cfg.proposals.max_proposals]:
+            for q in range(1, cfg.n_categories + 1):
+                shapes.add((n, q, cfg.d_total, cfg.d_llm, cfg.d_llm, cfg.n_categories))
+        out = baseline.SLOTS * (5 + cfg.n_categories)
+        shapes.add((1, 1, cfg.primary_channels * baseline.POOL**2, cfg.d_llm, out, cfg.n_categories))
+    return sorted(shapes)
+
+
+def _dot_route_products(rng, n, q, d, h, o, categories):
+    """Each 2-D product the code runs as ``np.dot``, by name, its operands
+    laid out as the code lays them out (a transpose is a view)."""
+    f, w1, w2 = rng.normal(size=(n, d)), rng.normal(size=(h, d)), rng.normal(size=(o, h))
+    hidden, g, d_pre = np.tanh(rng.normal(size=(n, h))), rng.normal(size=(n, o)), rng.normal(size=(n, h))
+    table = rng.normal(size=(categories, o))
+    queries, d_logits = table[rng.permutation(categories)[:q]], rng.normal(size=(n, q))
+    return {
+        "connector forward, first layer": (f, w1.T),
+        "connector forward, second layer": (hidden, w2.T),
+        "connector backward, w2": (g.T, hidden),
+        "connector backward, hidden": (g, w2),
+        "connector backward, w1": (d_pre.T, f),
+        "connector backward, input": (d_pre, w1),
+        "step logits": (g, queries.T),
+        "step query gradient": (d_logits.T, g),
+        "step upstream": (d_logits, queries),
+        "score_matrix": (g, table[:q].T),
+    }
+
+
+def test_dot_route_has_matmul_bytes_at_every_shape_met(default_config, tiny_config):
+    """``np.dot`` and ``np.matmul`` reach the same BLAS routine: each
+    product moved to ``np.dot``, with or without ``out``, has the bytes of
+    ``np.matmul`` at every shape the default and tiny configs' variants
+    meet, one proposal and one query among them."""
+    configs = [cfg.replace(streams=v) for cfg in (default_config, tiny_config) for v in sorted(STREAMS)]
+    rng = np.random.default_rng(12)
+    for shape in _route_shapes(configs):
+        for name, (a, b) in _dot_route_products(rng, *shape).items():
+            want = np.matmul(a, b).tobytes()
+            into = np.empty((a.shape[0], b.shape[1]))
+            assert np.dot(a, b).tobytes() == want, (name, shape)
+            assert np.dot(a, b, out=into) is into and into.tobytes() == want, (name, shape)
 
 
 def test_trained_parameters_equal_under_recomputing_backward(default_config, trained_default, monkeypatch):

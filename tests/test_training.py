@@ -603,6 +603,24 @@ def test_infinite_connector_bias_is_caught_before_the_loss(tiny_config, monkeypa
     assert (exc_info.value.stage, exc_info.value.step, exc_info.value.loss) == (1, 1, None)
 
 
+def test_finiteness_check_sees_every_non_finite_entry_and_no_huge_finite_one(tiny_config):
+    """The step's check passes on the sum of squares and looks entry by
+    entry only when that sum is not finite: a NaN or an infinity anywhere
+    fails it, and finite entries whose squares overflow pass it."""
+    for bad in (np.nan, np.inf, -np.inf):
+        for i in (0, 7, 63):
+            a = np.zeros((8, 8))
+            a.flat[i] = bad
+            assert not training._finite(a)
+    assert training._finite(np.full(8, 1e200)) and training._finite(np.zeros((0, 8)))
+
+    params = init_model_params(tiny_config)
+    params.groups[GROUP_CONNECTOR]["b1"][0] = 1e200  # its square overflows; tanh saturates
+    sample = prepare_sample(params, training.seeded_training_set(tiny_config)[0], tiny_config)
+    tokens, _ = training._tokens(training._bind(params, sample))
+    assert np.isfinite(tokens).all()
+
+
 def test_log_shapes(tiny_config):
     _, log = train(tiny_config)
     assert len(log.losses["stage1"]) == tiny_config.stage1_steps

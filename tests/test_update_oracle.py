@@ -3,11 +3,12 @@ the code they replaced.
 
 ``oracle_train`` is ``training.train`` as it was before the parameters
 became one vector and before a run cached its frozen work, kept verbatim
-but for how it reads the gradient.  Each sample is prepared with the run's
-initial parameters, and every step hands ``loss_and_grads`` the sample as
-prepared, so every frozen block is contracted again at each step; each
-step gets a fresh gradient, and each array of each requested group is
-updated on its own (``p -= lr * d``).  ``train``, which turns frozen blocks
+but for how it reads the gradient and that it may call another step in
+place of ``loss_and_grads``.  Each sample is prepared with the run's
+initial parameters, and every step gets the sample as prepared, so
+every frozen block is contracted again at each step; each step gets a
+fresh gradient, and each array of each requested group is updated on its
+own (``p -= lr * d``).  ``train``, which turns frozen blocks
 into feature columns once per stage, reuses one gradient buffer per stage
 and updates one slice, must give bitwise the same losses and checksums.
 
@@ -30,7 +31,10 @@ each kernel block to its taps on its own, concatenates the columns, adds
 the positional embedding and gathers up4_b's taps anew.  The bound step,
 which runs a fixed list of products into views bound at the stage's
 start, must give the same loss repr and the same bytes in every trained
-group's gradient.
+group's gradient.  The oracle's step products are ``@`` and its query
+gradient ``np.add.at``; the bound step's are ``np.dot`` and a write into
+the query rows, so the cases include one proposal with one query and
+samples that query a category twice.
 
 The oracles read the four aux tap blocks one by one, as ``prepare_sample``
 stored them before it stacked them (``unstacked``).
@@ -69,7 +73,7 @@ from regionkit.training import (
     seeded_training_set,
 )
 
-def oracle_train(config, dataset=None):
+def oracle_train(config, dataset=None, step=loss_and_grads):
     if dataset is None:
         dataset = seeded_training_set(config)
     if not dataset:
@@ -87,7 +91,7 @@ def oracle_train(config, dataset=None):
             s = statics[step_counter % len(statics)]
             step_counter += 1
             try:
-                loss, grads = loss_and_grads(params, s, trainable)
+                loss, grads = step(params, s, trainable)
             except NonFiniteError as exc:
                 raise TrainingDivergence(stage, step_counter, cause=str(exc)) from exc
             if not np.isfinite(loss):
@@ -489,15 +493,12 @@ def test_frozen_work_runs_once_per_run_or_stage(tiny_config, monkeypatch):
     )
 
 
-@pytest.mark.parametrize("variant", sorted(STREAMS))
-def test_bound_step_equals_unbound_forward_step(default_config, variant):
-    """Every sample of the seed-7 training set, bound for each stage to one
-    gradient buffer and one scratch as ``train`` binds them, gives the loss
-    repr and the gradient bytes of ``forward_loss_and_grads`` in every
-    trained group."""
-    cfg = default_config.replace(streams=variant)
+def assert_bound_steps_equal_forward_steps(cfg, samples):
+    """Every sample, bound for each stage to one gradient buffer and one
+    scratch as ``train`` binds them, gives the loss repr and the gradient
+    bytes of ``forward_loss_and_grads`` in every trained group."""
     params = perturbed_params(cfg)
-    statics = [prepare_sample(params, sample, cfg) for sample in seeded_training_set(cfg)]
+    statics = [prepare_sample(params, sample, cfg) for sample in samples]
     scratch = training._scratch(params, max(len(s.epos) for s in statics), cfg.d_total)
     for stage in (1, 2):
         trainable = FreezeSchedule.from_config(cfg).trainable(stage)
@@ -511,6 +512,55 @@ def test_bound_step_equals_unbound_forward_step(default_config, variant):
             for grp in trainable:
                 got, expected = grads.vector[grads.spans[grp]], want.vector[want.spans[grp]]
                 assert got.tobytes() == expected.tobytes(), (stage, i, grp)
+
+
+def one_box_one_query(cfg):
+    """A sample of ``cfg``'s training set cut to its first proposal and
+    first query: the step's products at N = 1 and Q = 1."""
+    sample = next(s for s in seeded_training_set(cfg) if s.queries)
+    return dataclasses.replace(
+        sample, proposals=sample.proposals[:1], queries=sample.queries[:1], targets=sample.targets[:1, :1]
+    )
+
+
+def with_repeated_query(sample):
+    """``sample`` querying its first category a second time, last, with the
+    same targets: a query row whose gradient sums two columns."""
+    return dataclasses.replace(
+        sample, queries=sample.queries + sample.queries[:1],
+        targets=np.concatenate([sample.targets, sample.targets[:, :1]], axis=1),
+    )
+
+
+@pytest.mark.parametrize("variant", sorted(STREAMS))
+def test_bound_step_equals_unbound_forward_step(default_config, tiny_config, variant):
+    """Every sample of the seed-7 training set, and a tiny-config sample
+    with one proposal and one query, bound as ``train`` binds them, give
+    the loss repr and the gradient bytes of ``forward_loss_and_grads``,
+    whose products are ``@`` and whose query gradient is ``np.add.at``."""
+    cfg = default_config.replace(streams=variant)
+    assert_bound_steps_equal_forward_steps(cfg, seeded_training_set(cfg))
+    tiny = tiny_config.replace(streams=variant)
+    assert_bound_steps_equal_forward_steps(tiny, [one_box_one_query(tiny)])
+
+
+def forward_oracle_step(params, s, trainable):
+    return forward_loss_and_grads(params, unstacked(s), trainable)
+
+
+@pytest.mark.parametrize("variant", sorted(STREAMS))
+def test_repeated_query_step_and_run_equal_add_at_oracle(tiny_config, variant):
+    """A hand-built sample may query a category twice (``make_training_set``
+    never does): its query row's gradient is the sum of both columns', in
+    ``np.add.at``'s order.  The bound step gives the oracle's loss repr and
+    gradient bytes, the query table's among them, and a run over a set
+    holding such samples gives the oracle run's losses and vector bytes."""
+    cfg = tiny_config.replace(streams=variant)
+    dataset = seeded_training_set(cfg)
+    repeated = [with_repeated_query(s) if s.queries else s for s in dataset]
+    assert sum(len(set(s.queries)) < len(s.queries) for s in repeated) >= 2
+    assert_bound_steps_equal_forward_steps(cfg, repeated + [with_repeated_query(one_box_one_query(cfg))])
+    assert_same_run(training.train(cfg, repeated), oracle_train(cfg, repeated, step=forward_oracle_step))
 
 
 def test_bound_sample_refuses_other_params_or_out(tiny_config):
