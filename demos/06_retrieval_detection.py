@@ -4,7 +4,8 @@ No coordinates are ever generated.  Region tokens are the rows of a token
 matrix and category queries the rows of a query table; each (region,
 category) pair gets an independent logistic score, pairs above the
 threshold become detections that reuse the proposal geometry, absent
-categories simply stay silent, and counting is just decoding plus len().
+categories simply stay silent, and counting is just decoding, then
+counting a category's detections.
 """
 
 import numpy as np
@@ -33,8 +34,9 @@ def main():
     for d in dets:
         print(f"detected {d.label:8s} at region {d.source_region} (conf {d.confidence:.2f})")
 
-    print("cat count:", detect_then_count(scores[:, [0]], proposals, "cat", 0.7))
-    print("pelican count:", detect_then_count(scores[:, [2]], proposals, "pelican", 0.7))
+    # counting is decode-then-count: one decode serves every category
+    print("cat count:", detect_then_count(dets, "cat"))
+    print("pelican count:", detect_then_count(dets, "pelican"))
 
     # detections can be voiced as a grounded response and parsed right back
     summary = emit_grounded_summary(dets)

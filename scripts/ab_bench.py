@@ -4,8 +4,9 @@ For each seed, runs ``perfbench/run.py --trace 0`` once in a checkout of
 the base and once in the working tree, alternating which goes first, so
 that a drift of the machine falls on both sides alike.  Prints each
 end-to-end metric of ``BENCHMARK.json`` per pair, then per metric both
-medians, the base's inter-quartile spread and in how many pairs the
-working tree reads better (by the metric's own direction) or the same.
+medians, the base's inter-quartile spread, in how many pairs the working
+tree reads better (by the metric's own direction) or the same, and a
+verdict against the metric's bound (``verdict``).
 Run from the root of a checkout:
 
     python3 scripts/ab_bench.py --base HEAD~1 --workload train_hybrid --seeds 901-910 --seconds 50
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -50,12 +52,37 @@ def run(checkout: Path, args, seed: int) -> dict[str, float] | None:
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def better(name: str, base: float, change: float, directions: dict[str, str]) -> bool:
-    return change < base if directions[name] == "lower" else change > base
+def better(direction: str, base: float, change: float) -> bool:
+    return change < base if direction == "lower" else change > base
+
+
+def share(x: float, ref: float) -> float:
+    """``x - ref`` as a share of ``|ref|``; infinite if ``ref`` is 0 and ``x`` is not."""
+    if ref:
+        return (x - ref) / abs(ref)
+    return 0.0 if x == ref else math.copysign(math.inf, x - ref)
+
+
+def quartiles(values: list[float]) -> list[float]:
+    return statistics.quantiles(values, n=4) if len(values) > 1 else [values[0]] * 3
+
+
+def verdict(base: list[float], change: list[float], bound: float, direction: str) -> str:
+    """``worse`` if the change's median is worse than the base's by more
+    than ``bound``, a share of the base's median, else ``within bound``;
+    but ``unresolved`` if the base's inter-quartile spread, as a share of
+    its median, exceeds ``bound``, unless every change run beats every base
+    run."""
+    med, q = statistics.median(base), quartiles(base)
+    spread = share(med + (q[2] - q[0]), med)  # the inter-quartile distance as a share of the median
+    if spread > bound and not all(better(direction, b, c) for b in base for c in change):
+        return "unresolved"
+    worse = share(statistics.median(change), med) * (1 if direction == "lower" else -1)
+    return "worse" if worse > bound else "within bound"
 
 
 def compare(base_dir: Path, args) -> int:
-    directions = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    metrics = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     pairs = []
     for i, seed in enumerate(seeds(args.seeds)):
         sides = [("base", base_dir), ("change", ROOT)]
@@ -64,19 +91,20 @@ def compare(base_dir: Path, args) -> int:
             return 1
         pairs.append(got)
         print(f"seed {seed} ({'base' if i % 2 == 0 else 'change'} first)")
-        for name in directions:
+        for name in metrics:
             b, c = got["base"][name], got["change"][name]
             print(f"  {name:14s} {b:12.6g} -> {c:12.6g}  {100 * (c - b) / b if b else 0.0:+7.2f}%")
     print(f"\n{args.workload}, {len(pairs)} pairs: metric, base median (inter-quartile spread), "
-          f"change median, pairs where the change reads better / the same")
-    for name in directions:
+          f"change median, pairs where the change reads better / the same, verdict against the bound")
+    for name, m in metrics.items():
         b = [p["base"][name] for p in pairs]
         c = [p["change"][name] for p in pairs]
-        q = statistics.quantiles(b, n=4) if len(b) > 1 else [b[0]] * 3
-        wins = sum(better(name, x, y, directions) for x, y in zip(b, c))
+        q = quartiles(b)
+        wins = sum(better(m["better"], x, y) for x, y in zip(b, c))
         same = sum(x == y for x, y in zip(b, c))
         print(f"  {name:14s} {statistics.median(b):12.6g} ({q[2] - q[0]:.4g})  {statistics.median(c):12.6g}"
-              f"  better {wins}/{len(pairs)}, same {same}/{len(pairs)}")
+              f"  better {wins}/{len(pairs)}, same {same}/{len(pairs)}"
+              f"  {verdict(b, c, m['bound'], m['better'])} ({m['bound']:g})")
     return 0
 
 

@@ -20,7 +20,7 @@ import math
 import typing
 from dataclasses import dataclass, field
 
-from .roialign import RoiConfig, is_json_number
+from .roialign import RoiConfig
 from .simworld import EncoderConfig, ProposalSimConfig, SceneConfig
 
 __all__ = ["ExperimentConfig", "STREAMS", "Streams"]
@@ -185,7 +185,10 @@ def _from_json(cls, obj, section: str = ""):
 def _json_value(value, hint, name: str):
     """Check one JSON value against a field's type: int, float, bool or str."""
     if hint is float:
-        ok = is_json_number(value)
+        try:  # an int or a float, not a bool, that a float holds
+            ok = type(value) in (int, float) and math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            ok = False
         want = "a finite number"
     else:
         ok = type(value) is hint

@@ -7,6 +7,8 @@ set, and writes a JSON report plus a one-line-per-model TSV.
 and without the pyramid, auxiliary-only) across several seeds and
 tabulates their mean AP.  ``rejection_stats`` and ``counting_stats``
 measure absent-category false positives and detect-then-count accuracy.
+Every report decodes each of its scenes once, through
+``detections_for_scene``, and reduces the detections.
 
 Artifacts land under an output directory together with a manifest listing
 the seeds and sha256 checksums of everything written.
@@ -51,6 +53,9 @@ __all__ = [
 ]
 
 _EVAL_SEED_SALT = 0x0E7A1
+# held-out scenes that rejection_stats and counting_stats query
+REJECTION_SCENES = 100
+COUNTING_SCENES = 50
 
 
 @dataclass
@@ -79,18 +84,13 @@ def make_eval_scenes(
     return out
 
 
-def _scene_scores(params: ModelParams, ev: EvalScene, config: ExperimentConfig) -> np.ndarray:
-    """(proposals x categories) scores of every region against every category."""
-    tokens = region_token_matrix(params, prepare_sample(params, ev, config))
-    return score_matrix(tokens, params.groups[GROUP_NEW_VOCAB]["queries"])
-
-
 def detections_for_scene(
     params: ModelParams, ev: EvalScene, config: ExperimentConfig
 ) -> list[Detection]:
     """Full retrieval decode: region tokens, scores against every category,
     thresholded detections."""
-    scores = _scene_scores(params, ev, config)
+    tokens = region_token_matrix(params, prepare_sample(params, ev, config))
+    scores = score_matrix(tokens, params.groups[GROUP_NEW_VOCAB]["queries"])
     return decode_detections(scores, ev.proposals, vocabulary(config.n_categories), config.threshold)
 
 
@@ -208,17 +208,15 @@ def run_ablations(
 
 # ------------------------------------------------- rejection and counting
 
-def rejection_stats(
-    params: ModelParams, config: ExperimentConfig, n_scenes: int = 100
-) -> dict[str, float]:
+def rejection_stats(params: ModelParams, config: ExperimentConfig) -> dict[str, float]:
     """False-positive behavior on absent-category queries.
 
-    Over held-out scenes, every category absent from a scene is queried;
-    a query counts as a false positive when it yields any detection.
-    Scenes that hold every category give no query; with no query at all
-    there is no rate, and ValueError is raised.
+    Over ``REJECTION_SCENES`` held-out scenes, every category absent from
+    a scene is queried; a query counts as a false positive when it yields
+    any detection.  Scenes that hold every category give no query; with no
+    query at all there is no rate, and ValueError is raised.
     """
-    eval_scenes = make_eval_scenes(config, n_scenes=n_scenes, salt=_EVAL_SEED_SALT + 1)
+    eval_scenes = make_eval_scenes(config, n_scenes=REJECTION_SCENES, salt=_EVAL_SEED_SALT + 1)
     names = vocabulary(config.n_categories)
     n_queries = 0
     n_fp = 0
@@ -241,27 +239,23 @@ def rejection_stats(
     }
 
 
-def counting_stats(
-    params: ModelParams, config: ExperimentConfig, n_scenes: int = 50
-) -> dict[str, float]:
-    """Detect-then-count accuracy on the noiseless proposal world, over each
-    (scene, category present in it) query; with no such query there is no
-    accuracy, and ValueError is raised."""
+def counting_stats(params: ModelParams, config: ExperimentConfig) -> dict[str, float]:
+    """Detect-then-count accuracy on ``COUNTING_SCENES`` scenes of the
+    noiseless proposal world, over each (scene, category present in it)
+    query: the count is the number of that category's detections in the
+    scene's one decode.  With no such query there is no accuracy, and
+    ValueError is raised."""
     noiseless = ProposalSimConfig(jitter_sigma=0.0, drop_rate=0.0, clutter_rate=0.0,
                                   max_proposals=config.proposals.max_proposals)
-    eval_scenes = make_eval_scenes(config, n_scenes=n_scenes, proposal_config=noiseless,
+    eval_scenes = make_eval_scenes(config, n_scenes=COUNTING_SCENES, proposal_config=noiseless,
                                    salt=_EVAL_SEED_SALT + 2)
-    names = vocabulary(config.n_categories)
     predicted = []
     true = []
     for ev in eval_scenes:
-        scores = _scene_scores(params, ev, config)
-        for q, name in enumerate(names):
-            true_count = len(ev.scene.boxes_of(name))
-            if true_count == 0:
-                continue
-            predicted.append(detect_then_count(scores[:, [q]], ev.proposals, name, config.threshold))
-            true.append(true_count)
+        dets = detections_for_scene(params, ev, config)
+        for name in ev.scene.present_categories:
+            predicted.append(detect_then_count(dets, name))
+            true.append(len(ev.scene.boxes_of(name)))
     if not true:
         raise ValueError(f"counting_stats found no category present in {len(eval_scenes)} eval scenes to count")
     return {

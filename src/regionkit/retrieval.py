@@ -6,8 +6,8 @@ query (a row of the query table) with a logistic over the dot product, and
 any (region, category) pair above the threshold becomes a detection that
 reuses the proposal's box verbatim.  A category whose scores all stay
 below the threshold yields nothing — rejection is the default outcome, not
-an error.  Counting is decode-then-count: decode detections for the
-category, report their cardinality.
+an error.  Counting is decode-then-count: decode a scene's detections
+once, then count each category's among them.
 
 There is no non-maximum suppression; proposals are assumed to come from a
 detector that already deduplicates.
@@ -91,13 +91,10 @@ def decode_detections(
     ]
 
 
-def detect_then_count(
-    scores: np.ndarray, proposals: list[Box], label: str, threshold: float = 0.5
-) -> int:
-    """Count instances of one category by decoding first, then aggregating;
-    ``scores`` is that category's (N, 1) column."""
-    dets = decode_detections(scores, proposals, [label], threshold)
-    return len(dets)
+def detect_then_count(detections: list[Detection], label: str) -> int:
+    """Count instances of one category among decoded detections: each
+    detection reuses one proposal, so the count is their number."""
+    return sum(d.label == label for d in detections)
 
 
 def grounded_to_detections(resp: GroundedResponse, proposals: list[Box]) -> list[Detection]:

@@ -43,16 +43,6 @@ __all__ = [
 ]
 
 
-def is_json_number(value) -> bool:
-    """A finite JSON number: an int or a float, not a bool, that a float holds."""
-    if type(value) not in (int, float):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned rectangle in normalized coordinates, with optional score/label.
@@ -99,23 +89,6 @@ class Box:
 
     def to_json(self) -> list:
         return [self.x1, self.y1, self.x2, self.y2, self.score, self.label]
-
-    @classmethod
-    def from_json(cls, obj: list) -> "Box":
-        """Inverse of :meth:`to_json`: ``[x1, y1, x2, y2, score?, label?]``.
-
-        Anything else (a wrong length, a coordinate or score that is not a
-        finite number, a label that is not a string, or a box the checks
-        above reject) raises ValueError.
-        """
-        if not isinstance(obj, list) or not 4 <= len(obj) <= 6:
-            raise ValueError(f"a box must be a list [x1, y1, x2, y2, score?, label?], got {obj!r}")
-        if not all(is_json_number(v) for v in obj[:4]):
-            raise ValueError(f"box coordinates must be finite numbers, got {obj[:4]!r}")
-        score, label = (obj[4:] + [None, None])[:2]
-        if not (score is None or is_json_number(score)) or not (label is None or isinstance(label, str)):
-            raise ValueError(f"box score must be a number and label a string, got {obj[4:]!r}")
-        return cls(*obj[:4], score, label)
 
 
 @dataclass(frozen=True)

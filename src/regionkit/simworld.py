@@ -463,13 +463,18 @@ REJECTION_QUERIES = 2
 @dataclass(frozen=True)
 class TrainingSample:
     """One training record: a scene, its proposals, the queried categories,
-    and the (proposal, query) target matrix."""
+    each once, and the (proposal, query) target matrix."""
 
     scene: Scene
     proposals: tuple[Box, ...]
     queries: tuple[str, ...]
     targets: np.ndarray = field(repr=False)
     is_rejection: bool = False
+
+    def __post_init__(self):
+        for i, q in enumerate(self.queries):
+            if q in self.queries[:i]:
+                raise ValueError(f"a training sample queries each category once, but {q!r} twice")
 
 
 def assignment_targets(proposals: list[Box], scene: Scene, queries: list[str]) -> np.ndarray:
@@ -529,14 +534,15 @@ def make_training_set(
 
 # ----------------------------------------------------------- persistence
 
-def scenes_to_json(scenes: list[Scene], proposals: dict[int, list[Box]] | None = None) -> dict:
-    """COCO-like record: a list of images with objects, plus optional proposals.
+def scenes_to_json(scenes: list[Scene], proposals: dict[int, list[Box]]) -> dict:
+    """COCO-like record: a list of images with objects, plus each image's
+    proposals keyed by image id.
 
     A scene file is written, never read back: every command draws its
     scenes from the config seed, so ``regionkit gen``'s file is a function
     of the config its manifest records.
     """
-    out = {
+    return {
         "images": [
             {
                 "id": s.image_id,
@@ -548,8 +554,6 @@ def scenes_to_json(scenes: list[Scene], proposals: dict[int, list[Box]] | None =
                 ],
             }
             for s in scenes
-        ]
+        ],
+        "proposals": {str(k): [b.to_json() for b in v] for k, v in proposals.items()},
     }
-    if proposals is not None:
-        out["proposals"] = {str(k): [b.to_json() for b in v] for k, v in proposals.items()}
-    return out

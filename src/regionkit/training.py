@@ -278,14 +278,13 @@ class FreezeSchedule:
         raise ValueError("stage must be 1 or 2")
 
 
-def init_model_params(config: ExperimentConfig, rng: np.random.Generator | None = None) -> ModelParams:
+def init_model_params(config: ExperimentConfig) -> ModelParams:
     """Seeded initialization of every parameter group.
 
     Encoder mixing kernels start at identity (they stand in for pretrained
     towers); pyramid and connector weights draw from the seeded uniform.
     """
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1])
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1])
     n_cat = config.n_categories
     groups: dict[str, dict[str, np.ndarray]] = {}
 
@@ -456,12 +455,11 @@ class _Bound:
     """A sample bound for steps that train ``trainable``: ``forward`` fills
     ``features``, ``backward`` writes each trained kernel gradient from
     ``d_features``; each is a fixed list of calls ``f(a, b, c)``.  The rest
-    is what a step would otherwise look up or build: the query table,
-    its gradient when the queries train (else None) and whether the sample
-    repeats a query, the connector's ``out`` (its gradients, when it
-    trains, and ``d_features`` at ``"input"``; None when no gradient
-    reaches it) and the gradients of the trained groups with no path into
-    the loss, which every step zeroes."""
+    is what a step would otherwise look up or build: the query table, its
+    gradient when the queries train (else None), the connector's ``out``
+    (its gradients, when it trains, and ``d_features`` at ``"input"``;
+    None when no gradient reaches it) and the gradients of the trained
+    groups with no path into the loss, which every step zeroes."""
 
     params: ModelParams
     out: ModelParams | None
@@ -473,7 +471,6 @@ class _Bound:
     backward: list[tuple]
     queries: np.ndarray
     d_queries: np.ndarray | None = None
-    repeats_a_query: bool = False
     connector_out: dict | None = None
     unreached: list[np.ndarray] = field(default_factory=list)
 
@@ -522,7 +519,6 @@ def _bind(params: ModelParams, s: SampleStatic, trainable: frozenset = frozenset
     bound.forward.append((np.add, x, s.epos, x))
     if GROUP_NEW_VOCAB in trainable:
         bound.d_queries = out.groups[GROUP_NEW_VOCAB]["queries"]
-        bound.repeats_a_query = len(set(s.query_idx.tolist())) < s.query_idx.size
     if bound.backward or GROUP_CONNECTOR in trainable:
         bound.connector_out = dict(out.groups[GROUP_CONNECTOR]) if GROUP_CONNECTOR in trainable else {}
         bound.connector_out["input"] = d_x
@@ -585,9 +581,8 @@ def loss_and_grads(
     then it needs the ``params``, ``out`` and ``trainable`` it was bound to.
     A step reads the views and the connector's ``out`` bound with it
     (:class:`_Bound`), writes the query gradient straight into its rows
-    unless the sample repeats a query (then ``np.add.at`` sums the repeats
-    in order), and runs its 2-D products as ``np.dot``, which has the
-    bytes of ``@`` without its ufunc dispatch.
+    (a sample queries each category once), and runs its 2-D products as
+    ``np.dot``, which has the bytes of ``@`` without its ufunc dispatch.
     """
     if GROUP_PRIMARY in trainable:
         raise ValueError(f"{GROUP_PRIMARY} never trains: no gradient is computed for it")
@@ -611,10 +606,8 @@ def loss_and_grads(
     if s.d_queries is not None:
         d_queries = np.dot(d_logits.T, tokens)
         s.d_queries.fill(0.0)
-        if s.repeats_a_query:
-            np.add.at(s.d_queries, query_idx, d_queries)
-        else:  # each row once: v is 0.0 + v, as BLAS sums each entry from +0.0, so none is -0.0
-            s.d_queries[query_idx] = d_queries
+        # each row once: v is 0.0 + v, as BLAS sums each entry from +0.0, so none is -0.0
+        s.d_queries[query_idx] = d_queries
     for d in s.unreached:  # no path into the loss
         d.fill(0.0)
     if s.connector_out is not None:

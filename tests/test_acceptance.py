@@ -257,8 +257,8 @@ def test_criterion_08_ablation_orderings(default_ablation):
 
 def test_criterion_09_rejection_and_counting(default_config, trained_default):
     params, _ = trained_default
-    rej = rejection_stats(params, default_config, n_scenes=100)
-    cnt = counting_stats(params, default_config, n_scenes=50)
+    rej = rejection_stats(params, default_config)
+    cnt = counting_stats(params, default_config)
     ok = rej["fp_rate"] < 0.05 and cnt["accuracy"] >= 0.90
     _report(9, ok,
             f"absent-category FP rate {rej['fp_rate']:.3f} over {int(rej['n_queries'])} queries; "

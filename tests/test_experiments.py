@@ -19,8 +19,9 @@ from regionkit.experiments import (
     run_ablations,
     run_benchmark,
 )
-from regionkit.metrics import box_recall
-from regionkit.simworld import ProposalSimConfig, SceneConfig
+from regionkit.metrics import box_recall, counting_accuracy
+from regionkit.retrieval import decode_detections, score_matrix
+from regionkit.simworld import ProposalSimConfig, SceneConfig, vocabulary
 from regionkit.training import TrainingDivergence
 from regionkit.training import init_model_params, train
 
@@ -117,9 +118,40 @@ def test_an_eval_with_nothing_to_measure_raises(tiny_config, changes, evaluate, 
         evaluate(init_model_params(cfg), cfg)
 
 
+def oracle_counting_stats(params, config):
+    """``counting_stats`` as it was when it decoded each present category's
+    score column on its own: the loop is kept verbatim, with that
+    ``detect_then_count`` inlined as the length of a one-column decode."""
+    noiseless = ProposalSimConfig(jitter_sigma=0.0, drop_rate=0.0, clutter_rate=0.0,
+                                  max_proposals=config.proposals.max_proposals)
+    eval_scenes = make_eval_scenes(config, n_scenes=50, proposal_config=noiseless, salt=experiments._EVAL_SEED_SALT + 2)
+    names = vocabulary(config.n_categories)
+    predicted, true = [], []
+    for ev in eval_scenes:
+        tokens = training.region_token_matrix(params, training.prepare_sample(params, ev, config))
+        scores = score_matrix(tokens, params.groups[training.GROUP_NEW_VOCAB]["queries"])
+        for q, name in enumerate(names):
+            true_count = len(ev.scene.boxes_of(name))
+            if true_count == 0:
+                continue
+            predicted.append(len(decode_detections(scores[:, [q]], ev.proposals, [name], config.threshold)))
+            true.append(true_count)
+    return {"n_queries": float(len(true)), "accuracy": counting_accuracy(predicted, true)}
+
+
+def test_counting_stats_equals_column_decode_oracle(default_config, trained_default, tiny_config):
+    """Counting each category among a scene's one decode gives the repr of
+    decoding each present category's column on its own: the seed-7 default
+    model at three thresholds, and the tiny config untrained and trained."""
+    cases = [(trained_default[0], default_config.replace(threshold=t)) for t in (0.2, 0.5, 0.8)]
+    cases += [(init_model_params(tiny_config), tiny_config), (train(tiny_config)[0], tiny_config)]
+    for params, cfg in cases:
+        assert repr(counting_stats(params, cfg)) == repr(oracle_counting_stats(params, cfg))
+
+
 def test_rejection_stats_shape(tiny_config):
     params, _ = train(tiny_config)
-    stats = rejection_stats(params, tiny_config, n_scenes=5)
+    stats = rejection_stats(params, tiny_config)
     assert set(stats) == {"n_queries", "false_positives", "fp_rate"}
     assert 0.0 <= stats["fp_rate"] <= 1.0
 

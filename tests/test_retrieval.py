@@ -194,18 +194,21 @@ def test_decode_threshold_validation():
 # ---------------------------------------------------------------- counting
 
 def test_count_zero_and_three():
-    props = boxes(4)
-    assert detect_then_count(np.array([[0.1], [0.2], [0.3], [0.4]]), props, "a", 0.5) == 0
-    assert detect_then_count(np.array([[0.9], [0.8], [0.2], [0.7]]), props, "a", 0.5) == 3
+    scores = np.array([[0.1, 0.9], [0.2, 0.8], [0.3, 0.2], [0.4, 0.7]])
+    dets = decode_detections(scores, boxes(4), ["a", "b"], 0.5)
+    assert detect_then_count(dets, "a") == 0
+    assert detect_then_count(dets, "b") == 3
 
 
 def test_count_equals_decode_length_randomized():
-    rng = np.random.default_rng(3)
+    """A label's count among a scene's detections is the length of the
+    decode of that label's score column alone."""
+    rng, labels, props = np.random.default_rng(3), ["a", "b", "c"], boxes(5)
     for _ in range(20):
-        scores = rng.uniform(size=(5, 1))
-        props = boxes(5)
-        n = detect_then_count(scores, props, "a", 0.5)
-        assert n == len(decode_detections(scores, props, ["a"], 0.5))
+        scores, threshold = rng.uniform(size=(5, 3)), float(rng.uniform(0.2, 0.8))
+        dets = decode_detections(scores, props, labels, threshold)
+        for q, label in enumerate(labels):
+            assert detect_then_count(dets, label) == len(decode_detections(scores[:, [q]], props, [label], threshold))
 
 
 # --------------------------------------------------------- grounded route

@@ -96,34 +96,6 @@ def test_box_rejects_bad_score():
         Box(0.1, 0.1, 0.5, 0.5, score=1.5)
 
 
-def test_box_json_round_trip():
-    b = Box(0.1, 0.2, 0.5, 0.9, score=0.7, label="car")
-    back = Box.from_json(b.to_json())
-    assert back == b
-
-
-@pytest.mark.parametrize(
-    "obj",
-    [
-        (0.1, 0.2, 0.5, 0.9),
-        [0.1, 0.2, 0.5],
-        [0.1, 0.2, 0.5, 0.9, 0.7, "car", 1],
-        [0.1, "0.2", 0.5, 0.9],
-        [True, 0.2, 0.5, 0.9],
-        [0.1, 0.2, None, 0.9],
-        [10**400, 0.2, 0.5, 0.9],
-        [0.1, 0.2, 0.5, float("nan")],
-        [0.1, 0.2, 0.5, 0.9, "high"],
-        [0.1, 0.2, 0.5, 0.9, 1.5],
-        [0.1, 0.2, 0.5, 0.9, 0.7, 3],
-        [0.5, 0.2, 0.1, 0.9],
-    ],
-)
-def test_box_from_json_rejects_malformed(obj):
-    with pytest.raises(ValueError):
-        Box.from_json(obj)
-
-
 # ------------------------------------------------------------ roi_align
 
 def test_constant_map_pools_to_constant():

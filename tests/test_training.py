@@ -591,8 +591,8 @@ def test_infinite_connector_bias_is_caught_before_the_loss(tiny_config, monkeypa
 
     init = training.init_model_params
 
-    def with_infinite_bias(config, rng=None):
-        p = init(config, rng)
+    def with_infinite_bias(config):
+        p = init(config)
         _ = p.connector  # built while finite, so the check of every step is what fails
         p.groups[GROUP_CONNECTOR]["b1"][0] = np.inf
         return p

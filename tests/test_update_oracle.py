@@ -3,8 +3,7 @@ the code they replaced.
 
 ``oracle_train`` is ``training.train`` as it was before the parameters
 became one vector and before a run cached its frozen work, kept verbatim
-but for how it reads the gradient and that it may call another step in
-place of ``loss_and_grads``.  Each sample is prepared with the run's
+but for how it reads the gradient.  Each sample is prepared with the run's
 initial parameters, and every step gets the sample as prepared, so
 every frozen block is contracted again at each step; each step gets a
 fresh gradient, and each array of each requested group is updated on its
@@ -33,8 +32,8 @@ which runs a fixed list of products into views bound at the stage's
 start, must give the same loss repr and the same bytes in every trained
 group's gradient.  The oracle's step products are ``@`` and its query
 gradient ``np.add.at``; the bound step's are ``np.dot`` and a write into
-the query rows, so the cases include one proposal with one query and
-samples that query a category twice.
+the query rows, so the cases include one proposal with one query.  A
+sample queries each category once; one that repeats a query is refused.
 
 The oracles read the four aux tap blocks one by one, as ``prepare_sample``
 stored them before it stacked them (``unstacked``).
@@ -73,7 +72,7 @@ from regionkit.training import (
     seeded_training_set,
 )
 
-def oracle_train(config, dataset=None, step=loss_and_grads):
+def oracle_train(config, dataset=None):
     if dataset is None:
         dataset = seeded_training_set(config)
     if not dataset:
@@ -91,7 +90,7 @@ def oracle_train(config, dataset=None, step=loss_and_grads):
             s = statics[step_counter % len(statics)]
             step_counter += 1
             try:
-                loss, grads = step(params, s, trainable)
+                loss, grads = loss_and_grads(params, s, trainable)
             except NonFiniteError as exc:
                 raise TrainingDivergence(stage, step_counter, cause=str(exc)) from exc
             if not np.isfinite(loss):
@@ -523,15 +522,6 @@ def one_box_one_query(cfg):
     )
 
 
-def with_repeated_query(sample):
-    """``sample`` querying its first category a second time, last, with the
-    same targets: a query row whose gradient sums two columns."""
-    return dataclasses.replace(
-        sample, queries=sample.queries + sample.queries[:1],
-        targets=np.concatenate([sample.targets, sample.targets[:, :1]], axis=1),
-    )
-
-
 @pytest.mark.parametrize("variant", sorted(STREAMS))
 def test_bound_step_equals_unbound_forward_step(default_config, tiny_config, variant):
     """Every sample of the seed-7 training set, and a tiny-config sample
@@ -544,23 +534,16 @@ def test_bound_step_equals_unbound_forward_step(default_config, tiny_config, var
     assert_bound_steps_equal_forward_steps(tiny, [one_box_one_query(tiny)])
 
 
-def forward_oracle_step(params, s, trainable):
-    return forward_loss_and_grads(params, unstacked(s), trainable)
-
-
-@pytest.mark.parametrize("variant", sorted(STREAMS))
-def test_repeated_query_step_and_run_equal_add_at_oracle(tiny_config, variant):
-    """A hand-built sample may query a category twice (``make_training_set``
-    never does): its query row's gradient is the sum of both columns', in
-    ``np.add.at``'s order.  The bound step gives the oracle's loss repr and
-    gradient bytes, the query table's among them, and a run over a set
-    holding such samples gives the oracle run's losses and vector bytes."""
-    cfg = tiny_config.replace(streams=variant)
-    dataset = seeded_training_set(cfg)
-    repeated = [with_repeated_query(s) if s.queries else s for s in dataset]
-    assert sum(len(set(s.queries)) < len(s.queries) for s in repeated) >= 2
-    assert_bound_steps_equal_forward_steps(cfg, repeated + [with_repeated_query(one_box_one_query(cfg))])
-    assert_same_run(training.train(cfg, repeated), oracle_train(cfg, repeated, step=forward_oracle_step))
+def test_a_sample_that_repeats_a_query_is_refused(tiny_config):
+    """A step writes each query's gradient into its row of the table, so a
+    sample queries each category once; querying one twice is refused at
+    construction, naming the category."""
+    sample = next(s for s in seeded_training_set(tiny_config) if s.queries)
+    with pytest.raises(ValueError, match=f"but {sample.queries[0]!r} twice"):
+        dataclasses.replace(
+            sample, queries=sample.queries + sample.queries[:1],
+            targets=np.concatenate([sample.targets, sample.targets[:, :1]], axis=1),
+        )
 
 
 def test_bound_sample_refuses_other_params_or_out(tiny_config):
