@@ -7,7 +7,7 @@ the numbers are easy to eyeball.
 
 import numpy as np
 
-from regionkit import FeatureMap, Kernel, bilinear_resize, concat_channels, conv2d, deconv2d
+from regionkit.gridops import FeatureMap, Kernel, bilinear_resize, concat_channels, conv2d, deconv2d
 
 
 def main():

@@ -7,7 +7,8 @@ where or how large the box is.
 
 import numpy as np
 
-from regionkit import Box, FeatureMap, RoiConfig, roi_align, roi_align_pooled
+from regionkit.gridops import FeatureMap
+from regionkit.roialign import Box, RoiConfig, roi_align, roi_align_pooled
 
 
 def main():

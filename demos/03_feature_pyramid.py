@@ -8,8 +8,10 @@ the reference widths (512 per pyramid scale; auxiliary levels summing to
 
 import numpy as np
 
-from regionkit import Box, FeatureMap, SimpleFPParams, aux_fuse, roi_align_pooled, simple_fp
+from regionkit.gridops import FeatureMap
+from regionkit.pyramid import SimpleFPParams, aux_fuse, simple_fp
 from regionkit.regionenc import positional_embedding_matrix
+from regionkit.roialign import Box, roi_align_pooled
 
 
 def main():

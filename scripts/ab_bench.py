@@ -1,9 +1,11 @@
 """Compare the benchmark's end-to-end metrics of a base commit and the working tree.
 
-For each seed, runs ``perfbench/run.py --trace 0`` once in a checkout of
-the base and once in the working tree, alternating which goes first, so
-that a drift of the machine falls on both sides alike.  Prints each
-end-to-end metric of ``BENCHMARK.json`` per pair, then per metric both
+Copies both sides into one temporary directory, at paths of equal length,
+so that neither runs from a place the other does not.  For each seed, runs
+``perfbench/run.py --trace 0`` once in each copy, alternating which goes
+first, so that a drift of the machine falls on both sides alike; the seeds
+must be even in number, so that each side goes first equally often.
+Prints each end-to-end metric of ``BENCHMARK.json`` per pair, then per metric both
 medians, the base's inter-quartile spread, in how many pairs the working
 tree reads better (by the metric's own direction) or the same, and a
 verdict against the metric's bound (``verdict``).
@@ -11,19 +13,22 @@ Run from the root of a checkout:
 
     python3 scripts/ab_bench.py --base HEAD~1 --workload train_hybrid --seeds 901-910 --seconds 50
 
-``--base`` makes a detached ``git worktree`` of the commit in a temporary
-directory and removes it at the end; ``--base-dir`` takes an existing
-checkout of the base instead.  Standard library only.
+``--base`` exports the commit with ``git archive``; ``--base-dir`` copies
+an existing checkout of the base instead.  The working tree is copied
+without what ``.gitignore`` lists.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
+import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -37,6 +42,32 @@ def seeds(spec: str) -> list[int]:
         lo, _, hi = part.partition("-")
         out += range(int(lo), int(hi or lo) + 1)
     return out
+
+
+def side_dirs(tmp: Path) -> dict[str, Path]:
+    """Where each side's copy goes: two sibling paths of equal length."""
+    return {"base": tmp / "base", "change": tmp / "work"}
+
+
+def copy_checkout(src: Path, dst: Path) -> None:
+    """Copy a checkout's files to ``dst``: in a git checkout those tracked or
+    not ignored, else all of them but bytecode caches."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            cwd=src, capture_output=True, text=True)
+    if listed.returncode != 0:
+        shutil.copytree(src, dst, ignore=shutil.ignore_patterns("__pycache__", ".git"))
+        return
+    for name in sorted(set(filter(None, listed.stdout.split("\0")))):
+        if (src / name).is_file():  # a tracked file deleted in the working tree is listed too
+            (dst / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src / name, dst / name)
+
+
+def export_commit(commit: str, dst: Path) -> None:
+    """The files of ``commit`` in this repository, written to ``dst``."""
+    tar = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT, capture_output=True, check=True)
+    with tarfile.open(fileobj=io.BytesIO(tar.stdout)) as archive:
+        archive.extractall(dst, filter="data")
 
 
 def run(checkout: Path, args, seed: int) -> dict[str, float] | None:
@@ -81,11 +112,11 @@ def verdict(base: list[float], change: list[float], bound: float, direction: str
     return "worse" if worse > bound else "within bound"
 
 
-def compare(base_dir: Path, args) -> int:
+def compare(dirs: dict[str, Path], args) -> int:
     metrics = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     pairs = []
     for i, seed in enumerate(seeds(args.seeds)):
-        sides = [("base", base_dir), ("change", ROOT)]
+        sides = list(dirs.items())
         got = {side: run(path, args, seed) for side, path in (sides if i % 2 == 0 else sides[::-1])}
         if got["base"] is None or got["change"] is None:
             return 1
@@ -111,21 +142,23 @@ def compare(base_dir: Path, args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     where = parser.add_mutually_exclusive_group(required=True)
-    where.add_argument("--base", help="the base commit, checked out as a temporary git worktree")
+    where.add_argument("--base", help="the base commit, exported into the temporary directory")
     where.add_argument("--base-dir", type=Path, help="an existing checkout of the base")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", required=True, help="e.g. 901-910 or 1,2,5")
+    parser.add_argument("--seeds", required=True, help="an even number of seeds, e.g. 901-910 or 1,2,5,6")
     parser.add_argument("--seconds", type=float, default=50.0)
     args = parser.parse_args(argv)
-    if args.base_dir is not None:
-        return compare(args.base_dir.resolve(), args)
+    if len(seeds(args.seeds)) % 2:
+        parser.error(f"--seeds {args.seeds} gives {len(seeds(args.seeds))} seeds; give an even number, "
+                     "so that each side goes first equally often")
     with tempfile.TemporaryDirectory() as tmp:
-        worktree = Path(tmp) / "base"
-        subprocess.run(["git", "worktree", "add", "--detach", str(worktree), args.base], cwd=ROOT, check=True)
-        try:
-            return compare(worktree, args)
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(worktree)], cwd=ROOT, check=True)
+        dirs = side_dirs(Path(tmp))
+        if args.base_dir is not None:
+            copy_checkout(args.base_dir.resolve(), dirs["base"])
+        else:
+            export_commit(args.base, dirs["base"])
+        copy_checkout(ROOT, dirs["change"])
+        return compare(dirs, args)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,6 @@
 """regionkit: region features, region tokens, retrieval detection, and a synthetic benchmark world."""
 
-from .gridops import FeatureMap, Kernel, bilinear_resize, concat_channels, conv2d, deconv2d
-from .roialign import Box, RoiConfig, roi_align, roi_align_pooled
-from .pyramid import SimpleFPParams, aux_fuse, simple_fp
+from .roialign import Box, RoiConfig
 from .regionenc import Connector, connector_backward, connector_forward, positional_embedding_matrix
 from .tokenproto import (
     BareRegionRef,
@@ -28,7 +26,6 @@ from .simworld import (
     generate_scene,
     make_training_set,
     simulate_opn,
-    toy_encode,
     vocabulary,
 )
 from .metrics import EvalReport, box_recall, coco_map, counting_accuracy, iou

@@ -167,9 +167,13 @@ def decode_baseline(head: BaselineHead, feat: np.ndarray, threshold: float) -> l
 def regression_baseline_eval(
     head: BaselineHead, scenes: list[Scene], config: ExperimentConfig
 ) -> EvalReport:
-    """Evaluate the trained baseline on held-out scenes with the COCO protocol."""
+    """Evaluate the trained baseline on held-out scenes with the COCO protocol;
+    scenes that hold no ground-truth object have no AP and raise ValueError."""
     if head.steps_trained == 0:
         raise ValueError("baseline has not been trained")
+    if not any(scene.objects for scene in scenes):
+        raise ValueError(f"regression_baseline_eval needs at least one scene, got none with an object in "
+                         f"{len(scenes)} scenes")
     detections = {}
     ground_truth = {}
     for scene in scenes:

@@ -68,11 +68,16 @@ def _check_count(flag: str, value: int, least: int) -> None:
 
 def _check_eval_scenes(cfg: ExperimentConfig, n_seeds: int = 1) -> None:
     """Refuse, before any training, a config that by chance draws no eval
-    scene with a proposal at one of the seeds a command evaluates."""
+    scene with a proposal, or none with an object to measure AP against, at
+    one of the seeds a command evaluates."""
     for seed in range(cfg.seed, cfg.seed + n_seeds):
-        if not make_eval_scenes(cfg.replace(seed=seed)):
+        eval_scenes = make_eval_scenes(cfg.replace(seed=seed))
+        if not eval_scenes:
             raise _ConfigError(f"seed {seed} draws no eval scene with a proposal; raise proposals.clutter_rate "
                                "or world.max_objects, or lower proposals.drop_rate")
+        if not any(ev.scene.objects for ev in eval_scenes):
+            raise _ConfigError(f"seed {seed} draws no eval scene with an object, so there is no AP to report; "
+                               "raise world.max_objects")
 
 
 def cmd_gen(args) -> int:
@@ -103,8 +108,9 @@ def cmd_train(args) -> int:
     }
     out = Path(args.out or "runs/train")
     write_artifacts(out, seeds=[cfg.seed], config=cfg, files=files)
-    final = log.losses["stage2"][-1] if log.losses["stage2"] else (log.losses["stage1"] or [float("nan")])[-1]
-    print(f"trained: final loss {final:.4f}; bundle at {out}/bundle.json")
+    losses = log.losses["stage1"] + log.losses["stage2"]
+    ran = f"final loss {losses[-1]:.4f}" if losses else "0 steps"
+    print(f"trained: {ran}; bundle at {out}/bundle.json")
     return 0
 
 

@@ -97,10 +97,11 @@ def detections_for_scene(
 def evaluate_retrieval(
     params: ModelParams, eval_scenes: list[EvalScene], config: ExperimentConfig
 ) -> EvalReport:
-    """mAP of the retrieval head over the eval scenes; an empty scene list
-    has no AP and raises ValueError."""
-    if not eval_scenes:
-        raise ValueError("evaluate_retrieval needs at least one eval scene, got none")
+    """mAP of the retrieval head over the eval scenes; scenes that hold no
+    ground-truth object, or no scenes, have no AP and raise ValueError."""
+    if not any(ev.scene.objects for ev in eval_scenes):
+        raise ValueError(f"evaluate_retrieval needs at least one eval scene, got none with an object in "
+                         f"{len(eval_scenes)} eval scenes")
     detections = {}
     ground_truth = {}
     for ev in eval_scenes:

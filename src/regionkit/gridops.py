@@ -118,16 +118,6 @@ class Kernel:
             self.bias = b.copy()
 
     @classmethod
-    def seeded_uniform(
-        cls, out_channels: int, in_channels: int, k_h: int, k_w: int, rng: np.random.Generator
-    ) -> "Kernel":
-        """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)], fan_in = in*kh*kw."""
-        bound = 1.0 / np.sqrt(in_channels * k_h * k_w)
-        w = rng.uniform(-bound, bound, size=(out_channels, in_channels, k_h, k_w))
-        b = rng.uniform(-bound, bound, size=out_channels)
-        return cls(out_channels, in_channels, k_h, k_w, w, b)
-
-    @classmethod
     def identity(cls, channels: int) -> "Kernel":
         """1x1 kernel mapping each channel to itself, zero bias."""
         w = np.eye(channels).reshape(channels, channels, 1, 1)

@@ -83,9 +83,7 @@ class EvalReport:
         return "\t".join(cols)
 
     def tsv_line(self) -> str:
-        cols = [self.ap_mean, self.recall] + [
-            self.ap_per_iou.get(t, 0.0) for t in COCO_IOU_THRESHOLDS
-        ]
+        cols = [self.ap_mean, self.recall] + [self.ap_per_iou[t] for t in COCO_IOU_THRESHOLDS]
         return "\t".join(f"{v:.6f}" for v in cols)
 
 

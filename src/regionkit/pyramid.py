@@ -12,7 +12,7 @@ Two constructions feed region pooling:
   is the sum of the four channel counts.
 
 Branches are plain linear maps (no normalization or nonlinearity);
-parameters initialize from a seeded uniform so runs are reproducible.
+parameters draw from a seeded uniform (:func:`initial_kernels`).
 :func:`simple_fp_backward` and :func:`aux_fuse_backward` are their
 adjoints.
 
@@ -59,6 +59,7 @@ from .roialign import pooled_taps
 __all__ = [
     "BRANCHES",
     "SimpleFPParams",
+    "initial_kernels",
     "simple_fp",
     "simple_fp_backward",
     "aux_fuse",
@@ -86,15 +87,21 @@ class SimpleFPParams:
 
     @classmethod
     def seeded(cls, in_channels: int, fp_channels: int, rng: np.random.Generator) -> "SimpleFPParams":
-        return cls(
-            {
-                "down": Kernel.seeded_uniform(fp_channels, in_channels, 3, 3, rng),
-                "same": Kernel.seeded_uniform(fp_channels, in_channels, 1, 1, rng),
-                "up2": Kernel.seeded_uniform(fp_channels, in_channels, 2, 2, rng),
-                "up4_a": Kernel.seeded_uniform(fp_channels, in_channels, 2, 2, rng),
-                "up4_b": Kernel.seeded_uniform(fp_channels, fp_channels, 2, 2, rng),
-            }
-        )
+        drawn = initial_kernels(in_channels, fp_channels, rng)
+        return cls({b: Kernel(*drawn[f"{b}_w"].shape, drawn[f"{b}_w"], drawn[f"{b}_b"]) for b in BRANCHES})
+
+
+def initial_kernels(in_channels: int, fp_channels: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Initial weights and biases of the five branch kernels, keyed ``<branch>_w`` and
+    ``<branch>_b`` as the ``simplefp`` group holds them; drawn in :data:`BRANCHES` order,
+    weights then bias, each uniform in +-1/sqrt(fan_in), fan_in = in * kh * kw."""
+    shapes = ((in_channels, 3), (in_channels, 1), (in_channels, 2), (in_channels, 2), (fp_channels, 2))
+    drawn = {}
+    for branch, (inp, k) in zip(BRANCHES, shapes):
+        bound = 1.0 / np.sqrt(inp * k * k)
+        drawn[f"{branch}_w"] = rng.uniform(-bound, bound, size=(fp_channels, inp, k, k))
+        drawn[f"{branch}_b"] = rng.uniform(-bound, bound, size=fp_channels)
+    return drawn
 
 
 def simple_fp(last_map: FeatureMap, params: SimpleFPParams) -> list[FeatureMap]:

@@ -51,9 +51,9 @@ from .config import ExperimentConfig
 from .gridops import NonFiniteError, check_finite
 from .pyramid import (
     BRANCHES,
-    SimpleFPParams,
     aux_fuse_size,
     aux_fuse_taps,
+    initial_kernels,
     simple_fp_sizes,
     simple_fp_taps,
 )
@@ -301,11 +301,7 @@ def init_model_params(config: ExperimentConfig) -> ModelParams:
         aux[f"mix{level}_b"] = np.zeros(c_aux)
     groups[GROUP_AUX] = aux
 
-    fp = SimpleFPParams.seeded(c_pri, config.fp_channels, rng)
-    groups[GROUP_SIMPLEFP] = {}
-    for branch, k in fp.kernels.items():
-        groups[GROUP_SIMPLEFP][f"{branch}_w"] = k.weights
-        groups[GROUP_SIMPLEFP][f"{branch}_b"] = k.bias
+    groups[GROUP_SIMPLEFP] = initial_kernels(c_pri, config.fp_channels, rng)
 
     conn = Connector.seeded(config.d_total, config.d_llm, rng)
     groups[GROUP_CONNECTOR] = {"w1": conn.w1, "b1": conn.b1, "w2": conn.w2, "b2": conn.b2}

@@ -1,7 +1,8 @@
-"""``scripts/ab_bench.py``'s seed parsing and verdicts, on made-up values;
-no benchmark runs."""
+"""``scripts/ab_bench.py``'s seed parsing, verdicts, side copies and
+refusals, on made-up values and directories; no benchmark runs."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -38,3 +39,44 @@ SPREAD = [60, 80, 100, 120, 140]  # inter-quartile distance 60, a share of 0.6 o
 ])
 def test_verdict_against_the_bound(base, change, direction, want):
     assert ab_bench.verdict(base, change, 0.25, direction) == want
+
+
+def test_both_sides_run_from_sibling_paths_of_equal_length(tmp_path):
+    dirs = ab_bench.side_dirs(tmp_path)
+    assert sorted(dirs) == ["base", "change"]
+    assert dirs["base"] != dirs["change"]
+    assert dirs["base"].parent == dirs["change"].parent == tmp_path
+    assert len(str(dirs["base"])) == len(str(dirs["change"]))
+
+
+def _write(root, files):
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+
+
+def test_a_git_checkout_is_copied_without_what_it_ignores(tmp_path):
+    src = tmp_path / "src"
+    _write(src, {".gitignore": "out/\n", "tracked.py": "a", "pkg/new.py": "b", "out/run.json": "c"})
+    subprocess.run(["git", "init", "-q"], cwd=src, check=True)
+    subprocess.run(["git", "add", ".gitignore", "tracked.py"], cwd=src, check=True)
+    ab_bench.copy_checkout(src, tmp_path / "dst")
+    copied = sorted(str(p.relative_to(tmp_path / "dst")) for p in (tmp_path / "dst").rglob("*") if p.is_file())
+    assert copied == [".gitignore", "pkg/new.py", "tracked.py"]
+    assert (tmp_path / "dst" / "pkg/new.py").read_text() == "b"
+
+
+def test_a_plain_directory_is_copied_without_bytecode(tmp_path):
+    src = tmp_path / "src"
+    _write(src, {"run.py": "a", "pkg/__pycache__/run.cpython.pyc": "b"})
+    ab_bench.copy_checkout(src, tmp_path / "dst")
+    assert [p.name for p in (tmp_path / "dst").rglob("*") if p.is_file()] == ["run.py"]
+
+
+@pytest.mark.parametrize("spec", ["901", "901-903", "1,2,5"])
+def test_an_odd_number_of_seeds_is_refused_before_anything_runs(spec, capsys, monkeypatch):
+    monkeypatch.setattr(ab_bench, "compare", lambda *a: pytest.fail("compare ran"))
+    with pytest.raises(SystemExit) as exit_info:
+        ab_bench.main(["--base-dir", "/nonexistent", "--workload", "eval_detect", "--seeds", spec])
+    assert exit_info.value.code == 2
+    assert "give an even number" in capsys.readouterr().err

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from regionkit import experiments, training
+from regionkit.baseline import regression_baseline_eval, train_baseline
 from regionkit.cli import CONFIG_FLAGS
 from regionkit.cli import main as cli_main
 from regionkit.config import ExperimentConfig
@@ -110,6 +111,14 @@ def test_run_ablations_rejects_no_seeds(tiny_config, tmp_path):
         # no scene has an object, so the noiseless world has no proposal either
         ({"world": SceneConfig(n_categories=4, min_objects=0, max_objects=0)}, counting_stats,
          "no category present in 0 eval scenes"),
+        # clutter gives 2 of the 5 scenes a proposal, but no scene holds an object to measure AP against
+        ({"world": SceneConfig(n_categories=4, min_objects=0, max_objects=0)},
+         lambda params, cfg: evaluate_retrieval(params, make_eval_scenes(cfg), cfg),
+         "at least one eval scene, got none with an object in 2 eval scenes"),
+        ({"world": SceneConfig(n_categories=4, min_objects=0, max_objects=0)},
+         lambda params, cfg: regression_baseline_eval(train_baseline(cfg)[0], [ev.scene for ev in make_eval_scenes(cfg)],
+                                                      cfg),
+         "at least one scene, got none with an object in 2 scenes"),
     ],
 )
 def test_an_eval_with_nothing_to_measure_raises(tiny_config, changes, evaluate, message):
@@ -233,6 +242,13 @@ def test_cli_train_and_bench_with_config_file(tmp_path, tiny_config, capsys):
     assert "retrieval" in out and "baseline" in out
 
 
+def test_cli_train_without_steps_prints_no_loss(tmp_path, capsys):
+    out = tmp_path / "t"
+    argv = ["train", "--stage1-steps", "0", "--stage2-steps", "0", "--n-train-scenes", "1", "--out", str(out)]
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out == f"trained: 0 steps; bundle at {out}/bundle.json\n"
+
+
 def test_cli_gradcheck_default_small_config(tmp_path, capsys):
     rc = cli_main(["gradcheck", "--out", str(tmp_path / "gc")])
     assert rc == 0
@@ -249,11 +265,13 @@ def test_cli_gradcheck_flags_apply_to_its_small_config(tmp_path, capsys):
 
 # config files a command refuses: a scene without objects or clutter has no
 # proposal, so the first constructs no config; the second constructs, but at
-# seeds 6 and 7 every eval scene drawn is without a proposal (seed 5 has one)
+# seeds 6 and 7 every eval scene drawn is without a proposal (seed 5 has one);
+# in the third clutter gives every scene a proposal, but no scene an object
 REJECTED_CONFIG_FILES = {
     "no_proposals.json": {"world": {"min_objects": 0, "max_objects": 0}, "proposals": {"clutter_rate": 0.0}},
     "empty_eval.json": {"world": {"min_objects": 0, "max_objects": 1},
                         "proposals": {"clutter_rate": 0.0, "drop_rate": 0.99}},
+    "no_objects.json": {"world": {"min_objects": 0, "max_objects": 0}},
 }
 
 
@@ -274,6 +292,8 @@ REJECTED_CONFIG_FILES = {
          "proposals.clutter_rate or world.max_objects, or lower proposals.drop_rate"),
         (["ablate", "--config", "empty_eval.json", "--seed", "5", "--n-seeds", "2"],
          "seed 6 draws no eval scene with a proposal"),
+        (["bench", "--config", "no_objects.json"],
+         "seed 7 draws no eval scene with an object, so there is no AP to report; raise world.max_objects"),
     ],
 )
 def test_cli_reports_a_rejected_config_in_one_line(argv, message, capsys, tmp_path, tmp_path_factory, monkeypatch):

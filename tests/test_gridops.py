@@ -88,6 +88,13 @@ def random_map(rng, c, h, w):
     return FeatureMap(c, h, w, rng.normal(size=(c, h, w)))
 
 
+def uniform_kernel(out_c, in_c, k_h, k_w, rng):
+    """A kernel with weights, then bias, uniform in +-1/sqrt(in_c * k_h * k_w)."""
+    bound = 1.0 / np.sqrt(in_c * k_h * k_w)
+    w = rng.uniform(-bound, bound, size=(out_c, in_c, k_h, k_w))
+    return Kernel(out_c, in_c, k_h, k_w, w, rng.uniform(-bound, bound, size=out_c))
+
+
 # ------------------------------------------------------------ FeatureMap
 
 def test_feature_map_validates_length():
@@ -193,7 +200,7 @@ def test_conv_zero_kernel_gives_bias():
 def test_conv_matches_oracle(stride, padding):
     rng = np.random.default_rng(10 + stride * 7 + padding)
     m = random_map(rng, 2, 5, 5)
-    k = Kernel.seeded_uniform(3, 2, 3, 3, rng)
+    k = uniform_kernel(3, 2, 3, 3, rng)
     out = conv2d(m, k, stride=stride, padding=padding)
     np.testing.assert_allclose(
         out.data, oracle_conv(m.data, k.weights, k.bias, stride, padding), atol=1e-9
@@ -202,14 +209,14 @@ def test_conv_matches_oracle(stride, padding):
 
 def test_conv_rejects_channel_mismatch():
     m = FeatureMap.full(2, 4, 4, 0.0)
-    k = Kernel.seeded_uniform(1, 3, 1, 1, np.random.default_rng(0))
+    k = uniform_kernel(1, 3, 1, 1, np.random.default_rng(0))
     with pytest.raises(ValueError):
         conv2d(m, k)
 
 
 def test_conv_rejects_degenerate_output():
     m = FeatureMap.full(1, 2, 2, 0.0)
-    k = Kernel.seeded_uniform(1, 1, 3, 3, np.random.default_rng(0))
+    k = uniform_kernel(1, 1, 3, 3, np.random.default_rng(0))
     with pytest.raises(ValueError):
         conv2d(m, k)
 
@@ -230,7 +237,7 @@ def test_conv_identity_kernel_property(c, h, w, seed):
 def test_conv_backward_matches_finite_differences():
     rng = np.random.default_rng(11)
     m = random_map(rng, 2, 5, 5)
-    k = Kernel.seeded_uniform(2, 2, 3, 3, rng)
+    k = uniform_kernel(2, 2, 3, 3, rng)
     g = rng.normal(size=conv2d(m, k, stride=2, padding=1).shape)
 
     d_w, d_b, d_in = conv2d_backward(m, k, g, stride=2, padding=1)
@@ -276,14 +283,14 @@ def test_deconv_identity_kernel():
 def test_deconv_matches_oracle(stride):
     rng = np.random.default_rng(20 + stride)
     m = random_map(rng, 2, 4, 3)
-    k = Kernel.seeded_uniform(3, 2, 2, 2, rng)
+    k = uniform_kernel(3, 2, 2, 2, rng)
     out = deconv2d(m, k, stride=stride)
     np.testing.assert_allclose(out.data, oracle_deconv(m.data, k.weights, k.bias, stride), atol=1e-9)
 
 
 def test_deconv_rejects_channel_mismatch():
     m = FeatureMap.full(2, 3, 3, 0.0)
-    k = Kernel.seeded_uniform(2, 3, 2, 2, np.random.default_rng(0))
+    k = uniform_kernel(2, 3, 2, 2, np.random.default_rng(0))
     with pytest.raises(ValueError):
         deconv2d(m, k)
 
@@ -304,7 +311,7 @@ def test_deconv_is_adjoint_of_conv(stride):
 def test_deconv_backward_matches_finite_differences():
     rng = np.random.default_rng(12)
     m = random_map(rng, 2, 3, 3)
-    k = Kernel.seeded_uniform(2, 2, 2, 2, rng)
+    k = uniform_kernel(2, 2, 2, 2, rng)
     g = rng.normal(size=deconv2d(m, k, stride=2).shape)
     d_w, d_b, d_in = deconv2d_backward(m, k, g, stride=2)
     eps = 1e-6

@@ -470,18 +470,23 @@ _DENSE_OPS = (
 
 def test_dense_ops_stay_off_the_hot_path(tiny_config, monkeypatch):
     """Training and evaluation run on pooled taps: they finish with every
-    dense map op raising wherever the package binds it."""
+    dense map op raising wherever the package binds it, and with the
+    oracle's ``Kernel`` and ``FeatureMap`` unable to be built."""
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a dense map op ran on the training or evaluation path")
+        raise AssertionError("a dense map op or oracle type ran on the training or evaluation path")
 
     for module in (gridops, roialign, pyramid, training, experiments):
         for name in _DENSE_OPS:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
+    for cls in (gridops.Kernel, gridops.FeatureMap):
+        monkeypatch.setattr(cls, "__post_init__", forbidden)
     params, _ = train(tiny_config)
     report = evaluate_retrieval(params, make_eval_scenes(tiny_config), tiny_config)
     assert 0.0 <= report.ap_mean <= 1.0
+    assert experiments.rejection_stats(params, tiny_config)["n_queries"] > 0
+    assert experiments.counting_stats(params, tiny_config)["n_queries"] > 0
 
 
 # --------------------------------------------------------------- training
