@@ -8,7 +8,10 @@ must be even in number, so that each side goes first equally often.
 Prints each end-to-end metric of ``BENCHMARK.json`` per pair, then per metric both
 medians, the base's inter-quartile spread, in how many pairs the working
 tree reads better (by the metric's own direction) or the same, and a
-verdict against the metric's bound (``verdict``).
+verdict against the metric's bound (``verdict``).  Last, per side, how many
+of perfbench's correctness checks failed of those attempted, and how many
+runs failed.  A failed run leaves its pair out of the medians; the
+comparison still runs every seed, and then exits 1.
 Run from the root of a checkout:
 
     python3 scripts/ab_bench.py --base HEAD~1 --workload train_hybrid --seeds 901-910 --seconds 50
@@ -70,17 +73,29 @@ def export_commit(commit: str, dst: Path) -> None:
         archive.extractall(dst, filter="data")
 
 
-def run(checkout: Path, args, seed: int) -> dict[str, float] | None:
-    """One benchmark run's end-to-end metrics, or None if it failed."""
+def outcome(returncode: int, stdout: str) -> dict:
+    """A run's result line: ``attempted`` and ``failed``, perfbench's counts
+    of correctness checks, and ``metrics``, the end-to-end values, or None
+    if the run failed.  A run that printed no result line counts no check."""
+    lines = stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1]) if lines else {}
+    except json.JSONDecodeError:
+        result = {}
+    ok = returncode == 0 and result.get("correct") is True
+    return {"attempted": result.get("attempted", 0), "failed": result.get("failed", 0),
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()} if ok else None}
+
+
+def run(checkout: Path, args, seed: int) -> dict:
+    """One benchmark run's :func:`outcome`."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(seed),
            "--seconds", str(args.seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    result = json.loads(lines[-1]) if lines else {}
-    if proc.returncode != 0 or not result.get("correct"):
+    got = outcome(proc.returncode, proc.stdout)
+    if got["metrics"] is None:
         print(f"  run failed in {checkout} (exit {proc.returncode}):\n{proc.stderr[-2000:]}", file=sys.stderr)
-        return None
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    return got
 
 
 def better(direction: str, base: float, change: float) -> bool:
@@ -113,21 +128,27 @@ def verdict(base: list[float], change: list[float], bound: float, direction: str
 
 
 def compare(dirs: dict[str, Path], args) -> int:
+    """Run every seed on both sides and print the pairs and the summary.  A
+    pair with a failed run is left out of the medians, and the comparison
+    goes on to the last seed; the exit code is then 1."""
     metrics = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-    pairs = []
+    runs, pairs = {side: [] for side in dirs}, []
     for i, seed in enumerate(seeds(args.seeds)):
         sides = list(dirs.items())
         got = {side: run(path, args, seed) for side, path in (sides if i % 2 == 0 else sides[::-1])}
-        if got["base"] is None or got["change"] is None:
-            return 1
-        pairs.append(got)
+        for side, result in got.items():
+            runs[side].append(result)
         print(f"seed {seed} ({'base' if i % 2 == 0 else 'change'} first)")
+        if got["base"]["metrics"] is None or got["change"]["metrics"] is None:
+            print("  a run failed: this pair is left out of the medians")
+            continue
+        pairs.append({side: result["metrics"] for side, result in got.items()})
         for name in metrics:
-            b, c = got["base"][name], got["change"][name]
+            b, c = pairs[-1]["base"][name], pairs[-1]["change"][name]
             print(f"  {name:14s} {b:12.6g} -> {c:12.6g}  {100 * (c - b) / b if b else 0.0:+7.2f}%")
     print(f"\n{args.workload}, {len(pairs)} pairs: metric, base median (inter-quartile spread), "
           f"change median, pairs where the change reads better / the same, verdict against the bound")
-    for name, m in metrics.items():
+    for name, m in metrics.items() if pairs else ():
         b = [p["base"][name] for p in pairs]
         c = [p["change"][name] for p in pairs]
         q = quartiles(b)
@@ -136,7 +157,13 @@ def compare(dirs: dict[str, Path], args) -> int:
         print(f"  {name:14s} {statistics.median(b):12.6g} ({q[2] - q[0]:.4g})  {statistics.median(c):12.6g}"
               f"  better {wins}/{len(pairs)}, same {same}/{len(pairs)}"
               f"  {verdict(b, c, m['bound'], m['better'])} ({m['bound']:g})")
-    return 0
+    failed_runs = 0
+    for side, results in runs.items():
+        lost = sum(r["metrics"] is None for r in results)
+        failed_runs += lost
+        print(f"  {side:6s} {sum(r['failed'] for r in results)} of {sum(r['attempted'] for r in results)} "
+              f"checks failed; {lost} of {len(results)} runs failed")
+    return 1 if failed_runs else 0
 
 
 def main(argv=None) -> int:

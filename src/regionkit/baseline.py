@@ -67,13 +67,17 @@ def init_baseline(config: ExperimentConfig, rng: np.random.Generator) -> Baselin
 
 
 def grid_pool(map_data: np.ndarray, grid: int) -> np.ndarray:
-    """Adaptive average pool of a (C, H, W) array down to C * grid * grid features."""
+    """Adaptive average pool of a (C, H, W) array down to C * grid * grid
+    features.  A side shorter than ``grid`` would leave some cells empty;
+    such a cell takes the one row or column it starts at."""
     c, h, w = map_data.shape
     out = np.empty((c, grid, grid))
     for i in range(grid):
-        y0, y1 = (i * h) // grid, ((i + 1) * h) // grid
+        y0 = (i * h) // grid
+        y1 = max(((i + 1) * h) // grid, y0 + 1)
         for j in range(grid):
-            x0, x1 = (j * w) // grid, ((j + 1) * w) // grid
+            x0 = (j * w) // grid
+            x1 = max(((j + 1) * w) // grid, x0 + 1)
             out[:, i, j] = map_data[:, y0:y1, x0:x1].mean(axis=(1, 2))
     return out.ravel()
 

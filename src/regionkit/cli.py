@@ -20,7 +20,7 @@ from .config import ExperimentConfig
 from .experiments import make_eval_scenes, run_ablations, run_benchmark, write_artifacts
 from .simworld import generate_scene, scenes_to_json, simulate_opn
 from .tokenproto import ParseError, parse_grounded
-from .training import grad_check, train
+from .training import GRAD_CHECK_MAX_D_LLM, grad_check, train
 
 
 #: The config fields a command-line flag overrides: (flag, field, type).
@@ -116,6 +116,8 @@ def cmd_train(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = _load_config(args, small_gradcheck_config())
+    if cfg.d_llm > GRAD_CHECK_MAX_D_LLM:
+        raise _ConfigError(f"gradcheck needs d_llm <= {GRAD_CHECK_MAX_D_LLM}, got {cfg.d_llm}")
     report = grad_check(cfg)
     print(json.dumps(report.to_json(), indent=2))
     ok = report.max_rel_error < 1e-4

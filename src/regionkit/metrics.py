@@ -49,7 +49,8 @@ def iou(a: Box, b: Box) -> float:
 
 @dataclass
 class EvalReport:
-    """Evaluation summary; every value lies in [0, 1]."""
+    """Evaluation summary: AP at each of the ten ``COCO_IOU_THRESHOLDS``
+    and their mean; every value lies in [0, 1]."""
 
     ap_per_iou: dict[float, float]
     ap_mean: float
@@ -57,6 +58,9 @@ class EvalReport:
     per_category: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        if set(self.ap_per_iou) != set(COCO_IOU_THRESHOLDS):
+            raise ValueError(f"ap_per_iou must hold AP at exactly the IoU thresholds {COCO_IOU_THRESHOLDS}, "
+                             f"got {sorted(self.ap_per_iou)}")
         values = list(self.ap_per_iou.values()) + [
             self.ap_mean,
             self.recall,
@@ -64,10 +68,8 @@ class EvalReport:
         ]
         if any(not (0.0 <= v <= 1.0) for v in values):
             raise ValueError("report values must lie in [0, 1]")
-        if self.ap_per_iou:
-            mean = sum(self.ap_per_iou.values()) / len(self.ap_per_iou)
-            if abs(mean - self.ap_mean) > 1e-12:
-                raise ValueError("ap_mean is not the mean of ap_per_iou")
+        if abs(sum(self.ap_per_iou.values()) / len(self.ap_per_iou) - self.ap_mean) > 1e-12:
+            raise ValueError("ap_mean is not the mean of ap_per_iou")
 
     def to_json(self) -> dict:
         return {

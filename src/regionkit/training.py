@@ -31,11 +31,13 @@ A step does only the work a step can change.  The primary mix never
 trains, so :func:`prepare_sample` applies it to the rendered map once, as
 the frozen encoder's output.  Each kernel is stored as the block a step
 multiplies (:class:`ModelParams`).  At each stage's start every sample is
-bound once: a group the stage freezes has constant kernels, so its blocks
-become feature columns, and each block that trains becomes one product
-over views of the vector, of the stage's gradient buffer and of a scratch
-all samples share.  A step runs that fixed list of in-place products
-and reads every other view and buffer it writes from the binding.
+bound once (:func:`bind`): a group the stage freezes has constant kernels,
+so its blocks become feature columns, and each block that trains becomes
+one product over views of the vector, of the stage's gradient buffer and
+of a scratch the samples of one box count share.  A step runs that fixed
+list of in-place copies and products, and the binding is its one input
+(:func:`loss_and_grads`).  Serving binds each scene the same way, with no
+group trained.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ __all__ = [
     "GROUP_CONNECTOR",
     "GROUP_NEW_VOCAB",
     "GROUP_ORIG_VOCAB",
+    "GRAD_CHECK_MAX_D_LLM",
     "ModelParams",
     "FreezeSchedule",
     "TrainingLog",
@@ -77,6 +80,7 @@ __all__ = [
     "seeded_training_set",
     "init_model_params",
     "prepare_sample",
+    "bind",
     "loss_and_grads",
     "region_token_matrix",
     "train",
@@ -89,6 +93,8 @@ GROUP_SIMPLEFP = "simplefp"
 GROUP_CONNECTOR = "connector"
 GROUP_NEW_VOCAB = "new_token_embeddings"
 GROUP_ORIG_VOCAB = "original_embeddings"
+#: The largest ``d_llm`` :func:`grad_check` differences every entry at.
+GRAD_CHECK_MAX_D_LLM = 64
 
 
 class TrainingDivergence(RuntimeError):
@@ -126,7 +132,7 @@ class ModelParams:
             self.spans[g] = slice(end, end + size)
             end += size
         self.vector = np.empty(end)
-        self._frames: dict = {}  # what region_token_matrix binds each sample to, reused (``_bind``)
+        self._frames: dict = {}  # what the bindings that write into these share (``bind``)
         for g, arrs in groups.items():
             for k, view in self.groups[g].items():
                 view[...] = arrs[k]
@@ -407,22 +413,19 @@ def _kernels(p: ModelParams, group: str) -> list[np.ndarray]:
     return [p.kernel(group, x) for x in BRANCHES]
 
 
-def _scratch(params: ModelParams, n: int, width: int) -> list[np.ndarray]:
-    """What a bound step on up to ``n`` boxes writes: the features, their
-    gradient, up4_b's taps [mid | S] and the gradient on mid."""
+def _frame(params: ModelParams, s: SampleStatic, trainable: frozenset, out: ModelParams | None) -> tuple:
+    """What the samples of ``len(s.epos)`` boxes bound alike share: a
+    scratch of the features, their gradient, up4_b's taps [mid | S] and the
+    gradient on mid, and, per part, its columns, per tap block (the kernel
+    block transposed, its output, the block of ``out`` or None, the
+    gradient on the output as its product reads it), and the products no
+    tap block varies.  An inner branch, whose (N, R, K) rows share one
+    kernel, writes mid, which the next array ends."""
+    n, width = s.epos.shape
     k = params.kernel(GROUP_SIMPLEFP, "up4_b").shape[1]
-    return [np.empty(shape) for shape in ((n, width), (n, width), (n, k), (n, k - 1))]
-
-
-def _frame(params: ModelParams, s: SampleStatic, trainable: frozenset, out: ModelParams | None, scratch) -> tuple:
-    """What the samples of ``len(s.epos)`` boxes bound alike share: their
-    rows of ``scratch`` (or of a new one) and, per part, its columns, per
-    tap block (the kernel block transposed, its output, the block of
-    ``out`` or None, the gradient on the output as its product reads it),
-    and the products no tap block varies.  An inner branch, whose (N, R, K)
-    rows share one kernel, writes mid, which the next array ends."""
-    x, d_x, mid, d_mid = (a[: len(s.epos)] for a in scratch or _scratch(params, *s.epos.shape))
-    n, parts, col = len(x), [], 0
+    scratch = [np.empty(shape) for shape in ((n, width), (n, width), (n, k), (n, k - 1))]
+    x, d_x, mid, d_mid = scratch
+    parts, col = [], 0
     for grp, arrays in s.parts:
         start, blocks, forward, backward, inner = col, [], [], [], False
         kernels = [] if grp is None else _kernels(params, grp)
@@ -443,19 +446,20 @@ def _frame(params: ModelParams, s: SampleStatic, trainable: frozenset, out: Mode
                 blocks.append((k.swapaxes(-1, -2), y, dk, d_y.transpose(*range(1, d_y.ndim), 0)))
         col += 0 if kernels else sum(a.shape[1] for a in arrays)
         parts.append((x[:, start:col], blocks, forward, backward))
-    return x, d_x, parts
+    return scratch, parts
 
 
 @dataclass(slots=True)
 class _Bound:
-    """A sample bound for steps that train ``trainable``: ``forward`` fills
-    ``features``, ``backward`` writes each trained kernel gradient from
-    ``d_features``; each is a fixed list of calls ``f(a, b, c)``.  The rest
-    is what a step would otherwise look up or build: the query table, its
-    gradient when the queries train (else None), the connector's ``out``
-    (its gradients, when it trains, and ``d_features`` at ``"input"``;
-    None when no gradient reaches it) and the gradients of the trained
-    groups with no path into the loss, which every step zeroes."""
+    """A sample bound for steps that train ``trainable`` (:func:`bind`):
+    ``forward`` fills ``features``, ``backward`` writes each trained kernel
+    gradient from ``d_features``; each is a fixed list of calls
+    ``f(a, b, c)``.  The rest is what a step would otherwise look up or
+    build: the query table, its gradient when the queries train (else
+    None), the connector's ``out`` (its gradients, when it trains, and
+    ``d_features`` at ``"input"``; None when no gradient reaches it) and
+    the gradients of the trained groups with no path into the loss, which
+    every step zeroes."""
 
     params: ModelParams
     out: ModelParams | None
@@ -471,28 +475,36 @@ class _Bound:
     unreached: list[np.ndarray] = field(default_factory=list)
 
 
-def _bind(params: ModelParams, s: SampleStatic, trainable: frozenset = frozenset(),
-          out: ModelParams | None = None, frames: dict | None = None) -> _Bound:
-    """``s`` bound for steps that write the gradient of the ``trainable``
-    groups into ``out``.  ``frames`` holds what a stage's samples share: a
-    :func:`_frame` per box count and parts, and at 0 the :func:`_scratch`
-    they slice, else each has its own.
+def bind(params: ModelParams, sample: SampleStatic, trainable: frozenset = frozenset(),
+         out: ModelParams | None = None) -> _Bound:
+    """``sample`` bound for steps that write the gradient of the
+    ``trainable`` groups into ``out``, a new buffer when a group trains and
+    ``out`` is None.  The primary encoder never trains
+    (:class:`FreezeSchedule`), so asking to train it raises.
 
-    A frozen group's blocks are applied here, once, into feature columns.
-    Each trained block is one product into its output and one into its
-    gradient block, each summed as the block on its own is.  While some
-    group trains, the forward copies the frozen columns back in from a
-    saved copy, since the samples of a stage share the features it writes.
-    When nothing trains, the features are complete here: the frozen
-    columns and the positional embedding are written once, and the
-    forward is empty, so running it again changes nothing, until the next
-    binding that shares these features.  What else a step reads is bound
-    here too (:class:`_Bound`).
+    The :func:`_frame` of the sample's box count and parts is built once
+    and cached on the buffer the binding writes into: ``out`` when a group
+    trains, a frame per ``params``, else ``params``.  Bindings that share a frame share its
+    scratch, so the forward fills every feature column each time it runs.
+    A frozen group's blocks are applied here, once, into feature columns,
+    and kept; the forward copies them back in.  Each trained block is one
+    product into its output and one into its gradient block, each summed as
+    the block on its own is.  The forward then adds the box embedding.
+    What else a step reads is bound here too (:class:`_Bound`).
     """
-    frames, key = {} if frames is None else frames, (len(s.epos), *(grp for grp, _ in s.parts))
-    x, d_x, parts = frames[key] = frames.get(key) or _frame(params, s, trainable, out, frames.get(0))
-    bound = _Bound(params, out, trainable, x, d_x, s, [], [], params.groups[GROUP_NEW_VOCAB]["queries"])
-    for (grp, arrays), (cols, blocks, forward, backward) in zip(s.parts, parts):
+    trainable = frozenset(trainable)
+    if GROUP_PRIMARY in trainable:
+        raise ValueError(f"{GROUP_PRIMARY} never trains: no gradient is computed for it")
+    if trainable and out is None:
+        out = params.zeros_like()
+    # a frame cached on ``out`` views the kernels of the params it was built for
+    frames = (out if trainable else params)._frames
+    key = (params if trainable else None, trainable, len(sample.epos), *(g for g, _ in sample.parts))
+    if key not in frames:
+        frames[key] = _frame(params, sample, trainable, out)
+    (x, d_x, *_), parts = frames[key]
+    bound = _Bound(params, out, trainable, x, d_x, sample, [], [], params.groups[GROUP_NEW_VOCAB]["queries"])
+    for (grp, arrays), (cols, blocks, forward, backward) in zip(sample.parts, parts):
         ops, grads, live = [], list(backward), grp in trainable
         for t, (k, y, dk, d_y) in zip(arrays, blocks):
             ops.append((np.copyto, y, t, "no") if k is None else (np.matmul, t[..., None, :], k, y))
@@ -505,20 +517,14 @@ def _bind(params: ModelParams, s: SampleStatic, trainable: frozenset = frozenset
         else:
             for f, a, b, c in ops + forward:
                 f(a, b, c)
-            if not ops:  # columns as prepared
-                np.concatenate(arrays, axis=1, out=cols)
-            if trainable:
-                bound.forward.append((np.copyto, cols, cols.copy(), "no"))
-    if not trainable:
-        x += s.epos
-        return bound
-    bound.forward.append((np.add, x, s.epos, x))
+            bound.forward.append((np.copyto, cols, cols.copy() if ops else np.concatenate(arrays, axis=1), "no"))
+    bound.forward.append((np.add, x, sample.epos, x))
     if GROUP_NEW_VOCAB in trainable:
         bound.d_queries = out.groups[GROUP_NEW_VOCAB]["queries"]
     if bound.backward or GROUP_CONNECTOR in trainable:
         bound.connector_out = dict(out.groups[GROUP_CONNECTOR]) if GROUP_CONNECTOR in trainable else {}
         bound.connector_out["input"] = d_x
-    unreached = trainable - {grp for grp, _ in s.parts} - {GROUP_CONNECTOR, GROUP_NEW_VOCAB}
+    unreached = trainable - {grp for grp, _ in sample.parts} - {GROUP_CONNECTOR, GROUP_NEW_VOCAB}
     bound.unreached = [out.vector[out.spans[grp]] for grp in sorted(unreached)]
     return bound
 
@@ -548,7 +554,7 @@ def region_token_matrix(params: ModelParams, s: SampleStatic) -> np.ndarray:
     gets its row to 1e-12 relative, not bitwise: BLAS takes a one-row
     product down another path, in the pooling's y contraction at a level
     with one tap row and in the connector."""
-    return _tokens(_bind(params, s, frames=params._frames))[0]
+    return _tokens(bind(params, s))[0]
 
 
 def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -557,61 +563,44 @@ def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.maximum(logits, 0.0) - logits * targets + np.log1p(np.exp(-np.abs(logits)))
 
 
-def loss_and_grads(
-    params: ModelParams,
-    s: SampleStatic,
-    trainable: frozenset | set = frozenset(),
-    out: ModelParams | None = None,
-) -> tuple[float, ModelParams]:
-    """Loss on one sample plus analytic gradients for the requested groups.
+def loss_and_grads(bound: _Bound) -> tuple[float, ModelParams | None]:
+    """Loss on one bound sample (:func:`bind`) plus the analytic gradients
+    of the groups it was bound to train.
 
     The loss is binary cross-entropy per (region, query) pair, summed over
-    all pairs of the sample.  The gradient has the layout of ``params``;
-    a group that was not requested, or has no path into this config's
-    loss, is exactly zero.  The primary encoder never trains
-    (:class:`FreezeSchedule`) and has a path, so requesting it raises.
-
-    ``out`` is a gradient buffer to write into and return in place of a new
-    one: the slice of every requested group is overwritten, and every other
-    slice is left as it was.  ``s`` may be bound for a stage by :func:`train`;
-    then it needs the ``params``, ``out`` and ``trainable`` it was bound to.
-    A step reads the views and the connector's ``out`` bound with it
-    (:class:`_Bound`), writes the query gradient straight into its rows
-    (a sample queries each category once), and runs its 2-D products as
-    ``np.dot``, which has the bytes of ``@`` without its ufunc dispatch.
+    all pairs of the sample.  The gradients are written into the binding's
+    buffer, which is returned (None when nothing trains): the slice of
+    every trained group is overwritten, and is exactly zero for a group
+    with no path into this config's loss; every other slice is left as it
+    was.  A step writes the query gradient straight into its rows (a sample
+    queries each category once), and runs its 2-D products as ``np.dot``,
+    which has the bytes of ``@`` without its ufunc dispatch.
     """
-    if GROUP_PRIMARY in trainable:
-        raise ValueError(f"{GROUP_PRIMARY} never trains: no gradient is computed for it")
-    if not isinstance(s, _Bound):
-        s = _bind(params, s, frozenset(trainable), params.zeros_like() if out is None else out)
-    elif params is not s.params or out is not s.out or trainable != s.trainable:
-        name = "params" if params is not s.params else "out" if out is not s.out else "trainable"
-        raise ValueError(f"a bound sample needs the {name} it was bound to")
-    grads, query_idx, targets = s.out, s.static.query_idx, s.static.targets
+    grads, query_idx, targets = bound.out, bound.static.query_idx, bound.static.targets
     if query_idx.size == 0:
-        for grp in trainable:
+        for grp in bound.trainable:
             grads.vector[grads.spans[grp]] = 0.0
         return 0.0, grads
-    tokens, hidden = _tokens(s)
-    queries = s.queries[query_idx]
+    tokens, hidden = _tokens(bound)
+    queries = bound.queries[query_idx]
     logits = np.dot(tokens, queries.T)
     loss = float(bce_with_logits(logits, targets).sum())
-    if not trainable:
+    if not bound.trainable:
         return loss, grads
     d_logits = 1.0 / (1.0 + np.exp(-logits)) - targets
-    if s.d_queries is not None:
+    if bound.d_queries is not None:
         d_queries = np.dot(d_logits.T, tokens)
-        s.d_queries.fill(0.0)
+        bound.d_queries.fill(0.0)
         # each row once: v is 0.0 + v, as BLAS sums each entry from +0.0, so none is -0.0
-        s.d_queries[query_idx] = d_queries
-    for d in s.unreached:  # no path into the loss
+        bound.d_queries[query_idx] = d_queries
+    for d in bound.unreached:  # no path into the loss
         d.fill(0.0)
-    if s.connector_out is not None:
+    if bound.connector_out is not None:
         connector_backward(
-            params.connector, s.features, np.dot(d_logits, queries), hidden=hidden, input_grad=bool(s.backward),
-            out=s.connector_out,
+            bound.params.connector, bound.features, np.dot(d_logits, queries), hidden=hidden,
+            input_grad=bool(bound.backward), out=bound.connector_out,
         )
-        for f, a, b, c in s.backward:
+        for f, a, b, c in bound.backward:
             f(a, b, c)
     return loss, grads
 
@@ -663,8 +652,7 @@ def train(
         trainable = schedule.trainable(stage)
         grads = params.zeros_like()
         samples = None  # the previous stage's bindings go before this stage's are made
-        frames = {0: _scratch(params, max(len(s.epos) for s in statics), config.d_total)}
-        samples = [_bind(params, s, trainable, grads, frames) for s in statics]
+        samples = [bind(params, s, trainable, grads) for s in statics]
         # one slice from the first trained group to the last: a group inside
         # it that does not train has a zero gradient, so the update keeps it
         spans = [params.spans[grp] for grp in trainable]
@@ -674,7 +662,7 @@ def train(
             s = samples[step_counter % len(samples)]
             step_counter += 1
             try:
-                loss, _ = loss_and_grads(params, s, trainable, out=grads)
+                loss, _ = loss_and_grads(s)
             except NonFiniteError as exc:
                 raise TrainingDivergence(stage, step_counter, cause=str(exc)) from exc
             if not math.isfinite(loss):
@@ -705,18 +693,19 @@ def grad_check(config: ExperimentConfig) -> GradCheckReport:
 
     Checks every entry of every group the freeze schedule ever trains (its
     stage 2, which contains stage 1), with a step of 1e-5.  The relative
-    error per entry is |a - n| / max(|a|, |n|, 1e-5); intended for small configurations
-    (dims <= 64).  The original-vocabulary table has no path into the
-    loss, so it is reported in ``frozen_zero`` rather than differenced.
+    error per entry is |a - n| / max(|a|, |n|, 1e-5); intended for small
+    configurations (``d_llm`` <= :data:`GRAD_CHECK_MAX_D_LLM`).  The
+    original-vocabulary table has no path into the loss, so it is reported
+    in ``frozen_zero`` rather than differenced.
     """
-    if config.d_llm > 64:
-        raise ValueError("grad_check is meant for small dimensions (<= 64)")
+    if config.d_llm > GRAD_CHECK_MAX_D_LLM:
+        raise ValueError(f"grad_check needs d_llm <= {GRAD_CHECK_MAX_D_LLM}, got {config.d_llm}")
     params = init_model_params(config)
     # samples are drawn in sequence, so this is the first sample train() sees
     s = prepare_sample(params, seeded_training_set(config.replace(n_train_scenes=1))[0], config)
 
     check_groups = FreezeSchedule.from_config(config).stage2
-    _, analytic = loss_and_grads(params, s, check_groups)
+    _, analytic = loss_and_grads(bind(params, s, check_groups))
 
     step = 1e-5
     flat = params.vector
@@ -727,9 +716,9 @@ def grad_check(config: ExperimentConfig) -> GradCheckReport:
         for i in range(span.start, span.stop):
             orig = flat[i]
             flat[i] = orig + step
-            up, _ = loss_and_grads(params, s)
+            up, _ = loss_and_grads(bind(params, s))
             flat[i] = orig - step
-            down, _ = loss_and_grads(params, s)
+            down, _ = loss_and_grads(bind(params, s))
             flat[i] = orig
             numeric = (up - down) / (2 * step)
             a = analytic.vector[i]

@@ -1,7 +1,10 @@
-"""``scripts/ab_bench.py``'s seed parsing, verdicts, side copies and
-refusals, on made-up values and directories; no benchmark runs."""
+"""``scripts/ab_bench.py``'s seed parsing, verdicts, side copies, refusals
+and failed-run counts, on made-up values, directories and result lines; no
+benchmark runs."""
 
+import argparse
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -80,3 +83,49 @@ def test_an_odd_number_of_seeds_is_refused_before_anything_runs(spec, capsys, mo
         ab_bench.main(["--base-dir", "/nonexistent", "--workload", "eval_detect", "--seeds", spec])
     assert exit_info.value.code == 2
     assert "give an even number" in capsys.readouterr().err
+
+
+METRICS = [m["name"] for m in json.loads((Path(ab_bench.ROOT) / "BENCHMARK.json").read_text())["end_to_end"]]
+
+
+def _result_line(failed=0, attempted=4, value=1.0):
+    """perfbench's last line: a failed check leaves the run without metrics."""
+    metrics = {} if failed else {name: {"value": value, "unit": "1"} for name in METRICS}
+    return json.dumps({"correct": failed == 0, "attempted": attempted, "failed": failed, "metrics": metrics})
+
+
+@pytest.mark.parametrize("code, stdout, want", [
+    (0, '{"environment": {}}\n' + _result_line(), (4, 0, True)),
+    (1, _result_line(failed=1), (4, 1, False)),
+    (0, _result_line(failed=1), (4, 1, False)),
+    (1, "", (0, 0, False)),
+    (1, "Traceback (most recent call last):\n", (0, 0, False)),
+])
+def test_a_runs_outcome_keeps_its_check_counts(code, stdout, want):
+    got = ab_bench.outcome(code, stdout)
+    assert (got["attempted"], got["failed"], got["metrics"] is not None) == want
+    if got["metrics"] is not None:
+        assert got["metrics"] == {name: 1.0 for name in METRICS}
+
+
+def test_a_failed_run_is_counted_and_every_seed_still_runs(tmp_path, capsys, monkeypatch):
+    """The change's run at seed 2 fails one check of four: its pair is left
+    out, seeds 3 and 4 still run, the summary gives each side's failed and
+    attempted checks and runs, and the exit code is 1."""
+    dirs = ab_bench.side_dirs(tmp_path)
+    ran = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        seed = int(cmd[cmd.index("--seed") + 1])
+        ran.append((Path(cwd).name, seed))
+        failed = int(Path(cwd) == dirs["change"] and seed == 2)
+        return subprocess.CompletedProcess(cmd, failed, stdout=_result_line(failed=failed) + "\n", stderr="")
+
+    monkeypatch.setattr(ab_bench.subprocess, "run", fake_run)
+    args = argparse.Namespace(workload="eval_detect", seeds="1-4", seconds=1.0)
+    assert ab_bench.compare(dirs, args) == 1
+    assert sorted(ran) == [(side, seed) for side in ("base", "work") for seed in (1, 2, 3, 4)]
+    out = capsys.readouterr().out
+    assert "eval_detect, 3 pairs" in out
+    assert "base   0 of 16 checks failed; 0 of 4 runs failed" in out
+    assert "change 1 of 16 checks failed; 1 of 4 runs failed" in out

@@ -32,6 +32,26 @@ def test_grid_pool_block_means():
     np.testing.assert_allclose(feat, [1.0, 0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("h", range(1, 13))
+def test_grid_pool_cells_are_never_empty(h):
+    """At every side from 1 to 12, on a square map and beside a side of 13
+    minus it, each cell is the mean of a non-empty block that starts at the
+    cell's cut; where both sides are ``POOL`` or more, every cell is cut as
+    ``(i * h) // POOL`` cuts it, bitwise, and none is empty."""
+    for w in (h, 13 - h):
+        data = np.random.default_rng(h).normal(size=(2, h, w))
+        feat = grid_pool(data, POOL).reshape(2, POOL, POOL)
+        for i in range(POOL):
+            y0, y1 = (i * h) // POOL, ((i + 1) * h) // POOL
+            for j in range(POOL):
+                x0, x1 = (j * w) // POOL, ((j + 1) * w) // POOL
+                if h >= POOL and w >= POOL:
+                    assert feat[:, i, j].tobytes() == data[:, y0:y1, x0:x1].mean(axis=(1, 2)).tobytes()
+                block = data[:, y0 : max(y1, y0 + 1), x0 : max(x1, x0 + 1)]
+                assert block.size > 0
+                assert feat[:, i, j].tobytes() == block.mean(axis=(1, 2)).tobytes()
+
+
 def test_slot_targets_reading_order(tiny_config):
     scene = generate_scene(5, tiny_config.world)
     boxes, obj_t, cat_t = _slot_targets(scene, 8, tiny_config.n_categories)

@@ -266,12 +266,14 @@ def test_cli_gradcheck_flags_apply_to_its_small_config(tmp_path, capsys):
 # config files a command refuses: a scene without objects or clutter has no
 # proposal, so the first constructs no config; the second constructs, but at
 # seeds 6 and 7 every eval scene drawn is without a proposal (seed 5 has one);
-# in the third clutter gives every scene a proposal, but no scene an object
+# in the third clutter gives every scene a proposal, but no scene an object;
+# the fourth is too wide for gradcheck's finite differences
 REJECTED_CONFIG_FILES = {
     "no_proposals.json": {"world": {"min_objects": 0, "max_objects": 0}, "proposals": {"clutter_rate": 0.0}},
     "empty_eval.json": {"world": {"min_objects": 0, "max_objects": 1},
                         "proposals": {"clutter_rate": 0.0, "drop_rate": 0.99}},
     "no_objects.json": {"world": {"min_objects": 0, "max_objects": 0}},
+    "wide.json": {"d_llm": 128},
 }
 
 
@@ -294,6 +296,7 @@ REJECTED_CONFIG_FILES = {
          "seed 6 draws no eval scene with a proposal"),
         (["bench", "--config", "no_objects.json"],
          "seed 7 draws no eval scene with an object, so there is no AP to report; raise world.max_objects"),
+        (["gradcheck", "--config", "wide.json"], "gradcheck needs d_llm <= 64, got 128"),
     ],
 )
 def test_cli_reports_a_rejected_config_in_one_line(argv, message, capsys, tmp_path, tmp_path_factory, monkeypatch):

@@ -187,10 +187,16 @@ def test_category_named_twice_is_scored_twice():
 
 
 def test_report_invariants_enforced():
-    with pytest.raises(ValueError):
-        EvalReport(ap_per_iou={0.5: 0.4, 0.55: 0.6}, ap_mean=0.9, recall=0.5)
-    with pytest.raises(ValueError):
-        EvalReport(ap_per_iou={0.5: 1.2}, ap_mean=1.2, recall=0.5)
+    full = {t: 0.4 for t in COCO_IOU_THRESHOLDS}
+    assert EvalReport(ap_per_iou=full, ap_mean=0.4, recall=0.5).tsv_line()
+    with pytest.raises(ValueError, match="not the mean"):
+        EvalReport(ap_per_iou=full, ap_mean=0.9, recall=0.5)
+    with pytest.raises(ValueError, match="must lie in"):
+        EvalReport(ap_per_iou={**full, 0.5: 1.2}, ap_mean=0.48, recall=0.5)
+    # a partial or empty AP table, which tsv_line could not write
+    for partial in ({0.5: 0.4}, {0.5: 0.4, 0.55: 0.6}, {}):
+        with pytest.raises(ValueError, match="exactly the IoU thresholds"):
+            EvalReport(ap_per_iou=partial, ap_mean=0.4, recall=0.5)
 
 
 def test_report_tsv_shape():

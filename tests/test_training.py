@@ -159,7 +159,12 @@ def test_every_constructible_config_trains_and_evaluates(
     except ValueError:
         return
     params, _ = train(cfg)
-    report = evaluate_retrieval(params, make_eval_scenes(cfg), cfg)
+    eval_scenes = make_eval_scenes(cfg)
+    report = evaluate_retrieval(params, eval_scenes, cfg)
+    assert 0.0 <= report.ap_mean <= 1.0
+    # and the comparison baseline that ``bench`` trains and evaluates beside it
+    head, _ = baseline.train_baseline(cfg)
+    report = baseline.regression_baseline_eval(head, [ev.scene for ev in eval_scenes], cfg)
     assert 0.0 <= report.ap_mean <= 1.0
 
 
@@ -384,10 +389,10 @@ def test_training_forward_equals_oracle_composition(tiny_config, variant):
         sample = make_training_set(1, 0.5, seed=seed, scene_config=cfg.world, proposal_config=cfg.proposals)[0]
         s = prepare_sample(params, sample, cfg)
         loss, features, want = dense_oracle(params, sample, s, cfg)
-        bound = training._bind(params, s)
+        bound = training.bind(params, s)
         training._tokens(bound)
         assert_rel_close(bound.features, features, "features")
-        got_loss, got = loss_and_grads(params, s, frozenset(want))
+        got_loss, got = loss_and_grads(training.bind(params, s, frozenset(want)))
         assert abs(got_loss - loss) <= 1e-12 * abs(loss)
         for group in set(got.groups) - set(want):
             assert not got.vector[got.spans[group]].any(), f"unrequested group {group} is not zero"
@@ -402,8 +407,9 @@ def test_prepared_parts_pin_no_larger_array(tiny_config, variant):
     """A run keeps every prepared sample, as prepared and bound for a stage,
     with its frozen blocks as feature columns: each array of its parts owns
     its memory or views an array no larger than itself, and each array its
-    binding holds owns its memory or views the sample, the stage's scratch,
-    the parameters or their gradient, so neither keeps a bigger one alive."""
+    binding holds owns its memory or views the sample, the scratch of its
+    box count, the parameters or their gradient, so neither keeps a bigger
+    one alive."""
     cfg = tiny_config.replace(**ORACLE_CASES[variant])
     params = init_model_params(cfg)
     for sample in make_training_set(3, 0.5, seed=5, scene_config=cfg.world, proposal_config=cfg.proposals):
@@ -413,8 +419,9 @@ def test_prepared_parts_pin_no_larger_array(tiny_config, variant):
                 assert a.base is None or a.base.nbytes <= a.nbytes, (grp, a.shape, a.base.shape)
         kept = [a for _, arrays in s.parts for a in arrays] + [s.epos]
         for trainable in (frozenset(), FreezeSchedule.from_config(cfg).stage2):
-            out, scratch = params.zeros_like(), training._scratch(params, len(s.epos), cfg.d_total)
-            bound = training._bind(params, s, trainable, out, {0: scratch})
+            out = params.zeros_like()
+            bound = training.bind(params, s, trainable, out)
+            scratch = [a for frame, _ in (out if trainable else params)._frames.values() for a in frame]
             owners = kept + scratch + [params.vector, out.vector]
             for f, *args in bound.forward + bound.backward:
                 for a in args:
@@ -424,24 +431,54 @@ def test_prepared_parts_pin_no_larger_array(tiny_config, variant):
 
 @pytest.mark.parametrize("variant", sorted(ORACLE_CASES))
 def test_untrained_forward_runs_twice_to_the_same_features(tiny_config, variant):
-    """With nothing trained, binding writes the features and the forward is
-    empty: running it twice gives the same bytes, which are those of a
-    binding that trains every group and computes them in its forward."""
+    """With nothing trained, the forward copies the frozen columns back in
+    and adds the box embedding: running it twice gives the same bytes,
+    which are those of a binding that trains every group and computes them
+    in its forward."""
     cfg = tiny_config.replace(**ORACLE_CASES[variant])
     params = init_model_params(cfg)
     trains = FreezeSchedule.from_config(cfg).stage2
     for sample in make_training_set(3, 0.5, seed=8, scene_config=cfg.world, proposal_config=cfg.proposals):
         s = prepare_sample(params, sample, cfg)
-        bound = training._bind(params, s, frames=params._frames)
-        assert bound.forward == []
+        bound = training.bind(params, s)
+        assert [op[0] for op in bound.forward] == [np.copyto] * len(s.parts) + [np.add]
         tokens = training._tokens(bound)[0].copy()
         features = bound.features.copy()
         again = training._tokens(bound)[0]
         assert bound.features.tobytes() == features.tobytes() and again.tobytes() == tokens.tobytes()
-        live = training._bind(params, s, trains, params.zeros_like())
+        live = training.bind(params, s, trains)
         training._tokens(live)
         assert live.features.tobytes() == features.tobytes()
         assert training.region_token_matrix(params, s).tobytes() == tokens.tobytes()
+
+
+def test_a_served_binding_is_not_overwritten_by_the_next_of_its_box_count(default_config):
+    """Two served scenes with one box count share the frame cached on the
+    parameters; binding the second leaves the first's forward computing the
+    first's tokens, those of ``region_token_matrix``, bitwise."""
+    params = init_model_params(default_config)
+    by_count = {}
+    for ev in make_eval_scenes(default_config.replace(n_eval_scenes=40)):
+        by_count.setdefault(len(ev.proposals), []).append(prepare_sample(params, ev, default_config))
+    first, second = next(statics for statics in by_count.values() if len(statics) > 1)[:2]
+    bound = training.bind(params, first)
+    training.bind(params, second)
+    tokens = training._tokens(bound)[0].copy()
+    assert tokens.tobytes() == training.region_token_matrix(params, first).tobytes()
+    assert tokens.tobytes() != training.region_token_matrix(params, second).tobytes()
+
+
+def test_one_buffer_bound_with_two_parameter_sets_steps_each(tiny_config):
+    """A gradient buffer caches its frames per parameter set, so binding
+    another set into it steps that set, with its own loss and gradient."""
+    s = prepare_sample(init_model_params(tiny_config), training.seeded_training_set(tiny_config)[0], tiny_config)
+    trainable, out = FreezeSchedule.from_config(tiny_config).stage2, None
+    for seed in (7, 8):
+        params = init_model_params(tiny_config.replace(seed=seed))
+        out = out or params.zeros_like()
+        loss, grads = loss_and_grads(training.bind(params, s, trainable, out))
+        want_loss, want = loss_and_grads(training.bind(params, s, trainable))
+        assert repr(loss) == repr(want_loss) and grads.vector.tobytes() == want.vector.tobytes()
 
 
 def test_prepare_sample_allocates_at_most_512_kib(default_config):
@@ -589,9 +626,9 @@ def test_infinite_connector_bias_is_caught_before_the_loss(tiny_config, monkeypa
     params.groups[GROUP_CONNECTOR]["b1"][0] = np.inf
     sample = prepare_sample(params, training.seeded_training_set(tiny_config)[0], tiny_config)
     trainable, grads = FreezeSchedule.from_config(tiny_config).trainable(1), params.zeros_like()
-    bound = training._bind(params, sample, trainable, grads)
+    bound = training.bind(params, sample, trainable, grads)
     with pytest.raises(gridops.NonFiniteError, match="connector parameters must be finite"):
-        loss_and_grads(params, bound, trainable, out=grads)
+        loss_and_grads(bound)
     assert np.isfinite(connector_forward(connector, bound.features)).all()
 
     init = training.init_model_params
@@ -622,7 +659,7 @@ def test_finiteness_check_sees_every_non_finite_entry_and_no_huge_finite_one(tin
     params = init_model_params(tiny_config)
     params.groups[GROUP_CONNECTOR]["b1"][0] = 1e200  # its square overflows; tanh saturates
     sample = prepare_sample(params, training.seeded_training_set(tiny_config)[0], tiny_config)
-    tokens, _ = training._tokens(training._bind(params, sample))
+    tokens, _ = training._tokens(training.bind(params, sample))
     assert np.isfinite(tokens).all()
 
 
@@ -652,11 +689,11 @@ def test_grad_check_variant_configs(tiny_config):
     assert report.max_rel_error < 1e-4
 
 
-def test_loss_and_grads_rejects_the_primary_encoder(tiny_config):
+def test_binding_rejects_the_primary_encoder(tiny_config):
     params = init_model_params(tiny_config)
     s = prepare_sample(params, training.seeded_training_set(tiny_config)[0], tiny_config)
     with pytest.raises(ValueError, match=GROUP_PRIMARY):
-        loss_and_grads(params, s, {GROUP_PRIMARY})
+        training.bind(params, s, {GROUP_PRIMARY})
 
 
 def test_grad_check_rejects_large_dims(default_config):
@@ -675,15 +712,17 @@ def test_variant_dimension_bookkeeping(tiny_config):
 
 @pytest.mark.parametrize("streams", sorted(STREAMS))
 def test_stream_variant_sets_width_trained_groups_and_round_trips(tiny_config, streams):
-    """A variant's parts fill exactly ``d_total`` feature columns (one left
-    unwritten stays NaN, and the forward refuses it), they are of the groups
-    beyond the connector and the new vocabulary that it trains, and its
-    config survives JSON."""
+    """A variant's parts fill exactly ``d_total`` feature columns (the
+    forward writes each of them: one it left as NaN would be refused), they
+    are of the groups beyond the connector and the new vocabulary that it
+    trains, and its config survives JSON."""
     cfg = tiny_config.replace(streams=streams)
     params = init_model_params(cfg)
     s = prepare_sample(params, training.seeded_training_set(cfg)[0], cfg)
-    scratch = [np.full(a.shape, np.nan) for a in training._scratch(params, len(s.epos), cfg.d_total)]
-    training._tokens(training._bind(params, s, frozenset(), None, {0: scratch}))
+    bound = training.bind(params, s)
+    assert bound.features.shape == (len(s.epos), cfg.d_total)
+    bound.features.fill(np.nan)
+    training._tokens(bound)
     sched = FreezeSchedule.from_config(cfg)
     assert {g for g, _ in s.parts} - {None} == (sched.stage1 | sched.stage2) - {GROUP_CONNECTOR, GROUP_NEW_VOCAB}
     assert ExperimentConfig.loads(cfg.dumps()) == cfg

@@ -90,7 +90,7 @@ def oracle_train(config, dataset=None):
             s = statics[step_counter % len(statics)]
             step_counter += 1
             try:
-                loss, grads = loss_and_grads(params, s, trainable)
+                loss, grads = loss_and_grads(training.bind(params, s, trainable))
             except NonFiniteError as exc:
                 raise TrainingDivergence(stage, step_counter, cause=str(exc)) from exc
             if not np.isfinite(loss):
@@ -367,7 +367,7 @@ def forward_loss_and_grads(
 def assert_same_step(params, s, trainable, exact):
     """Bitwise equal when ``exact``, else within 1e-12 of each array's (and
     the loss's) largest magnitude."""
-    loss, grads = loss_and_grads(params, s, trainable)
+    loss, grads = loss_and_grads(training.bind(params, s, trainable))
     want_loss, want = oracle_loss_and_grads(params, s, trainable)
     if exact:
         assert repr(loss) == repr(want_loss)
@@ -455,12 +455,12 @@ def test_frozen_work_runs_once_per_run_or_stage(tiny_config, monkeypatch):
     in_step = False
     step_reads, bound_kernels = [], []
 
-    def counting_step(params, *args, _original=training.loss_and_grads, **kwargs):
+    def counting_step(*args, _original=training.loss_and_grads, **kwargs):
         nonlocal in_step
         step_reads.append(0)
         in_step = True
         try:
-            return _original(params, *args, **kwargs)
+            return _original(*args, **kwargs)
         finally:
             in_step = False
 
@@ -471,7 +471,7 @@ def test_frozen_work_runs_once_per_run_or_stage(tiny_config, monkeypatch):
             step_reads[-1] += 1
         return _original(self, group, x)
 
-    def recording_bind(params, s, trainable, *args, _original=training._bind):
+    def recording_bind(params, s, trainable, *args, _original=training.bind):
         bound = _original(params, s, trainable, *args)
         kernels = [op[2] for op in bound.forward if op[0] is np.matmul]
         groups = [[g for g, span in params.spans.items() if np.shares_memory(k, params.vector[span])] for k in kernels]
@@ -480,7 +480,7 @@ def test_frozen_work_runs_once_per_run_or_stage(tiny_config, monkeypatch):
 
     monkeypatch.setattr(training, "loss_and_grads", counting_step)
     monkeypatch.setattr(training.ModelParams, "kernel", counting_kernel)
-    monkeypatch.setattr(training, "_bind", recording_bind)
+    monkeypatch.setattr(training, "bind", recording_bind)
     training.train(tiny_config)
     stage1, stage2 = tiny_config.stage1_steps, tiny_config.stage2_steps
     schedule = FreezeSchedule.from_config(tiny_config)
@@ -493,19 +493,17 @@ def test_frozen_work_runs_once_per_run_or_stage(tiny_config, monkeypatch):
 
 
 def assert_bound_steps_equal_forward_steps(cfg, samples):
-    """Every sample, bound for each stage to one gradient buffer and one
-    scratch as ``train`` binds them, gives the loss repr and the gradient
-    bytes of ``forward_loss_and_grads`` in every trained group."""
+    """Every sample, bound for each stage to one gradient buffer as
+    ``train`` binds them, gives the loss repr and the gradient bytes of
+    ``forward_loss_and_grads`` in every trained group."""
     params = perturbed_params(cfg)
     statics = [prepare_sample(params, sample, cfg) for sample in samples]
-    scratch = training._scratch(params, max(len(s.epos) for s in statics), cfg.d_total)
     for stage in (1, 2):
         trainable = FreezeSchedule.from_config(cfg).trainable(stage)
         out = params.zeros_like()
-        frames = {0: scratch}
-        bound = [training._bind(params, s, trainable, out, frames) for s in statics]
+        bound = [training.bind(params, s, trainable, out) for s in statics]
         for i, (s, b) in enumerate(zip(statics, bound)):
-            loss, grads = loss_and_grads(params, b, trainable, out)
+            loss, grads = loss_and_grads(b)
             want_loss, want = forward_loss_and_grads(params, unstacked(s), trainable)
             assert repr(loss) == repr(want_loss), (stage, i)
             for grp in trainable:
@@ -544,26 +542,6 @@ def test_a_sample_that_repeats_a_query_is_refused(tiny_config):
             sample, queries=sample.queries + sample.queries[:1],
             targets=np.concatenate([sample.targets, sample.targets[:, :1]], axis=1),
         )
-
-
-def test_bound_sample_refuses_other_params_or_out(tiny_config):
-    """A bound sample reads and writes the views it was bound to, so it
-    refuses any other parameters, gradient buffer or trained groups."""
-    params = init_model_params(tiny_config)
-    s = prepare_sample(params, seeded_training_set(tiny_config)[0], tiny_config)
-    schedule = FreezeSchedule.from_config(tiny_config)
-    out = params.zeros_like()
-    bound = training._bind(params, s, schedule.stage1, out)
-    with pytest.raises(ValueError, match="params it was bound to"):
-        loss_and_grads(init_model_params(tiny_config), bound, schedule.stage1, out)
-    for other in (params.zeros_like(), None):
-        with pytest.raises(ValueError, match="out it was bound to"):
-            loss_and_grads(params, bound, schedule.stage1, other)
-    with pytest.raises(ValueError, match="trainable it was bound to"):
-        loss_and_grads(params, bound, schedule.stage2, out)
-    want = loss_and_grads(params, s, schedule.stage1)
-    loss, grads = loss_and_grads(params, bound, set(schedule.stage1), out)
-    assert grads is out and repr(loss) == repr(want[0]) and out.vector.tobytes() == want[1].vector.tobytes()
 
 
 ENCODERS = {
