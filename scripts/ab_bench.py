@@ -8,10 +8,13 @@ must be even in number, so that each side goes first equally often.
 Prints each end-to-end metric of ``BENCHMARK.json`` per pair, then per metric both
 medians, the base's inter-quartile spread, in how many pairs the working
 tree reads better (by the metric's own direction) or the same, and a
-verdict against the metric's bound (``verdict``).  Last, per side, how many
+verdict against the metric's bound (``verdict``).  Then, per side, how many
 of perfbench's correctness checks failed of those attempted, and how many
-runs failed.  A failed run leaves its pair out of the medians; the
-comparison still runs every seed, and then exits 1.
+runs failed.  The last line is the record of the comparison, one JSON
+object (``record``): all of the above, the seeds with the side that ran
+first, and each side's environment line from perfbench.  A failed run
+leaves its pair out of the medians; the comparison still runs every seed,
+and then exits 1.
 Run from the root of a checkout:
 
     python3 scripts/ab_bench.py --base HEAD~1 --workload train_hybrid --seeds 901-910 --seconds 50
@@ -73,17 +76,24 @@ def export_commit(commit: str, dst: Path) -> None:
         archive.extractall(dst, filter="data")
 
 
+def _json_line(line: str) -> dict:
+    try:
+        value = json.loads(line)
+    except json.JSONDecodeError:
+        return {}
+    return value if isinstance(value, dict) else {}
+
+
 def outcome(returncode: int, stdout: str) -> dict:
     """A run's result line: ``attempted`` and ``failed``, perfbench's counts
     of correctness checks, and ``metrics``, the end-to-end values, or None
-    if the run failed.  A run that printed no result line counts no check."""
+    if the run failed; and ``environment``, from the line before it, or None.
+    A run that printed no result line counts no check."""
     lines = stdout.strip().splitlines()
-    try:
-        result = json.loads(lines[-1]) if lines else {}
-    except json.JSONDecodeError:
-        result = {}
+    result = _json_line(lines[-1]) if lines else {}
+    env = _json_line(lines[-2]).get("environment") if len(lines) > 1 else None
     ok = returncode == 0 and result.get("correct") is True
-    return {"attempted": result.get("attempted", 0), "failed": result.get("failed", 0),
+    return {"attempted": result.get("attempted", 0), "failed": result.get("failed", 0), "environment": env,
             "metrics": {name: m["value"] for name, m in result["metrics"].items()} if ok else None}
 
 
@@ -127,43 +137,65 @@ def verdict(base: list[float], change: list[float], bound: float, direction: str
     return "worse" if worse > bound else "within bound"
 
 
+def record(args, order: list[dict], runs: dict[str, list[dict]], metrics: dict) -> dict:
+    """The comparison as one JSON object: the workload, ``--seconds``, each
+    seed with the side that ran first, every pair with both sides' metrics
+    (a pair with a failed run has none), per metric the summary, per side
+    its failed and attempted checks and failed runs, and each side's
+    environment (that of its first run to print one)."""
+    pairs = [{"seed": o["seed"], **{side: runs[side][i]["metrics"] for side in runs}} for i, o in enumerate(order)]
+    full = [p for p in pairs if all(p[side] is not None for side in runs)]
+    summary = {}
+    for name, m in metrics.items() if full else ():
+        b, c = [p["base"][name] for p in full], [p["change"][name] for p in full]
+        summary[name] = {
+            "base_median": statistics.median(b), "base_quartiles": quartiles(b), "change_median": statistics.median(c),
+            "better": sum(better(m["better"], x, y) for x, y in zip(b, c)), "same": sum(x == y for x, y in zip(b, c)),
+            "pairs": len(full), "verdict": verdict(b, c, m["bound"], m["better"]), "bound": m["bound"],
+        }
+    sides = {side: {"checks_failed": sum(r["failed"] for r in results),
+                    "checks_attempted": sum(r["attempted"] for r in results),
+                    "runs_failed": sum(r["metrics"] is None for r in results), "runs": len(results),
+                    "environment": next((r["environment"] for r in results if r["environment"]), None)}
+             for side, results in runs.items()}
+    return {"workload": args.workload, "seconds": args.seconds, "seeds": order, "pairs": pairs,
+            "metrics": summary, "sides": sides}
+
+
 def compare(dirs: dict[str, Path], args) -> int:
-    """Run every seed on both sides and print the pairs and the summary.  A
-    pair with a failed run is left out of the medians, and the comparison
-    goes on to the last seed; the exit code is then 1."""
+    """Run every seed on both sides, print the pairs and the summary, and
+    last the :func:`record`.  A pair with a failed run is left out of the
+    medians, and the comparison goes on to the last seed; the exit code is
+    then 1."""
     metrics = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-    runs, pairs = {side: [] for side in dirs}, []
+    runs, order = {side: [] for side in dirs}, []
     for i, seed in enumerate(seeds(args.seeds)):
         sides = list(dirs.items())
         got = {side: run(path, args, seed) for side, path in (sides if i % 2 == 0 else sides[::-1])}
         for side, result in got.items():
             runs[side].append(result)
-        print(f"seed {seed} ({'base' if i % 2 == 0 else 'change'} first)")
+        order.append({"seed": seed, "first": "base" if i % 2 == 0 else "change"})
+        print(f"seed {seed} ({order[-1]['first']} first)")
         if got["base"]["metrics"] is None or got["change"]["metrics"] is None:
             print("  a run failed: this pair is left out of the medians")
             continue
-        pairs.append({side: result["metrics"] for side, result in got.items()})
         for name in metrics:
-            b, c = pairs[-1]["base"][name], pairs[-1]["change"][name]
+            b, c = got["base"]["metrics"][name], got["change"]["metrics"][name]
             print(f"  {name:14s} {b:12.6g} -> {c:12.6g}  {100 * (c - b) / b if b else 0.0:+7.2f}%")
-    print(f"\n{args.workload}, {len(pairs)} pairs: metric, base median (inter-quartile spread), "
+    rec = record(args, order, runs, metrics)
+    n = sum(p["base"] is not None and p["change"] is not None for p in rec["pairs"])
+    print(f"\n{args.workload}, {n} pairs: metric, base median (inter-quartile spread), "
           f"change median, pairs where the change reads better / the same, verdict against the bound")
-    for name, m in metrics.items() if pairs else ():
-        b = [p["base"][name] for p in pairs]
-        c = [p["change"][name] for p in pairs]
-        q = quartiles(b)
-        wins = sum(better(m["better"], x, y) for x, y in zip(b, c))
-        same = sum(x == y for x, y in zip(b, c))
-        print(f"  {name:14s} {statistics.median(b):12.6g} ({q[2] - q[0]:.4g})  {statistics.median(c):12.6g}"
-              f"  better {wins}/{len(pairs)}, same {same}/{len(pairs)}"
-              f"  {verdict(b, c, m['bound'], m['better'])} ({m['bound']:g})")
-    failed_runs = 0
-    for side, results in runs.items():
-        lost = sum(r["metrics"] is None for r in results)
-        failed_runs += lost
-        print(f"  {side:6s} {sum(r['failed'] for r in results)} of {sum(r['attempted'] for r in results)} "
-              f"checks failed; {lost} of {len(results)} runs failed")
-    return 1 if failed_runs else 0
+    for name, m in rec["metrics"].items():
+        q = m["base_quartiles"]
+        print(f"  {name:14s} {m['base_median']:12.6g} ({q[2] - q[0]:.4g})  {m['change_median']:12.6g}"
+              f"  better {m['better']}/{m['pairs']}, same {m['same']}/{m['pairs']}"
+              f"  {m['verdict']} ({m['bound']:g})")
+    for side, s in rec["sides"].items():
+        print(f"  {side:6s} {s['checks_failed']} of {s['checks_attempted']} "
+              f"checks failed; {s['runs_failed']} of {s['runs']} runs failed")
+    print(json.dumps(rec))
+    return 1 if any(s["runs_failed"] for s in rec["sides"].values()) else 0
 
 
 def main(argv=None) -> int:

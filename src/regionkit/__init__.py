@@ -30,7 +30,7 @@ from .simworld import (
 )
 from .metrics import EvalReport, box_recall, coco_map, counting_accuracy, iou
 from .config import ExperimentConfig
-from .training import FreezeSchedule, ModelParams, TrainingDivergence, grad_check, train
+from .training import ModelParams, TrainingDivergence, grad_check, train
 from .baseline import regression_baseline_eval, train_baseline
 from .experiments import run_ablations, run_benchmark
 

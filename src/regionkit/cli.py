@@ -61,6 +61,19 @@ def _add_config_flags(p: argparse.ArgumentParser):
         p.add_argument(flag, dest=name, type=kind)
 
 
+def _out_dir(path: str | None) -> Path | None:
+    """``path`` as the directory a command writes into, None for none.  A
+    path that is a file or lies under one raises :class:`_ConfigError`,
+    which the command checks before any work."""
+    if not path:
+        return None
+    out = Path(path)
+    nearest = next((p for p in (out, *out.parents) if p.exists()), out)
+    if not nearest.is_dir():
+        raise _ConfigError(f"--out {path}: {nearest} is not a directory")
+    return out
+
+
 def _check_count(flag: str, value: int, least: int) -> None:
     if value < least:
         raise _ConfigError(f"{flag} must be >= {least}, got {value}")
@@ -83,6 +96,7 @@ def _check_eval_scenes(cfg: ExperimentConfig, n_seeds: int = 1) -> None:
 def cmd_gen(args) -> int:
     _check_count("--n-scenes", args.n_scenes, 0)
     cfg = _load_config(args)
+    out = _out_dir(args.out)
     rng = np.random.default_rng(cfg.seed)
     scenes = []
     proposals = {}
@@ -91,9 +105,9 @@ def cmd_gen(args) -> int:
         scenes.append(scene)
         proposals[scene.image_id] = simulate_opn(scene, cfg.proposals, int(rng.integers(2**31)))
     payload = json.dumps(scenes_to_json(scenes, proposals), indent=2)
-    if args.out:
-        write_artifacts(Path(args.out), seeds=[cfg.seed], config=cfg, files={"scenes.json": payload})
-        print(f"wrote {args.out}/scenes.json ({len(scenes)} scenes)")
+    if out:
+        write_artifacts(out, seeds=[cfg.seed], config=cfg, files={"scenes.json": payload})
+        print(f"wrote {out}/scenes.json ({len(scenes)} scenes)")
     else:
         print(payload)
     return 0
@@ -101,12 +115,12 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
+    out = _out_dir(args.out or "runs/train")
     params, log = train(cfg)
     files = {
         "bundle.json": json.dumps(params.to_json()),
         "train_log.json": json.dumps(log.to_json(), indent=2),
     }
-    out = Path(args.out or "runs/train")
     write_artifacts(out, seeds=[cfg.seed], config=cfg, files=files)
     losses = log.losses["stage1"] + log.losses["stage2"]
     ran = f"final loss {losses[-1]:.4f}" if losses else "0 steps"
@@ -118,20 +132,22 @@ def cmd_gradcheck(args) -> int:
     cfg = _load_config(args, small_gradcheck_config())
     if cfg.d_llm > GRAD_CHECK_MAX_D_LLM:
         raise _ConfigError(f"gradcheck needs d_llm <= {GRAD_CHECK_MAX_D_LLM}, got {cfg.d_llm}")
+    out = _out_dir(args.out)
     report = grad_check(cfg)
     print(json.dumps(report.to_json(), indent=2))
     ok = report.max_rel_error < 1e-4
     print(f"max relative error {report.max_rel_error:.3e}: {'OK' if ok else 'FAIL'}")
-    if args.out:
-        write_artifacts(Path(args.out), seeds=[cfg.seed], config=cfg,
+    if out:
+        write_artifacts(out, seeds=[cfg.seed], config=cfg,
                         files={"gradcheck.json": json.dumps(report.to_json(), indent=2)})
     return 0 if ok else 1
 
 
 def cmd_bench(args) -> int:
     cfg = _load_config(args)
+    out = _out_dir(args.out or "runs/bench")
     _check_eval_scenes(cfg)
-    result = run_benchmark(cfg, out_dir=args.out or "runs/bench")
+    result = run_benchmark(cfg, out_dir=out)
     print(result.tsv(), end="")
     gap = result.retrieval.ap_mean - result.baseline.ap_mean
     print(f"retrieval - baseline ap_mean gap: {gap:+.4f}")
@@ -141,8 +157,9 @@ def cmd_bench(args) -> int:
 def cmd_ablate(args) -> int:
     _check_count("--n-seeds", args.n_seeds, 1)
     cfg = _load_config(args)
+    out = _out_dir(args.out or "runs/ablate")
     _check_eval_scenes(cfg, args.n_seeds)
-    rows = run_ablations(cfg, n_seeds=args.n_seeds, out_dir=args.out or "runs/ablate")
+    rows = run_ablations(cfg, n_seeds=args.n_seeds, out_dir=out)
     for row in rows:
         print(f"{row.variant:<20}\tap_mean={row.ap_mean:.4f}")
     return 0

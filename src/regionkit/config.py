@@ -25,6 +25,13 @@ from .simworld import EncoderConfig, ProposalSimConfig, SceneConfig
 
 __all__ = ["ExperimentConfig", "STREAMS", "Streams"]
 
+#: The widest token space.  The connector's second layer is d_llm x d_llm:
+#: at 1024, 8 MiB, which a step holds three times (parameters, gradient, update).
+MAX_D_LLM = 1024
+#: The widest pyramid level.  up4_b's kernel block is fp_channels x
+#: (4 fp_channels + 1): at 512, 8 MiB; the region feature is then 2048 wide.
+MAX_FP_CHANNELS = 512
+
 
 # the encoder streams each variant's region feature draws on; simplefp, the
 # pyramid, runs on the primary map
@@ -71,9 +78,9 @@ class ExperimentConfig:
         for name in ("stage1_steps", "stage2_steps"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("fp_channels", "d_llm"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, most in (("fp_channels", MAX_FP_CHANNELS), ("d_llm", MAX_D_LLM)):
+            if not 1 <= getattr(self, name) <= most:
+                raise ValueError(f"{name} must lie in [1, {most}], got {getattr(self, name)}")
         if not (0.0 < self.threshold < 1.0):
             raise ValueError("threshold must lie in (0, 1)")
         for name in ("n_train_scenes", "n_eval_scenes"):

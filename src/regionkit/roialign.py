@@ -91,6 +91,12 @@ class Box:
         return [self.x1, self.y1, self.x2, self.y2, self.score, self.label]
 
 
+#: The finest pooling grid and sampling.  The pooling-weight pass holds a
+#: few arrays of pool_size * sampling_ratio samples per box, map size and
+#: axis: at 32 x 8, 256, which is 2 MiB an array for 100 boxes at five sizes.
+MAX_POOL_SIZE, MAX_SAMPLING_RATIO = 32, 8
+
+
 @dataclass(frozen=True)
 class RoiConfig:
     """Pooling grid size P and per-bin samples per axis."""
@@ -99,10 +105,9 @@ class RoiConfig:
     sampling_ratio: int = 2
 
     def __post_init__(self):
-        if self.pool_size < 1:
-            raise ValueError("pool_size must be >= 1")
-        if self.sampling_ratio < 1:
-            raise ValueError("sampling_ratio must be >= 1")
+        for name, most in (("pool_size", MAX_POOL_SIZE), ("sampling_ratio", MAX_SAMPLING_RATIO)):
+            if not 1 <= getattr(self, name) <= most:
+                raise ValueError(f"{name} must lie in [1, {most}], got {getattr(self, name)}")
 
 
 @lru_cache(maxsize=8)

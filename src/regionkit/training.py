@@ -1,6 +1,7 @@
 """Two-stage training of the region-retrieval head.
 
-Parameters live in named groups so the freeze schedule can be stated and
+Parameters live in named groups, and the training log records each
+group's checksum, so what a stage trains (:func:`stage_groups`) can be
 audited exactly:
 
 * ``primary_encoder`` — a 1x1 channel-mixing kernel on the primary map,
@@ -31,13 +32,13 @@ A step does only the work a step can change.  The primary mix never
 trains, so :func:`prepare_sample` applies it to the rendered map once, as
 the frozen encoder's output.  Each kernel is stored as the block a step
 multiplies (:class:`ModelParams`).  At each stage's start every sample is
-bound once (:func:`bind`): a group the stage freezes has constant kernels,
-so its blocks become feature columns, and each block that trains becomes
-one product over views of the vector, of the stage's gradient buffer and
-of a scratch the samples of one box count share.  A step runs that fixed
-list of in-place copies and products, and the binding is its one input
-(:func:`loss_and_grads`).  Serving binds each scene the same way, with no
-group trained.
+bound once for that stage (:func:`bind`): a group the stage freezes has
+constant kernels, so its blocks become feature columns, and each block
+that trains becomes one product over views of the vector, of the stage's
+gradient buffer and of a scratch the samples of one box count share.  A
+step runs that fixed list of in-place copies and products, and the binding
+is its one input (:func:`loss_and_grads`).  Serving binds each scene the
+same way, at stage 0, which trains nothing.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ __all__ = [
     "GROUP_ORIG_VOCAB",
     "GRAD_CHECK_MAX_D_LLM",
     "ModelParams",
-    "FreezeSchedule",
     "TrainingLog",
     "TrainingDivergence",
     "SampleStatic",
@@ -80,6 +80,7 @@ __all__ = [
     "seeded_training_set",
     "init_model_params",
     "prepare_sample",
+    "stage_groups",
     "bind",
     "loss_and_grads",
     "region_token_matrix",
@@ -254,36 +255,6 @@ def _array_from_json(spec, name: str) -> np.ndarray:
     return data.reshape(shape)
 
 
-@dataclass(frozen=True)
-class FreezeSchedule:
-    """Trainable group names per stage; everything else is frozen."""
-
-    stage1: frozenset
-    stage2: frozenset
-
-    def __post_init__(self):
-        never = sorted((self.stage1 | self.stage2) & {GROUP_PRIMARY, GROUP_ORIG_VOCAB})
-        if never:
-            raise ValueError(f"{', '.join(never)} cannot train in either stage")
-
-    @classmethod
-    def from_config(cls, config: ExperimentConfig) -> "FreezeSchedule":
-        base = {GROUP_CONNECTOR, GROUP_NEW_VOCAB}
-        if config.uses.simplefp:
-            base.add(GROUP_SIMPLEFP)
-        stage2 = set(base)
-        if config.uses.auxiliary:
-            stage2.add(GROUP_AUX)
-        return cls(frozenset(base), frozenset(stage2))
-
-    def trainable(self, stage: int) -> frozenset:
-        if stage == 1:
-            return self.stage1
-        if stage == 2:
-            return self.stage2
-        raise ValueError("stage must be 1 or 2")
-
-
 def init_model_params(config: ExperimentConfig) -> ModelParams:
     """Seeded initialization of every parameter group.
 
@@ -449,17 +420,29 @@ def _frame(params: ModelParams, s: SampleStatic, trainable: frozenset, out: Mode
     return scratch, parts
 
 
+def stage_groups(parts: list, stage: int) -> frozenset:
+    """The groups a binding of a sample with ``parts`` (:class:`SampleStatic`)
+    trains at ``stage``: none at stage 0, serving; at stages 1 and 2 the
+    connector, the new vocabulary and each group whose kernels the parts
+    pass through, but for the auxiliary mixes, which stage 1 freezes.  No
+    stage trains the primary encoder or the original vocabulary."""
+    if stage not in (0, 1, 2):
+        raise ValueError(f"stage {stage} is not a stage: 0 serves, 1 and 2 train")
+    if stage == 0:
+        return frozenset()
+    groups = {GROUP_CONNECTOR, GROUP_NEW_VOCAB} | {grp for grp, _ in parts if grp is not None}
+    return frozenset(groups - {GROUP_AUX} if stage == 1 else groups)
+
+
 @dataclass(slots=True)
 class _Bound:
-    """A sample bound for steps that train ``trainable`` (:func:`bind`):
-    ``forward`` fills ``features``, ``backward`` writes each trained kernel
-    gradient from ``d_features``; each is a fixed list of calls
-    ``f(a, b, c)``.  The rest is what a step would otherwise look up or
-    build: the query table, its gradient when the queries train (else
-    None), the connector's ``out`` (its gradients, when it trains, and
-    ``d_features`` at ``"input"``; None when no gradient reaches it) and
-    the gradients of the trained groups with no path into the loss, which
-    every step zeroes."""
+    """A sample bound for steps of one stage (:func:`bind`), which train
+    ``trainable``: ``forward`` fills ``features``, ``backward`` writes each
+    trained kernel gradient from ``d_features``; each is a fixed list of
+    calls ``f(a, b, c)``.  The rest is what a step would otherwise look up
+    or build: the query table and, when a group trains, the query table's
+    gradient and the connector's ``out`` (its gradients, and ``d_features``
+    at ``"input"``)."""
 
     params: ModelParams
     out: ModelParams | None
@@ -472,15 +455,12 @@ class _Bound:
     queries: np.ndarray
     d_queries: np.ndarray | None = None
     connector_out: dict | None = None
-    unreached: list[np.ndarray] = field(default_factory=list)
 
 
-def bind(params: ModelParams, sample: SampleStatic, trainable: frozenset = frozenset(),
-         out: ModelParams | None = None) -> _Bound:
-    """``sample`` bound for steps that write the gradient of the
-    ``trainable`` groups into ``out``, a new buffer when a group trains and
-    ``out`` is None.  The primary encoder never trains
-    (:class:`FreezeSchedule`), so asking to train it raises.
+def bind(params: ModelParams, sample: SampleStatic, stage: int = 0, out: ModelParams | None = None) -> _Bound:
+    """``sample`` bound for steps of ``stage``, which write the gradient of
+    the groups it trains (:func:`stage_groups`) into ``out``, a new buffer
+    when a group trains and ``out`` is None.  Stage 0 serves.
 
     The :func:`_frame` of the sample's box count and parts is built once
     and cached on the buffer the binding writes into: ``out`` when a group
@@ -492,9 +472,7 @@ def bind(params: ModelParams, sample: SampleStatic, trainable: frozenset = froze
     the block on its own is.  The forward then adds the box embedding.
     What else a step reads is bound here too (:class:`_Bound`).
     """
-    trainable = frozenset(trainable)
-    if GROUP_PRIMARY in trainable:
-        raise ValueError(f"{GROUP_PRIMARY} never trains: no gradient is computed for it")
+    trainable = stage_groups(sample.parts, stage)
     if trainable and out is None:
         out = params.zeros_like()
     # a frame cached on ``out`` views the kernels of the params it was built for
@@ -519,13 +497,9 @@ def bind(params: ModelParams, sample: SampleStatic, trainable: frozenset = froze
                 f(a, b, c)
             bound.forward.append((np.copyto, cols, cols.copy() if ops else np.concatenate(arrays, axis=1), "no"))
     bound.forward.append((np.add, x, sample.epos, x))
-    if GROUP_NEW_VOCAB in trainable:
+    if trainable:
         bound.d_queries = out.groups[GROUP_NEW_VOCAB]["queries"]
-    if bound.backward or GROUP_CONNECTOR in trainable:
-        bound.connector_out = dict(out.groups[GROUP_CONNECTOR]) if GROUP_CONNECTOR in trainable else {}
-        bound.connector_out["input"] = d_x
-    unreached = trainable - {grp for grp, _ in sample.parts} - {GROUP_CONNECTOR, GROUP_NEW_VOCAB}
-    bound.unreached = [out.vector[out.spans[grp]] for grp in sorted(unreached)]
+        bound.connector_out = {**out.groups[GROUP_CONNECTOR], "input": d_x}
     return bound
 
 
@@ -565,16 +539,15 @@ def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 def loss_and_grads(bound: _Bound) -> tuple[float, ModelParams | None]:
     """Loss on one bound sample (:func:`bind`) plus the analytic gradients
-    of the groups it was bound to train.
+    of the groups its stage trains.
 
     The loss is binary cross-entropy per (region, query) pair, summed over
     all pairs of the sample.  The gradients are written into the binding's
-    buffer, which is returned (None when nothing trains): the slice of
-    every trained group is overwritten, and is exactly zero for a group
-    with no path into this config's loss; every other slice is left as it
-    was.  A step writes the query gradient straight into its rows (a sample
-    queries each category once), and runs its 2-D products as ``np.dot``,
-    which has the bytes of ``@`` without its ufunc dispatch.
+    buffer, which is returned (None at stage 0): the slice of every trained
+    group is overwritten, and every other slice is left as it was.  A step
+    writes the query gradient straight into its rows (a sample queries each
+    category once), and runs its 2-D products as ``np.dot``, which has the
+    bytes of ``@`` without its ufunc dispatch.
     """
     grads, query_idx, targets = bound.out, bound.static.query_idx, bound.static.targets
     if query_idx.size == 0:
@@ -588,20 +561,16 @@ def loss_and_grads(bound: _Bound) -> tuple[float, ModelParams | None]:
     if not bound.trainable:
         return loss, grads
     d_logits = 1.0 / (1.0 + np.exp(-logits)) - targets
-    if bound.d_queries is not None:
-        d_queries = np.dot(d_logits.T, tokens)
-        bound.d_queries.fill(0.0)
-        # each row once: v is 0.0 + v, as BLAS sums each entry from +0.0, so none is -0.0
-        bound.d_queries[query_idx] = d_queries
-    for d in bound.unreached:  # no path into the loss
-        d.fill(0.0)
-    if bound.connector_out is not None:
-        connector_backward(
-            bound.params.connector, bound.features, np.dot(d_logits, queries), hidden=hidden,
-            input_grad=bool(bound.backward), out=bound.connector_out,
-        )
-        for f, a, b, c in bound.backward:
-            f(a, b, c)
+    d_queries = np.dot(d_logits.T, tokens)
+    bound.d_queries.fill(0.0)
+    # each row once: v is 0.0 + v, as BLAS sums each entry from +0.0, so none is -0.0
+    bound.d_queries[query_idx] = d_queries
+    connector_backward(
+        bound.params.connector, bound.features, np.dot(d_logits, queries), hidden=hidden,
+        input_grad=bool(bound.backward), out=bound.connector_out,
+    )
+    for f, a, b, c in bound.backward:
+        f(a, b, c)
     return loss, grads
 
 
@@ -643,19 +612,17 @@ def train(
         raise ValueError("train needs at least one training sample")
     params = init_model_params(config)
     statics = [prepare_sample(params, sample, config) for sample in dataset]
-    schedule = FreezeSchedule.from_config(config)
     log = TrainingLog()
     log.checksums["init"] = params.checksums()
 
     step_counter = 0
     for stage, steps, lr in config.stages:
-        trainable = schedule.trainable(stage)
         grads = params.zeros_like()
         samples = None  # the previous stage's bindings go before this stage's are made
-        samples = [bind(params, s, trainable, grads) for s in statics]
+        samples = [bind(params, s, stage, grads) for s in statics]
         # one slice from the first trained group to the last: a group inside
         # it that does not train has a zero gradient, so the update keeps it
-        spans = [params.spans[grp] for grp in trainable]
+        spans = [params.spans[grp] for grp in samples[0].trainable]
         span = slice(min(sp.start for sp in spans), max(sp.stop for sp in spans))
         vector, grad, update = params.vector[span], grads.vector[span], np.empty(span.stop - span.start)
         for _ in range(steps):
@@ -691,8 +658,8 @@ class GradCheckReport:
 def grad_check(config: ExperimentConfig) -> GradCheckReport:
     """Central finite differences against the analytic gradients.
 
-    Checks every entry of every group the freeze schedule ever trains (its
-    stage 2, which contains stage 1), with a step of 1e-5.  The relative
+    Checks every entry of every group a stage-2 binding trains (which
+    contains stage 1's), with a step of 1e-5.  The relative
     error per entry is |a - n| / max(|a|, |n|, 1e-5); intended for small
     configurations (``d_llm`` <= :data:`GRAD_CHECK_MAX_D_LLM`).  The
     original-vocabulary table has no path into the loss, so it is reported
@@ -704,13 +671,13 @@ def grad_check(config: ExperimentConfig) -> GradCheckReport:
     # samples are drawn in sequence, so this is the first sample train() sees
     s = prepare_sample(params, seeded_training_set(config.replace(n_train_scenes=1))[0], config)
 
-    check_groups = FreezeSchedule.from_config(config).stage2
-    _, analytic = loss_and_grads(bind(params, s, check_groups))
+    bound = bind(params, s, 2)
+    _, analytic = loss_and_grads(bound)
 
     step = 1e-5
     flat = params.vector
     report: dict[str, dict] = {}
-    for grp in sorted(check_groups):
+    for grp in sorted(bound.trainable):
         worst = 0.0
         span = params.spans[grp]
         for i in range(span.start, span.stop):

@@ -1,6 +1,6 @@
-"""``scripts/ab_bench.py``'s seed parsing, verdicts, side copies, refusals
-and failed-run counts, on made-up values, directories and result lines; no
-benchmark runs."""
+"""``scripts/ab_bench.py``'s seed parsing, verdicts, side copies, refusals,
+failed-run counts and record, on made-up values, directories and result
+lines; no benchmark runs."""
 
 import argparse
 import importlib.util
@@ -104,6 +104,7 @@ def _result_line(failed=0, attempted=4, value=1.0):
 def test_a_runs_outcome_keeps_its_check_counts(code, stdout, want):
     got = ab_bench.outcome(code, stdout)
     assert (got["attempted"], got["failed"], got["metrics"] is not None) == want
+    assert got["environment"] == ({} if "environment" in stdout else None)
     if got["metrics"] is not None:
         assert got["metrics"] == {name: 1.0 for name in METRICS}
 
@@ -129,3 +130,40 @@ def test_a_failed_run_is_counted_and_every_seed_still_runs(tmp_path, capsys, mon
     assert "eval_detect, 3 pairs" in out
     assert "base   0 of 16 checks failed; 0 of 4 runs failed" in out
     assert "change 1 of 16 checks failed; 1 of 4 runs failed" in out
+
+
+BOUNDS = {m["name"]: m for m in json.loads((Path(ab_bench.ROOT) / "BENCHMARK.json").read_text())["end_to_end"]}
+
+
+def test_the_last_line_is_the_record_of_the_comparison(tmp_path, capsys, monkeypatch):
+    """Every base run reads 1.0 and every change run 0.5, and the change's
+    run at seed 2 fails: the last line holds the workload, the seconds, the
+    seeds with the side that ran first, every pair, the summary of the three
+    full pairs per metric, each side's counts and its environment line."""
+    dirs = ab_bench.side_dirs(tmp_path)
+
+    def fake_run(cmd, cwd, **kwargs):
+        seed, side = int(cmd[cmd.index("--seed") + 1]), Path(cwd).name
+        failed = int(side == "work" and seed == 2)
+        lines = [json.dumps({"environment": {"side": side}}), _result_line(failed, value=1.0 if side == "base" else 0.5)]
+        return subprocess.CompletedProcess(cmd, failed, stdout="\n".join(lines) + "\n", stderr="")
+
+    monkeypatch.setattr(ab_bench.subprocess, "run", fake_run)
+    args = argparse.Namespace(workload="train_hybrid", seeds="1-4", seconds=2.0)
+    assert ab_bench.compare(dirs, args) == 1
+    rec = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert (rec["workload"], rec["seconds"]) == ("train_hybrid", 2.0)
+    assert rec["seeds"] == [{"seed": s, "first": first} for s, first in zip((1, 2, 3, 4), ("base", "change") * 2)]
+    base, change = {name: 1.0 for name in METRICS}, {name: 0.5 for name in METRICS}
+    assert rec["pairs"] == [{"seed": s, "base": base, "change": None if s == 2 else change} for s in (1, 2, 3, 4)]
+    assert set(rec["metrics"]) == set(METRICS)
+    for name, m in rec["metrics"].items():
+        lower = BOUNDS[name]["better"] == "lower"
+        assert m == {"base_median": 1.0, "base_quartiles": [1.0] * 3, "change_median": 0.5,
+                     "better": 3 if lower else 0, "same": 0, "pairs": 3,
+                     "verdict": "within bound" if lower else "worse", "bound": BOUNDS[name]["bound"]}, name
+    assert rec["sides"] == {
+        "base": {"checks_failed": 0, "checks_attempted": 16, "runs_failed": 0, "runs": 4, "environment": {"side": "base"}},
+        "change": {"checks_failed": 1, "checks_attempted": 16, "runs_failed": 1, "runs": 4,
+                   "environment": {"side": "work"}},
+    }

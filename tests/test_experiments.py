@@ -267,13 +267,15 @@ def test_cli_gradcheck_flags_apply_to_its_small_config(tmp_path, capsys):
 # proposal, so the first constructs no config; the second constructs, but at
 # seeds 6 and 7 every eval scene drawn is without a proposal (seed 5 has one);
 # in the third clutter gives every scene a proposal, but no scene an object;
-# the fourth is too wide for gradcheck's finite differences
+# the fourth is too wide for gradcheck's finite differences; the fifth is a
+# file where a command's output directory should be
 REJECTED_CONFIG_FILES = {
     "no_proposals.json": {"world": {"min_objects": 0, "max_objects": 0}, "proposals": {"clutter_rate": 0.0}},
     "empty_eval.json": {"world": {"min_objects": 0, "max_objects": 1},
                         "proposals": {"clutter_rate": 0.0, "drop_rate": 0.99}},
     "no_objects.json": {"world": {"min_objects": 0, "max_objects": 0}},
     "wide.json": {"d_llm": 128},
+    "a_file": {},
 }
 
 
@@ -297,13 +299,16 @@ REJECTED_CONFIG_FILES = {
         (["bench", "--config", "no_objects.json"],
          "seed 7 draws no eval scene with an object, so there is no AP to report; raise world.max_objects"),
         (["gradcheck", "--config", "wide.json"], "gradcheck needs d_llm <= 64, got 128"),
+        (["train", "--stage1-steps", "0", "--stage2-steps", "0", "--n-train-scenes", "1", "--out", "a_file"],
+         "a_file is not a directory"),
+        (["gen", "--n-scenes", "1", "--out", "a_file/sub"], "a_file is not a directory"),
     ],
 )
 def test_cli_reports_a_rejected_config_in_one_line(argv, message, capsys, tmp_path, tmp_path_factory, monkeypatch):
     configs = tmp_path_factory.mktemp("configs")  # outside the directory that must stay empty
     for name, doc in REJECTED_CONFIG_FILES.items():
         (configs / name).write_text(json.dumps(doc))
-    argv = [str(configs / arg) if arg in REJECTED_CONFIG_FILES else arg for arg in argv]
+    argv = [str(configs / arg) if arg.split("/")[0] in REJECTED_CONFIG_FILES else arg for arg in argv]
     monkeypatch.chdir(tmp_path)  # where the commands' default output directories lie
     assert cli_main(argv) == 2
     err = capsys.readouterr().err

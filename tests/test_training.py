@@ -26,7 +26,6 @@ from regionkit.training import (
     GROUP_ORIG_VOCAB,
     GROUP_PRIMARY,
     GROUP_SIMPLEFP,
-    FreezeSchedule,
     ModelParams,
     TrainingDivergence,
     grad_check,
@@ -38,19 +37,31 @@ from regionkit.training import (
 
 # --------------------------------------------------------------- schedule
 
+def first_sample(cfg):
+    """The first sample ``train`` draws for ``cfg``, prepared, and the
+    initial parameters."""
+    params = init_model_params(cfg)
+    return params, prepare_sample(params, training.seeded_training_set(cfg)[0], cfg)
+
+
 def test_schedule_defaults(tiny_config):
-    sched = FreezeSchedule.from_config(tiny_config)
-    assert sched.stage1 == {GROUP_SIMPLEFP, GROUP_CONNECTOR, GROUP_NEW_VOCAB}
-    assert sched.stage2 == {GROUP_SIMPLEFP, GROUP_CONNECTOR, GROUP_NEW_VOCAB, GROUP_AUX}
+    params, s = first_sample(tiny_config)
+    assert training.bind(params, s, 1).trainable == {GROUP_SIMPLEFP, GROUP_CONNECTOR, GROUP_NEW_VOCAB}
+    assert training.bind(params, s, 2).trainable == {GROUP_SIMPLEFP, GROUP_CONNECTOR, GROUP_NEW_VOCAB, GROUP_AUX}
 
 
-def test_schedule_invariants_enforced():
-    with pytest.raises(ValueError):
-        FreezeSchedule(frozenset({GROUP_ORIG_VOCAB}), frozenset())
-    with pytest.raises(ValueError):
-        FreezeSchedule(frozenset({GROUP_PRIMARY}), frozenset())
-    with pytest.raises(ValueError, match=GROUP_PRIMARY):
-        FreezeSchedule(frozenset(), frozenset({GROUP_PRIMARY}))
+def test_no_stage_trains_the_primary_encoder_or_the_original_vocabulary(tiny_config):
+    for variant in STREAMS:
+        params, s = first_sample(tiny_config.replace(streams=variant))
+        for stage in (0, 1, 2):
+            assert not training.bind(params, s, stage).trainable & {GROUP_PRIMARY, GROUP_ORIG_VOCAB}, (variant, stage)
+
+
+def test_a_stage_past_the_second_is_refused(tiny_config):
+    params, s = first_sample(tiny_config)
+    for stage in (3, -1):
+        with pytest.raises(ValueError, match=f"stage {stage} is not a stage"):
+            training.bind(params, s, stage)
 
 
 def test_config_has_no_primary_unfreeze_switch():
@@ -325,7 +336,8 @@ def dense_oracle(params, sample, s, cfg):
     """(loss, features, grads) through dense maps: simple_fp / aux_fuse ->
     roi_align_pooled forward; simple_fp_backward / aux_fuse_backward /
     conv2d_backward and the pooling-weight adjoint backward.  The grads are
-    those of every group that can train."""
+    those of every group that stage 2 trains, the query table's in the
+    queried rows."""
     g = params.groups
 
     def kernel(group, name):
@@ -347,10 +359,12 @@ def dense_oracle(params, sample, s, cfg):
     c = g[GROUP_CONNECTOR]
     conn = Connector(c["w1"], c["b1"], c["w2"], c["b2"])
     queries = g[GROUP_NEW_VOCAB]["queries"][s.query_idx]
-    logits = connector_forward(conn, features) @ queries.T
+    tokens = connector_forward(conn, features)
+    logits = tokens @ queries.T
     loss = float(np.sum(np.maximum(logits, 0.0) - logits * s.targets + np.log1p(np.exp(-np.abs(logits)))))
     d_logits = 1.0 / (1.0 + np.exp(-logits)) - s.targets
-    grads = {}
+    grads = {GROUP_NEW_VOCAB: {"queries": np.zeros_like(g[GROUP_NEW_VOCAB]["queries"])}}
+    grads[GROUP_NEW_VOCAB]["queries"][s.query_idx] = d_logits.T @ tokens
     grads[GROUP_CONNECTOR], d_feats = connector_backward(conn, features, d_logits @ queries)
     cols = np.cumsum([0] + [m.channels for m in maps])
     d_maps = [
@@ -376,9 +390,9 @@ def assert_rel_close(got, want, what):
 
 @pytest.mark.parametrize("variant", sorted(ORACLE_CASES))
 def test_training_forward_equals_oracle_composition(tiny_config, variant):
-    """Pooled-tap features, loss and the gradient of every group with a path
-    into the loss equal the dense oracle to 1e-12 relative; the gradient of
-    every group not requested is exactly zero."""
+    """Pooled-tap features, and a stage-2 step's loss and the gradient of
+    every group it trains, the query table's too, equal the dense oracle to
+    1e-12 relative; every other group's gradient is exactly zero."""
     cfg = tiny_config.replace(**ORACLE_CASES[variant])
     params = init_model_params(cfg)
     rng = np.random.default_rng(11)
@@ -392,7 +406,7 @@ def test_training_forward_equals_oracle_composition(tiny_config, variant):
         bound = training.bind(params, s)
         training._tokens(bound)
         assert_rel_close(bound.features, features, "features")
-        got_loss, got = loss_and_grads(training.bind(params, s, frozenset(want)))
+        got_loss, got = loss_and_grads(training.bind(params, s, 2))
         assert abs(got_loss - loss) <= 1e-12 * abs(loss)
         for group in set(got.groups) - set(want):
             assert not got.vector[got.spans[group]].any(), f"unrequested group {group} is not zero"
@@ -418,10 +432,10 @@ def test_prepared_parts_pin_no_larger_array(tiny_config, variant):
             for a in arrays:
                 assert a.base is None or a.base.nbytes <= a.nbytes, (grp, a.shape, a.base.shape)
         kept = [a for _, arrays in s.parts for a in arrays] + [s.epos]
-        for trainable in (frozenset(), FreezeSchedule.from_config(cfg).stage2):
+        for stage in (0, 2):
             out = params.zeros_like()
-            bound = training.bind(params, s, trainable, out)
-            scratch = [a for frame, _ in (out if trainable else params)._frames.values() for a in frame]
+            bound = training.bind(params, s, stage, out)
+            scratch = [a for frame, _ in (out if stage else params)._frames.values() for a in frame]
             owners = kept + scratch + [params.vector, out.vector]
             for f, *args in bound.forward + bound.backward:
                 for a in args:
@@ -437,7 +451,6 @@ def test_untrained_forward_runs_twice_to_the_same_features(tiny_config, variant)
     in its forward."""
     cfg = tiny_config.replace(**ORACLE_CASES[variant])
     params = init_model_params(cfg)
-    trains = FreezeSchedule.from_config(cfg).stage2
     for sample in make_training_set(3, 0.5, seed=8, scene_config=cfg.world, proposal_config=cfg.proposals):
         s = prepare_sample(params, sample, cfg)
         bound = training.bind(params, s)
@@ -446,7 +459,7 @@ def test_untrained_forward_runs_twice_to_the_same_features(tiny_config, variant)
         features = bound.features.copy()
         again = training._tokens(bound)[0]
         assert bound.features.tobytes() == features.tobytes() and again.tobytes() == tokens.tobytes()
-        live = training.bind(params, s, trains)
+        live = training.bind(params, s, 2)
         training._tokens(live)
         assert live.features.tobytes() == features.tobytes()
         assert training.region_token_matrix(params, s).tobytes() == tokens.tobytes()
@@ -472,12 +485,12 @@ def test_one_buffer_bound_with_two_parameter_sets_steps_each(tiny_config):
     """A gradient buffer caches its frames per parameter set, so binding
     another set into it steps that set, with its own loss and gradient."""
     s = prepare_sample(init_model_params(tiny_config), training.seeded_training_set(tiny_config)[0], tiny_config)
-    trainable, out = FreezeSchedule.from_config(tiny_config).stage2, None
+    out = None
     for seed in (7, 8):
         params = init_model_params(tiny_config.replace(seed=seed))
         out = out or params.zeros_like()
-        loss, grads = loss_and_grads(training.bind(params, s, trainable, out))
-        want_loss, want = loss_and_grads(training.bind(params, s, trainable))
+        loss, grads = loss_and_grads(training.bind(params, s, 2, out))
+        want_loss, want = loss_and_grads(training.bind(params, s, 2))
         assert repr(loss) == repr(want_loss) and grads.vector.tobytes() == want.vector.tobytes()
 
 
@@ -625,8 +638,7 @@ def test_infinite_connector_bias_is_caught_before_the_loss(tiny_config, monkeypa
     connector = params.connector  # built on views of the vector, as training's is, before the update
     params.groups[GROUP_CONNECTOR]["b1"][0] = np.inf
     sample = prepare_sample(params, training.seeded_training_set(tiny_config)[0], tiny_config)
-    trainable, grads = FreezeSchedule.from_config(tiny_config).trainable(1), params.zeros_like()
-    bound = training.bind(params, sample, trainable, grads)
+    bound = training.bind(params, sample, 1, params.zeros_like())
     with pytest.raises(gridops.NonFiniteError, match="connector parameters must be finite"):
         loss_and_grads(bound)
     assert np.isfinite(connector_forward(connector, bound.features)).all()
@@ -689,13 +701,6 @@ def test_grad_check_variant_configs(tiny_config):
     assert report.max_rel_error < 1e-4
 
 
-def test_binding_rejects_the_primary_encoder(tiny_config):
-    params = init_model_params(tiny_config)
-    s = prepare_sample(params, training.seeded_training_set(tiny_config)[0], tiny_config)
-    with pytest.raises(ValueError, match=GROUP_PRIMARY):
-        training.bind(params, s, {GROUP_PRIMARY})
-
-
 def test_grad_check_rejects_large_dims(default_config):
     with pytest.raises(ValueError):
         grad_check(default_config.replace(d_llm=128))
@@ -723,8 +728,7 @@ def test_stream_variant_sets_width_trained_groups_and_round_trips(tiny_config, s
     assert bound.features.shape == (len(s.epos), cfg.d_total)
     bound.features.fill(np.nan)
     training._tokens(bound)
-    sched = FreezeSchedule.from_config(cfg)
-    assert {g for g, _ in s.parts} - {None} == (sched.stage1 | sched.stage2) - {GROUP_CONNECTOR, GROUP_NEW_VOCAB}
+    assert {g for g, _ in s.parts} - {None} == training.bind(params, s, 2).trainable - {GROUP_CONNECTOR, GROUP_NEW_VOCAB}
     assert ExperimentConfig.loads(cfg.dumps()) == cfg
 
 
@@ -746,9 +750,10 @@ def test_readme_freeze_table_is_the_default_schedule():
     section = _README.read_text().split("## Training stages and parameter groups", 1)[1]
     rows = re.findall(r"^\| `(\w+)` +\| (\w+) +\| (\w+)", section, flags=re.MULTILINE)
     assert {group for group, _, _ in rows} == set(init_model_params(ExperimentConfig()).groups)
-    sched = FreezeSchedule.from_config(ExperimentConfig())
-    for group, stage1, stage2 in rows:
-        assert (stage1 == "trained", stage2 == "trained") == (group in sched.stage1, group in sched.stage2), group
+    params, s = first_sample(ExperimentConfig().replace(n_train_scenes=1))
+    stage1, stage2 = (training.bind(params, s, stage).trainable for stage in (1, 2))
+    for group, one, two in rows:
+        assert (one == "trained", two == "trained") == (group in stage1, group in stage2), group
 
 
 _SECTIONS = ("world", "proposals", "encoder", "roi")
@@ -809,6 +814,12 @@ def test_config_json_rejects_malformed_input_naming_field(tiny_config, data, fau
         ({"stage2_steps": -1}, "stage2_steps"),
         ({"world": {"clutter_density": -1}}, "world.clutter_density"),
         ({"encoder": {"noise_sigma": -1}}, "encoder.noise_sigma"),
+        # each would construct and then fail to allocate: 16 GB of pooling
+        # samples, a 448 GB connector layer, a 115 GB pyramid kernel
+        ({"roi": {"pool_size": 1000000000}}, "roi.pool_size"),
+        ({"d_llm": 1000000000}, "d_llm"),
+        ({"fp_channels": 100000000}, "fp_channels"),
+        ({"roi": {"sampling_ratio": 1000000000}}, "roi.sampling_ratio"),
     ],
 )
 def test_config_json_range_errors_name_field(doc, field):

@@ -3,7 +3,7 @@ the code they replaced.
 
 ``oracle_train`` is ``training.train`` as it was before the parameters
 became one vector and before a run cached its frozen work, kept verbatim
-but for how it reads the gradient.  Each sample is prepared with the run's
+but for how it reads the gradient and binds a sample for its stage.  Each sample is prepared with the run's
 initial parameters, and every step gets the sample as prepared, so
 every frozen block is contracted again at each step; each step gets a
 fresh gradient, and each array of each requested group is updated on its
@@ -61,7 +61,6 @@ from regionkit.training import (
     GROUP_NEW_VOCAB,
     GROUP_PRIMARY,
     GROUP_SIMPLEFP,
-    FreezeSchedule,
     ModelParams,
     SampleStatic,
     TrainingDivergence,
@@ -72,6 +71,28 @@ from regionkit.training import (
     seeded_training_set,
 )
 
+def oracle_schedule(config):
+    """{stage: the groups it trains}, as ``FreezeSchedule.from_config``
+    stated them from the config before a binding worked them out from its
+    sample's parts; stage 0 serves and trains none."""
+    base = {GROUP_CONNECTOR, GROUP_NEW_VOCAB}
+    if config.uses.simplefp:
+        base.add(GROUP_SIMPLEFP)
+    stage2 = set(base)
+    if config.uses.auxiliary:
+        stage2.add(GROUP_AUX)
+    return {0: frozenset(), 1: frozenset(base), 2: frozenset(stage2)}
+
+
+@pytest.mark.parametrize("variant", sorted(STREAMS))
+def test_a_binding_trains_the_groups_of_the_schedule(tiny_config, variant):
+    cfg = tiny_config.replace(streams=variant)
+    params = init_model_params(cfg)
+    s = prepare_sample(params, seeded_training_set(cfg)[0], cfg)
+    for stage, groups in oracle_schedule(cfg).items():
+        assert training.bind(params, s, stage).trainable == groups, stage
+
+
 def oracle_train(config, dataset=None):
     if dataset is None:
         dataset = seeded_training_set(config)
@@ -79,18 +100,18 @@ def oracle_train(config, dataset=None):
         raise ValueError("train needs at least one training sample")
     params = init_model_params(config)
     statics = [prepare_sample(params, sample, config) for sample in dataset]
-    schedule = FreezeSchedule.from_config(config)
+    schedule = oracle_schedule(config)
     log = TrainingLog()
     log.checksums["init"] = params.checksums()
 
     step_counter = 0
     for stage, steps, lr in config.stages:
-        trainable = schedule.trainable(stage)
+        trainable = schedule[stage]
         for _ in range(steps):
             s = statics[step_counter % len(statics)]
             step_counter += 1
             try:
-                loss, grads = loss_and_grads(training.bind(params, s, trainable))
+                loss, grads = loss_and_grads(training.bind(params, s, stage))
             except NonFiniteError as exc:
                 raise TrainingDivergence(stage, step_counter, cause=str(exc)) from exc
             if not np.isfinite(loss):
@@ -305,8 +326,8 @@ def forward_loss_and_grads(
     The loss is binary cross-entropy per (region, query) pair, summed over
     all pairs of the sample.  The gradient has the layout of ``params``;
     a group that was not requested, or has no path into this config's
-    loss, is exactly zero.  The primary encoder never trains
-    (:class:`FreezeSchedule`) and has a path, so requesting it raises.
+    loss, is exactly zero.  The primary encoder never trains and has a
+    path, so requesting it raises.
 
     ``out`` is a gradient buffer to write into and return in place of a new
     one: the slice of every requested group is overwritten, and every other
@@ -364,10 +385,11 @@ def forward_loss_and_grads(
     return loss, grads
 
 
-def assert_same_step(params, s, trainable, exact):
-    """Bitwise equal when ``exact``, else within 1e-12 of each array's (and
-    the loss's) largest magnitude."""
-    loss, grads = loss_and_grads(training.bind(params, s, trainable))
+def assert_same_step(params, s, stage, trainable, exact):
+    """A step of ``stage`` and the oracle's of the groups it trains: bitwise
+    equal when ``exact``, else within 1e-12 of each array's (and the
+    loss's) largest magnitude."""
+    loss, grads = loss_and_grads(training.bind(params, s, stage))
     want_loss, want = oracle_loss_and_grads(params, s, trainable)
     if exact:
         assert repr(loss) == repr(want_loss)
@@ -398,22 +420,22 @@ def perturbed_params(config):
 def test_step_in_place_equals_step_through_named_arrays_at_default(default_config):
     params = perturbed_params(default_config)
     samples = seeded_training_set(default_config)[:60]
-    schedule = FreezeSchedule.from_config(default_config)
+    schedule = oracle_schedule(default_config)
     for sample in samples:
         s = prepare_sample(params, sample, default_config)
         for stage in (1, 2):
-            assert_same_step(params, s, schedule.trainable(stage), exact=False)
+            assert_same_step(params, s, stage, schedule[stage], exact=False)
 
 
 @pytest.mark.parametrize("variant", sorted(STREAMS))
 def test_step_in_place_equals_step_through_named_arrays(tiny_config, variant):
     cfg = tiny_config.replace(streams=variant)
     params = perturbed_params(cfg)
-    schedule = FreezeSchedule.from_config(cfg)
+    schedule = oracle_schedule(cfg)
     for sample in seeded_training_set(cfg):
         s = prepare_sample(params, sample, cfg)
         for stage in (1, 2):
-            assert_same_step(params, s, schedule.trainable(stage), exact=not cfg.uses.simplefp)
+            assert_same_step(params, s, stage, schedule[stage], exact=not cfg.uses.simplefp)
 
 
 def assert_same_run(got, want):
@@ -471,11 +493,11 @@ def test_frozen_work_runs_once_per_run_or_stage(tiny_config, monkeypatch):
             step_reads[-1] += 1
         return _original(self, group, x)
 
-    def recording_bind(params, s, trainable, *args, _original=training.bind):
-        bound = _original(params, s, trainable, *args)
+    def recording_bind(params, s, stage, *args, _original=training.bind):
+        bound = _original(params, s, stage, *args)
         kernels = [op[2] for op in bound.forward if op[0] is np.matmul]
         groups = [[g for g, span in params.spans.items() if np.shares_memory(k, params.vector[span])] for k in kernels]
-        bound_kernels.append((trainable, [g[0] if len(g) == 1 else g for g in groups]))
+        bound_kernels.append((bound.trainable, [g[0] if len(g) == 1 else g for g in groups]))
         return bound
 
     monkeypatch.setattr(training, "loss_and_grads", counting_step)
@@ -483,12 +505,12 @@ def test_frozen_work_runs_once_per_run_or_stage(tiny_config, monkeypatch):
     monkeypatch.setattr(training, "bind", recording_bind)
     training.train(tiny_config)
     stage1, stage2 = tiny_config.stage1_steps, tiny_config.stage2_steps
-    schedule = FreezeSchedule.from_config(tiny_config)
+    schedule = oracle_schedule(tiny_config)
     assert primary_reads == tiny_config.n_train_scenes
     assert step_reads == [0] * (stage1 + stage2)
     assert bound_kernels == (
-        [(schedule.stage1, [GROUP_SIMPLEFP] * 5)] * tiny_config.n_train_scenes
-        + [(schedule.stage2, [GROUP_SIMPLEFP] * 5 + [GROUP_AUX])] * tiny_config.n_train_scenes
+        [(schedule[1], [GROUP_SIMPLEFP] * 5)] * tiny_config.n_train_scenes
+        + [(schedule[2], [GROUP_SIMPLEFP] * 5 + [GROUP_AUX])] * tiny_config.n_train_scenes
     )
 
 
@@ -499,9 +521,9 @@ def assert_bound_steps_equal_forward_steps(cfg, samples):
     params = perturbed_params(cfg)
     statics = [prepare_sample(params, sample, cfg) for sample in samples]
     for stage in (1, 2):
-        trainable = FreezeSchedule.from_config(cfg).trainable(stage)
+        trainable = oracle_schedule(cfg)[stage]
         out = params.zeros_like()
-        bound = [training.bind(params, s, trainable, out) for s in statics]
+        bound = [training.bind(params, s, stage, out) for s in statics]
         for i, (s, b) in enumerate(zip(statics, bound)):
             loss, grads = loss_and_grads(b)
             want_loss, want = forward_loss_and_grads(params, unstacked(s), trainable)
