@@ -7,8 +7,9 @@ first, so that a drift of the machine falls on both sides alike; the seeds
 must be even in number, so that each side goes first equally often.
 Prints each end-to-end metric of ``BENCHMARK.json`` per pair, then per metric both
 medians, the base's inter-quartile spread, in how many pairs the working
-tree reads better (by the metric's own direction) or the same, and a
-verdict against the metric's bound (``verdict``).  Then, per side, how many
+tree reads better (by the metric's own direction) or the same, a
+verdict against the metric's bound (``verdict``), and whether the pairs
+show a gain (``gain_shown``).  Then, per side, how many
 of perfbench's correctness checks failed of those attempted, and how many
 runs failed.  The last line is the record of the comparison, one JSON
 object (``record``): all of the above, the seeds with the side that ran
@@ -137,6 +138,17 @@ def verdict(base: list[float], change: list[float], bound: float, direction: str
     return "worse" if worse > bound else "within bound"
 
 
+def gain_shown(base: list[float], change: list[float], direction: str) -> bool:
+    """Whether paired runs show a gain: the change reads better in at least
+    nine tenths of the pairs, a tie counting for neither side, and its
+    median is better than the base's by more than the base's inter-quartile
+    distance."""
+    wins = sum(better(direction, b, c) for b, c in zip(base, change))
+    gap = (statistics.median(base) - statistics.median(change)) * (1 if direction == "lower" else -1)
+    q = quartiles(base)
+    return 10 * wins >= 9 * len(base) and gap > q[2] - q[0]
+
+
 def record(args, order: list[dict], runs: dict[str, list[dict]], metrics: dict) -> dict:
     """The comparison as one JSON object: the workload, ``--seconds``, each
     seed with the side that ran first, every pair with both sides' metrics
@@ -152,6 +164,7 @@ def record(args, order: list[dict], runs: dict[str, list[dict]], metrics: dict) 
             "base_median": statistics.median(b), "base_quartiles": quartiles(b), "change_median": statistics.median(c),
             "better": sum(better(m["better"], x, y) for x, y in zip(b, c)), "same": sum(x == y for x, y in zip(b, c)),
             "pairs": len(full), "verdict": verdict(b, c, m["bound"], m["better"]), "bound": m["bound"],
+            "gain_shown": gain_shown(b, c, m["better"]),
         }
     sides = {side: {"checks_failed": sum(r["failed"] for r in results),
                     "checks_attempted": sum(r["attempted"] for r in results),
@@ -185,12 +198,13 @@ def compare(dirs: dict[str, Path], args) -> int:
     rec = record(args, order, runs, metrics)
     n = sum(p["base"] is not None and p["change"] is not None for p in rec["pairs"])
     print(f"\n{args.workload}, {n} pairs: metric, base median (inter-quartile spread), "
-          f"change median, pairs where the change reads better / the same, verdict against the bound")
+          f"change median, pairs where the change reads better / the same, verdict against the bound, "
+          f"whether a gain is shown")
     for name, m in rec["metrics"].items():
         q = m["base_quartiles"]
         print(f"  {name:14s} {m['base_median']:12.6g} ({q[2] - q[0]:.4g})  {m['change_median']:12.6g}"
               f"  better {m['better']}/{m['pairs']}, same {m['same']}/{m['pairs']}"
-              f"  {m['verdict']} ({m['bound']:g})")
+              f"  {m['verdict']} ({m['bound']:g})  gain {'shown' if m['gain_shown'] else 'not shown'}")
     for side, s in rec["sides"].items():
         print(f"  {side:6s} {s['checks_failed']} of {s['checks_attempted']} "
               f"checks failed; {s['runs_failed']} of {s['runs']} runs failed")

@@ -103,8 +103,8 @@ def _slot_targets(scene: Scene, n_slots: int, n_categories: int) -> tuple[np.nda
 
 
 def _loss_and_grads(head: BaselineHead, feat: np.ndarray, scene: Scene) -> tuple[float, dict[str, np.ndarray]]:
-    # (SLOTS, 5 + C) slot outputs of the standardized feature
-    out, hidden = connector_forward(head.mlp, feat, with_hidden=True)
+    # (SLOTS, 5 + C) slot outputs of the standardized feature, a (1, D) row
+    out, hidden = connector_forward(head.mlp, feat)
     slots = out.reshape(SLOTS, -1)
     box_t, obj_t, cat_t = _slot_targets(scene, SLOTS, head.n_categories)
     assigned = (obj_t > 0)[:, None]
@@ -121,7 +121,7 @@ def _loss_and_grads(head: BaselineHead, feat: np.ndarray, scene: Scene) -> tuple
     d_slots[:, :4] = (2.0 * _BOX_LOSS_WEIGHT) * box_err * box_pred * (1 - box_pred)
     d_slots[:, 4] = logistic(slots[:, 4]) - obj_t
     d_slots[:, 5:] = (logistic(slots[:, 5:]) - cat_t) * assigned
-    grads, _ = connector_backward(head.mlp, feat, d_slots.reshape(1, -1), hidden=hidden, input_grad=False)
+    grads, _ = connector_backward(head.mlp, feat, d_slots.reshape(1, -1), hidden, input_grad=False)
     return loss, grads
 
 
@@ -132,13 +132,13 @@ def train_baseline(config: ExperimentConfig) -> tuple[BaselineHead, list[float]]
     raw = np.stack([scene_feature(s, config) for s in scenes])
     head.feat_mean = raw.mean(axis=0)
     head.feat_std = np.maximum(raw.std(axis=0), 1e-6)
-    feats = [head.normalize(f) for f in raw]
+    feats = head.normalize(raw)
     losses = []
     for stage, steps, lr in config.stages:
         for _ in range(steps):
             i = head.steps_trained % len(scenes)
             head.steps_trained += 1
-            loss, grads = _loss_and_grads(head, feats[i], scenes[i])
+            loss, grads = _loss_and_grads(head, feats[i : i + 1], scenes[i])
             if not np.isfinite(loss):
                 raise TrainingDivergence(stage, head.steps_trained, loss)
             for name, d in grads.items():
@@ -149,7 +149,7 @@ def train_baseline(config: ExperimentConfig) -> tuple[BaselineHead, list[float]]
 
 def decode_baseline(head: BaselineHead, feat: np.ndarray, threshold: float) -> list[Detection]:
     """Slots above the objectness threshold become detections; ``feat`` is raw."""
-    slots = connector_forward(head.mlp, head.normalize(feat)).reshape(SLOTS, -1)
+    slots = connector_forward(head.mlp, head.normalize(feat)[None])[0].reshape(SLOTS, -1)
     names = vocabulary(head.n_categories)
     out = []
     for k, slot in enumerate(slots):

@@ -189,17 +189,18 @@ def _from_json(cls, obj, section: str = ""):
         raise
 
 
+def is_json_number(value) -> bool:
+    """Whether a JSON value is a number, as the config and the parameter
+    bundle read one: an int or a float, not a bool, finite as a float."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _json_value(value, hint, name: str):
     """Check one JSON value against a field's type: int, float, bool or str."""
-    if hint is float:
-        try:  # an int or a float, not a bool, that a float holds
-            ok = type(value) in (int, float) and math.isfinite(value)
-        except OverflowError:  # an int too large for a float
-            ok = False
-        want = "a finite number"
-    else:
-        ok = type(value) is hint
-        want = hint.__name__
-    if not ok:
+    if not (is_json_number(value) if hint is float else type(value) is hint):
+        want = "a finite number" if hint is float else hint.__name__
         raise ValueError(f"config field {name} must be {want}, got {value!r}")
     return value

@@ -5,7 +5,9 @@ pyramid scales) and an auxiliary feature (pooled from the fused map),
 concatenates them, adds a sine-cosine embedding of the box coordinates,
 and projects through a small two-layer connector into the token space.
 This module holds the embedding and the connector; the one composition of
-the whole stage is ``training.region_token_matrix``.
+the whole stage is ``training.region_token_matrix``.  The connector takes
+(N, in_dim) rows, one per region, and returns (output, tanh activations),
+the second for its backward; it refuses a 1-D input.
 
 The positional embedding follows transformer convention: the vector splits
 into four equal blocks, one per coordinate in (x1, y1, x2, y2) order; block
@@ -97,45 +99,33 @@ class Connector:
         )
 
 
-def _rows(x) -> np.ndarray:
-    """``x`` as a 2-D array of rows: a 2-D array as it is, else through
-    ``np.atleast_2d``."""
-    return x if np.ndim(x) == 2 else np.atleast_2d(x)
+def connector_forward(conn: Connector, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise affine -> tanh -> affine on the (N, in_dim) ``rows``.
 
-
-def _hidden(conn: Connector, f: np.ndarray) -> np.ndarray:
-    """The tanh activations of the first layer on the rows ``f``."""
-    hidden = np.dot(f, conn.w1.T)
-    hidden += conn.b1
-    return np.tanh(hidden, out=hidden)
-
-
-def connector_forward(
-    conn: Connector, f_hybrid: np.ndarray, with_hidden: bool = False
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Row-wise affine -> tanh -> affine.
-
-    With ``with_hidden``, returns (output, tanh activations): the second is
-    what :func:`connector_backward` takes as ``hidden``.
+    Returns (output, tanh activations): the second is what
+    :func:`connector_backward` takes as ``hidden``.
 
     Each product is an ``np.dot`` of 2-D arrays: it reaches the same BLAS
     routine as ``np.matmul`` (``@``), with the same bytes, without the
     ufunc dispatch, which is a sizable part of a product this small.
     """
-    f = _rows(f_hybrid)
-    if f.shape[1] != conn.in_dim:
-        raise ValueError(f"input width {f.shape[1]} does not match connector ({conn.in_dim})")
-    hidden = _hidden(conn, f)
+    if np.ndim(rows) != 2:
+        raise ValueError(f"the connector expects rows, a 2-D array, got {np.ndim(rows)} dimensions")
+    if rows.shape[1] != conn.in_dim:
+        raise ValueError(f"input width {rows.shape[1]} does not match connector ({conn.in_dim})")
+    hidden = np.dot(rows, conn.w1.T)
+    hidden += conn.b1
+    np.tanh(hidden, out=hidden)
     out = np.dot(hidden, conn.w2.T)
     out += conn.b2
-    return (out, hidden) if with_hidden else out
+    return out, hidden
 
 
 def connector_backward(
     conn: Connector,
-    f_hybrid: np.ndarray,
+    rows: np.ndarray,
     upstream: np.ndarray,
-    hidden: np.ndarray | None = None,
+    hidden: np.ndarray,
     input_grad: bool = True,
     out: dict[str, np.ndarray] | None = None,
 ) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
@@ -143,28 +133,25 @@ def connector_backward(
 
     Returns ({"w1", "b1", "w2", "b2"}, d_input) for an upstream gradient of
     the same shape as the forward output.  ``hidden`` is the forward's tanh
-    activations on this input, recomputed when not given; d_input is None
-    without ``input_grad``.  Given ``out``, arrays by the same names, each
-    gradient it names (and d_input, at ``"input"``) is written into and
-    returned as its array; those of the products (``w1``, ``w2`` and
-    ``"input"``) must be C-contiguous, as ``np.dot`` writes only into such
-    an array.  The products are ``np.dot`` calls, for the reason
-    :func:`connector_forward` gives.
+    activations on these rows; d_input is None without ``input_grad``.  Given
+    ``out``, arrays by the same names, each gradient it names (and d_input,
+    at ``"input"``) is written into and returned as its array; those of the
+    products (``w1``, ``w2`` and ``"input"``) must be C-contiguous, as
+    ``np.dot`` writes only into such an array.  The products are ``np.dot``
+    calls, for the reason :func:`connector_forward` gives.
     """
-    f = _rows(f_hybrid)
-    g = _rows(upstream)
-    if f.shape[1] != conn.in_dim:
+    if np.ndim(rows) != 2 or np.ndim(upstream) != 2:
+        raise ValueError("the connector's backward expects rows: a 2-D input and a 2-D upstream gradient")
+    if rows.shape[1] != conn.in_dim:
         raise ValueError("input width does not match connector")
-    if g.shape != (f.shape[0], conn.out_dim):
+    if upstream.shape != (rows.shape[0], conn.out_dim):
         raise ValueError("upstream gradient shape does not match forward output")
-    if hidden is None:
-        hidden = _hidden(conn, f)
     out = out or {}
-    d_w2 = np.dot(g.T, hidden, out=out.get("w2"))
-    d_b2 = g.sum(axis=0, out=out.get("b2"))
-    d_pre = np.dot(g, conn.w2)
+    d_w2 = np.dot(upstream.T, hidden, out=out.get("w2"))
+    d_b2 = upstream.sum(axis=0, out=out.get("b2"))
+    d_pre = np.dot(upstream, conn.w2)
     d_pre *= 1.0 - hidden**2
-    d_w1 = np.dot(d_pre.T, f, out=out.get("w1"))
+    d_w1 = np.dot(d_pre.T, rows, out=out.get("w1"))
     d_b1 = d_pre.sum(axis=0, out=out.get("b1"))
     grads = {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}
     return grads, (np.dot(d_pre, conn.w1, out=out.get("input")) if input_grad else None)

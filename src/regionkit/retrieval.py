@@ -56,11 +56,13 @@ def logistic(z: np.ndarray) -> np.ndarray:
 def score_matrix(token_embeddings: np.ndarray, query_embeddings: np.ndarray) -> np.ndarray:
     """(N, Q) logistic scores of every region token (row of ``token_embeddings``)
     against every category query (row of ``query_embeddings``); entries in [0, 1].
+    Both are 2-D arrays of rows; anything else raises ValueError.
 
     The product is ``np.dot``: the same BLAS routine and bytes as ``@``,
     without the ufunc dispatch, which is a third of a product this small."""
-    t = np.atleast_2d(token_embeddings)
-    q = np.atleast_2d(query_embeddings)
+    t, q = token_embeddings, query_embeddings
+    if np.ndim(t) != 2 or np.ndim(q) != 2:
+        raise ValueError(f"score_matrix expects rows, 2-D arrays, got {np.ndim(t)} and {np.ndim(q)} dimensions")
     if t.shape[1] != q.shape[1]:
         raise ValueError(f"token dim {t.shape[1]} does not match query dim {q.shape[1]}")
     return logistic(np.dot(t, q.T))
@@ -73,14 +75,13 @@ def decode_detections(
     threshold: float = 0.5,
 ) -> list[Detection]:
     """One detection per (region, category) score strictly above the threshold;
-    column q of ``scores`` belongs to category ``labels[q]``.
+    column q of the (n_proposals, n_labels) ``scores`` belongs to ``labels[q]``.
 
     Output is ordered by confidence descending, ties broken by lower region
     index then category order.
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError("threshold must lie in (0, 1)")
-    scores = np.atleast_2d(scores)
     if scores.shape != (len(proposals), len(labels)):
         raise ValueError("score matrix shape must be (n_proposals, n_labels)")
     rows, cols = np.nonzero(scores > threshold)

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, is_json_number
 from .gridops import NonFiniteError, check_finite
 from .pyramid import (
     BRANCHES,
@@ -244,15 +244,12 @@ def _array_from_json(spec, name: str) -> np.ndarray:
     shape = spec["shape"]
     if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
         raise ValueError(f"array {name}: shape must be a list of non-negative integers")
-    try:
-        data = np.asarray(spec["data"], dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValueError(f"array {name}: data must be a flat list of numbers") from None
-    if data.ndim != 1 or not np.all(np.isfinite(data)):
+    data = spec["data"]
+    if not isinstance(data, list) or not all(map(is_json_number, data)):
         raise ValueError(f"array {name}: data must be a flat list of finite numbers")
-    if data.size != int(np.prod(shape)):
-        raise ValueError(f"array {name}: {data.size} values do not fill shape {shape}")
-    return data.reshape(shape)
+    if len(data) != int(np.prod(shape)):
+        raise ValueError(f"array {name}: {len(data)} values do not fill shape {shape}")
+    return np.array(data, dtype=np.float64).reshape(shape)
 
 
 def init_model_params(config: ExperimentConfig) -> ModelParams:
@@ -519,7 +516,7 @@ def _tokens(b: _Bound) -> tuple[np.ndarray, np.ndarray]:
         raise NonFiniteError(f"{n}x{d} region feature matrix contains non-finite values")
     if not _finite(b.params.vector[b.params.spans[GROUP_CONNECTOR]]):
         raise NonFiniteError("connector parameters must be finite")
-    return connector_forward(b.params.connector, b.features, with_hidden=True)
+    return connector_forward(b.params.connector, b.features)
 
 
 def region_token_matrix(params: ModelParams, s: SampleStatic) -> np.ndarray:
@@ -566,7 +563,7 @@ def loss_and_grads(bound: _Bound) -> tuple[float, ModelParams | None]:
     # each row once: v is 0.0 + v, as BLAS sums each entry from +0.0, so none is -0.0
     bound.d_queries[query_idx] = d_queries
     connector_backward(
-        bound.params.connector, bound.features, np.dot(d_logits, queries), hidden=hidden,
+        bound.params.connector, bound.features, np.dot(d_logits, queries), hidden,
         input_grad=bool(bound.backward), out=bound.connector_out,
     )
     for f, a, b, c in bound.backward:

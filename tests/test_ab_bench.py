@@ -1,4 +1,4 @@
-"""``scripts/ab_bench.py``'s seed parsing, verdicts, side copies, refusals,
+"""``scripts/ab_bench.py``'s seed parsing, verdicts, gain rule, side copies, refusals,
 failed-run counts and record, on made-up values, directories and result
 lines; no benchmark runs."""
 
@@ -42,6 +42,26 @@ SPREAD = [60, 80, 100, 120, 140]  # inter-quartile distance 60, a share of 0.6 o
 ])
 def test_verdict_against_the_bound(base, change, direction, want):
     assert ab_bench.verdict(base, change, 0.25, direction) == want
+
+
+QUARTILED = [95, 95, 95, 100, 100, 100, 100, 105, 105, 105]  # median 100, quartiles 95 and 105
+
+
+@pytest.mark.parametrize("base, change, direction, want", [
+    # exactly nine wins in ten, the tenth a tie, is enough; eight wins and two ties are not
+    ([100] * 10, [90] * 9 + [100], "lower", True),
+    ([100] * 10, [90] * 8 + [100] * 2, "lower", False),
+    ([1.0] * 10, [1.5] * 9 + [0.5], "higher", True),
+    ([1.0] * 10, [1.5] * 10, "lower", False),
+    # every pair won, but the medians must differ by more than the inter-quartile distance of 10
+    (QUARTILED, [90] * 10, "lower", False),
+    (QUARTILED, [89.5] * 10, "lower", True),
+    (QUARTILED, [110] * 10, "higher", False),
+    (QUARTILED, [110.5] * 10, "higher", True),
+])
+def test_a_gain_is_shown_by_nine_tenths_of_the_pairs_and_more_than_the_spread(base, change, direction, want):
+    assert ab_bench.quartiles(QUARTILED) == [95, 100, 105]
+    assert ab_bench.gain_shown(base, change, direction) is want
 
 
 def test_both_sides_run_from_sibling_paths_of_equal_length(tmp_path):
@@ -161,7 +181,8 @@ def test_the_last_line_is_the_record_of_the_comparison(tmp_path, capsys, monkeyp
         lower = BOUNDS[name]["better"] == "lower"
         assert m == {"base_median": 1.0, "base_quartiles": [1.0] * 3, "change_median": 0.5,
                      "better": 3 if lower else 0, "same": 0, "pairs": 3,
-                     "verdict": "within bound" if lower else "worse", "bound": BOUNDS[name]["bound"]}, name
+                     "verdict": "within bound" if lower else "worse", "bound": BOUNDS[name]["bound"],
+                     "gain_shown": lower}, name
     assert rec["sides"] == {
         "base": {"checks_failed": 0, "checks_attempted": 16, "runs_failed": 0, "runs": 4, "environment": {"side": "base"}},
         "change": {"checks_failed": 1, "checks_attempted": 16, "runs_failed": 1, "runs": 4,

@@ -65,7 +65,7 @@ def test_slot_targets_reading_order(tiny_config):
 def test_baseline_gradients_match_finite_differences(tiny_config):
     head = init_baseline(tiny_config, np.random.default_rng(0))
     scene = generate_scene(4, tiny_config.world)
-    feat = scene_feature(scene, tiny_config)
+    feat = scene_feature(scene, tiny_config)[None]
     _, grads = _loss_and_grads(head, feat, scene)
     rng = np.random.default_rng(1)
     for name in ("w1", "b1", "w2", "b2"):

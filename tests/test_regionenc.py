@@ -13,6 +13,7 @@ from regionkit.regionenc import (
     connector_forward,
     positional_embedding_matrix,
 )
+from regionkit.retrieval import score_matrix
 from regionkit.roialign import Box, RoiConfig, pooled_apply, pooled_weights, roi_align_pooled
 from regionkit import baseline, training
 from regionkit.experiments import EvalScene, make_eval_scenes
@@ -157,7 +158,7 @@ def test_zero_features_fuse_to_positional_embedding(tiny_config):
     s = prepare_sample(params, sample, tiny_config)
     np.testing.assert_array_equal(s.epos, positional_embedding_matrix(list(sample.proposals), tiny_config.d_total))
     c = params.groups[GROUP_CONNECTOR]
-    expected = connector_forward(Connector(c["w1"], c["b1"], c["w2"], c["b2"]), s.epos)
+    expected, _ = connector_forward(Connector(c["w1"], c["b1"], c["w2"], c["b2"]), s.epos)
     np.testing.assert_array_equal(region_token_matrix(params, s), expected)
 
 
@@ -174,7 +175,7 @@ def test_connector_zero_weights_collapse_to_final_bias():
     conn = Connector(
         w1=np.zeros((4, 6)), b1=np.full(4, 0.3), w2=np.zeros((5, 4)), b2=np.arange(5.0)
     )
-    out = connector_forward(conn, np.random.default_rng(0).normal(size=(3, 6)))
+    out, _ = connector_forward(conn, np.random.default_rng(0).normal(size=(3, 6)))
     for row in out:
         np.testing.assert_array_equal(row, np.arange(5.0))
 
@@ -183,7 +184,7 @@ def test_connector_matches_matmul_oracle():
     rng = np.random.default_rng(2)
     conn = Connector.seeded(6, 3, rng, hidden_dim=5)
     x = rng.normal(size=(4, 6))
-    got = connector_forward(conn, x)
+    got, _ = connector_forward(conn, x)
     want = np.tanh(x @ conn.w1.T + conn.b1) @ conn.w2.T + conn.b2
     np.testing.assert_allclose(got, want, atol=1e-9)
 
@@ -194,10 +195,28 @@ def test_connector_rejects_width_mismatch():
         connector_forward(conn, np.zeros((2, 5)))
 
 
+@pytest.mark.parametrize("call", [
+    lambda conn, x, up, hidden: connector_forward(conn, x[0]),
+    lambda conn, x, up, hidden: connector_backward(conn, x[0], up, hidden),
+    lambda conn, x, up, hidden: connector_backward(conn, x, up[0], hidden),
+    lambda conn, x, up, hidden: score_matrix(x[0], x),
+    lambda conn, x, up, hidden: score_matrix(x, x[0]),
+])
+def test_a_single_row_is_refused_not_promoted(call):
+    """One region is a (1, D) array of rows: a 1-D argument to the
+    connector, its backward or the scoring raises ValueError."""
+    rng = np.random.default_rng(13)
+    conn = Connector.seeded(6, 3, rng, hidden_dim=5)
+    x, up = rng.normal(size=(2, 6)), rng.normal(size=(2, 3))
+    with pytest.raises(ValueError, match="rows"):
+        call(conn, x, up, connector_forward(conn, x)[1])
+
+
 def test_connector_backward_zero_upstream():
     rng = np.random.default_rng(4)
     conn = Connector.seeded(5, 4, rng)
-    grads, d_in = connector_backward(conn, rng.normal(size=(3, 5)), np.zeros((3, 4)))
+    x = rng.normal(size=(3, 5))
+    grads, d_in = connector_backward(conn, x, np.zeros((3, 4)), connector_forward(conn, x)[1])
     assert all(np.all(g == 0) for g in grads.values())
     assert np.all(d_in == 0)
 
@@ -206,7 +225,8 @@ def test_connector_final_bias_gradient_is_column_sum():
     rng = np.random.default_rng(5)
     conn = Connector.seeded(5, 4, rng)
     upstream = rng.normal(size=(6, 4))
-    grads, _ = connector_backward(conn, rng.normal(size=(6, 5)), upstream)
+    x = rng.normal(size=(6, 5))
+    grads, _ = connector_backward(conn, x, upstream, connector_forward(conn, x)[1])
     np.testing.assert_allclose(grads["b2"], upstream.sum(axis=0), atol=1e-12)
 
 
@@ -216,10 +236,10 @@ def test_connector_gradcheck_wide_configuration():
     conn = Connector.seeded(5888, 32, rng, hidden_dim=64)
     x = rng.normal(size=(3, 5888))
     upstream = rng.normal(size=(3, 32))
-    grads, d_in = connector_backward(conn, x, upstream)
+    grads, d_in = connector_backward(conn, x, upstream, connector_forward(conn, x)[1])
 
     def loss():
-        return float(np.sum(connector_forward(conn, x) * upstream))
+        return float(np.sum(connector_forward(conn, x)[0] * upstream))
 
     step = 1e-5
     checks = [(conn.w1, grads["w1"]), (conn.b1, grads["b1"]), (conn.w2, grads["w2"]),
@@ -270,27 +290,28 @@ def test_connector_backward_with_forward_activations_matches_recompute_bitwise()
     rng = np.random.default_rng(9)
     conn = Connector.seeded(7, 5, rng, hidden_dim=6)
     x, upstream = rng.normal(size=(4, 7)), rng.normal(size=(4, 5))
-    out, hidden = connector_forward(conn, x, with_hidden=True)
-    assert out.tobytes() == connector_forward(conn, x).tobytes()
-    grads, d_in = connector_backward(conn, x, upstream, hidden=hidden)
+    out, hidden = connector_forward(conn, x)
+    assert out.tobytes() == connector_forward(conn, x)[0].tobytes()
+    grads, d_in = connector_backward(conn, x, upstream, hidden)
     want, want_d_in = oracle_connector_backward(conn, x, upstream)
     assert d_in.tobytes() == want_d_in.tobytes()
     for name in want:
         assert grads[name].tobytes() == want[name].tobytes()
-    assert connector_backward(conn, x, upstream, hidden=hidden, input_grad=False)[1] is None
+    assert connector_backward(conn, x, upstream, hidden, input_grad=False)[1] is None
 
 
 def test_connector_backward_writes_its_gradients_into_out():
     rng = np.random.default_rng(10)
     conn = Connector.seeded(7, 5, rng, hidden_dim=6)
     x, upstream = rng.normal(size=(4, 7)), rng.normal(size=(4, 5))
-    want, want_d_in = connector_backward(conn, x, upstream)
+    hidden = connector_forward(conn, x)[1]
+    want, want_d_in = connector_backward(conn, x, upstream, hidden)
     buffer = np.full(sum(d.size for d in want.values()), np.nan)
     out, start = {}, 0
     for name, d in want.items():
         out[name] = buffer[start : start + d.size].reshape(d.shape)
         start += d.size
-    grads, d_in = connector_backward(conn, x, upstream, out=out)
+    grads, d_in = connector_backward(conn, x, upstream, hidden, out=out)
     assert d_in.tobytes() == want_d_in.tobytes()
     for name, d in want.items():
         assert grads[name] is out[name] and out[name].tobytes() == d.tobytes()
@@ -303,17 +324,18 @@ def test_connector_backward_writes_the_input_gradient_into_out():
     rng = np.random.default_rng(11)
     conn = Connector.seeded(7, 5, rng, hidden_dim=6)
     x, upstream = rng.normal(size=(4, 7)), rng.normal(size=(4, 5))
-    want, want_d_in = connector_backward(conn, x, upstream)
+    hidden = connector_forward(conn, x)[1]
+    want, want_d_in = connector_backward(conn, x, upstream, hidden)
     for names in ((), ("w1", "b2")):
         out = {name: np.full_like(want[name], np.nan) for name in names}
         out["input"] = np.full_like(want_d_in, np.nan)
-        grads, d_in = connector_backward(conn, x, upstream, out=out)
+        grads, d_in = connector_backward(conn, x, upstream, hidden, out=out)
         assert d_in is out["input"] and d_in.tobytes() == want_d_in.tobytes()
         for name, d in want.items():
             assert (grads[name] is out.get(name)) == (name in names) and grads[name].tobytes() == d.tobytes()
         oracle_grads, oracle_d_in = oracle_connector_backward(conn, x, upstream, out=out)
         assert oracle_d_in is out["input"] and all((oracle_grads[n] is out.get(n)) == (n in names) for n in want)
-    assert connector_backward(conn, x, upstream, input_grad=False, out=out)[1] is None
+    assert connector_backward(conn, x, upstream, hidden, input_grad=False, out=out)[1] is None
 
 
 def _route_shapes(configs):

@@ -39,7 +39,7 @@ def test_zero_token_scores_half():
 
 def test_aligned_token_saturates():
     q = np.array([1.0, 2.0, 0.5])
-    s = score_matrix(q * 50, q)
+    s = score_matrix((q * 50)[None], q[None])
     assert s[0, 0] > 0.999999
     # logits far beyond exp's range in either sign score 1 and 0, never overflow
     with np.errstate(over="raise"):
@@ -125,11 +125,11 @@ def test_decode_equals_the_loop_oracle():
         drawn = rng.uniform(size=(n, q))
         cases.append((np.where(rng.uniform(size=(n, q)) < 0.7, tied, drawn), float(rng.choice([0.5, 0.75, 0.3]))))
     cases.append((np.full((3, 4), 0.75), 0.75))  # every score exactly at the threshold
-    cases.append((np.array([0.9, 0.9, 0.6]), 0.5))  # one row of ties across categories
+    cases.append((np.array([[0.9, 0.9, 0.6]]), 0.5))  # one row of ties across categories
     seen_ties = 0
     for scores, threshold in cases:
-        props = boxes(np.atleast_2d(scores).shape[0])
-        labels = [f"c{k}" for k in range(np.atleast_2d(scores).shape[1])]
+        props = boxes(scores.shape[0])
+        labels = [f"c{k}" for k in range(scores.shape[1])]
         got = decode_detections(scores, props, labels, threshold)
         want = oracle_decode_detections(scores, props, labels, threshold)
         assert repr(got) == repr(want)

@@ -4,13 +4,16 @@ The default config's seed-7 bundle (``trained_default``) serves the first
 60 default eval scenes through ``prepare_sample``, ``region_token_matrix``,
 ``experiments.detections_for_scene`` and ``metrics.coco_map``.  Each stage's
 output hashes as it always has, as ``test_world_oracle`` pins the world:
-any rewrite of that path must keep every bit it hands on.
+any rewrite of that path must keep every bit it hands on.  The primary
+mix, the pooling and the connector are BLAS products, so the pins hold on
+the OpenBLAS core and numpy version they record (``blas_pins``).
 """
 
 import hashlib
 
 import numpy as np
 import pytest
+from blas_pins import pin_failure
 
 from regionkit import experiments
 from regionkit.metrics import coco_map
@@ -18,6 +21,9 @@ from regionkit.simworld import vocabulary
 from regionkit.training import prepare_sample, region_token_matrix
 
 SCENES = 60
+
+#: what the serving pins were computed under
+PINNED_UNDER = {"core": "SkylakeX", "numpy": "2.4.6"}
 
 SERVING_PINS = {
     "parts": "d72dc1a46f0aab4e917b236ab9b6431f75c5af962edbd05c3ce071dd4560b37e",
@@ -58,4 +64,4 @@ def served(default_config, trained_default):
 
 @pytest.mark.parametrize("name", sorted(SERVING_PINS))
 def test_served_bits_are_fixed(served, name):
-    assert served[name] == SERVING_PINS[name]
+    assert served[name] == SERVING_PINS[name], pin_failure(name, served[name], SERVING_PINS[name], PINNED_UNDER)

@@ -265,6 +265,9 @@ _MALFORMED_ARRAYS = {
     "data not numbers": lambda spec: {"shape": spec["shape"], "data": ["x"] * len(spec["data"])},
     "nested data": lambda spec: {"shape": spec["shape"], "data": [spec["data"]]},
     "non-finite data": lambda spec: {"shape": spec["shape"], "data": [float("nan")] * len(spec["data"])},
+    "numeric string": lambda spec: {"shape": spec["shape"], "data": ["1.5"] + spec["data"][1:]},
+    "boolean": lambda spec: {"shape": spec["shape"], "data": [True] + spec["data"][1:]},
+    "int beyond float": lambda spec: {"shape": spec["shape"], "data": [10**400] + spec["data"][1:]},
 }
 
 
@@ -359,13 +362,13 @@ def dense_oracle(params, sample, s, cfg):
     c = g[GROUP_CONNECTOR]
     conn = Connector(c["w1"], c["b1"], c["w2"], c["b2"])
     queries = g[GROUP_NEW_VOCAB]["queries"][s.query_idx]
-    tokens = connector_forward(conn, features)
+    tokens, hidden = connector_forward(conn, features)
     logits = tokens @ queries.T
     loss = float(np.sum(np.maximum(logits, 0.0) - logits * s.targets + np.log1p(np.exp(-np.abs(logits)))))
     d_logits = 1.0 / (1.0 + np.exp(-logits)) - s.targets
     grads = {GROUP_NEW_VOCAB: {"queries": np.zeros_like(g[GROUP_NEW_VOCAB]["queries"])}}
     grads[GROUP_NEW_VOCAB]["queries"][s.query_idx] = d_logits.T @ tokens
-    grads[GROUP_CONNECTOR], d_feats = connector_backward(conn, features, d_logits @ queries)
+    grads[GROUP_CONNECTOR], d_feats = connector_backward(conn, features, d_logits @ queries, hidden)
     cols = np.cumsum([0] + [m.channels for m in maps])
     d_maps = [
         (d_feats[:, c0:c1].T @ pooled_weights(m.height, m.width, boxes, cfg.roi)).reshape(m.shape)
@@ -641,7 +644,7 @@ def test_infinite_connector_bias_is_caught_before_the_loss(tiny_config, monkeypa
     bound = training.bind(params, sample, 1, params.zeros_like())
     with pytest.raises(gridops.NonFiniteError, match="connector parameters must be finite"):
         loss_and_grads(bound)
-    assert np.isfinite(connector_forward(connector, bound.features)).all()
+    assert np.isfinite(connector_forward(connector, bound.features)[0]).all()
 
     init = training.init_model_params
 

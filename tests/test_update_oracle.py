@@ -221,7 +221,7 @@ def oracle_loss_and_grads(params, s, trainable):
         width += sum(a.shape[1] for a in arrays)
     features = np.concatenate(columns, axis=1) + s.epos
     conn = params.connector
-    tokens, hidden = connector_forward(conn, features, with_hidden=True)
+    tokens, hidden = connector_forward(conn, features)
     queries = g[GROUP_NEW_VOCAB]["queries"][s.query_idx]
     logits = tokens @ queries.T
     loss = float(np.sum(training.bce_with_logits(logits, s.targets)))
@@ -311,7 +311,7 @@ def _forward(params: ModelParams, s: SampleStatic) -> _ForwardCache:
     if not np.isfinite(params.vector[params.spans[GROUP_CONNECTOR]]).all():
         raise NonFiniteError("connector parameters must be finite")
     conn = params.connector
-    tokens, hidden = connector_forward(conn, features, with_hidden=True)
+    tokens, hidden = connector_forward(conn, features)
     return _ForwardCache(live, conn, features, hidden, tokens)
 
 

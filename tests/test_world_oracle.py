@@ -5,7 +5,9 @@ and target matrix the production code draws must equal its, at configs that
 reach each branch (retry budgets that run out, no jitter, half or all of
 the objects dropped, no clutter, heavy clutter, truncation).  The sha256
 pins fix the default config's datasets, as
-``test_default_bundle_bytes_are_fixed`` fixes its initial bundle.
+``test_default_bundle_bytes_are_fixed`` fixes its initial bundle.  A
+proposal's score passes through a BLAS ``ddot``, so these pins hold on the
+OpenBLAS core and numpy version they record (``blas_pins``).
 """
 
 import hashlib
@@ -15,6 +17,7 @@ import types
 import numpy as np
 import pytest
 import world_oracle
+from blas_pins import pin_failure
 
 from regionkit import experiments, metrics, simworld
 from regionkit.cli import main as cli_main
@@ -142,6 +145,9 @@ def _noiseless_counting_scenes(config):
                                         salt=experiments._EVAL_SEED_SALT + 2)
 
 
+#: what the world and ``gen`` pins were computed under
+PINNED_UNDER = {"core": "SkylakeX", "numpy": "2.4.6"}
+
 WORLD_PINS = {
     "training_set": (seeded_training_set, "f15f2f7e179b38f050ae1b49c5f428ba4ba7bf209e0624486179b058f805cf78"),
     "eval_scenes": (experiments.make_eval_scenes, "dd33e6c82534a27e6cd8030a018e6c6f73e227c5214e8f4ff4e2f88661441632"),
@@ -157,10 +163,12 @@ WORLD_PINS = {
 def test_default_world_bytes_are_fixed(name):
     """The default config's seed-7 datasets hash as they always have."""
     draw, digest = WORLD_PINS[name]
-    assert _digest(draw(ExperimentConfig())) == digest
+    got = _digest(draw(ExperimentConfig()))
+    assert got == digest, pin_failure(name, got, digest, PINNED_UNDER)
 
 
 def test_gen_bytes_are_fixed(tmp_path, capsys):
     assert cli_main(["gen", "--n-scenes", "50", "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "scenes.json").read_bytes()).hexdigest()
-    assert digest == "d3b46a479c3c154277102bb866cde936496636a549229fc5d50b38b6d3cbc7fd"
+    want = "d3b46a479c3c154277102bb866cde936496636a549229fc5d50b38b6d3cbc7fd"
+    assert digest == want, pin_failure("gen", digest, want, PINNED_UNDER)
